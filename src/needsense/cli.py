@@ -238,9 +238,11 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
 
     def flush() -> None:
         nonlocal emitted
-        while emitted < len(sink):
-            out.write(_decision_line(sink[emitted]) + "\n")
-            emitted += 1
+        if emitted < len(sink):
+            for decision in sink[emitted:]:
+                out.write(_decision_line(decision) + "\n")
+            emitted = len(sink)
+            out.flush()  # a pipe reader sees each decision as its tick is reached
 
     duration = None
     last_global = None

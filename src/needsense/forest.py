@@ -16,6 +16,8 @@ training set.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,21 +48,6 @@ class ForestConfig:
         if m is None:
             m = math.ceil(math.sqrt(n_features))
         return max(1, min(m, n_features))
-
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.leaf_class = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_class >= 0
 
 
 def _majority(y: np.ndarray) -> int:
@@ -109,67 +96,87 @@ def _best_split(X, y, rows, features, min_leaf):
     return best
 
 
-def _build_tree(X, y, rows, config: ForestConfig, rng) -> _Node:
+def _grow_tree(X, y, rows, config: ForestConfig, rng, nodes) -> None:
+    """Append one tree's (feature, threshold, value) nodes in preorder."""
     n_features = X.shape[1]
     m = config.resolve_features(n_features)
-    root = _Node()
-    # preorder traversal; the RNG is consumed in the same order
-    stack = [(root, rows, 0)]
+    stack = [(rows, 0)]  # preorder traversal; the RNG is consumed in the same order
     while stack:
-        node, node_rows, depth = stack.pop()
+        node_rows, depth = stack.pop()
         ys = y[node_rows]
         pos = int(ys.sum())
-        if (
+        best = None
+        if not (
             pos == 0
             or pos == len(ys)
             or (config.max_depth is not None and depth >= config.max_depth)
             or len(ys) < 2 * config.min_samples_leaf
         ):
-            node.leaf_class = _majority(ys)
-            continue
-        if m < n_features:
-            subset = np.sort(rng.choice(n_features, size=m, replace=False))
-        else:
-            subset = np.arange(n_features)
-        best = _best_split(X, y, node_rows, subset, config.min_samples_leaf)
-        if best is None and m < n_features:
-            rest = np.setdiff1d(np.arange(n_features), subset)
-            best = _best_split(X, y, node_rows, rest, config.min_samples_leaf)
+            if m < n_features:
+                subset = np.sort(rng.choice(n_features, size=m, replace=False))
+            else:
+                subset = np.arange(n_features)
+            best = _best_split(X, y, node_rows, subset, config.min_samples_leaf)
+            if best is None and m < n_features:
+                rest = np.setdiff1d(np.arange(n_features), subset)
+                best = _best_split(X, y, node_rows, rest, config.min_samples_leaf)
         if best is None:
-            node.leaf_class = _majority(ys)
+            nodes.append((-1, 0.0, _majority(ys)))
             continue
-        _, node.feature, node.threshold = best
-        mask = X[node_rows, node.feature] <= node.threshold
-        node.left = _Node()
-        node.right = _Node()
+        _, feature, threshold = best
+        nodes.append((feature, threshold, -1))
+        mask = X[node_rows, feature] <= threshold
         # push right first so the left subtree is processed next (preorder)
-        stack.append((node.right, node_rows[~mask], depth + 1))
-        stack.append((node.left, node_rows[mask], depth + 1))
-    return root
+        stack.append((node_rows[~mask], depth + 1))
+        stack.append((node_rows[mask], depth + 1))
 
 
-@dataclass
+def _balance(split: np.ndarray) -> np.ndarray:
+    # open subtrees not yet started before each node; tree t starts at -t
+    return np.concatenate(([0], np.cumsum(np.where(split, 1, -1))))
+
+
+def _line_error(line_no: int, message: str) -> ValueError:
+    return ValueError(f"line {line_no}: {message}")
+
+
 class RFModel:
-    trees: list[_Node]
-    config: ForestConfig
-    n_features: int
+    """The forest as flat node arrays, each tree in preorder from roots[t]. Node i
+    is a leaf voting value[i] when feature[i] == -1; otherwise X[row, feature[i]]
+    <= threshold[i] sends a row to node i + 1, the left child, else to right[i]."""
+
+    _BLOCK = 1 << 13  # (tree, row) pairs walked at once: their arrays stay cached
+
+    def __init__(self, feature, threshold, value, roots, config, n_features):
+        indices = (np.asarray(a, dtype=np.intp) for a in (feature, value, roots))
+        self.feature, self.value, self.roots = indices
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.config, self.n_features = config, n_features
+        # a split's right child is the next node whose balance equals its own
+        split = self.feature >= 0
+        before = _balance(split)[:-1]
+        order = np.argsort(before, kind="stable")
+        follows = (before[order[1:]] == before[order[:-1]]) & split[order[:-1]]
+        self.right = np.full(len(split), -1, dtype=np.intp)
+        self.right[order[:-1][follows]] = order[1:][follows]
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree class votes for a batch, shape (n_trees, n_rows)."""
+        """Per-tree votes, shape (n_trees, n_rows): all (tree, row) pairs
+        descend from their roots a level per step until they reach a leaf."""
         X = np.asarray(X, dtype=np.float64)
-        votes = np.empty((len(self.trees), len(X)), dtype=np.int64)
-        for ti, tree in enumerate(self.trees):
-            out = votes[ti]
-            stack = [(tree, np.arange(len(X)))]
-            while stack:
-                node, idx = stack.pop()
-                if node.is_leaf:
-                    out[idx] = node.leaf_class
-                else:
-                    mask = X[idx, node.feature] <= node.threshold
-                    stack.append((node.left, idx[mask]))
-                    stack.append((node.right, idx[~mask]))
-        return votes
+        (n, d), flat, block = X.shape, X.ravel(), self._BLOCK
+        votes = np.empty(len(self.roots) * n, dtype=np.int64)
+        for start in range(0, votes.size, block):
+            pair = np.arange(start, min(start + block, votes.size))
+            # pair p is tree p // n with row p % n, which starts at flat[cell]
+            node, cell = self.roots[pair // n], pair % n * d
+            while node.size:
+                leaf = self.feature[node] < 0
+                votes[pair[leaf]] = self.value[node[leaf]]
+                node, pair, cell = node[~leaf], pair[~leaf], cell[~leaf]
+                go_left = flat[cell + self.feature[node]] <= self.threshold[node]
+                node = np.where(go_left, node + 1, self.right[node])
+        return votes.reshape(len(self.roots), n)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(labels, scores) for a batch; score is the fraction of trees
@@ -194,93 +201,89 @@ class RFModel:
             f"bootstrap={int(cfg.bootstrap)} seed={cfg.seed} "
             f"n_features={self.n_features}",
         ]
-        for ti, tree in enumerate(self.trees):
-            lines.append(f"tree {ti}")
-            node_id = 0
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    lines.append(f"leaf {node_id} class={node.leaf_class}")
-                else:
-                    lines.append(
-                        f"node {node_id} feat={node.feature} "
-                        f"thr={node.threshold!r}"
-                    )
-                    stack.append(node.right)
-                    stack.append(node.left)
-                node_id += 1
+        tree_at = {root: ti for ti, root in enumerate(self.roots.tolist())}
+        columns = self.feature.tolist(), self.threshold.tolist(), self.value.tolist()
+        for i, (feature, thr, leaf_class) in enumerate(zip(*columns)):
+            if i in tree_at:
+                root = i
+                lines.append(f"tree {tree_at[i]}")
+            if feature < 0:
+                lines.append(f"leaf {i - root} class={leaf_class}")
+            else:
+                lines.append(f"node {i - root} feat={feature} thr={thr!r}")
         return lines
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> "RFModel":
-        if not lines or lines[0].strip() != "format=needsense-rf version=1":
-            raise ValueError("not a random forest model file")
-        header = dict(p.split("=") for p in lines[1].split())
-        depth = header["max_depth"]
-        config = ForestConfig(
-            n_trees=int(header["n_trees"]),
-            max_depth=None if depth == "none" else int(depth),
-            min_samples_leaf=int(header["min_samples_leaf"]),
-            features_per_split=int(header["features_per_split"]),
-            bootstrap=bool(int(header["bootstrap"])),
-            seed=int(header["seed"]),
-        )
-        n_features = int(header["n_features"])
-        trees: list[_Node] = []
-        root: _Node | None = None
-        stack: list[_Node] = []
-
-        def finish_tree():
-            if root is not None:
-                if stack:
-                    raise ValueError("truncated tree in model file")
-                trees.append(root)
-
-        for raw in lines[2:]:
-            raw = raw.strip()
-            if not raw:
-                continue
-            if raw.startswith("tree "):
-                finish_tree()
-                root = None
-                stack = []
-                continue
-            node = _Node()
-            parts = dict(p.split("=") for p in raw.split()[2:])
-            if raw.startswith("leaf "):
-                node.leaf_class = int(parts["class"])
-            elif raw.startswith("node "):
-                node.feature = int(parts["feat"])
-                node.threshold = float(parts["thr"])
-            else:
-                raise ValueError(f"unrecognized model line: {raw}")
-            if root is None:
-                root = node
-            else:
-                if not stack:
-                    raise ValueError("dangling node in model file")
-                parent = stack[-1]
-                if parent.left is None:
-                    parent.left = node
-                else:
-                    parent.right = node
-                    stack.pop()
-            if not node.is_leaf:
-                stack.append(node)
-        finish_tree()
-        if len(trees) != config.n_trees:
-            raise ValueError(
-                f"model file has {len(trees)} trees, header says {config.n_trees}"
+    def from_lines(cls, lines: Iterable[str]) -> "RFModel":
+        """Parse the text into node arrays, then run one vectorized test per rule."""
+        lines = iter(lines)
+        if next(lines, "").strip() != "format=needsense-rf version=1":
+            raise _line_error(1, "not a random forest model file")
+        try:
+            h = dict(p.split("=") for p in next(lines, "").split())
+            config = ForestConfig(
+                n_trees=int(h["n_trees"]),
+                max_depth=None if h["max_depth"] == "none" else int(h["max_depth"]),
+                min_samples_leaf=int(h["min_samples_leaf"]),
+                features_per_split=int(h["features_per_split"]),
+                bootstrap=bool(int(h["bootstrap"])),
+                seed=int(h["seed"]),
             )
-        return cls(trees=trees, config=config, n_features=n_features)
+            n_features = int(h["n_features"])
+        except (KeyError, ValueError) as exc:
+            raise _line_error(2, f"bad model header: {exc!r}") from None
+        # a row per node: feature, threshold, value (-1 at a split), id, line
+        nodes, roots, tree_lines = array("d"), [], []
+        for line_no, raw in enumerate(lines, start=3):
+            try:
+                match raw.split():
+                    case []:
+                        continue
+                    case ["tree", ti] if ti == str(len(roots)):
+                        roots.append(len(nodes) // 5)
+                        tree_lines.append(line_no)
+                        continue
+                    case ["node", i, f, t] if f[:5] == "feat=" and t[:4] == "thr=":
+                        nodes.extend((int(f[5:]), float(t[4:]), -1, int(i), line_no))
+                    case ["leaf", i, c] if c in ("class=0", "class=1"):
+                        nodes.extend((-1, 0.0, int(c[6:]), int(i), line_no))
+                    case _:
+                        raise ValueError
+            except (OverflowError, ValueError):
+                raise _line_error(line_no, f"unrecognized model line: {raw.strip()}")
+        if len(roots) != config.n_trees:
+            raise _line_error(2, f"n_trees={config.n_trees} but {len(roots)} trees")
+        rows = np.frombuffer(nodes).reshape(-1, 5)
+        feature, threshold, value, ids, line_of = rows.T
+        split = value < 0
+        bounds = np.array([0, *roots[1:], len(line_of)])
+        balance = _balance(split)
+        # a tree ending too high is truncated; one too low has a dangling node
+        unfinished = np.flatnonzero(balance[bounds[1:]] > -1 - np.arange(len(roots)))
+        if unfinished.size:
+            raise _line_error(tree_lines[unfinished[0]], "truncated tree")
+        tree_of = np.repeat(np.arange(len(roots)), np.diff(bounds))
+        for bad, what in (
+            (np.arange(len(line_of)) < roots[0], "node before the first tree"),
+            (ids != np.arange(len(ids)) - bounds[tree_of], "node id out of preorder"),
+            (balance[:-1] < -tree_of, "dangling node after a complete tree"),
+            (split & ((feature < 0) | (feature >= n_features)), "feat out of range"),
+            (split & ~np.isfinite(threshold), "thr is not finite"),
+        ):
+            if bad.any():
+                raise _line_error(int(line_of[np.argmax(bad)]), what)
+        return cls(feature, threshold, value, roots, config, n_features)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RFModel":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+        with open(path, encoding="utf-8") as lines:
+            try:
+                return cls.from_lines(lines)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
@@ -296,16 +299,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         raise ValueError("labels must be 0 or 1")
     if len(classes) < 2:
         raise ValueError("training matrix must contain both classes")
-    n = len(X)
-    trees = []
+    n, nodes, roots = len(X), [], []
     for ti in range(config.n_trees):
         rng = np.random.default_rng([config.seed, ti])
-        if config.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(_build_tree(X, y, rows, config, rng))
-    resolved = replace(
-        config, features_per_split=config.resolve_features(X.shape[1])
-    )
-    return RFModel(trees=trees, config=resolved, n_features=X.shape[1])
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        roots.append(len(nodes))
+        _grow_tree(X, y, rows, config, rng, nodes)
+    resolved = replace(config, features_per_split=config.resolve_features(X.shape[1]))
+    return RFModel(*zip(*nodes), roots, resolved, X.shape[1])

@@ -298,9 +298,11 @@ def test_criterion_4_forest_stump_memorization_determinism():
         X = np.array([[-2.0], [-1.0], [1.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, seed=0))
-        root = model.trees[0]
-        assert (root.feature, root.threshold) == (0, 0.0)
-        assert root.left.leaf_class == 0 and root.right.leaf_class == 1
+        assert (model.feature[0], model.threshold[0]) == (0, 0.0)
+        # in preorder the left child is node 1; the right child is right[0]
+        assert model.feature[1] == -1 and model.value[1] == 0
+        right = model.right[0]
+        assert model.feature[right] == -1 and model.value[right] == 1
         labels, _ = model.predict_batch(X)
         assert labels.tolist() == y.tolist()
 

@@ -8,8 +8,10 @@ import re
 
 import pytest
 
-from needsense.cli import main
+from needsense.cli import _run_stdin, main
 from needsense.config import Config, ConfigError, config_from_items, load_config
+from needsense.forest import RFModel
+from needsense.language import NBModel
 from needsense.sessions import load as load_session
 
 LIGHT_CONFIG = "\n".join(
@@ -332,6 +334,36 @@ class TestRunCommand:
         assert code == 3
         assert "header" in capsys.readouterr().err
 
+    def test_stdin_flushes_each_decision_before_reading_on(self, workspace):
+        class RecordingOut:
+            def __init__(self):
+                self.written = 0
+                self.unflushed = 0
+                self.flushes = 0
+
+            def write(self, text):
+                self.written += text.count("\n")
+                self.unflushed += text.count("\n")
+
+            def flush(self):
+                self.unflushed = 0
+                self.flushes += 1
+
+        def checked(out, lines):
+            for line in lines:
+                assert out.unflushed == 0, "decision left in the buffer"
+                yield line
+
+        cfg = load_config(workspace["config"])
+        nb = NBModel.load(workspace["models"] / "nb.model")
+        rf = RFModel.load(workspace["models"] / "rf.model")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        lines = session.read_text(encoding="utf-8").splitlines(keepends=True)
+        out = RecordingOut()
+        assert _run_stdin(cfg, nb, rf, checked(out, lines), out) == 0
+        assert out.unflushed == 0
+        assert 1 < out.flushes <= out.written
+
     def test_short_session_warns_about_warmup(self, workspace, tmp_path, capsys):
         script = tmp_path / "tiny.script"
         script.write_text(
@@ -350,6 +382,47 @@ class TestRunCommand:
         assert code == 0
         assert captured.out == ""
         assert "warm-up" in captured.err
+
+
+def _first(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _drop_seed(lines):
+    return [lines[0], lines[1].replace(" seed=7", ""), *lines[2:]], 2
+
+
+def _replace_field(prefix, key, value):
+    """Set `key` on the first line starting with `prefix`."""
+
+    def mutate(lines):
+        i = _first(lines, prefix)
+        lines[i] = re.sub(rf"{key}=\S+", f"{key}={value}", lines[i])
+        return lines, i + 1
+
+    return mutate
+
+
+def _node_before_tree(lines):
+    return [*lines[:2], "leaf 0 class=1", *lines[2:]], 3
+
+
+def _shift_leaf_id(lines):
+    i = _first(lines, "leaf ")
+    lines[i] = lines[i].replace(f"leaf {i - 3} ", f"leaf {i - 2} ", 1)
+    return lines, i + 1
+
+
+# each mutation of a valid rf.model returns the lines and the 1-based line
+# number that the loader must name
+MALFORMED_MODELS = {
+    "header_missing_seed": _drop_seed,
+    "feature_out_of_range": _replace_field("node ", "feat", "60"),
+    "leaf_class_two": _replace_field("leaf ", "class", "2"),
+    "node_before_first_tree": _node_before_tree,
+    "node_id_not_preorder": _shift_leaf_id,
+    "nan_threshold": _replace_field("node ", "thr", "nan"),
+}
 
 
 class TestExitCodes:
@@ -401,6 +474,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_forest_is_exit_three(self, workspace, tmp_path, capsys, case):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace["models"], broken)
+        rf_path = broken / "rf.model"
+        lines, line_no = MALFORMED_MODELS[case](
+            rf_path.read_text(encoding="utf-8").splitlines()
+        )
+        rf_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(workspace["config"]), str(session),
+             "--models", str(broken)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert f"rf.model: line {line_no}: " in err
 
     def test_flag_overrides_beat_config_file(self, workspace, tmp_path, capsys):
         # same mismatch exit proves the flag took effect over the file

@@ -67,40 +67,38 @@ class TestSplitSelection:
     def test_equal_decrease_prefers_lower_threshold(self):
         # thresholds 0.5 and 1.5 both yield the same impurity decrease
         model = fit_single([[0.0], [1.0], [2.0]], [0, 1, 0])
-        root = model.trees[0]
-        assert root.feature == 0
-        assert root.threshold == 0.5
+        assert model.feature[0] == 0
+        assert model.threshold[0] == 0.5
 
     def test_equal_decrease_prefers_lower_feature(self):
         # identical columns: both features would split perfectly
         model = fit_single([[0.0, 0.0], [1.0, 1.0]], [0, 1])
-        assert model.trees[0].feature == 0
+        assert model.feature[0] == 0
 
     def test_constant_features_make_a_leaf(self):
         model = fit_single([[1.0], [1.0], [1.0]], [1, 0, 1])
-        root = model.trees[0]
-        assert root.is_leaf and root.leaf_class == 1
+        assert model.feature[0] == -1 and model.value[0] == 1
 
     def test_leaf_tie_prefers_help_class(self):
         model = fit_single([[5.0], [5.0]], [0, 1])
-        assert model.trees[0].leaf_class == 1
+        assert model.feature[0] == -1 and model.value[0] == 1
 
     def test_min_samples_leaf_excludes_edge_splits(self):
         model = fit_single(
             [[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1], min_samples_leaf=2
         )
-        root = model.trees[0]
-        assert root.threshold == 1.5
-        assert root.left.is_leaf and root.left.leaf_class == 0
-        assert root.right.is_leaf and root.right.leaf_class == 1
+        assert model.threshold[0] == 1.5
+        # in preorder the left child is node 1
+        assert model.feature[1] == -1 and model.value[1] == 0
+        right = model.right[0]
+        assert model.feature[right] == -1 and model.value[right] == 1
 
     def test_max_depth_stops_growth(self):
         X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         y = [0, 1, 1, 0]  # needs depth 2 to separate
         model = fit_single(X, y, max_depth=1, features_per_split=2)
-        root = model.trees[0]
-        assert not root.is_leaf
-        assert root.left.is_leaf and root.right.is_leaf
+        assert model.feature[0] != -1
+        assert model.feature[1] == -1 and model.feature[model.right[0]] == -1
 
     @given(
         X=arrays(
@@ -121,12 +119,11 @@ class TestSplitSelection:
         model = fit_single(
             Xf, y, max_depth=1, features_per_split=X.shape[1]
         )
-        root = model.trees[0]
         expected = brute_force_best_split(Xf, y)
         if expected is None:
-            assert root.is_leaf
+            assert model.feature[0] == -1
         else:
-            assert (root.feature, root.threshold) == expected[1:]
+            assert (model.feature[0], model.threshold[0]) == expected[1:]
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -258,6 +255,79 @@ class TestPredict:
             assert scores[0] == batch_scores[i]
 
 
+def reference_votes(lines, X):
+    """Independent per-row walk over the text format: each tree's preorder
+    nodes, with a split's right child found from its left subtree's size."""
+    trees = []
+    for line in lines[2:]:
+        kind, _, *fields = line.split()
+        if kind == "tree":
+            trees.append([])
+            continue
+        fields = dict(f.split("=") for f in fields)
+        if kind == "leaf":
+            trees[-1].append((None, int(fields["class"])))
+        else:
+            trees[-1].append((int(fields["feat"]), float(fields["thr"])))
+    votes = []
+    for tree in trees:
+        size = [0] * len(tree)
+        for i in reversed(range(len(tree))):
+            size[i] = 1 if tree[i][0] is None else (
+                1 + size[i + 1] + size[i + 1 + size[i + 1]]
+            )
+        row_votes = []
+        for x in X:
+            i = 0
+            while tree[i][0] is not None:
+                feature, threshold = tree[i]
+                i = i + 1 if x[feature] <= threshold else i + 1 + size[i + 1]
+            row_votes.append(tree[i][1])
+        votes.append(row_votes)
+    return np.array(votes, dtype=np.int64).reshape(len(trees), len(X))
+
+
+# integers repeat often; half-integers sit exactly on the fitted midpoints
+ON_AND_OFF_THRESHOLDS = st.sampled_from(
+    [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+)
+
+
+class TestWalk:
+    @given(
+        X=arrays(
+            np.int64,
+            st.tuples(
+                st.integers(min_value=2, max_value=40),
+                st.integers(min_value=1, max_value=4),
+            ),
+            elements=st.integers(min_value=0, max_value=3),
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_trees=st.integers(min_value=1, max_value=6),
+        probe_rows=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_per_row_reference(self, X, seed, n_trees, probe_rows, data):
+        y = np.random.default_rng(seed).integers(0, 2, size=len(X))
+        assume(len(set(y.tolist())) == 2)
+        model = fit_forest(
+            X.astype(np.float64), y, ForestConfig(n_trees=n_trees, seed=seed)
+        )
+        shape = (probe_rows, X.shape[1])
+        probe = data.draw(arrays(np.float64, shape, elements=ON_AND_OFF_THRESHOLDS))
+        probe = np.vstack([probe, X.astype(np.float64)])
+        lines = model.to_lines()
+        expected = reference_votes(lines, probe)
+        votes = model.tree_votes(probe)
+        assert votes.tolist() == expected.tolist()
+        assert RFModel.from_lines(lines).tree_votes(probe).tolist() == votes.tolist()
+        for i, row in enumerate(probe):
+            alone = model.tree_votes(row[None, :])[:, 0]
+            assert alone.tolist() == votes[:, i].tolist()
+
+
 class TestSerialization:
     def trained(self):
         rng = np.random.default_rng(9)
@@ -295,7 +365,7 @@ class TestSerialization:
     def test_thresholds_survive_repr_round_trip(self):
         model = fit_single([[0.1], [0.2], [0.30000000000000004]], [0, 0, 1])
         back = RFModel.from_lines(model.to_lines())
-        assert back.trees[0].threshold == model.trees[0].threshold
+        assert back.threshold[0] == model.threshold[0]
 
     def test_reject_bad_header(self):
         with pytest.raises(ValueError, match="not a random forest"):
