@@ -27,6 +27,7 @@ from .language import CorpusError, NBModel, train_from_utterances
 from .evaluation import run_full_eval
 from .sessions import (
     SessionFormatError,
+    _check_time,
     _parse_fields,
     _parse_float,
     _parse_payload,
@@ -226,7 +227,8 @@ def _warn_warmup(cfg: Config) -> None:
 def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     """Causal line-by-line mode: each decision is printed using only the
     input received so far.  Input must be in session format, messages in
-    non-decreasing global time order."""
+    non-decreasing global time order, each stream's strictly increasing and
+    within the header's duration."""
     pipe = Pipeline()
     sink: list[FusedDecision] = []
     wire_gaze(pipe, cfg.gaze_config())
@@ -246,6 +248,7 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
 
     duration = None
     last_global = None
+    last_t: dict[str, float] = {}
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -272,6 +275,7 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
                 "must be in global time order",
                 line_no,
             )
+        _check_time(name, t, duration, last_t, line_no)
         last_global = t
         pipe.emit(name, t, _parse_payload(name, fields, line_no))
         flush()

@@ -15,6 +15,9 @@ from .forest import ForestConfig
 from .gaze import GazeConfig, GazeThresholds
 
 
+MAX_CADENCE_HZ = 1000.0
+
+
 class ConfigError(ValueError):
     """Bad configuration file or values."""
 
@@ -37,8 +40,9 @@ class Config:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.cadence_hz > 0:
-            raise ConfigError("cadence_hz must be > 0")
+        # ticks fall on whole milliseconds, which stay distinct up to 1 kHz
+        if not 0 < self.cadence_hz <= MAX_CADENCE_HZ:
+            raise ConfigError(f"cadence_hz must be in (0, {MAX_CADENCE_HZ}]")
         if self.window_w < 1:
             raise ConfigError("window_w must be >= 1")
         if not (self.gaze_yaw_center > 0 and self.gaze_pitch_center > 0):

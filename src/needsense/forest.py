@@ -6,6 +6,18 @@ consecutive distinct sorted feature values, splits maximize Gini impurity
 decrease with ties broken by lowest feature index then lowest threshold,
 and the text serialization round-trips models bit for bit.
 
+The split search counts instead of sorting.  `fit_forest` stores each
+column's distinct values once, sorted, and each cell's rank among them.  At
+a node one `bincount` over (feature, rank, label) gives the class counts of
+every value present, and running sums over them give the left-side counts
+at every boundary between consecutive present values.  This is exact, not
+an approximation by bins: the ranks are the column's own values, so the
+boundaries, midpoints, counts and Gini expressions (same integer dtypes,
+same float operations) are those a sort of the node's column would give.
+Values that compare equal share a rank, as -0.0 and 0.0 share a run of a
+sorted column; which one the table keeps cannot move a midpoint, because
+x + 0.0 == x + -0.0 for every nonzero x.
+
 When the sampled feature subset offers no usable split the search widens
 to the remaining features, so a node only becomes a leaf when it is pure,
 hits a stopping rule, or has no distinguishing feature at all.  That
@@ -56,47 +68,62 @@ def _majority(y: np.ndarray) -> int:
     return 1 if pos >= neg else 0  # tie goes to the positive class
 
 
-def _best_split(X, y, rows, features, min_leaf):
-    """Best (decrease, feature, threshold) over the given features, or None.
+def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ranks): each column's sorted distinct values as a row of a
+    (d, U) table padded with +inf, and each cell's index into its row."""
+    columns = [np.unique(column, return_inverse=True) for column in X.T]
+    width = max((len(distinct) for distinct, _ in columns), default=1)
+    values = np.full((X.shape[1], width), np.inf)
+    ranks = np.empty(X.shape, dtype=np.min_scalar_type(width - 1))
+    for j, (distinct, inverse) in enumerate(columns):
+        values[j, : len(distinct)] = distinct
+        ranks[:, j] = inverse
+    return values, ranks
 
-    Features are scanned in ascending index; within a feature candidates
-    ascend by threshold, and only strictly greater decreases replace the
-    incumbent, which realizes the documented tie-breaking.
+
+def _best_split(values, ranks, rows, ys, features, min_leaf):
+    """(feature, threshold) of the best split over the given features, or None.
+
+    One bincount yields the negative and positive counts of every (feature,
+    value) cell; its nonzero cells, in (feature, value) order, are the
+    values present at this node, and consecutive ones within a feature are
+    the candidate boundaries.  Candidates ascend by feature then threshold,
+    and argmax takes the first maximum, which realizes the tie-breaking.
     """
-    n = rows.size
-    ys = y[rows]
+    n, width = rows.size, values.shape[1]
     pos_total = int(ys.sum())
     p = pos_total / n
     parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-    best = None
-    for f in features:
-        col = X[rows, f]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        boundary = np.nonzero(cs[1:] != cs[:-1])[0]
-        if boundary.size == 0:
-            continue
-        nl = boundary + 1
-        nr = n - nl
-        thr = (cs[boundary] + cs[boundary + 1]) / 2.0
-        # a midpoint that rounds onto the upper value would misclassify it
-        valid = (nl >= min_leaf) & (nr >= min_leaf) & (thr < cs[boundary + 1])
-        if not valid.any():
-            continue
-        pos = np.cumsum(ys[order])
-        pl = pos[boundary]
-        pr = pos_total - pl
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
-        decrease = np.where(valid, decrease, -np.inf)
-        i = int(np.argmax(decrease))
-        if best is None or decrease[i] > best[0]:
-            best = (float(decrease[i]), int(f), float(thr[i]))
-    return best
+    cells = features.size * width
+    cell = ranks[rows][:, features] + np.arange(0, cells, width)
+    counts = np.bincount((cell * 2 + ys[:, None]).ravel(), minlength=2 * cells)
+    neg, pos = counts[0::2], counts[1::2]
+    present = np.flatnonzero(neg + pos)
+    # every feature holds all n rows (pos_total positives), so the running
+    # totals restart at each feature once those multiples are taken off
+    feature_at = present // width
+    nl = np.cumsum(neg[present] + pos[present])[:-1] - n * feature_at[:-1]
+    pl = np.cumsum(pos[present])[:-1] - pos_total * feature_at[:-1]
+    nr = n - nl
+    value = values[features].ravel()[present]
+    lo, hi = value[:-1], value[1:]
+    thr = (lo + hi) / 2.0
+    # a pair spanning two features starts at a feature's last value, where
+    # nr == 0, so it is never valid; a midpoint that rounds onto the upper
+    # value would misclassify it
+    valid = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf) & (thr < hi))
+    if valid.size == 0:
+        return None
+    nl, nr, pl = nl[valid], nr[valid], pl[valid]
+    pr = pos_total - pl
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+    i = valid[np.argmax(decrease)]
+    return int(features[feature_at[i]]), float(thr[i])
 
 
-def _grow_tree(X, y, rows, config: ForestConfig, rng, nodes) -> None:
+def _grow_tree(X, y, table, rows, config: ForestConfig, rng, nodes) -> None:
     """Append one tree's (feature, threshold, value) nodes in preorder."""
     n_features = X.shape[1]
     m = config.resolve_features(n_features)
@@ -116,14 +143,17 @@ def _grow_tree(X, y, rows, config: ForestConfig, rng, nodes) -> None:
                 subset = np.sort(rng.choice(n_features, size=m, replace=False))
             else:
                 subset = np.arange(n_features)
-            best = _best_split(X, y, node_rows, subset, config.min_samples_leaf)
+            best = _best_split(*table, node_rows, ys, subset, config.min_samples_leaf)
             if best is None and m < n_features:
-                rest = np.setdiff1d(np.arange(n_features), subset)
-                best = _best_split(X, y, node_rows, rest, config.min_samples_leaf)
+                rest = np.ones(n_features, dtype=bool)
+                rest[subset] = False
+                best = _best_split(
+                    *table, node_rows, ys, np.flatnonzero(rest), config.min_samples_leaf
+                )
         if best is None:
             nodes.append((-1, 0.0, _majority(ys)))
             continue
-        _, feature, threshold = best
+        feature, threshold = best
         nodes.append((feature, threshold, -1))
         mask = X[node_rows, feature] <= threshold
         # push right first so the left subtree is processed next (preorder)
@@ -299,11 +329,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         raise ValueError("labels must be 0 or 1")
     if len(classes) < 2:
         raise ValueError("training matrix must contain both classes")
-    n, nodes, roots = len(X), [], []
+    n, nodes, roots, table = len(X), [], [], _rank_table(X)
     for ti in range(config.n_trees):
         rng = np.random.default_rng([config.seed, ti])
         rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         roots.append(len(nodes))
-        _grow_tree(X, y, rows, config, rng, nodes)
+        _grow_tree(X, y, table, rows, config, rng, nodes)
     resolved = replace(config, features_per_split=config.resolve_features(X.shape[1]))
     return RFModel(*zip(*nodes), roots, resolved, X.shape[1])

@@ -258,6 +258,23 @@ def _parse_float(fields: dict[str, str], key: str, line_no: int) -> float:
     return v
 
 
+def _check_time(
+    name: str, t: float, duration: float, last_t: dict[str, float], line_no: int
+) -> None:
+    """A message's t must lie in [0, duration] and be later than the previous
+    message on its stream; records it as that stream's last time."""
+    if not 0.0 <= t <= duration:
+        raise SessionFormatError(
+            f"stream {name}: time {t} outside [0, {duration}]", line_no
+        )
+    if name in last_t and t <= last_t[name]:
+        raise SessionFormatError(
+            f"stream {name}: non-monotone time {t} after {last_t[name]}",
+            line_no,
+        )
+    last_t[name] = t
+
+
 def parse_session(lines: list[str], source: str = "<memory>") -> SessionRecord:
     """Parse and validate a session; errors name the offending line."""
     rows = [
@@ -304,16 +321,7 @@ def parse_session(lines: list[str], source: str = "<memory>") -> SessionRecord:
         if name not in STORABLE_STREAMS:
             raise SessionFormatError(f"unknown stream name {name!r}", line_no)
         t = _parse_float(fields, "t", line_no)
-        if not 0.0 <= t <= duration:
-            raise SessionFormatError(
-                f"stream {name}: time {t} outside [0, {duration}]", line_no
-            )
-        if name in last_t and t <= last_t[name]:
-            raise SessionFormatError(
-                f"stream {name}: non-monotone time {t} after {last_t[name]}",
-                line_no,
-            )
-        last_t[name] = t
+        _check_time(name, t, duration, last_t, line_no)
         payload = _parse_payload(name, fields, line_no)
         streams.setdefault(name, []).append(TimestampedMessage(t, payload))
 

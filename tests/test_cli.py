@@ -91,6 +91,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_items({"nb_alpha": "0"}).validate()
 
+    def test_cadence_above_one_khz_rejected(self):
+        # the tick grid is whole milliseconds: above 1 kHz ticks collide,
+        # and an infinite cadence would never advance
+        for text in ("1000.5", "1e6", "inf"):
+            with pytest.raises(ConfigError, match="cadence_hz"):
+                config_from_items({"cadence_hz": text})
+        assert config_from_items({"cadence_hz": "1000"}).cadence_hz == 1000.0
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text(
@@ -322,6 +330,44 @@ class TestRunCommand:
         assert code == 3
         assert "global time order" in capsys.readouterr().err
 
+    def stdin_run(self, workspace, capsys, monkeypatch, lines):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = main(
+            ["run", "--config", str(workspace["config"]), "-",
+             "--models", str(workspace["models"])]
+        )
+        return code, capsys.readouterr().err
+
+    def test_stdin_equal_times_on_one_stream_is_exit_three(
+        self, workspace, capsys, monkeypatch
+    ):
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        lines = session.read_text(encoding="utf-8").splitlines()
+        gaze = [ln for ln in lines if ln.startswith("stream=gaze_raw")]
+        code, err = self.stdin_run(
+            workspace, capsys, monkeypatch, [lines[0], gaze[0], gaze[1], gaze[1]]
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert "line 4: stream gaze_raw: non-monotone time" in err
+
+    @pytest.mark.parametrize("where", ["after_duration", "negative"])
+    def test_stdin_time_outside_duration_is_exit_three(
+        self, workspace, capsys, monkeypatch, where
+    ):
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        lines = session.read_text(encoding="utf-8").splitlines()
+        duration = load_session(session).duration
+        gaze = [ln for ln in lines if ln.startswith("stream=gaze_raw")]
+        t = duration + 0.1 if where == "after_duration" else -0.5
+        stray = re.sub(r"\bt=[^ ]+", f"t={t:.3f}", gaze[-1])
+        body = [stray] if where == "negative" else [*gaze[:3], stray]
+        code, err = self.stdin_run(workspace, capsys, monkeypatch, [lines[0], *body])
+        assert code == 3
+        assert "Traceback" not in err
+        assert f"line {1 + len(body)}: stream gaze_raw: time" in err
+        assert f"outside [0, {duration}]" in err
+
     def test_stdin_requires_header(self, workspace, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin",
@@ -454,6 +500,16 @@ class TestExitCodes:
         )
         assert code == 3
         assert "unknown" in capsys.readouterr().err
+
+    def test_cadence_above_one_khz_is_exit_three(self, workspace, tmp_path, capsys):
+        code = main(
+            ["train", "--config", str(workspace["config"]), "--cadence", "1500",
+             str(workspace["ds0"]), "--out", str(tmp_path / "models")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "cadence_hz must be in (0, 1000.0]" in err
 
     def test_corrupt_manifest_is_exit_three(self, workspace, tmp_path, capsys):
         import shutil

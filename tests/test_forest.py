@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -428,3 +430,176 @@ class TestFitValidation:
     def test_one_dim_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             fit_forest(np.ones(3), np.array([0, 1, 1]), SINGLE_TREE)
+
+
+def argsort_best_split(X, y, rows, features, min_leaf):
+    """The argsort split search that rank counting replaced, kept as the
+    reference: per feature, sort the node's column and scan its boundaries."""
+    n = rows.size
+    ys = y[rows]
+    pos_total = int(ys.sum())
+    p = pos_total / n
+    parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
+    best = None
+    for f in features:
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        boundary = np.nonzero(cs[1:] != cs[:-1])[0]
+        if boundary.size == 0:
+            continue
+        nl = boundary + 1
+        nr = n - nl
+        thr = (cs[boundary] + cs[boundary + 1]) / 2.0
+        valid = (nl >= min_leaf) & (nr >= min_leaf) & (thr < cs[boundary + 1])
+        if not valid.any():
+            continue
+        pos = np.cumsum(ys[order])
+        pl = pos[boundary]
+        pr = pos_total - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+        decrease = np.where(valid, decrease, -np.inf)
+        i = int(np.argmax(decrease))
+        if best is None or decrease[i] > best[0]:
+            best = (float(decrease[i]), int(f), float(thr[i]))
+    return best
+
+
+def argsort_fit_forest(X, y, config):
+    """Reference fit: the same RNG draws and preorder as `fit_forest`, with
+    every split found by `argsort_best_split`."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    (n, d), nodes, roots = X.shape, [], []
+    m = config.resolve_features(d)
+    for ti in range(config.n_trees):
+        rng = np.random.default_rng([config.seed, ti])
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        roots.append(len(nodes))
+        stack = [(rows, 0)]
+        while stack:
+            node_rows, depth = stack.pop()
+            ys = y[node_rows]
+            pos = int(ys.sum())
+            best = None
+            if not (
+                pos == 0
+                or pos == len(ys)
+                or (config.max_depth is not None and depth >= config.max_depth)
+                or len(ys) < 2 * config.min_samples_leaf
+            ):
+                if m < d:
+                    subset = np.sort(rng.choice(d, size=m, replace=False))
+                else:
+                    subset = np.arange(d)
+                best = argsort_best_split(
+                    X, y, node_rows, subset, config.min_samples_leaf
+                )
+                if best is None and m < d:
+                    rest = np.setdiff1d(np.arange(d), subset)
+                    best = argsort_best_split(
+                        X, y, node_rows, rest, config.min_samples_leaf
+                    )
+            if best is None:
+                nodes.append((-1, 0.0, 1 if 2 * pos >= len(ys) else 0))
+                continue
+            _, feature, threshold = best
+            nodes.append((feature, threshold, -1))
+            mask = X[node_rows, feature] <= threshold
+            stack.append((node_rows[~mask], depth + 1))
+            stack.append((node_rows[mask], depth + 1))
+    resolved = replace(config, features_per_split=m)
+    return RFModel(*zip(*nodes), roots, resolved, d)
+
+
+# adjacent floats: the midpoint of the first two rounds onto the lower one,
+# that of the last two onto the upper one
+ODD_ULP = float(np.nextafter(1.0, 2.0))
+EVEN_ULP = float(np.nextafter(ODD_ULP, 2.0))
+# with signed zeros and subnormals, and small values that repeat often
+TIGHT_VALUES = [
+    1.0,
+    ODD_ULP,
+    EVEN_ULP,
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    2.0,
+    3.0,
+    -7.5,
+]
+
+
+class TestRankCountExactness:
+    @given(
+        distinct_rows=arrays(
+            np.int64,
+            st.tuples(
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=1, max_value=5),
+            ),
+            elements=st.integers(min_value=0, max_value=len(TIGHT_VALUES) - 1),
+        ),
+        data=st.data(),
+        constant_columns=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_trees=st.integers(min_value=1, max_value=4),
+        min_samples_leaf=st.sampled_from([1, 2, 3]),
+        max_depth=st.sampled_from([None, 1, 2, 4]),
+        per_split=st.sampled_from(["auto", "one", "all"]),
+        bootstrap=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_fit_matches_argsort_reference(
+        self, distinct_rows, data, constant_columns, seed, n_trees,
+        min_samples_leaf, max_depth, per_split, bootstrap,
+    ):
+        d = distinct_rows.shape[1]
+        # repeat the distinct rows so the matrix has duplicates
+        pick = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(distinct_rows) - 1),
+                min_size=2,
+                max_size=40,
+            )
+        )
+        X = np.array(TIGHT_VALUES)[distinct_rows[pick]]
+        # constant columns make every sampled feature constant at some nodes
+        X[:, : min(constant_columns, d - 1)] = -0.0
+        y = np.random.default_rng(seed).integers(0, 2, size=len(X))
+        assume(len(set(y.tolist())) == 2)
+        config = ForestConfig(
+            n_trees=n_trees,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            features_per_split={"auto": None, "one": 1, "all": d}[per_split],
+            bootstrap=bootstrap,
+            seed=seed,
+        )
+        expected = argsort_fit_forest(X, y, config).to_lines()
+        assert fit_forest(X, y, config).to_lines() == expected
+
+    def test_search_widens_past_constant_sampled_features(self):
+        # three constant columns and one informative; one feature per split
+        X = np.zeros((6, 4))
+        X[:, 3] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        y = np.array([0, 0, 0, 1, 1, 1])
+        for seed in range(8):
+            config = ForestConfig(
+                n_trees=3, features_per_split=1, bootstrap=False, seed=seed
+            )
+            model = fit_forest(X, y, config)
+            assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+            assert model.feature[model.roots].tolist() == [3, 3, 3]
+            assert model.threshold[model.roots].tolist() == [2.5, 2.5, 2.5]
+
+    def test_midpoint_rounding_onto_upper_value_is_no_split(self):
+        assert (1.0 + ODD_ULP) / 2.0 == 1.0
+        assert (ODD_ULP + EVEN_ULP) / 2.0 == EVEN_ULP
+        model = fit_single([[1.0], [ODD_ULP]], [0, 1])
+        assert (model.feature[0], model.threshold[0]) == (0, 1.0)
+        model = fit_single([[ODD_ULP], [EVEN_ULP]], [0, 1])
+        assert model.feature[0] == -1

@@ -1,10 +1,11 @@
 """Golden artifacts: byte-exact hashes of a reduced seeded pipeline.
 
 The first four sessions of the canonical suite, `benchmark_suite(20,
-seed=0)`, are simulated and trained at the default config except for a
-10-tree forest.  Any change to simulation, stage 1, the forest's fit or
-serialization, or the live decision path moves one of these hashes; a
-change that does so on purpose says why in CHANGES.md.
+seed=0)`, are simulated, trained and evaluated (4 folds) at the default
+config except for a 10-tree forest.  Any change to simulation, stage 1,
+the forest's fit or serialization, cross-validation, or the live decision
+path moves one of these hashes; a change that does so on purpose says why
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from needsense.simulate import benchmark_suite, save_script
 GOLDEN_RF_MODEL = "3c8b7ac09d8e1f1fe929077626b14bb56c2ef090e996026554ac65d30c326f10"
 GOLDEN_MANIFEST = "0297d3291145c4fecce0c55bdf73c5741315f6c9d03794125cbdd9d91adeb1cb"
 GOLDEN_RUN_S02 = "cdfbf7ae0c58b936c6ca8905f4fc58b31c2c09d1b82cf5e806cf4c71cbe1c482"
+GOLDEN_EVAL_4_FOLDS = "ef017d28fbbb9097f9f7396ad34ab94f50bf6a818c2a34fe16c4d9d696c72f68"
 
 
 def _sha256(data: bytes) -> str:
@@ -64,3 +66,15 @@ def test_run_decision_lines_hash(golden, capsys):
     assert code == 0
     assert out.count("\n") > 100
     assert _sha256(out.encode("utf-8")) == GOLDEN_RUN_S02
+
+
+def test_eval_report_hash(golden, capsys):
+    capsys.readouterr()
+    code = main(
+        ["eval", "--config", str(golden["config"]), str(golden["ds0"]),
+         "--folds", "4"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("Model ")
+    assert _sha256(out.encode("utf-8")) == GOLDEN_EVAL_4_FOLDS

@@ -333,3 +333,17 @@ class TestTickTimes:
     def test_bad_cadence(self):
         with pytest.raises(WiringError):
             tick_times(1.0, 0.0)
+
+    @given(
+        cadence=st.floats(min_value=1.0, max_value=1000.0),
+        duration=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ticks_distinct_up_to_the_config_cadence_bound(self, cadence, duration):
+        # Config.validate caps cadence_hz at 1 kHz, the millisecond wire grid
+        ticks = tick_times(duration, cadence)
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+    def test_ticks_collide_above_the_config_cadence_bound(self):
+        ticks = tick_times(0.01, 1500.0)
+        assert len(set(ticks)) < len(ticks)
