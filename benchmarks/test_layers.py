@@ -1,0 +1,98 @@
+"""Per-layer benchmarks at the default config.
+
+Each case times one layer of `needsense train` or `needsense run` on the
+canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 7,339
+training rows x 60): stage-1 materialize, the fusion-matrix export,
+batch prediction over every training row, and the live decisions of one
+session.  `testpaths` does not collect this directory, so run it
+directly:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_layers.py
+
+The module fixture fits the default 100-tree forest once (several
+seconds) before the timed cases start.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from needsense.config import Config
+from needsense.fusion import live_decisions, stage1_materialize, train_rf
+from needsense.language import train_from_utterances
+from needsense.sessions import (
+    export_fusion_matrix,
+    export_language_corpus,
+    load as load_session,
+)
+from needsense.simulate import benchmark_suite, simulate
+from needsense.streams import tick_times
+
+SUITE_ROWS = 7_339
+
+
+@pytest.fixture(scope="module")
+def suite(tmp_path_factory):
+    """Raw sessions, the text model, derived sessions and the default
+    forest, as `needsense train` makes them."""
+    cfg = Config()
+    ds0 = tmp_path_factory.mktemp("ds0")
+    records = []
+    for i, script in enumerate(benchmark_suite(20, seed=0)):
+        path = ds0 / f"s{i:02d}.session"
+        simulate(script, path.stem, thresholds=cfg.thresholds()).save(path)
+        records.append(load_session(path))
+    nb = train_from_utterances(
+        export_language_corpus(records),
+        alpha=cfg.nb_alpha,
+        use_aggregates=cfg.nb_use_aggregates,
+    )
+    ds1 = [
+        stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
+        for r in records
+    ]
+    matrix = export_fusion_matrix(ds1, cfg.window_w)
+    rf = train_rf(matrix, cfg.forest_config())
+    return cfg, records, nb, ds1, matrix, rf
+
+
+def test_stage1_materialize_20_sessions(benchmark, suite):
+    cfg, records, nb, ds1, _, _ = suite
+
+    def materialize():
+        return [
+            stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
+            for r in records
+        ]
+
+    out = benchmark.pedantic(materialize, rounds=5, iterations=1)
+    assert [d.to_lines() for d in out] == [d.to_lines() for d in ds1]
+
+
+def test_export_fusion_matrix(benchmark, suite):
+    cfg, _, _, ds1, _, _ = suite
+    matrix = benchmark.pedantic(
+        export_fusion_matrix, args=(ds1, cfg.window_w), rounds=5, iterations=1
+    )
+    assert matrix.features.shape == (SUITE_ROWS, 3 * cfg.window_w)
+
+
+def test_batch_predict_suite_rows(benchmark, suite):
+    _, _, _, _, matrix, rf = suite
+    labels, _ = benchmark.pedantic(
+        rf.predict_batch, args=(matrix.features,), rounds=5, iterations=1
+    )
+    assert len(labels) == SUITE_ROWS
+
+
+def test_live_decisions_one_session(benchmark, suite):
+    cfg, records, nb, _, _, rf = suite
+    record = records[0]
+    decisions = benchmark.pedantic(
+        live_decisions,
+        args=(record, nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w),
+        rounds=5,
+        iterations=1,
+    )
+    ticks = tick_times(record.duration, cfg.cadence_hz)
+    assert [d.t for d in decisions] == ticks[cfg.window_w - 1:]

@@ -16,12 +16,9 @@ from .forest import RFModel
 from .fusion import (
     FusedDecision,
     live_decisions,
-    make_frames,
+    live_pipeline,
     stage1_materialize,
     train_rf,
-    wire_fused,
-    wire_gaze,
-    wire_language,
 )
 from .language import CorpusError, NBModel, train_from_utterances
 from .evaluation import run_full_eval
@@ -38,7 +35,6 @@ from .sessions import (
     load as load_session,
 )
 from .simulate import benchmark_suite, load_script, save_script, simulate
-from .streams import Pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,7 +47,8 @@ RF_MODEL_NAME = "rf.model"
 
 
 class MismatchError(Exception):
-    """Models were trained under a different window or cadence."""
+    """Models differ from their manifest or were trained under another
+    run-time config."""
 
 
 class StageError(Exception):
@@ -173,34 +170,56 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_manifest_config(models: Path) -> dict[str, str]:
+# Config keys that change what `run` computes but that no model file
+# encodes; the models' own settings are covered by their sha256.
+RUN_KEYS = (
+    "cadence_hz",
+    "window_w",
+    "gaze_yaw_center",
+    "gaze_pitch_center",
+    "gaze_debounce",
+    "min_confidence",
+)
+
+
+def _read_manifest(models: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """The config items and the sha256 per artifact of a training
+    manifest."""
     path = models / MANIFEST_NAME
+    if not path.is_file():
+        raise SessionFormatError(f"{path}: training manifest missing")
     items: dict[str, str] = {}
+    digests: dict[str, str] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if not line or line.startswith("artifact="):
-            continue
-        key, _, value = line.partition("=")
-        items[key] = value
+        if line.startswith("artifact="):
+            name, _, digest = line[len("artifact="):].partition(" sha256=")
+            digests[name] = digest
+        elif line:
+            key, _, value = line.partition("=")
+            items[key] = value
     if items.get("manifest_version") != "1":
         raise SessionFormatError(f"{path}: unsupported manifest version")
-    return items
+    return items, digests
 
 
 def _check_manifest(cfg: Config, models: Path, rf: RFModel) -> None:
-    manifest = _read_manifest_config(models)
-    trained_cadence = float(manifest.get("cadence_hz", "nan"))
-    trained_window = int(manifest.get("window_w", "-1"))
-    if trained_cadence != cfg.cadence_hz:
-        raise MismatchError(
-            f"models were trained at cadence_hz={trained_cadence}, "
-            f"configured {cfg.cadence_hz}"
-        )
-    if trained_window != cfg.window_w:
-        raise MismatchError(
-            f"models were trained with window_w={trained_window}, "
-            f"configured {cfg.window_w}"
-        )
+    """The parsed models must be the ones the manifest records, trained
+    under the active values of every run-time key."""
+    items, digests = _read_manifest(models)
+    for name in (NB_MODEL_NAME, RF_MODEL_NAME):
+        if digests.get(name) != _sha256(models / name):
+            raise MismatchError(
+                f"{models / name} does not match the sha256 recorded in "
+                f"{MANIFEST_NAME}"
+            )
+    active = dict(line.split("=", 1) for line in cfg.to_lines())
+    for key in RUN_KEYS:
+        if items.get(key) != active[key]:
+            raise MismatchError(
+                f"models were trained with {key}={items.get(key)}, "
+                f"configured {active[key]}"
+            )
     if rf.n_features != 3 * cfg.window_w:
         raise MismatchError(
             f"forest expects {rf.n_features} features, window_w="
@@ -229,12 +248,9 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     input received so far.  Input must be in session format, messages in
     non-decreasing global time order, each stream's strictly increasing and
     within the header's duration."""
-    pipe = Pipeline()
-    sink: list[FusedDecision] = []
-    wire_gaze(pipe, cfg.gaze_config())
-    wire_language(pipe, nb)
-    make_frames(pipe, cfg.cadence_hz)
-    wire_fused(pipe, rf, cfg.window_w, sink)
+    pipe, sink = live_pipeline(
+        nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
+    )
 
     emitted = 0
 

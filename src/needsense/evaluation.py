@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import ForestConfig
-from .fusion import predict_session, train_rf
-from .gaze import GazeConfig, GazeNeedTracker
-from .language import NBModel, train_from_utterances
+from .fusion import derived_session, gaze_holds, predict_session, train_rf
+from .gaze import GazeConfig
+from .language import train_from_utterances
 from .sessions import (
     SessionRecord,
     binary_label_at,
     export_fusion_matrix,
     export_language_corpus,
 )
-from .streams import TimestampedMessage, tick_times
+from .streams import tick_times
 
 
 @dataclass(frozen=True)
@@ -131,25 +131,6 @@ def threshold_model_eval(
     )
 
 
-def zero_order_hold(
-    times: list[float],
-    values: list[float],
-    ticks: list[float],
-    initial: float = 0.0,
-) -> list[float]:
-    """At each tick, the latest value with time <= tick, else `initial`.
-    Batch counterpart of the live hold; times and ticks must ascend."""
-    out = []
-    held = initial
-    i = 0
-    for t in ticks:
-        while i < len(times) and times[i] <= t:
-            held = values[i]
-            i += 1
-        out.append(held)
-    return out
-
-
 def kfold(
     sessions: list[SessionRecord], k: int = 10, seed: int = 0
 ) -> list[tuple[list[SessionRecord], list[SessionRecord]]]:
@@ -226,61 +207,6 @@ class EvalReport:
         return self.table() + "\n\n" + "\n".join(self.kv_lines()) + "\n"
 
 
-def gaze_need_series(
-    record: SessionRecord, config: GazeConfig
-) -> tuple[list[float], list[float], list[float]]:
-    """(frame times, mutual values, confirmatory values) from replaying
-    the gaze models over a raw session, at wire precision."""
-    tracker = GazeNeedTracker(config)
-    times: list[float] = []
-    mutual: list[float] = []
-    conf: list[float] = []
-    for msg in record.messages("gaze_raw"):
-        frame = tracker.update(msg.originating_time, msg.payload)
-        times.append(msg.originating_time)
-        mutual.append(round(frame.mutual, 6))
-        conf.append(round(frame.confirmatory, 6))
-    return times, mutual, conf
-
-
-def language_need_series(
-    record: SessionRecord, model: NBModel
-) -> tuple[list[float], list[float]]:
-    """(utterance times, posterior values) for a raw session; utterances
-    that tokenize to nothing contribute nothing."""
-    times: list[float] = []
-    values: list[float] = []
-    for msg in record.messages("utterance"):
-        v = model.predict_text(msg.payload)
-        if v is None:
-            continue
-        times.append(msg.originating_time)
-        values.append(round(v, 6))
-    return times, values
-
-
-def _ds1_record(
-    record: SessionRecord,
-    ticks: list[float],
-    mutual_hold: list[float],
-    conf_hold: list[float],
-    lang_hold: list[float],
-) -> SessionRecord:
-    def msgs(vals: list[float]) -> list[TimestampedMessage]:
-        return [TimestampedMessage(t, v) for t, v in zip(ticks, vals)]
-
-    return SessionRecord(
-        session_id=record.session_id,
-        duration=record.duration,
-        streams={
-            "need_mutual": msgs(mutual_hold),
-            "need_confirmatory": msgs(conf_hold),
-            "need_language": msgs(lang_hold),
-        },
-        labels=list(record.labels),
-    )
-
-
 def run_full_eval(
     sessions: list[SessionRecord],
     *,
@@ -301,17 +227,13 @@ def run_full_eval(
     forest_config = forest_config or ForestConfig()
     canon = sorted(sessions, key=lambda r: r.session_id)
 
-    full_ticks: dict[str, list[float]] = {}
-    scored_ticks: dict[str, list[float]] = {}
-    mutual_hold: dict[str, list[float]] = {}
-    conf_hold: dict[str, list[float]] = {}
+    # the gaze models need no training: run them once per session
+    ticks_of: dict[str, list[float]] = {}
+    gaze: dict[str, tuple[list[float], list[float]]] = {}
     for rec in canon:
         ticks = tick_times(rec.duration, cadence_hz)
-        full_ticks[rec.session_id] = ticks
-        scored_ticks[rec.session_id] = [t for t in ticks if t < rec.duration]
-        times, mutual, conf = gaze_need_series(rec, gaze_config)
-        mutual_hold[rec.session_id] = zero_order_hold(times, mutual, ticks)
-        conf_hold[rec.session_id] = zero_order_hold(times, conf, ticks)
+        ticks_of[rec.session_id] = ticks
+        gaze[rec.session_id] = gaze_holds(rec, gaze_config, ticks)
 
     def tallied(rows: list[tuple[int, int, int, int]]) -> MetricsReport:
         tp = sum(r[0] for r in rows)
@@ -320,14 +242,21 @@ def run_full_eval(
         tn = sum(r[3] for r in rows)
         return metrics_from_counts(tp, fp, fn, tn)
 
-    def gaze_row(hold: dict[str, list[float]]) -> MetricsReport:
-        rows = []
-        for rec in canon:
-            ticks = scored_ticks[rec.session_id]
-            values = list(zip(ticks, hold[rec.session_id]))
-            preds = [(t, 1 if v >= 0.5 else 0) for t, v in values]
-            rows.append(confusion_counts(preds, rec, cadence_hz))
-        return tallied(rows)
+    def held_counts(
+        rec: SessionRecord, values: list[float]
+    ) -> tuple[int, int, int, int]:
+        # a model's held values, thresholded at 0.5, on the labeled ticks
+        preds = [
+            (t, 1 if v >= 0.5 else 0)
+            for t, v in zip(ticks_of[rec.session_id], values)
+            if t < rec.duration
+        ]
+        return confusion_counts(preds, rec, cadence_hz)
+
+    def gaze_row(index: int) -> MetricsReport:
+        return tallied(
+            [held_counts(rec, gaze[rec.session_id][index]) for rec in canon]
+        )
 
     lang_rows: list[tuple[int, int, int, int]] = []
     fused_rows: list[tuple[int, int, int, int]] = []
@@ -339,14 +268,8 @@ def run_full_eval(
         )
 
         def ds1(rec: SessionRecord) -> SessionRecord:
-            ticks = full_ticks[rec.session_id]
-            lt, lv = language_need_series(rec, nb)
-            return _ds1_record(
-                rec,
-                ticks,
-                mutual_hold[rec.session_id],
-                conf_hold[rec.session_id],
-                zero_order_hold(lt, lv, ticks),
+            return derived_session(
+                rec, ticks_of[rec.session_id], gaze[rec.session_id], nb
             )
 
         rf = train_rf(
@@ -354,17 +277,10 @@ def run_full_eval(
             forest_config,
         )
         for rec in test:
-            ticks = full_ticks[rec.session_id]
-            lt, lv = language_need_series(rec, nb)
-            lang_values = list(
-                zip(
-                    scored_ticks[rec.session_id],
-                    zero_order_hold(lt, lv, scored_ticks[rec.session_id]),
-                )
-            )
-            preds = [(t, 1 if v >= 0.5 else 0) for t, v in lang_values]
-            lang_rows.append(confusion_counts(preds, rec, cadence_hz))
-            decisions = predict_session(ds1(rec), rf, window)
+            derived = ds1(rec)
+            lang = [m.payload for m in derived.messages("need_language")]
+            lang_rows.append(held_counts(rec, lang))
+            decisions = predict_session(derived, rf, window)
             fused_preds = [
                 (d.t, d.label) for d in decisions if d.t < rec.duration
             ]
@@ -372,8 +288,8 @@ def run_full_eval(
 
     return EvalReport(
         rows={
-            "mutual": gaze_row(mutual_hold),
-            "confirmatory": gaze_row(conf_hold),
+            "mutual": gaze_row(0),
+            "confirmatory": gaze_row(1),
             "language": tallied(lang_rows),
             "fused": tallied(fused_rows),
         }

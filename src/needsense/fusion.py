@@ -1,20 +1,25 @@
 """Decision-level fusion of the per-modality need models.
 
 The three need streams are resampled onto a shared tick grid with a
-causal zero-order hold, each tick's triple becomes a FusionFrame, a
-sliding window of W frames is concatenated into one feature vector, and
-a random forest maps the vector to the final binary help decision.
+causal zero-order hold, a sliding window of W ticks of (mutual,
+confirmatory, language) values is concatenated into one 3W feature
+vector, and a random forest maps the vector to the final binary help
+decision.
 
-Training is two-stage: stage 1 replays raw recordings through the gaze
-and language models and persists their per-tick outputs as derived
-sessions; stage 2 exports windowed rows from those sessions and fits the
-forest.  Because both stages and the live path quantize times to 3
-decimals and need values to 6 before any windowing, a live replay of a
-recorded session reproduces the batch predictions bit for bit.
+Training is two-stage: stage 1 runs the gaze and language models over
+each raw recording in one batch pass, holds their outputs onto the tick
+grid and persists them as derived sessions; stage 2 exports windowed
+rows from those sessions and fits the forest.  The live path computes
+the same holds incrementally on a `Pipeline` (`wire_gaze`,
+`wire_language`, `make_frames`, `wire_fused`).  Because both paths
+quantize times to 3 decimals and need values to 6 before any windowing,
+a live replay of a recorded session reproduces the batch predictions bit
+for bit.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,43 +29,18 @@ from .gaze import GazeConfig, GazeNeedTracker
 from .language import NBModel
 from .sessions import (
     NEED_STREAMS,
-    SessionFormatError,
     SessionRecord,
     TrainingMatrix,
-    export_fusion_matrix,
+    frame_windows,
+    need_frames,
 )
-from .streams import Pipeline, TimestampedMessage, replay
-
-
-@dataclass(frozen=True)
-class FusionFrame:
-    """Per-tick triple of model outputs, all held values in [0, 1]."""
-
-    t: float
-    mutual: float
-    confirmatory: float
-    language: float
-
-    def __post_init__(self) -> None:
-        for v in (self.mutual, self.confirmatory, self.language):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"need value {v} outside [0, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mutual, self.confirmatory, self.language)
-
-
-@dataclass(frozen=True)
-class WindowedFeatureVector:
-    """Concatenation of W frames oldest to newest, each contributing
-    (mutual, confirmatory, language); anchored at the newest frame."""
-
-    values: tuple[float, ...]
-    anchor_t: float
-
-    def __post_init__(self) -> None:
-        if len(self.values) % 3 != 0 or not self.values:
-            raise ValueError("dimension must be a positive multiple of 3")
+from .streams import (
+    Pipeline,
+    TimestampedMessage,
+    WiringError,
+    replay,
+    tick_times,
+)
 
 
 @dataclass(frozen=True)
@@ -76,17 +56,111 @@ class FusedDecision:
     label: int
 
 
-def assemble(frames: list[FusionFrame], window: int) -> list[WindowedFeatureVector]:
-    """Batch sliding window over a frame sequence; nothing is emitted
-    until `window` frames exist (no padding)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+def zero_order_hold(
+    times: list[float],
+    values: list[float],
+    ticks: list[float],
+    initial: float = 0.0,
+) -> list[float]:
+    """At each tick, the latest value with time <= tick, else `initial`.
+    Batch counterpart of the live hold; times and ticks must ascend."""
     out = []
-    for i in range(window - 1, len(frames)):
-        chunk = frames[i - window + 1 : i + 1]
-        values = tuple(v for f in chunk for v in f.as_tuple())
-        out.append(WindowedFeatureVector(values=values, anchor_t=chunk[-1].t))
+    held = initial
+    i = 0
+    for t in ticks:
+        while i < len(times) and times[i] <= t:
+            held = values[i]
+            i += 1
+        out.append(held)
     return out
+
+
+def gaze_holds(
+    record: SessionRecord, config: GazeConfig, ticks: list[float]
+) -> tuple[list[float], list[float]]:
+    """Mutual and confirmatory need at wire precision, from the gaze
+    models run over a raw session's frames and held onto `ticks`."""
+    tracker = GazeNeedTracker(config)
+    times: list[float] = []
+    mutual: list[float] = []
+    conf: list[float] = []
+    for msg in record.messages("gaze_raw"):
+        frame = tracker.update(msg.originating_time, msg.payload)
+        times.append(msg.originating_time)
+        mutual.append(round(frame.mutual, 6))
+        conf.append(round(frame.confirmatory, 6))
+    return (
+        zero_order_hold(times, mutual, ticks),
+        zero_order_hold(times, conf, ticks),
+    )
+
+
+def derived_session(
+    record: SessionRecord,
+    ticks: list[float],
+    gaze: tuple[list[float], list[float]],
+    nb_model: NBModel,
+) -> SessionRecord:
+    """Stage 1 of training for one raw session whose gaze holds on
+    `ticks` are given: add the language posterior held onto the same
+    ticks and keep all three as a derived session.  Utterances that
+    tokenize to nothing contribute nothing; labels are copied."""
+    lang_t: list[float] = []
+    lang_v: list[float] = []
+    for msg in record.messages("utterance"):
+        v = nb_model.predict_text(msg.payload)
+        if v is not None:
+            lang_t.append(msg.originating_time)
+            lang_v.append(round(v, 6))
+    held = (*gaze, zero_order_hold(lang_t, lang_v, ticks))
+    return SessionRecord(
+        session_id=record.session_id,
+        duration=record.duration,
+        streams={
+            name: [TimestampedMessage(t, v) for t, v in zip(ticks, values)]
+            for name, values in zip(NEED_STREAMS, held)
+        },
+        labels=list(record.labels),
+    )
+
+
+def stage1_materialize(
+    record: SessionRecord,
+    nb_model: NBModel,
+    gaze_config: GazeConfig,
+    cadence_hz: float,
+) -> SessionRecord:
+    """Stage 1 of training: the gaze and language models' outputs over
+    one raw session, held onto its tick grid, as a derived session."""
+    ticks = tick_times(record.duration, cadence_hz)
+    return derived_session(
+        record, ticks, gaze_holds(record, gaze_config, ticks), nb_model
+    )
+
+
+def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
+    """Fit the forest on the matrix in canonical row order, so permuting
+    the rows of an otherwise identical matrix changes nothing."""
+    order = sorted(range(matrix.n_rows), key=lambda i: matrix.anchors[i])
+    return fit_forest(matrix.features[order], matrix.labels[order], config)
+
+
+def predict_session(
+    record: SessionRecord, model: RFModel, window: int
+) -> list[FusedDecision]:
+    """Batch predictions for every full window of a derived session,
+    including the final grid point at the session duration."""
+    times, frames = need_frames(record)
+    rows = frame_windows(frames, window)
+    if not len(rows):
+        return []
+    labels, scores = model.predict_batch(rows)
+    return [
+        FusedDecision(t, *frame, round(float(score), 6), int(label))
+        for t, frame, score, label in zip(
+            times[window - 1:], frames[window - 1:].tolist(), scores, labels
+        )
+    ]
 
 
 def wire_gaze(pipe: Pipeline, config: GazeConfig) -> None:
@@ -120,9 +194,10 @@ def wire_language(pipe: Pipeline, model: NBModel) -> None:
 
 
 def make_frames(pipe: Pipeline, cadence_hz: float) -> None:
-    """Zero-order hold of the three need streams onto one tick grid;
-    emits one FusionFrame per tick on fusion_frame.  All initials 0.0."""
-    held = {"need_mutual": 0.0, "need_confirmatory": 0.0, "need_language": 0.0}
+    """Zero-order hold of the three need streams onto one tick grid:
+    emits one (mutual, confirmatory, language) tuple per tick on
+    fusion_frame.  All initials 0.0."""
+    held = dict.fromkeys(NEED_STREAMS, 0.0)
     frames = pipe.stream("fusion_frame")
 
     for name in NEED_STREAMS:
@@ -132,15 +207,7 @@ def make_frames(pipe: Pipeline, cadence_hz: float) -> None:
         pipe.stream(name).subscribe(on_need)
 
     def on_tick(t: float) -> None:
-        frames.emit(
-            t,
-            FusionFrame(
-                t=t,
-                mutual=held["need_mutual"],
-                confirmatory=held["need_confirmatory"],
-                language=held["need_language"],
-            ),
-        )
+        frames.emit(t, tuple(held.values()))
 
     pipe.add_ticker(cadence_hz, on_tick)
 
@@ -148,156 +215,50 @@ def make_frames(pipe: Pipeline, cadence_hz: float) -> None:
 def wire_fused(
     pipe: Pipeline, model: RFModel, window: int, sink: list[FusedDecision]
 ) -> None:
-    """fusion_frame -> need_fused via the forest over a W-frame window.
-    No decisions during warm-up.  Scores are wire-rounded; vote fractions
-    are never close enough to 0.5 for that to flip the label."""
+    """fusion_frame -> need_fused via the forest over the last `window`
+    frames, oldest first.  No decisions during warm-up.  Scores are
+    wire-rounded; vote fractions are never close enough to 0.5 for that
+    to flip the label."""
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise WiringError("window must be >= 1")
     fused = pipe.stream("need_fused")
-    buf: list[FusionFrame] = []
+    buf: deque[tuple[float, float, float]] = deque(maxlen=window)
 
     def on_frame(msg: TimestampedMessage) -> None:
         buf.append(msg.payload)
-        if len(buf) > window:
-            del buf[0]
         if len(buf) < window:
             return
-        vec = np.array(
-            [v for f in buf for v in f.as_tuple()], dtype=np.float64
+        labels, scores = model.predict_batch(
+            np.array(buf, dtype=np.float64).reshape(1, -1)
         )
-        labels, scores = model.predict_batch(vec[None, :])
         score = round(float(scores[0]), 6)
-        frame: FusionFrame = msg.payload
-        fused.emit(frame.t, score)
+        fused.emit(msg.originating_time, score)
         sink.append(
             FusedDecision(
-                t=frame.t,
-                mutual=frame.mutual,
-                confirmatory=frame.confirmatory,
-                language=frame.language,
-                score=score,
-                label=int(labels[0]),
+                msg.originating_time, *msg.payload, score, int(labels[0])
             )
         )
 
     pipe.stream("fusion_frame").subscribe(on_frame)
 
 
-def _replay_raw(pipe: Pipeline, record: SessionRecord) -> None:
-    messages = [
-        (name, msg)
-        for name in ("gaze_raw", "utterance")
-        for msg in record.messages(name)
-    ]
-    replay(pipe, messages, record.duration)
-
-
-def stage1_materialize(
-    record: SessionRecord,
+def live_pipeline(
     nb_model: NBModel,
+    rf_model: RFModel,
     gaze_config: GazeConfig,
     cadence_hz: float,
-) -> SessionRecord:
-    """Stage 1 of training: replay one raw session through the gaze and
-    language models and persist their held per-tick outputs as a derived
-    session.  Labels are copied unchanged."""
+    window: int,
+) -> tuple[Pipeline, list[FusedDecision]]:
+    """The live shell: raw gaze frames and utterances go into the
+    pipeline, and one decision per tick, once the window has filled, comes
+    out in the returned sink."""
     pipe = Pipeline()
+    sink: list[FusedDecision] = []
     wire_gaze(pipe, gaze_config)
     wire_language(pipe, nb_model)
     make_frames(pipe, cadence_hz)
-    _replay_raw(pipe, record)
-    frames = [m.payload for m in pipe.stream("fusion_frame").messages]
-    streams = {
-        "need_mutual": [TimestampedMessage(f.t, f.mutual) for f in frames],
-        "need_confirmatory": [
-            TimestampedMessage(f.t, f.confirmatory) for f in frames
-        ],
-        "need_language": [TimestampedMessage(f.t, f.language) for f in frames],
-    }
-    return SessionRecord(
-        session_id=record.session_id,
-        duration=record.duration,
-        streams=streams,
-        labels=list(record.labels),
-    )
-
-
-def stage2_train(
-    records: list[SessionRecord], window: int, config: ForestConfig
-) -> RFModel:
-    """Stage 2 of training: export windowed rows from derived sessions
-    and fit the forest."""
-    if not records:
-        raise ValueError("no derived sessions to train on")
-    return train_rf(export_fusion_matrix(records, window), config)
-
-
-def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
-    """Fit the forest on the matrix in canonical row order, so permuting
-    the rows of an otherwise identical matrix changes nothing."""
-    order = sorted(range(matrix.n_rows), key=lambda i: matrix.anchors[i])
-    return fit_forest(matrix.features[order], matrix.labels[order], config)
-
-
-def predict_rf(model: RFModel, vector) -> tuple[int, float]:
-    """(label, score) for one feature vector; score is the fraction of
-    trees voting for help, label 1 iff score >= 0.5."""
-    if isinstance(vector, WindowedFeatureVector):
-        vector = vector.values
-    arr = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-    labels, scores = model.predict_batch(arr)
-    return int(labels[0]), float(scores[0])
-
-
-def session_frames(record: SessionRecord) -> list[FusionFrame]:
-    """Reconstruct the per-tick frames of a derived session, checking
-    that all three need streams share one tick grid."""
-    for name in NEED_STREAMS:
-        if name not in record.streams:
-            raise SessionFormatError(
-                f"session {record.session_id} missing stream {name!r}"
-            )
-    times = [m.originating_time for m in record.messages(NEED_STREAMS[0])]
-    columns = []
-    for name in NEED_STREAMS:
-        msgs = record.messages(name)
-        if [m.originating_time for m in msgs] != times:
-            raise SessionFormatError(
-                f"session {record.session_id}: stream {name!r} not on the "
-                "common tick grid"
-            )
-        columns.append([m.payload for m in msgs])
-    return [
-        FusionFrame(t=t, mutual=m, confirmatory=c, language=l)
-        for t, m, c, l in zip(times, *columns)
-    ]
-
-
-def predict_session(
-    record: SessionRecord, model: RFModel, window: int
-) -> list[FusedDecision]:
-    """Batch predictions for every full window of a derived session,
-    including the final grid point at the session duration."""
-    frames = session_frames(record)
-    vectors = assemble(frames, window)
-    if not vectors:
-        return []
-    X = np.array([v.values for v in vectors], dtype=np.float64)
-    labels, scores = model.predict_batch(X)
-    out = []
-    for i, vec in enumerate(vectors):
-        frame = frames[window - 1 + i]
-        out.append(
-            FusedDecision(
-                t=vec.anchor_t,
-                mutual=frame.mutual,
-                confirmatory=frame.confirmatory,
-                language=frame.language,
-                score=round(float(scores[i]), 6),
-                label=int(labels[i]),
-            )
-        )
-    return out
+    wire_fused(pipe, rf_model, window, sink)
+    return pipe, sink
 
 
 def live_decisions(
@@ -308,13 +269,15 @@ def live_decisions(
     cadence_hz: float,
     window: int,
 ) -> list[FusedDecision]:
-    """Run the full live pipeline over a raw session's messages in
+    """Run the live shell over a raw session's messages in
     originating-time order and collect the per-tick decisions."""
-    pipe = Pipeline()
-    sink: list[FusedDecision] = []
-    wire_gaze(pipe, gaze_config)
-    wire_language(pipe, nb_model)
-    make_frames(pipe, cadence_hz)
-    wire_fused(pipe, rf_model, window, sink)
-    _replay_raw(pipe, record)
+    pipe, sink = live_pipeline(
+        nb_model, rf_model, gaze_config, cadence_hz, window
+    )
+    messages = [
+        (name, msg)
+        for name in ("gaze_raw", "utterance")
+        for msg in record.messages(name)
+    ]
+    replay(pipe, messages, record.duration)
     return sink

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaze import GazeObservation
 from .language import Utterance
-from .streams import KNOWN_STREAM_NAMES, TimestampedMessage
+from .streams import TimestampedMessage, time_ordered
 
 FORMAT_VERSION = 1
 
@@ -40,7 +40,6 @@ STORABLE_STREAMS = (
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
 
-_STREAM_ORDER = {name: i for i, name in enumerate(KNOWN_STREAM_NAMES)}
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
@@ -123,13 +122,9 @@ class SessionRecord:
 
     def all_messages(self) -> list[tuple[str, TimestampedMessage]]:
         """Every message, globally ordered by (time, canonical stream)."""
-        out = [
-            (name, msg)
-            for name, msgs in self.streams.items()
-            for msg in msgs
-        ]
-        out.sort(key=lambda nm: (nm[1].originating_time, _STREAM_ORDER[nm[0]]))
-        return out
+        return time_ordered(
+            (name, msg) for name, msgs in self.streams.items() for msg in msgs
+        )
 
     def validate(self) -> None:
         if not _SESSION_ID_RE.match(self.session_id):
@@ -431,6 +426,39 @@ def export_language_corpus(
     return rows
 
 
+def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
+    """The tick times of a derived session and its (T, 3) array of
+    (mutual, confirmatory, language) values, checking that all three need
+    streams exist and share one tick grid."""
+    for name in NEED_STREAMS:
+        if name not in record.streams:
+            raise SessionFormatError(
+                f"session {record.session_id} missing stream {name!r}"
+            )
+    times = [m.originating_time for m in record.messages(NEED_STREAMS[0])]
+    series = []
+    for name in NEED_STREAMS:
+        msgs = record.messages(name)
+        if [m.originating_time for m in msgs] != times:
+            raise SessionFormatError(
+                f"session {record.session_id}: stream {name!r} not on the "
+                "common tick grid"
+            )
+        series.append([m.payload for m in msgs])
+    return times, np.array(series, dtype=np.float64).T
+
+
+def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
+    """Sliding windows over (T, 3) frames: row i concatenates frames i to
+    i + window - 1, oldest first, so it is anchored at frame
+    i + window - 1.  No rows until `window` frames exist (no padding)."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if len(frames) < window:
+        return np.empty((0, 3 * window), dtype=np.float64)
+    return sliding_window_view(frames, (window, 3)).reshape(-1, 3 * window)
+
+
 def export_fusion_matrix(
     records: list[SessionRecord], window: int
 ) -> TrainingMatrix:
@@ -448,29 +476,12 @@ def export_fusion_matrix(
     anchors: list[tuple[str, float]] = []
     ordered = sorted(records, key=lambda r: r.session_id)
     for record in ordered:
-        for name in NEED_STREAMS:
-            if name not in record.streams:
-                raise SessionFormatError(
-                    f"session {record.session_id} missing stream {name!r}"
-                )
-        times = [m.originating_time for m in record.messages(NEED_STREAMS[0])]
-        series = []
-        for name in NEED_STREAMS:
-            msgs = record.messages(name)
-            if [m.originating_time for m in msgs] != times:
-                raise SessionFormatError(
-                    f"session {record.session_id}: stream {name!r} not on the "
-                    "common tick grid"
-                )
-            series.append([m.payload for m in msgs])
-        frames = np.array(series, dtype=np.float64).T
-        if len(frames) < window:
-            continue
-        rows = sliding_window_view(frames, (window, 3)).reshape(-1, window * 3)
-        for i, anchor_t in enumerate(times[window - 1:]):
+        times, frames = need_frames(record)
+        rows = frame_windows(frames, window)
+        for row, anchor_t in zip(rows, times[window - 1:]):
             if anchor_t >= record.duration:
                 continue
-            blocks.append(rows[i])
+            blocks.append(row)
             label_blocks.append(binary_label_at(record, anchor_t))
             anchors.append((record.session_id, anchor_t))
     features = (

@@ -1,10 +1,11 @@
 """Timestamped message streams with originating-time semantics.
 
-Every message carries the time its data originated at the source, and all
-cross-stream machinery (joins, resampling, windows, replay) is defined over
-those times.  This is what makes live incremental execution and offline
-batch recomputation of a recorded session produce identical results: both
-see the same originating times regardless of processing latency.
+Every message carries the time its data originated at the source, and the
+scheduler orders deliveries and ticks by those times, never by when they
+are processed.  This is what makes the live path, which wires the models
+onto a `Pipeline` (see `fusion`), reproduce the batch computation over a
+recorded session exactly: both see the same originating times regardless
+of processing latency.
 
 Time resolution is one millisecond; producers are expected to round
 originating times to 3 decimal places (the wire precision) so in-memory
@@ -49,21 +50,6 @@ class TimestampedMessage:
 
     originating_time: float
     payload: Any
-
-
-@dataclass(frozen=True)
-class PipelineClock:
-    """Replay/live mode marker.  In replay mode the scheduler delivers
-    messages in global originating-time order across all streams."""
-
-    mode: str = "replay"
-    replay_speed: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("live", "replay"):
-            raise WiringError(f"unknown clock mode {self.mode!r}")
-        if not self.replay_speed > 0:
-            raise WiringError("replay_speed must be > 0")
 
 
 class Stream:
@@ -127,10 +113,10 @@ class Pipeline:
     arrived exactly at the tick.
     """
 
-    def __init__(self, clock: PipelineClock | None = None):
-        self.clock = clock or PipelineClock()
+    def __init__(self) -> None:
         self.streams: dict[str, Stream] = {}
         self._tickers: list[_Ticker] = []
+        # per-stream counters; no current operator records an error
         self.error_counts: dict[str, int] = {}
         self.drop_counts: dict[str, int] = {}
         self._finalized = False
@@ -156,145 +142,28 @@ class Pipeline:
         self.stream(name).emit(t, payload)
 
     def finalize(self, t_end: float) -> None:
-        """Fire all remaining ticks up to and including t_end and flush
-        any buffering operators.  No further emissions are accepted."""
+        """Fire all remaining ticks up to and including t_end.  No
+        further emissions are accepted."""
         for ticker in self._tickers:
             ticker.fire_until(t_end, inclusive=True)
         self._finalized = True
-        for fn in getattr(self, "_finalizers", []):
-            fn()
-
-    def add_finalizer(self, fn: Callable[[], None]) -> None:
-        if not hasattr(self, "_finalizers"):
-            self._finalizers: list[Callable[[], None]] = []
-        self._finalizers.append(fn)
-
-    def _count_error(self, name: str) -> None:
-        self.error_counts[name] = self.error_counts.get(name, 0) + 1
 
     def _count_drop(self, name: str) -> None:
         self.drop_counts[name] = self.drop_counts.get(name, 0) + 1
 
 
-def map_stream(
-    pipe: Pipeline, src: str, dst: str, fn: Callable[[Any], Any]
-) -> Stream:
-    """Apply a pure function to each payload, keeping originating times.
-
-    A payload on which fn raises is dropped and counted against the
-    output stream's error counter.
-    """
-    out = pipe.stream(dst)
-
-    def on_message(msg: TimestampedMessage) -> None:
-        try:
-            payload = fn(msg.payload)
-        except Exception:
-            pipe._count_error(dst)
-            return
-        out.emit(msg.originating_time, payload)
-
-    pipe.stream(src).subscribe(on_message)
-    return out
+# Canonical cross-stream order for tiebreaks at equal times.
+_STREAM_ORDER = {name: i for i, name in enumerate(KNOWN_STREAM_NAMES)}
 
 
-def sliding_window(pipe: Pipeline, src: str, dst: str, size: int) -> Stream:
-    """Emit the last `size` payloads (oldest first) at each input message's
-    time, starting once `size` inputs exist.  No output during warm-up."""
-    if size < 1:
-        raise WiringError("window size must be >= 1")
-    out = pipe.stream(dst)
-    buf: list[Any] = []
-
-    def on_message(msg: TimestampedMessage) -> None:
-        buf.append(msg.payload)
-        if len(buf) > size:
-            del buf[0]
-        if len(buf) == size:
-            out.emit(msg.originating_time, tuple(buf))
-
-    pipe.stream(src).subscribe(on_message)
-    return out
-
-
-def sample_hold(
-    pipe: Pipeline, src: str, dst: str, cadence_hz: float, initial: Any
-) -> Stream:
-    """Causal zero-order hold: at every tick emit the most recent input
-    payload with originating time <= tick, or `initial` before any input."""
-    out = pipe.stream(dst)
-    held = [initial]
-
-    def on_message(msg: TimestampedMessage) -> None:
-        held[0] = msg.payload
-
-    def on_tick(t: float) -> None:
-        out.emit(t, held[0])
-
-    pipe.stream(src).subscribe(on_message)
-    pipe.add_ticker(cadence_hz, on_tick)
-    return out
-
-
-def join_nearest(
-    pipe: Pipeline, primary: str, secondary: str, tolerance: float, dst: str
-) -> Stream:
-    """Pair each primary message with the nearest-in-time secondary message
-    within +/- tolerance; ties go to the earlier secondary.
-
-    Output carries the primary's originating time and the payload pair.
-    Primaries with no secondary in range are dropped and counted.  A
-    primary is decided as soon as the secondary stream has advanced past
-    its tolerance horizon, or at finalize.
-    """
-    if tolerance < 0:
-        raise WiringError("tolerance must be >= 0")
-    out = pipe.stream(dst)
-    pending: list[TimestampedMessage] = []
-    secondaries: list[TimestampedMessage] = []
-
-    def decide(p: TimestampedMessage) -> None:
-        best = None
-        best_dist = None
-        for s in secondaries:
-            dist = abs(s.originating_time - p.originating_time)
-            if dist <= tolerance and (best_dist is None or dist < best_dist):
-                best, best_dist = s, dist
-        if best is None:
-            pipe._count_drop(dst)
-        else:
-            out.emit(p.originating_time, (p.payload, best.payload))
-
-    def flush() -> None:
-        horizon = secondaries[-1].originating_time if secondaries else None
-        while pending:
-            p = pending[0]
-            if horizon is not None and horizon >= p.originating_time + tolerance:
-                decide(p)
-                del pending[0]
-            else:
-                break
-
-    def on_primary(msg: TimestampedMessage) -> None:
-        pending.append(msg)
-        flush()
-
-    def on_secondary(msg: TimestampedMessage) -> None:
-        secondaries.append(msg)
-        flush()
-
-    def on_finalize() -> None:
-        while pending:
-            decide(pending.pop(0))
-
-    pipe.stream(primary).subscribe(on_primary)
-    pipe.stream(secondary).subscribe(on_secondary)
-    pipe.add_finalizer(on_finalize)
-    return out
-
-
-# Canonical cross-stream order for replay tiebreaks at equal times.
-_REPLAY_ORDER = {name: i for i, name in enumerate(KNOWN_STREAM_NAMES)}
+def time_ordered(
+    messages: Iterable[tuple[str, TimestampedMessage]],
+) -> list[tuple[str, TimestampedMessage]]:
+    """(stream, message) pairs in global originating-time order; ties
+    across streams break by the canonical stream order."""
+    return sorted(
+        messages, key=lambda sm: (sm[1].originating_time, _STREAM_ORDER[sm[0]])
+    )
 
 
 def replay(
@@ -303,13 +172,8 @@ def replay(
     duration: float,
 ) -> None:
     """Deliver recorded (stream, message) pairs in global originating-time
-    order, then finalize at `duration`.  Ties across streams break by the
-    canonical stream order so replay is deterministic."""
-    ordered = sorted(
-        messages,
-        key=lambda sm: (sm[1].originating_time, _REPLAY_ORDER[sm[0]]),
-    )
-    for name, msg in ordered:
+    order (see `time_ordered`), then finalize at `duration`."""
+    for name, msg in time_ordered(messages):
         pipe.emit(name, msg.originating_time, msg.payload)
     pipe.finalize(duration)
 

@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from needsense.cli import main
-from needsense.evaluation import (
-    average_help,
-    evaluate,
-    run_full_eval,
-    zero_order_hold,
-)
+from needsense.evaluation import average_help, evaluate, run_full_eval
 from needsense.forest import ForestConfig, RFModel, fit_forest
 from needsense.fusion import predict_session, stage1_materialize
 from needsense.gaze import GazeConfig, GazeNeedTracker
@@ -251,7 +246,7 @@ def test_criterion_3_window_export_exactness():
         record = simulate(script, "w00")
         assert record.duration == 10.0
 
-        # system path: the stage-1 stream pipeline, then the exporter
+        # system path: batch stage 1, then the exporter
         nb = train_from_utterances(export_language_corpus([record]))
         derived = stage1_materialize(record, nb, GazeConfig(), 10.0)
         matrix = export_fusion_matrix([derived], 20)
@@ -275,10 +270,21 @@ def test_criterion_3_window_export_exactness():
                 lang_v.append(round(v, 6))
         ticks = tick_times(record.duration, 10.0)
         assert len(ticks) == 101  # 100 labeled ticks + the endpoint
+
+        def hold(times, values):
+            out = []
+            for tick in ticks:
+                held = 0.0
+                for t, v in zip(times, values):
+                    if t <= tick:
+                        held = v
+                out.append(held)
+            return out
+
         series = [
-            zero_order_hold(gaze_t, mutual_v, ticks),
-            zero_order_hold(gaze_t, conf_v, ticks),
-            zero_order_hold(lang_t, lang_v, ticks),
+            hold(gaze_t, mutual_v),
+            hold(gaze_t, conf_v),
+            hold(lang_t, lang_v),
         ]
 
         for i in range(81):

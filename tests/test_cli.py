@@ -531,6 +531,58 @@ class TestExitCodes:
         assert code == 3
         assert "manifest" in capsys.readouterr().err
 
+    def test_gaze_key_mismatch_is_exit_four(self, workspace, tmp_path, capsys):
+        # gaze settings live in no model file, only in the manifest
+        cfg = tmp_path / "debounce5.cfg"
+        cfg.write_text(LIGHT_CONFIG + "\ngaze_debounce=5\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(cfg), str(session),
+             "--models", str(workspace["models"])]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "gaze_debounce=2, configured 5" in captured.err
+
+    def test_edited_text_model_is_exit_four(self, workspace, tmp_path, capsys):
+        import shutil
+
+        edited = tmp_path / "edited"
+        shutil.copytree(workspace["models"], edited)
+        nb_path = edited / "nb.model"
+        text = nb_path.read_text(encoding="utf-8")
+        assert "alpha=1.0\n" in text
+        nb_path.write_text(
+            text.replace("alpha=1.0\n", "alpha=2.0\n"), encoding="utf-8"
+        )
+        NBModel.load(nb_path)  # still a valid model
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(workspace["config"]), str(session),
+             "--models", str(edited)]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "nb.model does not match the sha256" in captured.err
+
+    def test_missing_manifest_is_exit_three(self, workspace, tmp_path, capsys):
+        import shutil
+
+        bare = tmp_path / "bare"
+        shutil.copytree(workspace["models"], bare)
+        (bare / "manifest.txt").unlink()
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(workspace["config"]), str(session),
+             "--models", str(bare)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "manifest.txt: training manifest missing" in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_forest_is_exit_three(self, workspace, tmp_path, capsys, case):
         import shutil

@@ -19,9 +19,9 @@ from needsense.evaluation import (
     metrics_from_counts,
     run_full_eval,
     threshold_model_eval,
-    zero_order_hold,
 )
 from needsense.forest import ForestConfig
+from needsense.fusion import zero_order_hold
 from needsense.sessions import LabelSpan, NeedLevelLabel, SessionRecord
 from needsense.simulate import benchmark_suite, simulate
 

@@ -4,19 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needsense.forest import ForestConfig
 from needsense.fusion import (
-    FusionFrame,
-    WindowedFeatureVector,
-    assemble,
     live_decisions,
     make_frames,
-    predict_rf,
     predict_session,
-    session_frames,
     stage1_materialize,
-    stage2_train,
     train_rf,
     wire_gaze,
     wire_language,
@@ -30,13 +26,20 @@ from needsense.sessions import (
     SessionRecord,
     export_fusion_matrix,
     export_language_corpus,
+    frame_windows,
+    need_frames,
 )
 from needsense.simulate import benchmark_suite, simulate
-from needsense.streams import Pipeline, TimestampedMessage, tick_times
+from needsense.streams import Pipeline, TimestampedMessage, replay, tick_times
 
 LIGHT_FOREST = ForestConfig(
     n_trees=10, max_depth=6, min_samples_leaf=3, seed=5
 )
+
+
+def stage2_fit(records):
+    """Stage 2 as `needsense train` runs it: export, then fit."""
+    return train_rf(export_fusion_matrix(records, 20), LIGHT_FOREST)
 
 
 def step_record(session_id="d00", duration=10.0):
@@ -69,59 +72,50 @@ def step_record(session_id="d00", duration=10.0):
 
 
 class TestFrameTypes:
-    def test_fusion_frame_bounds(self):
-        FusionFrame(0.0, 0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            FusionFrame(0.0, 1.1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            FusionFrame(0.0, 0.0, -0.1, 0.0)
-
     def test_as_tuple_order(self):
-        frame = FusionFrame(1.0, 0.1, 0.2, 0.3)
-        assert frame.as_tuple() == (0.1, 0.2, 0.3)
-
-    def test_vector_dimension_checked(self):
-        WindowedFeatureVector((0.0, 0.0, 0.0), 1.0)
-        with pytest.raises(ValueError):
-            WindowedFeatureVector((0.0, 0.0), 1.0)
-        with pytest.raises(ValueError):
-            WindowedFeatureVector((), 1.0)
+        pipe = Pipeline()
+        make_frames(pipe, 10.0)
+        pipe.emit("need_language", 0.5, 0.3)
+        pipe.emit("need_confirmatory", 0.6, 0.2)
+        pipe.emit("need_mutual", 0.7, 0.1)
+        pipe.finalize(1.0)
+        assert pipe.stream("fusion_frame").messages[-1].payload == (
+            0.1, 0.2, 0.3
+        )
 
 
 class TestAssemble:
+    """The batch sliding window (`frame_windows`)."""
+
     def frames(self, n):
-        return [
-            FusionFrame(round(k / 10, 3), k / 100, 0.0, 0.0) for k in range(n)
-        ]
+        return np.array([[k / 100, 0.0, 0.0] for k in range(n)])
 
     def test_window_one(self):
-        vectors = assemble(self.frames(3), 1)
-        assert [v.anchor_t for v in vectors] == [0.0, 0.1, 0.2]
-        assert vectors[1].values == (0.01, 0.0, 0.0)
+        rows = frame_windows(self.frames(3), 1)
+        # each row is its own frame, anchored at that frame
+        assert rows.tolist() == self.frames(3).tolist()
+        assert rows[1].tolist() == [0.01, 0.0, 0.0]
 
     def test_oldest_first_concatenation(self):
-        vectors = assemble(self.frames(3), 2)
-        assert len(vectors) == 2
-        assert vectors[0].values == (0.0, 0.0, 0.0, 0.01, 0.0, 0.0)
-        assert vectors[0].anchor_t == 0.1
-        assert vectors[1].values == (0.01, 0.0, 0.0, 0.02, 0.0, 0.0)
+        rows = frame_windows(self.frames(3), 2)
+        assert len(rows) == 2
+        assert rows[0].tolist() == [0.0, 0.0, 0.0, 0.01, 0.0, 0.0]
+        assert rows[1].tolist() == [0.01, 0.0, 0.0, 0.02, 0.0, 0.0]
 
     def test_warmup_produces_nothing(self):
-        assert assemble(self.frames(4), 5) == []
+        assert frame_windows(self.frames(4), 5).shape == (0, 15)
 
     def test_matches_stream_operator_on_same_frames(self):
         frames = self.frames(30)
-        vectors = assemble(frames, 20)
-        assert len(vectors) == 11
-        for i, vec in enumerate(vectors):
-            chunk = frames[i : i + 20]
-            assert vec.values == tuple(
-                v for f in chunk for v in f.as_tuple()
-            )
+        rows = frame_windows(frames, 20)
+        assert len(rows) == 11
+        for i, row in enumerate(rows):
+            chunk = frames.tolist()[i : i + 20]
+            assert row.tolist() == [v for f in chunk for v in f]
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            assemble(self.frames(3), 0)
+            frame_windows(self.frames(3), 0)
 
 
 class TestWireGaze:
@@ -181,11 +175,12 @@ class TestMakeFrames:
         make_frames(pipe, 10.0)
         pipe.emit("need_language", 3.0, 0.9)
         pipe.finalize(4.0)
-        frames = [m.payload for m in pipe.stream("fusion_frame").messages]
+        frames = pipe.stream("fusion_frame").messages
         assert len(frames) == 41
         for frame in frames:
-            assert frame.language == (0.9 if frame.t >= 3.0 else 0.0)
-            assert frame.mutual == 0.0 and frame.confirmatory == 0.0
+            mutual, confirmatory, language = frame.payload
+            assert language == (0.9 if frame.originating_time >= 3.0 else 0.0)
+            assert mutual == 0.0 and confirmatory == 0.0
 
     def test_message_at_tick_time_is_seen_by_that_tick(self):
         pipe = Pipeline()
@@ -193,7 +188,7 @@ class TestMakeFrames:
         pipe.emit("need_mutual", 0.2, 0.5)
         pipe.finalize(0.3)
         by_t = {
-            m.payload.t: m.payload.mutual
+            m.originating_time: m.payload[0]
             for m in pipe.stream("fusion_frame").messages
         }
         assert by_t == {0.0: 0.0, 0.1: 0.0, 0.2: 0.5, 0.3: 0.5}
@@ -260,23 +255,111 @@ class TestStage1:
         assert parse_session(derived.to_lines()).to_lines() == derived.to_lines()
 
 
+# "???" and "..." tokenize to nothing, so they carry no language value
+TEXTS = ("can you help me", "???", "this looks right", "what goes here", "...")
+POSES = (0.0, 0.1, 0.4, -0.4)
+
+
+@st.composite
+def raw_sessions(draw):
+    """A raw session and a cadence: gaze frames at arbitrary milliseconds,
+    exactly on ticks and at the duration; utterances anywhere, including
+    none at all and ones that tokenize to nothing."""
+    cadence = draw(st.sampled_from((10.0, 7.0, 30.0)))
+    duration_ms = draw(st.integers(min_value=1, max_value=3000))
+    tick_ms = [round(t * 1000) for t in tick_times(duration_ms / 1000, cadence)]
+    gaze_ms = draw(st.sets(st.sampled_from(tick_ms), max_size=30))
+    gaze_ms |= draw(st.sets(st.integers(0, duration_ms), max_size=30))
+    if draw(st.booleans()):
+        gaze_ms.add(duration_ms)
+    utter_ms = draw(
+        st.sets(st.sampled_from(tick_ms) | st.integers(0, duration_ms), max_size=4)
+    )
+    gaze = [
+        TimestampedMessage(
+            ms / 1000,
+            GazeObservation(
+                draw(st.sampled_from(POSES)),
+                draw(st.sampled_from(POSES)),
+                draw(st.sampled_from((1.0, 0.2))),
+            ),
+        )
+        for ms in sorted(gaze_ms)
+    ]
+    utterances = [
+        TimestampedMessage(ms / 1000, draw(st.sampled_from(TEXTS)))
+        for ms in sorted(utter_ms)
+    ]
+    record = SessionRecord(
+        session_id="h00",
+        duration=duration_ms / 1000,
+        streams={"gaze_raw": gaze, "utterance": utterances},
+        labels=[LabelSpan(0.0, duration_ms / 1000, NeedLevelLabel.FLOW)],
+    )
+    return record, cadence
+
+
+class TestBatchLiveHoldParity:
+    nb = train_from_utterances(
+        [
+            (Utterance("can you help me", 0.0), 1),
+            (Utterance("what goes here", 1.0), 1),
+            (Utterance("this looks right", 2.0), 0),
+        ]
+    )
+
+    @given(session=raw_sessions())
+    @settings(max_examples=150, deadline=None)
+    def test_stage1_equals_live_held_frames(self, session):
+        record, cadence = session
+        derived = stage1_materialize(record, self.nb, GazeConfig(), cadence)
+
+        pipe = Pipeline()
+        wire_gaze(pipe, GazeConfig())
+        wire_language(pipe, self.nb)
+        make_frames(pipe, cadence)
+        replay(
+            pipe,
+            [
+                (name, msg)
+                for name in ("gaze_raw", "utterance")
+                for msg in record.messages(name)
+            ],
+            record.duration,
+        )
+        live = [
+            (m.originating_time, m.payload)
+            for m in pipe.stream("fusion_frame").messages
+        ]
+
+        names = ("need_mutual", "need_confirmatory", "need_language")
+        batch = list(
+            zip(
+                [m.originating_time for m in derived.messages(names[0])],
+                zip(*([m.payload for m in derived.messages(n)] for n in names)),
+            )
+        )
+        assert live == batch
+        assert [t for t, _ in batch] == tick_times(record.duration, cadence)
+
+
 class TestStage2:
     def test_separable_construction_reaches_full_training_accuracy(self):
         record = step_record()
-        model = stage2_train([record], 20, LIGHT_FOREST)
+        model = stage2_fit([record])
         matrix = export_fusion_matrix([record], 20)
         labels, _ = model.predict_batch(matrix.features)
         assert labels.tolist() == matrix.labels.tolist()
 
     def test_same_seed_same_model(self):
         record = step_record()
-        a = stage2_train([record], 20, LIGHT_FOREST)
-        b = stage2_train([record], 20, LIGHT_FOREST)
+        a = stage2_fit([record])
+        b = stage2_fit([record])
         assert a.to_lines() == b.to_lines()
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError):
-            stage2_train([], 20, LIGHT_FOREST)
+            stage2_fit([])
 
     def test_train_rf_invariant_under_row_permutation(self):
         matrix = export_fusion_matrix([step_record()], 20)
@@ -292,60 +375,61 @@ class TestStage2:
         b = train_rf(shuffled, LIGHT_FOREST)
         assert a.to_lines() == b.to_lines()
 
-    def test_predict_rf_wraps_single_vectors(self):
-        record = step_record()
-        model = stage2_train([record], 20, LIGHT_FOREST)
-        matrix = export_fusion_matrix([record], 20)
-        labels, scores = model.predict_batch(matrix.features[:1])
-        vec = WindowedFeatureVector(
-            tuple(matrix.features[0].tolist()), matrix.anchors[0][1]
-        )
-        assert predict_rf(model, vec) == (int(labels[0]), float(scores[0]))
-        assert predict_rf(model, matrix.features[0]) == (
-            int(labels[0]),
-            float(scores[0]),
-        )
-
 
 class TestSessionFrames:
+    def entry_points(self):
+        """Both batch consumers of a derived session's frames."""
+        model = stage2_fit([step_record()])
+        return (
+            lambda record: export_fusion_matrix([record], 20),
+            lambda record: predict_session(record, model, 20),
+        )
+
     def test_reconstructs_tick_triples(self):
-        record = step_record()
-        frames = session_frames(record)
-        assert len(frames) == 101
-        assert frames[50].t == 5.0
-        assert frames[50].mutual == 1.0
-        assert frames[49].mutual == 0.0
+        times, frames = need_frames(step_record())
+        assert frames.shape == (101, 3)
+        assert times[50] == 5.0
+        assert frames[50, 0] == 1.0
+        assert frames[49, 0] == 0.0
 
     def test_missing_stream_rejected(self):
-        record = step_record()
-        record.streams.pop("need_confirmatory")
-        with pytest.raises(SessionFormatError, match="need_confirmatory"):
-            session_frames(record)
+        for consume in self.entry_points():
+            record = step_record()
+            record.streams.pop("need_confirmatory")
+            with pytest.raises(SessionFormatError, match="need_confirmatory"):
+                consume(record)
 
     def test_off_grid_rejected(self):
-        record = step_record()
-        record.streams["need_language"] = record.streams["need_language"][:-1]
-        with pytest.raises(SessionFormatError, match="grid"):
-            session_frames(record)
+        for consume in self.entry_points():
+            record = step_record()
+            record.streams["need_language"] = record.streams["need_language"][:-1]
+            with pytest.raises(SessionFormatError, match="grid"):
+                consume(record)
 
 
 class TestPredictSession:
     def test_matches_per_vector_prediction(self):
         record = step_record()
-        model = stage2_train([record], 20, LIGHT_FOREST)
+        model = stage2_fit([record])
         decisions = predict_session(record, model, 20)
-        frames = session_frames(record)
-        vectors = assemble(frames, 20)
-        assert len(decisions) == len(vectors) == 82  # includes t == duration
-        for decision, vec in zip(decisions, vectors):
-            label, score = predict_rf(model, vec)
-            assert decision.t == vec.anchor_t
-            assert decision.label == label
-            assert decision.score == round(score, 6)
+        ticks = [m.originating_time for m in record.messages("need_mutual")]
+        frames = list(
+            zip(*(
+                [m.payload for m in record.messages(name)]
+                for name in ("need_mutual", "need_confirmatory", "need_language")
+            ))
+        )
+        assert len(decisions) == len(frames) - 19 == 82  # includes t == duration
+        for i, decision in enumerate(decisions):
+            vec = [v for f in frames[i : i + 20] for v in f]
+            labels, scores = model.predict_batch(np.array([vec]))
+            assert decision.t == ticks[i + 19]
+            assert decision.label == int(labels[0])
+            assert decision.score == round(float(scores[0]), 6)
 
     def test_short_session_gives_no_decisions(self):
         record = step_record(duration=1.0)
-        model = stage2_train([step_record()], 20, LIGHT_FOREST)
+        model = stage2_fit([step_record()])
         assert predict_session(record, model, 20) == []
 
 
@@ -359,7 +443,7 @@ class TestLiveBatchParity:
         derived = [
             stage1_materialize(r, nb, GazeConfig(), 10.0) for r in records
         ]
-        rf = stage2_train(derived, 20, LIGHT_FOREST)
+        rf = stage2_fit(derived)
         for raw, ds1 in zip(records, derived):
             live = live_decisions(raw, nb, rf, GazeConfig(), 10.0, 20)
             batch = predict_session(ds1, rf, 20)

@@ -1,28 +1,58 @@
-"""Stream substrate: ordering, joins, resampling, windows, replay."""
+"""Stream substrate: ordering, replay, and the live hold and window that
+run on it."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needsense.fusion import make_frames, wire_fused
 from needsense.streams import (
     OrderingError,
     Pipeline,
-    PipelineClock,
     TimestampedMessage,
     WiringError,
-    join_nearest,
-    map_stream,
     replay,
-    sample_hold,
-    sliding_window,
     tick_times,
 )
 
 
-def collect(pipe: Pipeline, name: str) -> list[tuple[float, object]]:
-    return [(m.originating_time, m.payload) for m in pipe.stream(name).messages]
+def held_language(pipe: Pipeline) -> list[tuple[float, float]]:
+    """The language value of each frame the live hold emitted."""
+    return [
+        (m.originating_time, m.payload[2])
+        for m in pipe.stream("fusion_frame").messages
+    ]
+
+
+class RecordingModel:
+    """Stands in for the forest and records every window it is given."""
+
+    def __init__(self):
+        self.windows = []
+
+    def predict_batch(self, X):
+        self.windows.append(tuple(X[0].tolist()))
+        return np.zeros(1, dtype=np.int64), np.zeros(1)
+
+
+def live_windows(size, frames):
+    """(time, window) for each decision of the live ring buffer over
+    (time, frame) inputs."""
+    pipe = Pipeline()
+    model = RecordingModel()
+    sink = []
+    wire_fused(pipe, model, size, sink)
+    for t, frame in frames:
+        pipe.emit("fusion_frame", t, frame)
+    assert len(sink) == len(model.windows)
+    return [(d.t, w) for d, w in zip(sink, model.windows)]
+
+
+def frame(k):
+    return (float(k), 0.5, 0.25)
 
 
 class TestEmit:
@@ -58,131 +88,36 @@ class TestEmit:
         with pytest.raises(AttributeError):
             msg.payload = 0.5
 
-    def test_clock_modes(self):
-        assert PipelineClock("live").mode == "live"
-        with pytest.raises(WiringError):
-            PipelineClock("warp")
-        with pytest.raises(WiringError):
-            PipelineClock(replay_speed=0.0)
-
-
-class TestMapStream:
-    def test_double(self):
-        pipe = Pipeline()
-        map_stream(pipe, "need_mutual", "need_fused", lambda v: v * 2)
-        pipe.emit("need_mutual", 1.0, 2)
-        pipe.emit("need_mutual", 2.0, 3)
-        assert collect(pipe, "need_fused") == [(1.0, 4), (2.0, 6)]
-
-    def test_identity(self):
-        pipe = Pipeline()
-        map_stream(pipe, "need_mutual", "need_fused", lambda v: v)
-        for k in range(5):
-            pipe.emit("need_mutual", float(k + 1), k)
-        assert collect(pipe, "need_fused") == collect(pipe, "need_mutual")
-
-    def test_empty(self):
-        pipe = Pipeline()
-        map_stream(pipe, "need_mutual", "need_fused", lambda v: v)
-        assert collect(pipe, "need_fused") == []
-
-    def test_failure_drops_and_counts(self):
-        pipe = Pipeline()
-        map_stream(pipe, "need_mutual", "need_fused", lambda v: 1 / v)
-        pipe.emit("need_mutual", 1.0, 2)
-        pipe.emit("need_mutual", 2.0, 0)
-        pipe.emit("need_mutual", 3.0, 4)
-        assert collect(pipe, "need_fused") == [(1.0, 0.5), (3.0, 0.25)]
-        assert pipe.error_counts["need_fused"] == 1
-
-
-class TestJoinNearest:
-    def wire(self, tolerance):
-        pipe = Pipeline()
-        join_nearest(pipe, "need_mutual", "need_language", tolerance, "need_fused")
-        return pipe
-
-    def test_exact_match(self):
-        pipe = self.wire(0.1)
-        pipe.emit("need_language", 1.0, "s")
-        pipe.emit("need_mutual", 1.0, "p")
-        pipe.finalize(2.0)
-        assert collect(pipe, "need_fused") == [(1.0, ("p", "s"))]
-
-    def test_nearest_wins(self):
-        pipe = self.wire(0.5)
-        pipe.emit("need_language", 0.9, "early")
-        pipe.emit("need_mutual", 1.0, "p")
-        pipe.emit("need_language", 1.2, "late")
-        pipe.finalize(2.0)
-        assert collect(pipe, "need_fused") == [(1.0, ("p", "early"))]
-
-    def test_outside_tolerance_dropped_and_counted(self):
-        pipe = self.wire(0.5)
-        pipe.emit("need_mutual", 1.0, "p")
-        pipe.emit("need_language", 2.0, "far")
-        pipe.finalize(3.0)
-        assert collect(pipe, "need_fused") == []
-        assert pipe.drop_counts["need_fused"] == 1
-
-    def test_tie_breaks_to_earlier_secondary(self):
-        pipe = self.wire(0.5)
-        pipe.emit("need_language", 0.8, "before")
-        pipe.emit("need_mutual", 1.0, "p")
-        pipe.emit("need_language", 1.2, "after")
-        pipe.finalize(2.0)
-        assert collect(pipe, "need_fused") == [(1.0, ("p", "before"))]
-
-    def test_deterministic_across_arrival_interleaving(self):
-        # same message sets, different interleavings, same pairs
-        def run(order):
-            pipe = self.wire(0.3)
-            for name, t, v in order:
-                pipe.emit(name, t, v)
-            pipe.finalize(5.0)
-            return collect(pipe, "need_fused")
-
-        a = run([
-            ("need_language", 0.9, "x"),
-            ("need_mutual", 1.0, "p1"),
-            ("need_language", 1.8, "y"),
-            ("need_mutual", 2.0, "p2"),
-        ])
-        b = run([
-            ("need_mutual", 1.0, "p1"),
-            ("need_mutual", 2.0, "p2"),
-            ("need_language", 0.9, "x"),
-            ("need_language", 1.8, "y"),
-        ])
-        assert a == b == [(1.0, ("p1", "x")), (2.0, ("p2", "y"))]
-
 
 class TestSampleHold:
+    """The live zero-order hold (`make_frames`) on one need stream."""
+
     def test_initial_until_first_input(self):
         pipe = Pipeline()
-        sample_hold(pipe, "need_language", "need_fused", 10.0, 0.0)
+        make_frames(pipe, 10.0)
         pipe.emit("need_language", 0.95, 0.8)
         pipe.finalize(1.5)
-        out = collect(pipe, "need_fused")
+        out = held_language(pipe)
         for t, v in out:
             assert v == (0.0 if t < 1.0 else 0.8)
         assert [t for t, _ in out] == [round(k / 10, 3) for k in range(16)]
 
     def test_no_input_emits_initial_forever(self):
         pipe = Pipeline()
-        sample_hold(pipe, "need_language", "need_fused", 10.0, 0.3)
+        make_frames(pipe, 10.0)
         pipe.finalize(0.5)
-        assert collect(pipe, "need_fused") == [
-            (round(k / 10, 3), 0.3) for k in range(6)
-        ]
+        assert [
+            (m.originating_time, m.payload)
+            for m in pipe.stream("fusion_frame").messages
+        ] == [(round(k / 10, 3), (0.0, 0.0, 0.0)) for k in range(6)]
 
     def test_latest_at_or_before_tick(self):
         pipe = Pipeline()
-        sample_hold(pipe, "need_language", "need_fused", 10.0, 0.0)
+        make_frames(pipe, 10.0)
         pipe.emit("need_language", 1.0, 0.2)
         pipe.emit("need_language", 1.05, 0.9)
         pipe.finalize(1.2)
-        out = dict(collect(pipe, "need_fused"))
+        out = dict(held_language(pipe))
         assert out[1.0] == 0.2
         assert out[1.1] == 0.9
 
@@ -204,11 +139,11 @@ class TestSampleHold:
 
         def run(messages):
             pipe = Pipeline()
-            sample_hold(pipe, "need_language", "need_fused", 10.0, 0.0)
+            make_frames(pipe, 10.0)
             for t, v in messages:
                 pipe.emit("need_language", t, v)
             pipe.finalize(5.0)
-            return collect(pipe, "need_fused")
+            return held_language(pipe)
 
         full = [o for o in run(msgs) if o[0] <= t_cut]
         truncated = [
@@ -218,46 +153,36 @@ class TestSampleHold:
 
 
 class TestSlidingWindow:
+    """The live ring buffer (`wire_fused`) over fusion frames."""
+
     def test_size_one_wraps_input(self):
-        pipe = Pipeline()
-        sliding_window(pipe, "need_mutual", "fusion_frame", 1)
-        for k in range(4):
-            pipe.emit("need_mutual", float(k + 1), k)
-        assert collect(pipe, "fusion_frame") == [
-            (float(k + 1), (k,)) for k in range(4)
-        ]
+        out = live_windows(1, [(float(k + 1), frame(k)) for k in range(4)])
+        assert out == [(float(k + 1), frame(k)) for k in range(4)]
 
     def test_w3_example(self):
-        pipe = Pipeline()
-        sliding_window(pipe, "need_mutual", "fusion_frame", 3)
-        for k, p in enumerate("abcd"):
-            pipe.emit("need_mutual", float(k + 1), p)
-        assert collect(pipe, "fusion_frame") == [
-            (3.0, ("a", "b", "c")),
-            (4.0, ("b", "c", "d")),
+        a, b, c, d = (frame(k) for k in range(4))
+        out = live_windows(3, [(float(k + 1), frame(k)) for k in range(4)])
+        assert out == [
+            (3.0, a + b + c),
+            (4.0, b + c + d),
         ]
 
     def test_100_ticks_w20_gives_81_windows_matching_offline_slices(self):
-        pipe = Pipeline()
-        sliding_window(pipe, "need_mutual", "fusion_frame", 20)
-        for k in range(100):
-            pipe.emit("need_mutual", round(k / 10, 3), k)
-        out = collect(pipe, "fusion_frame")
+        out = live_windows(
+            20, [(round(k / 10, 3), frame(k)) for k in range(100)]
+        )
         assert len(out) == 81
         for i, (t, window) in enumerate(out):
             assert t == round((i + 19) / 10, 3)
-            assert window == tuple(range(i, i + 20))
+            assert window == sum((frame(k) for k in range(i, i + 20)), ())
 
     def test_no_output_during_warmup(self):
-        pipe = Pipeline()
-        sliding_window(pipe, "need_mutual", "fusion_frame", 5)
-        for k in range(4):
-            pipe.emit("need_mutual", float(k + 1), k)
-        assert collect(pipe, "fusion_frame") == []
+        out = live_windows(5, [(float(k + 1), frame(k)) for k in range(4)])
+        assert out == []
 
     def test_bad_size_rejected(self):
         with pytest.raises(WiringError):
-            sliding_window(Pipeline(), "need_mutual", "fusion_frame", 0)
+            wire_fused(Pipeline(), RecordingModel(), 0, [])
 
     @given(
         n=st.integers(min_value=0, max_value=60),
@@ -265,11 +190,8 @@ class TestSlidingWindow:
     )
     @settings(max_examples=60, deadline=None)
     def test_output_count(self, n, w):
-        pipe = Pipeline()
-        sliding_window(pipe, "need_mutual", "fusion_frame", w)
-        for k in range(n):
-            pipe.emit("need_mutual", float(k + 1), k)
-        assert len(collect(pipe, "fusion_frame")) == max(0, n - w + 1)
+        out = live_windows(w, [(float(k + 1), frame(k)) for k in range(n)])
+        assert len(out) == max(0, n - w + 1)
 
 
 class TestReplay:
