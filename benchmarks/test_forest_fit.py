@@ -12,6 +12,8 @@ fit once as a plain test.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from needsense.config import Config
@@ -26,6 +28,8 @@ from needsense.sessions import (
 from needsense.simulate import benchmark_suite, simulate
 
 DEFAULT_FIT_NODES = 54_974
+# sha256 of the default fit's model file, "\n".join(to_lines()) + "\n"
+DEFAULT_FIT_SHA256 = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +63,5 @@ def test_fit_default_forest(benchmark, suite_matrix):
         fit_forest, args=(X, y, Config().forest_config()), rounds=3, iterations=1
     )
     assert len(model.feature) == DEFAULT_FIT_NODES
+    text = "\n".join(model.to_lines()) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_FIT_SHA256

@@ -7,16 +7,21 @@ decrease with ties broken by lowest feature index then lowest threshold,
 and the text serialization round-trips models bit for bit.
 
 The split search counts instead of sorting.  `fit_forest` stores each
-column's distinct values once, sorted, and each cell's rank among them.  At
-a node one `bincount` over (feature, rank, label) gives the class counts of
-every value present, and running sums over them give the left-side counts
-at every boundary between consecutive present values.  This is exact, not
-an approximation by bins: the ranks are the column's own values, so the
-boundaries, midpoints, counts and Gini expressions (same integer dtypes,
-same float operations) are those a sort of the node's column would give.
-Values that compare equal share a rank, as -0.0 and 0.0 share a run of a
-sorted column; which one the table keeps cannot move a midpoint, because
-x + 0.0 == x + -0.0 for every nonzero x.
+column's distinct values once, sorted, and each cell's rank among them.  For
+a node, the class counts of every (feature, rank) give the values present,
+and running sums over them give the left-side counts at every boundary
+between consecutive present values.  This is exact, not an approximation by
+bins: the ranks are the column's own values, so the boundaries, midpoints,
+counts and Gini expressions (same integer dtypes, same float operations) are
+those a sort of the node's column would give.  Values that compare equal
+share a rank, as -0.0 and 0.0 share a run of a sorted column; which one the
+table keeps cannot move a midpoint, because x + 0.0 == x + -0.0 for every
+nonzero x.
+
+The trees grow in lockstep, one node of each per step, and a step's nodes
+are searched together: one `bincount` over (node, feature, rank, label)
+counts a whole block of them.  The numpy call overhead is then paid per
+block, not per node, which matters because most nodes are small.
 
 When the sampled feature subset offers no usable split the search widens
 to the remaining features, so a node only becomes a leaf when it is pure,
@@ -62,10 +67,8 @@ class ForestConfig:
         return max(1, min(m, n_features))
 
 
-def _majority(y: np.ndarray) -> int:
-    pos = int(y.sum())
-    neg = len(y) - pos
-    return 1 if pos >= neg else 0  # tie goes to the positive class
+# cells one `_best_splits` block may gather and count: bounds its working set
+_SEARCH_CELLS = 1 << 16
 
 
 def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,84 +84,94 @@ def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, ranks
 
 
-def _best_split(values, ranks, rows, ys, features, min_leaf):
-    """(feature, threshold) of the best split over the given features, or None.
+def _blocks(cost: np.ndarray):
+    """(start, stop) runs of consecutive nodes whose cost stays within
+    _SEARCH_CELLS; a node that alone exceeds it makes a run of its own."""
+    start = 0
+    while start < len(cost):
+        fit = np.searchsorted(np.cumsum(cost[start:]), _SEARCH_CELLS, side="right")
+        stop = start + max(1, int(fit))
+        yield start, stop
+        start = stop
 
-    One bincount yields the negative and positive counts of every (feature,
-    value) cell; its nonzero cells, in (feature, value) order, are the
-    values present at this node, and consecutive ones within a feature are
-    the candidate boundaries.  Candidates ascend by feature then threshold,
-    and argmax takes the first maximum, which realizes the tie-breaking.
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Whether each element of a starts a run of equal values."""
+    starts = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def _best_splits(values, ranks, labels, rows, n, pos, features, min_leaf):
+    """(feature, threshold, left positives) of each node's best split over its
+    candidate features; feature is -1 where none of them splits the node.
+
+    Node i holds rows[i] (n[i] rows, pos[i] of them positive) and the sorted
+    candidate features features[i] of a (k, m) array.  Each (node, feature)
+    pair is a slot with its own `width` bins per class, one per rank, so one
+    bincount counts every (value, label) of every node of a block.  The
+    occupied bins in slot order are the values present at each node,
+    consecutive ones within a slot are the candidate boundaries, and
+    candidates ascend by node, then feature, then threshold; the first
+    maximum of each node realizes the tie-breaking.
     """
-    n, width = rows.size, values.shape[1]
-    pos_total = int(ys.sum())
-    p = pos_total / n
-    parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-    cells = features.size * width
-    cell = ranks[rows][:, features] + np.arange(0, cells, width)
-    counts = np.bincount((cell * 2 + ys[:, None]).ravel(), minlength=2 * cells)
-    neg, pos = counts[0::2], counts[1::2]
-    present = np.flatnonzero(neg + pos)
-    # every feature holds all n rows (pos_total positives), so the running
-    # totals restart at each feature once those multiples are taken off
-    feature_at = present // width
-    nl = np.cumsum(neg[present] + pos[present])[:-1] - n * feature_at[:-1]
-    pl = np.cumsum(pos[present])[:-1] - pos_total * feature_at[:-1]
-    nr = n - nl
-    value = values[features].ravel()[present]
-    lo, hi = value[:-1], value[1:]
-    thr = (lo + hi) / 2.0
-    # a pair spanning two features starts at a feature's last value, where
-    # nr == 0, so it is never valid; a midpoint that rounds onto the upper
-    # value would misclassify it
-    valid = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf) & (thr < hi))
-    if valid.size == 0:
-        return None
-    nl, nr, pl = nl[valid], nr[valid], pl[valid]
-    pr = pos_total - pl
-    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-    decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
-    i = valid[np.argmax(decrease)]
-    return int(features[feature_at[i]]), float(thr[i])
-
-
-def _grow_tree(X, y, table, rows, config: ForestConfig, rng, nodes) -> None:
-    """Append one tree's (feature, threshold, value) nodes in preorder."""
-    n_features = X.shape[1]
-    m = config.resolve_features(n_features)
-    stack = [(rows, 0)]  # preorder traversal; the RNG is consumed in the same order
-    while stack:
-        node_rows, depth = stack.pop()
-        ys = y[node_rows]
-        pos = int(ys.sum())
-        best = None
-        if not (
-            pos == 0
-            or pos == len(ys)
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or len(ys) < 2 * config.min_samples_leaf
-        ):
-            if m < n_features:
-                subset = np.sort(rng.choice(n_features, size=m, replace=False))
-            else:
-                subset = np.arange(n_features)
-            best = _best_split(*table, node_rows, ys, subset, config.min_samples_leaf)
-            if best is None and m < n_features:
-                rest = np.ones(n_features, dtype=bool)
-                rest[subset] = False
-                best = _best_split(
-                    *table, node_rows, ys, np.flatnonzero(rest), config.min_samples_leaf
-                )
-        if best is None:
-            nodes.append((-1, 0.0, _majority(ys)))
+    (k, m), width = features.shape, values.shape[1]
+    feature, threshold = np.full(k, -1), np.zeros(k)
+    pos_left = np.zeros(k, dtype=np.int64)
+    for start, stop in _blocks((n + width) * m):
+        node_n, node_pos = n[start:stop], pos[start:stop]
+        block_rows = np.concatenate(rows[start:stop], dtype=np.intp)
+        block_features = features[start:stop]
+        table = block_features.size * width
+        node_of_row = np.repeat(np.arange(stop - start), node_n)
+        # the cell of row r and the f-th feature of its node i counts into bin
+        # (i * m + f) * width + rank, one table further on when r is positive
+        cell = np.repeat(block_features, node_n, axis=0)
+        cell += (block_rows * ranks.shape[1])[:, None]
+        key = ranks.ravel().take(cell)
+        key = key + (node_of_row * (m * width) + labels[block_rows] * table)[:, None]
+        key += np.arange(0, m * width, width)
+        counts = np.bincount(key.ravel(), minlength=2 * table)
+        positive = counts[table:]
+        total = counts[:table] + positive
+        present = np.flatnonzero(total)
+        slot_at, rank_at = np.divmod(present, width)
+        # every slot holds all its node's rows, so the running totals restart
+        # at each slot once the totals of the slots before it are taken off
+        slot_n, slot_pos = np.repeat(node_n, m), np.repeat(node_pos, m)
+        slot = slot_at[:-1]
+        nl = np.cumsum(total[present])[:-1] - (np.cumsum(slot_n) - slot_n)[slot]
+        pl = np.cumsum(positive[present])[:-1] - (np.cumsum(slot_pos) - slot_pos)[slot]
+        nr = slot_n[slot] - nl
+        value = values.ravel()[block_features.ravel()[slot_at] * width + rank_at]
+        lo, hi = value[:-1], value[1:]
+        thr = (lo + hi) / 2.0
+        # a pair spanning two slots starts at a slot's last value, where
+        # nr == 0, so it is never valid; a midpoint that rounds onto the upper
+        # value would misclassify it
+        valid = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf) & (thr < hi))
+        if valid.size == 0:
             continue
-        feature, threshold = best
-        nodes.append((feature, threshold, -1))
-        mask = X[node_rows, feature] <= threshold
-        # push right first so the left subtree is processed next (preorder)
-        stack.append((node_rows[~mask], depth + 1))
-        stack.append((node_rows[mask], depth + 1))
+        slot, nl, nr, pl = slot[valid], nl[valid], nr[valid], pl[valid]
+        n_at, pos_at = slot_n[slot], slot_pos[slot]
+        p = pos_at / n_at
+        parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
+        pr = pos_at - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n_at
+        # the first maximum in each node's run of candidates
+        node = slot // m
+        starts = _run_starts(node)
+        top = np.maximum.reduceat(decrease, np.flatnonzero(starts))
+        top = top[np.cumsum(starts) - 1]
+        hit = np.flatnonzero(decrease == top)
+        hit = hit[_run_starts(node[hit])]
+        found = start + node[hit]
+        feature[found] = block_features.ravel()[slot[hit]]
+        threshold[found] = thr[valid[hit]]
+        pos_left[found] = pl[hit]
+    return feature, threshold, pos_left
 
 
 def _balance(split: np.ndarray) -> np.ndarray:
@@ -316,24 +329,92 @@ class RFModel:
                 raise ValueError(f"{path}: {exc}") from None
 
 
+def _leaf(n: int, pos: int) -> tuple[int, float, int]:
+    return -1, 0.0, 1 if 2 * pos >= n else 0  # a tie goes to the positive class
+
+
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
-    """Train on raw arrays; rows are taken in the given (canonical) order."""
+    """Train on raw arrays; rows are taken in the given (canonical) order.
+
+    The trees grow in lockstep.  Each keeps its own generator, stack and
+    preorder, so its draws are those of growing it alone: its bootstrap
+    first, then one feature subset per node it searches, in preorder.  A step
+    takes from every unfinished tree its next node that needs a search (the
+    stopping rules make leaves of the nodes popped before it), searches them
+    all in one `_best_splits` call, widens those whose sampled features gave
+    no split in one more, then splits each node and pushes its children.
+    """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise ValueError("X must be 2-D and aligned with y")
     if len(X) == 0:
         raise ValueError("cannot train on an empty matrix")
-    classes = set(np.unique(y))
-    if not classes <= {0, 1}:
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    # checked before the cast, which would truncate a label such as 0.7
+    if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if len(classes) < 2:
+    labels = y.astype(np.intp)
+    if labels.min() == labels.max():
         raise ValueError("training matrix must contain both classes")
-    n, nodes, roots, table = len(X), [], [], _rank_table(X)
-    for ti in range(config.n_trees):
-        rng = np.random.default_rng([config.seed, ti])
+    (n, d), m = X.shape, config.resolve_features(X.shape[1])
+    values, ranks = _rank_table(X)
+    max_depth = math.inf if config.max_depth is None else config.max_depth
+    min_leaf = config.min_samples_leaf
+    rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
+    stacks = []  # per tree: (rows, depth, positives) of the nodes still to grow
+    for rng in rngs:
         rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        roots.append(len(nodes))
-        _grow_tree(X, y, table, rows, config, rng, nodes)
-    resolved = replace(config, features_per_split=config.resolve_features(X.shape[1]))
-    return RFModel(*zip(*nodes), roots, resolved, X.shape[1])
+        rows = rows.astype(np.min_scalar_type(n - 1))
+        stacks.append([(rows, 0, np.count_nonzero(labels[rows]))])
+    trees = [[] for _ in rngs]  # per tree: (feature, threshold, value) in preorder
+    while True:
+        step = []  # (tree, rows, depth, positives) of the nodes to search
+        for ti, stack in enumerate(stacks):
+            while stack:
+                rows, depth, pos = stack.pop()
+                size = len(rows)
+                if 0 < pos < size and size >= 2 * min_leaf and depth < max_depth:
+                    step.append((ti, rows, depth, pos))
+                    break
+                trees[ti].append(_leaf(size, pos))
+        if not step:
+            break
+        node_rows = [rows for _, rows, _, _ in step]
+        node_n = np.array([len(rows) for rows in node_rows])
+        node_pos = np.array([pos for _, _, _, pos in step])
+        if m < d:
+            draws = [rngs[ti].choice(d, size=m, replace=False) for ti, *_ in step]
+            sampled = np.sort(draws, axis=1)
+        else:
+            sampled = np.broadcast_to(np.arange(d), (len(step), d))
+        best = _best_splits(
+            values, ranks, labels, node_rows, node_n, node_pos, sampled, min_leaf
+        )
+        widen = np.flatnonzero(best[0] < 0)
+        if m < d and widen.size:
+            rest = np.ones((widen.size, d), dtype=bool)
+            rest[np.arange(widen.size)[:, None], sampled[widen]] = False
+            rest = np.nonzero(rest)[1].reshape(widen.size, d - m)
+            widened = _best_splits(
+                values, ranks, labels, [node_rows[i] for i in widen],
+                node_n[widen], node_pos[widen], rest, min_leaf,
+            )
+            for column, found in zip(best, widened):
+                column[widen] = found
+        for (ti, rows, depth, pos), feature, threshold, pos_left in zip(
+            step, *(column.tolist() for column in best)
+        ):
+            if feature < 0:
+                trees[ti].append(_leaf(len(rows), pos))
+                continue
+            trees[ti].append((feature, threshold, -1))
+            mask = X[rows, feature] <= threshold
+            # push right first so the left subtree is processed next (preorder)
+            stacks[ti].append((rows[~mask], depth + 1, pos - pos_left))
+            stacks[ti].append((rows[mask], depth + 1, pos_left))
+    roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
+    resolved = replace(config, features_per_split=m)
+    nodes = [node for tree in trees for node in tree]
+    return RFModel(*zip(*nodes), roots, resolved, d)

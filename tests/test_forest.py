@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from needsense import forest
 from needsense.forest import ForestConfig, RFModel, fit_forest
 
 SINGLE_TREE = ForestConfig(n_trees=1, bootstrap=False, seed=0)
@@ -431,6 +432,23 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="2-D"):
             fit_forest(np.ones(3), np.array([0, 1, 1]), SINGLE_TREE)
 
+    def test_infinite_feature_rejected(self):
+        # a -inf threshold would make a model that RFModel.from_lines refuses
+        X = np.array([[-np.inf], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, np.array([1, 0, 0, 0]), SINGLE_TREE)
+
+    def test_nan_feature_rejected(self):
+        X = np.array([[np.nan], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, np.array([1, 0, 0, 0]), SINGLE_TREE)
+
+    def test_fractional_label_rejected(self):
+        # not truncated to [0, 0, 1, 1]
+        y = np.array([0.0, 0.7, 1.0, 1.0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit_forest(np.arange(8.0).reshape(4, 2), y, SINGLE_TREE)
+
 
 def argsort_best_split(X, y, rows, features, min_leaf):
     """The argsort split search that rank counting replaced, kept as the
@@ -603,3 +621,72 @@ class TestRankCountExactness:
         assert (model.feature[0], model.threshold[0]) == (0, 1.0)
         model = fit_single([[ODD_ULP], [EVEN_ULP]], [0, 1])
         assert model.feature[0] == -1
+
+
+class TestLockstepExactness:
+    @given(
+        distinct_rows=arrays(
+            np.int64,
+            st.tuples(
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=2, max_value=5),
+            ),
+            elements=st.integers(min_value=0, max_value=len(TIGHT_VALUES) - 1),
+        ),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_trees=st.integers(min_value=1, max_value=12),
+        min_samples_leaf=st.sampled_from([1, 2]),
+        per_split=st.sampled_from(["auto", "one", "all"]),
+        bootstrap=st.booleans(),
+        budget=st.sampled_from([1, 7, 64, 512]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_search_blocks_match_argsort_reference(
+        self, distinct_rows, data, seed, n_trees, min_samples_leaf, per_split,
+        bootstrap, budget,
+    ):
+        # tiny cell budgets split a step into many blocks, and search any
+        # node larger than the budget alone
+        pick = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(distinct_rows) - 1),
+                min_size=2,
+                max_size=40,
+            )
+        )
+        X = np.array(TIGHT_VALUES)[distinct_rows[pick]]
+        X[:, 0] = 0.0  # a constant column, so that some searches widen
+        y = np.random.default_rng(seed).integers(0, 2, size=len(X))
+        assume(len(set(y.tolist())) == 2)
+        config = ForestConfig(
+            n_trees=n_trees,
+            min_samples_leaf=min_samples_leaf,
+            features_per_split={"auto": None, "one": 1, "all": X.shape[1]}[per_split],
+            bootstrap=bootstrap,
+            seed=seed,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest, "_SEARCH_CELLS", budget)
+            model = fit_forest(X, y, config)
+        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
+    def test_one_step_widens_one_tree_and_not_another(self):
+        # seed 21: tree 0 samples the constant column 0 at its root and
+        # widens to columns 1 and 2, tree 1 samples column 2 and splits on it
+        draws = [
+            np.random.default_rng([21, ti]).choice(3, size=1, replace=False)
+            for ti in range(2)
+        ]
+        assert [int(draw[0]) for draw in draws] == [0, 2]
+        X = np.zeros((8, 3))
+        X[:, 1] = [0, 1, 2, 3, 4, 5, 6, 7]  # separates the classes
+        X[:, 2] = [0, 1, 5, 2, 3, 4, 6, 7]  # best cut 2.5, one row off
+        y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        config = ForestConfig(
+            n_trees=2, features_per_split=1, bootstrap=False, seed=21
+        )
+        model = fit_forest(X, y, config)
+        assert model.feature[model.roots].tolist() == [1, 2]
+        assert model.threshold[model.roots].tolist() == [3.5, 2.5]
+        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
