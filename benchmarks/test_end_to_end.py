@@ -1,10 +1,11 @@
-"""End-to-end timings of `needsense train` and `needsense eval` at the
-default config.
+"""End-to-end timings of `needsense train`, `needsense eval` and
+`needsense run` at the default config.
 
-Both commands run in-process on the canonical suite
+The commands run in-process on the canonical suite
 (`benchmark_suite(20, seed=0)`, simulated once by the module fixture),
-one round each, and each checks its output against a golden sha256: the
-default 100-tree `rf.model`, and the 10-fold report `eval` prints.
+and each checks its output against a golden sha256: the default 100-tree
+`rf.model`, the 10-fold report `eval` prints, and the decision lines
+`run` prints for session s00 with the models of a default `train`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -25,6 +26,7 @@ DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad6
 DEFAULT_EVAL_10_FOLDS = (
     "65b301e72341fc292f4657cd82fb2c7abd40a5ee9264da61cb3964acc2a4e079"
 )
+DEFAULT_RUN_S00 = "8f377cc14e9ce921d5d200c806ea729f9f71b98653ae6e69aa87cab572ec2294"
 
 
 def _sha256(data: bytes) -> str:
@@ -44,6 +46,14 @@ def ds0(tmp_path_factory):
     return root / "ds0"
 
 
+@pytest.fixture(scope="module")
+def models(ds0, tmp_path_factory):
+    """The models of a default `needsense train` of the suite."""
+    out = tmp_path_factory.mktemp("models")
+    assert main(["train", str(ds0), "--out", str(out)]) == 0
+    return out
+
+
 def test_train_default(benchmark, ds0, tmp_path):
     models = tmp_path / "models"
     code = benchmark.pedantic(
@@ -61,3 +71,12 @@ def test_eval_default_10_folds(benchmark, ds0, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == DEFAULT_EVAL_10_FOLDS
+
+
+def test_run_default_s00(benchmark, ds0, models, capsys):
+    capsys.readouterr()
+    args = ["run", str(ds0 / "s00.session"), "--models", str(models)]
+    code = benchmark.pedantic(main, args=(args,), rounds=1, iterations=1)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00

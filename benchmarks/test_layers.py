@@ -3,9 +3,9 @@
 Each case times one layer of `needsense train` or `needsense run` on the
 canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 7,339
 training rows x 60): stage-1 materialize, the fusion-matrix export,
-batch prediction over every training row, and the live decisions of one
-session.  `testpaths` does not collect this directory, so run it
-directly:
+batch prediction over every training row, loading the saved forest, and
+the live decisions of one session.  `testpaths` does not collect this
+directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py
 
@@ -15,9 +15,12 @@ seconds) before the timed cases start.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from needsense.config import Config
+from needsense.forest import RFModel
 from needsense.fusion import live_decisions, stage1_materialize, train_rf
 from needsense.language import train_from_utterances
 from needsense.sessions import (
@@ -29,6 +32,8 @@ from needsense.simulate import benchmark_suite, simulate
 from needsense.streams import tick_times
 
 SUITE_ROWS = 7_339
+# sha256 of the default forest's rf.model, as in test_forest_fit.py
+DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,16 @@ def test_batch_predict_suite_rows(benchmark, suite):
         rf.predict_batch, args=(matrix.features,), rounds=5, iterations=1
     )
     assert len(labels) == SUITE_ROWS
+
+
+def test_load_default_forest(benchmark, suite, tmp_path):
+    *_, rf = suite
+    path = tmp_path / "rf.model"
+    rf.save(path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEFAULT_RF_MODEL
+    model = benchmark.pedantic(RFModel.load, args=(path,), rounds=10, iterations=1)
+    assert ("\n".join(model.to_lines()) + "\n").encode("utf-8") == data
 
 
 def test_live_decisions_one_session(benchmark, suite):

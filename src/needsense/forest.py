@@ -33,12 +33,13 @@ training set.
 from __future__ import annotations
 
 import math
-from array import array
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,207 @@ def _line_error(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
+# The body grammar's widest fields: a count or an index takes 1 to _INT_WIDTH
+# digits, a threshold 1 to _THR_WIDTH bytes (the longest float repr, as in
+# -1.2345678901234567e-308).  The parser's buffer ends with _PAD zero bytes, so
+# the widest window fits at every position of the text.
+_INT_WIDTH = 9
+_THR_WIDTH = 24
+_PAD = _THR_WIDTH + 1
+# body lines one _scan_lines call reads: bounds the parser's working set
+_SCAN_LINES = 1 << 13
+_DIGITS = np.zeros(256, dtype=bool)
+_DIGITS[np.frombuffer(b"0123456789", dtype=np.uint8)] = True
+_THR_BYTES = _DIGITS.copy()
+_THR_BYTES[np.frombuffer(b"+-.einfa", dtype=np.uint8)] = True
+
+
+def _read(path: str | Path) -> np.ndarray:
+    """The bytes of a file, read once into an array that ends with _PAD zeros."""
+    with open(path, "rb") as f:
+        buf = np.zeros(os.fstat(f.fileno()).st_size + _PAD, dtype=np.uint8)
+        size = f.readinto(buf[:-_PAD])
+    return buf[: size + _PAD]
+
+
+def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes of buf from each position in `at`, as rows.  A position
+    past the text reads from its end, the zero padding."""
+    return sliding_window_view(buf, width)[np.minimum(at, buf.size - _PAD)]
+
+
+def _spells(buf: np.ndarray, at: np.ndarray, literal: bytes) -> np.ndarray:
+    """Whether the bytes of buf from each position in `at` spell `literal`."""
+    return _windows(buf, at, len(literal)).view(f"S{len(literal)}")[:, 0] == literal
+
+
+def _runs(buf: np.ndarray, at: np.ndarray, width: int, alphabet: np.ndarray):
+    """(window, size): the `width` + 1 bytes from each position in `at`, zeroed
+    from the first byte not in `alphabet` on, and that byte's index, the length
+    of the run before it.  A run longer than `width` has size 0."""
+    window = _windows(buf, at, width + 1)
+    size = np.argmin(alphabet[window], axis=1)
+    window *= np.arange(width + 1) < size[:, None]
+    return window, size
+
+
+def _integers(buf: np.ndarray, at: np.ndarray):
+    """(value, stop, ok) of the run of digits at each position in `at`: its
+    value, the position after it, and whether it is a count in canonical form,
+    1 to _INT_WIDTH digits with no leading zero.  A run that is not ok reads 0."""
+    window, size = _runs(buf, at, _INT_WIDTH, _DIGITS)
+    ok = (size == 1) | ((size > 1) & (window[:, 0] != ord("0")))
+    text = window.view(f"S{_INT_WIDTH + 1}")[:, 0]
+    text[~ok] = b"0"
+    return text.astype(np.int64), at + size, ok
+
+
+def _is_float(text: bytes) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _floats(buf: np.ndarray, at: np.ndarray, stop: np.ndarray):
+    """(value, ok) of each field buf[at:stop]: ok where it is 1 to _THR_WIDTH
+    threshold bytes that float() reads.  The cast is float() itself, so a repr
+    reads back bit for bit.  A field that is not ok reads 0.0."""
+    window, size = _runs(buf, at, _THR_WIDTH, _THR_BYTES)
+    ok = (size > 0) & (at + size == stop)
+    text = window.view(f"S{_THR_WIDTH + 1}")[:, 0]
+    text[~ok] = b"0"
+    try:
+        return text.astype(np.float64), ok
+    except ValueError:  # such as "1e" or "--1": find which, on this error path only
+        reads = np.array([_is_float(field) for field in text.tolist()], dtype=bool)
+        text[~reads] = b"0"
+        return text.astype(np.float64), ok & reads
+
+
+def _scan_lines(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """(ok, kind, number, feature, threshold, value) of the body lines
+    buf[start:stop]: kind is 1 for "tree T", 2 for "node I feat=F thr=X" and
+    "leaf I class=C", 0 for any other line, of which only a blank one is ok;
+    number is T or I, and value is C, or -1 at a split."""
+    ok = start == stop
+    tree = _spells(buf, start, b"tree ")
+    node = _spells(buf, start, b"node ")
+    leaf = _spells(buf, start, b"leaf ")
+    kind = np.where(tree, 1, 2 * (node | leaf))
+    number, at, number_ok = _integers(buf, start + 5)
+    ok |= tree & number_ok & (at == stop)
+    feature = np.full(len(start), -1, dtype=np.intp)
+    threshold = np.zeros(len(start))
+    value = np.full(len(start), -1, dtype=np.intp)
+    i = np.flatnonzero(node)
+    feature[i], feat_stop, feat_ok = _integers(buf, at[i] + 6)
+    threshold[i], thr_ok = _floats(buf, feat_stop + 5, stop[i])
+    ok[i] = (
+        number_ok[i] & _spells(buf, at[i], b" feat=") & feat_ok
+        & _spells(buf, feat_stop, b" thr=") & thr_ok
+    )
+    i = np.flatnonzero(leaf)
+    value[i] = one = _spells(buf, at[i], b" class=1")
+    ok[i] = (
+        number_ok[i] & (one | _spells(buf, at[i], b" class=0")) & (stop[i] == at[i] + 8)
+    )
+    return ok, kind, number, feature, threshold, value
+
+
+def _scan(buf: np.ndarray):
+    """(config, n_features, nodes, roots, tree_lines) of the model text in
+    buf[:-_PAD], read in one pass over the whole buffer.
+
+    nodes holds the feature, threshold, value (-1 at a split), id and line
+    number of each node line, in file order; roots[t] is the node at which
+    tree t starts and tree_lines[t] the line of its `tree t`.  A line ends with
+    LF or CRLF, and the body grammar is exact (README); the first line that
+    breaks it fails.  The body is read _SCAN_LINES lines at a time into one
+    slot per line, so the working set beyond the buffer and the node arrays
+    stays bounded.
+    """
+    text = buf[:-_PAD]
+    index = np.int32 if buf.size < 2**31 else np.int64
+    ends = np.flatnonzero(text == ord("\n")).astype(index)
+    if text.size and text[-1] != ord("\n"):
+        ends = np.append(ends, index(text.size))  # a last line with no line end
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
+
+    def line(i: int) -> bytes:
+        return buf[starts[i] : ends[i]].tobytes() if i < len(ends) else b""
+
+    if line(0) != b"format=needsense-rf version=1":
+        raise _line_error(1, "not a random forest model file")
+    try:
+        header = line(1).decode("utf-8")
+        if "\r" in header:  # a line break to a reader with universal newlines
+            raise ValueError("carriage return inside the line")
+        h = dict(p.split("=") for p in header.split())
+        config = ForestConfig(
+            n_trees=int(h["n_trees"]),
+            max_depth=None if h["max_depth"] == "none" else int(h["max_depth"]),
+            min_samples_leaf=int(h["min_samples_leaf"]),
+            features_per_split=int(h["features_per_split"]),
+            bootstrap=bool(int(h["bootstrap"])),
+            seed=int(h["seed"]),
+        )
+        n_features = int(h["n_features"])
+    except (KeyError, ValueError) as exc:
+        raise _line_error(2, f"bad model header: {exc!r}") from None
+
+    start, stop = starts[2:], ends[2:]
+    dtypes = bool, np.int8, np.int64, np.intp, np.float64, np.intp
+    columns = [np.empty(len(start), dtype=dtype) for dtype in dtypes]
+    for lo in range(0, len(start), _SCAN_LINES):
+        block = slice(lo, lo + _SCAN_LINES)
+        for column, part in zip(columns, _scan_lines(buf, start[block], stop[block])):
+            column[block] = part
+    ok, kind, number, feature, threshold, value = columns
+    trees = np.flatnonzero(kind == 1)
+    ok[trees] &= number[trees] == np.arange(len(trees))
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raw = line(bad + 2).decode("utf-8", errors="replace")
+        raise _line_error(bad + 3, f"unrecognized model line: {raw.strip()}")
+    # keep the node lines' slots, moved to the front of each column in place
+    rows = np.flatnonzero(kind == 2)
+    n = len(rows)
+    for column in (feature, threshold, value, number):
+        column[:n] = column[rows]
+    nodes = feature[:n], threshold[:n], value[:n], number[:n], rows + 3
+    return config, n_features, nodes, np.searchsorted(rows, trees), trees + 3
+
+
+def _checked(config, n_features, nodes, roots, tree_lines):
+    """The RFModel arguments of the scanned node arrays, after one vectorized
+    test per rule."""
+    feature, threshold, value, ids, line_of = nodes
+    if len(roots) != config.n_trees:
+        raise _line_error(2, f"n_trees={config.n_trees} but {len(roots)} trees")
+    split = value < 0
+    bounds = np.array([0, *roots[1:], len(line_of)])
+    balance = _balance(split)
+    # a tree ending too high is truncated; one too low has a dangling node
+    unfinished = np.flatnonzero(balance[bounds[1:]] > -1 - np.arange(len(roots)))
+    if unfinished.size:
+        raise _line_error(int(tree_lines[unfinished[0]]), "truncated tree")
+    tree_of = np.repeat(np.arange(len(roots)), np.diff(bounds))
+    for bad, what in (
+        (np.arange(len(line_of)) < roots[0], "node before the first tree"),
+        (ids != np.arange(len(ids)) - bounds[tree_of], "node id out of preorder"),
+        (balance[:-1] < -tree_of, "dangling node after a complete tree"),
+        (split & ((feature < 0) | (feature >= n_features)), "feat out of range"),
+        (split & ~np.isfinite(threshold), "thr is not finite"),
+    ):
+        if bad.any():
+            raise _line_error(int(line_of[np.argmax(bad)]), what)
+    return feature, threshold, value, roots, config, n_features
+
+
 class RFModel:
     """The forest as flat node arrays, each tree in preorder from roots[t]. Node i
     is a leaf voting value[i] when feature[i] == -1; otherwise X[row, feature[i]]
@@ -193,7 +395,7 @@ class RFModel:
     def __init__(self, feature, threshold, value, roots, config, n_features):
         indices = (np.asarray(a, dtype=np.intp) for a in (feature, value, roots))
         self.feature, self.value, self.roots = indices
-        self.threshold = np.array(threshold, dtype=np.float64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
         self.config, self.n_features = config, n_features
         # a split's right child is the next node whose balance equals its own
         split = self.feature >= 0
@@ -258,75 +460,19 @@ class RFModel:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "RFModel":
-        """Parse the text into node arrays, then run one vectorized test per rule."""
-        lines = iter(lines)
-        if next(lines, "").strip() != "format=needsense-rf version=1":
-            raise _line_error(1, "not a random forest model file")
-        try:
-            h = dict(p.split("=") for p in next(lines, "").split())
-            config = ForestConfig(
-                n_trees=int(h["n_trees"]),
-                max_depth=None if h["max_depth"] == "none" else int(h["max_depth"]),
-                min_samples_leaf=int(h["min_samples_leaf"]),
-                features_per_split=int(h["features_per_split"]),
-                bootstrap=bool(int(h["bootstrap"])),
-                seed=int(h["seed"]),
-            )
-            n_features = int(h["n_features"])
-        except (KeyError, ValueError) as exc:
-            raise _line_error(2, f"bad model header: {exc!r}") from None
-        # a row per node: feature, threshold, value (-1 at a split), id, line
-        nodes, roots, tree_lines = array("d"), [], []
-        for line_no, raw in enumerate(lines, start=3):
-            try:
-                match raw.split():
-                    case []:
-                        continue
-                    case ["tree", ti] if ti == str(len(roots)):
-                        roots.append(len(nodes) // 5)
-                        tree_lines.append(line_no)
-                        continue
-                    case ["node", i, f, t] if f[:5] == "feat=" and t[:4] == "thr=":
-                        nodes.extend((int(f[5:]), float(t[4:]), -1, int(i), line_no))
-                    case ["leaf", i, c] if c in ("class=0", "class=1"):
-                        nodes.extend((-1, 0.0, int(c[6:]), int(i), line_no))
-                    case _:
-                        raise ValueError
-            except (OverflowError, ValueError):
-                raise _line_error(line_no, f"unrecognized model line: {raw.strip()}")
-        if len(roots) != config.n_trees:
-            raise _line_error(2, f"n_trees={config.n_trees} but {len(roots)} trees")
-        rows = np.frombuffer(nodes).reshape(-1, 5)
-        feature, threshold, value, ids, line_of = rows.T
-        split = value < 0
-        bounds = np.array([0, *roots[1:], len(line_of)])
-        balance = _balance(split)
-        # a tree ending too high is truncated; one too low has a dangling node
-        unfinished = np.flatnonzero(balance[bounds[1:]] > -1 - np.arange(len(roots)))
-        if unfinished.size:
-            raise _line_error(tree_lines[unfinished[0]], "truncated tree")
-        tree_of = np.repeat(np.arange(len(roots)), np.diff(bounds))
-        for bad, what in (
-            (np.arange(len(line_of)) < roots[0], "node before the first tree"),
-            (ids != np.arange(len(ids)) - bounds[tree_of], "node id out of preorder"),
-            (balance[:-1] < -tree_of, "dangling node after a complete tree"),
-            (split & ((feature < 0) | (feature >= n_features)), "feat out of range"),
-            (split & ~np.isfinite(threshold), "thr is not finite"),
-        ):
-            if bad.any():
-                raise _line_error(int(line_of[np.argmax(bad)]), what)
-        return cls(feature, threshold, value, roots, config, n_features)
+        """Parse the lines of a model file, given with or without line ends."""
+        text = "".join(line.rstrip("\r\n") + "\n" for line in lines).encode("utf-8")
+        return cls(*_checked(*_scan(np.frombuffer(text + bytes(_PAD), dtype=np.uint8))))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RFModel":
-        with open(path, encoding="utf-8") as lines:
-            try:
-                return cls.from_lines(lines)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        try:
+            return cls(*_checked(*_scan(_read(path))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _leaf(n: int, pos: int) -> tuple[int, float, int]:

@@ -136,40 +136,70 @@ class NBModel:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "NBModel":
+        """Parse the lines of a model file; every error names its line."""
         if not lines or lines[0].strip() != "format=needsense-nb version=1":
-            raise ValueError("not a naive Bayes model file")
-        alpha = None
-        use_aggregates = True
-        doc_counts = None
+            raise _line_error(1, "not a naive Bayes model file")
+        alpha = use_aggregates = doc_counts = None
         token_counts: dict[str, tuple[int, int]] = {}
-        for line in lines[1:]:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(lines[1:], start=2):
+            fields = line.split()
+            if not fields:
                 continue
-            if line.startswith("alpha="):
-                alpha = float(line.split("=", 1)[1])
-            elif line.startswith("use_aggregates="):
-                use_aggregates = bool(int(line.split("=", 1)[1]))
-            elif line.startswith("docs "):
-                parts = dict(p.split("=") for p in line.split()[1:])
-                doc_counts = (int(parts["c0"]), int(parts["c1"]))
-            elif line.startswith("token="):
-                parts = dict(p.split("=") for p in line.split())
-                token_counts[parts["token"]] = (int(parts["c0"]), int(parts["c1"]))
-            else:
-                raise ValueError(f"unrecognized model line: {line}")
+            key, _, value = fields[0].partition("=")
+            try:
+                if key == "alpha" and len(fields) == 1 and alpha is None:
+                    alpha = float(value)
+                    if not (math.isfinite(alpha) and alpha > 0):
+                        raise ValueError(f"alpha must be finite and > 0, got {value}")
+                elif key == "use_aggregates" and len(fields) == 1:
+                    if use_aggregates is not None:
+                        raise ValueError("repeated model line")
+                    if value not in ("0", "1"):
+                        raise ValueError("use_aggregates must be 0 or 1")
+                    use_aggregates = value == "1"
+                elif fields[0] == "docs" and doc_counts is None:
+                    doc_counts = _count_pair(fields[1:])
+                    if min(doc_counts) == 0:
+                        raise ValueError("both document counts must be > 0")
+                elif key == "token" and value and value not in token_counts:
+                    token_counts[value] = _count_pair(fields[1:])
+                else:
+                    raise ValueError("unrecognized or repeated model line")
+            except ValueError as exc:
+                raise _line_error(line_no, f"{exc}: {line.strip()}") from None
         if alpha is None or doc_counts is None:
-            raise ValueError("model file missing alpha or document counts")
-        return cls(alpha, use_aggregates, doc_counts, token_counts)
+            raise _line_error(len(lines) + 1, "model file ends without alpha or docs")
+        return cls(alpha, use_aggregates is not False, doc_counts, token_counts)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "NBModel":
-        return cls.from_lines(
-            Path(path).read_text(encoding="utf-8").splitlines()
-        )
+        data = Path(path).read_bytes()
+        try:
+            return cls.from_lines(data.decode("utf-8").splitlines())
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line_no}: not UTF-8 text") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _line_error(line_no: int, message: str) -> ValueError:
+    return ValueError(f"line {line_no}: {message}")
+
+
+def _count_pair(fields: list[str]) -> tuple[int, int]:
+    """(c0, c1) of the fields c0=<count> c1=<count>, counts being
+    non-negative integers."""
+    pairs = dict(item.partition("=")[::2] for item in fields)
+    if len(fields) != 2 or sorted(pairs) != ["c0", "c1"]:
+        raise ValueError("expected c0=<count> c1=<count>")
+    counts = int(pairs["c0"]), int(pairs["c1"])
+    if min(counts) < 0:
+        raise ValueError("counts must be non-negative")
+    return counts
 
 
 def train_nb(

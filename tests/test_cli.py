@@ -438,15 +438,27 @@ def _drop_seed(lines):
     return [lines[0], lines[1].replace(" seed=7", ""), *lines[2:]], 2
 
 
-def _replace_field(prefix, key, value):
-    """Set `key` on the first line starting with `prefix`."""
+def _edit_line(prefix, edit):
+    """Apply `edit` to the first line starting with `prefix`."""
 
     def mutate(lines):
         i = _first(lines, prefix)
-        lines[i] = re.sub(rf"{key}=\S+", f"{key}={value}", lines[i])
+        lines[i] = edit(lines[i])
         return lines, i + 1
 
     return mutate
+
+
+def _replace_field(prefix, key, value):
+    """Set `key` on the first line starting with `prefix`."""
+    return _edit_line(
+        prefix, lambda line: re.sub(rf"{key}=\S+", f"{key}={value}", line)
+    )
+
+
+def _drop_field(prefix, key):
+    """Remove `key` from the first line starting with `prefix`."""
+    return _edit_line(prefix, lambda line: re.sub(rf" {key}=\S+", "", line))
 
 
 def _node_before_tree(lines):
@@ -468,6 +480,17 @@ MALFORMED_MODELS = {
     "node_before_first_tree": _node_before_tree,
     "node_id_not_preorder": _shift_leaf_id,
     "nan_threshold": _replace_field("node ", "thr", "nan"),
+}
+
+
+# each mutation of a valid nb.model returns the lines and the 1-based line
+# number that the loader must name
+MALFORMED_TEXT_MODELS = {
+    "token_missing_c0": _drop_field("token=NEG ", "c0"),
+    "docs_missing_c1": _drop_field("docs ", "c1"),
+    "alpha_negative": _replace_field("alpha=", "alpha", "-1"),
+    "docs_zero": _replace_field("docs ", "c0", "0"),
+    "unknown_field": _edit_line("token=", lambda line: line + " c2=3"),
 }
 
 
@@ -603,6 +626,29 @@ class TestExitCodes:
         assert code == 3
         assert "Traceback" not in err
         assert f"rf.model: line {line_no}: " in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT_MODELS))
+    def test_malformed_text_model_is_exit_three(
+        self, workspace, tmp_path, capsys, case
+    ):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace["models"], broken)
+        nb_path = broken / "nb.model"
+        lines, line_no = MALFORMED_TEXT_MODELS[case](
+            nb_path.read_text(encoding="utf-8").splitlines()
+        )
+        nb_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(workspace["config"]), str(session),
+             "--models", str(broken)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {nb_path}: line {line_no}: ")
 
     def test_flag_overrides_beat_config_file(self, workspace, tmp_path, capsys):
         # same mismatch exit proves the flag took effect over the file

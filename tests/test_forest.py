@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import io
+import re
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -690,3 +695,293 @@ class TestLockstepExactness:
         assert model.feature[model.roots].tolist() == [1, 2]
         assert model.threshold[model.roots].tolist() == [3.5, 2.5]
         assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
+
+def line_parser_reference(lines) -> RFModel:
+    """The line-by-line parser that the whole-buffer one replaced, kept as the
+    reference: one `match` per line, then one vectorized test per rule."""
+    lines = iter(lines)
+    if next(lines, "").strip() != "format=needsense-rf version=1":
+        raise ValueError("line 1: not a random forest model file")
+    try:
+        h = dict(p.split("=") for p in next(lines, "").split())
+        config = ForestConfig(
+            n_trees=int(h["n_trees"]),
+            max_depth=None if h["max_depth"] == "none" else int(h["max_depth"]),
+            min_samples_leaf=int(h["min_samples_leaf"]),
+            features_per_split=int(h["features_per_split"]),
+            bootstrap=bool(int(h["bootstrap"])),
+            seed=int(h["seed"]),
+        )
+        n_features = int(h["n_features"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"line 2: bad model header: {exc!r}") from None
+    nodes, roots, tree_lines = array("d"), [], []
+    for line_no, raw in enumerate(lines, start=3):
+        try:
+            match raw.split():
+                case []:
+                    continue
+                case ["tree", ti] if ti == str(len(roots)):
+                    roots.append(len(nodes) // 5)
+                    tree_lines.append(line_no)
+                    continue
+                case ["node", i, f, t] if f[:5] == "feat=" and t[:4] == "thr=":
+                    nodes.extend((int(f[5:]), float(t[4:]), -1, int(i), line_no))
+                case ["leaf", i, c] if c in ("class=0", "class=1"):
+                    nodes.extend((-1, 0.0, int(c[6:]), int(i), line_no))
+                case _:
+                    raise ValueError
+        except (OverflowError, ValueError):
+            raise ValueError(f"line {line_no}: unrecognized model line") from None
+    if len(roots) != config.n_trees:
+        raise ValueError(f"line 2: n_trees={config.n_trees} but {len(roots)} trees")
+    rows = np.frombuffer(nodes).reshape(-1, 5)
+    feature, threshold, value, ids, line_of = rows.T
+    split = value < 0
+    bounds = np.array([0, *roots[1:], len(line_of)])
+    balance = forest._balance(split)
+    unfinished = np.flatnonzero(balance[bounds[1:]] > -1 - np.arange(len(roots)))
+    if unfinished.size:
+        raise ValueError(f"line {tree_lines[unfinished[0]]}: truncated tree")
+    tree_of = np.repeat(np.arange(len(roots)), np.diff(bounds))
+    for bad in (
+        np.arange(len(line_of)) < roots[0],
+        ids != np.arange(len(ids)) - bounds[tree_of],
+        balance[:-1] < -tree_of,
+        split & ((feature < 0) | (feature >= n_features)),
+        split & ~np.isfinite(threshold),
+    ):
+        if bad.any():
+            raise ValueError(f"line {int(line_of[np.argmax(bad)])}: broken rule")
+    return RFModel(feature, threshold, value, roots, config, n_features)
+
+
+def reference_load(data: bytes) -> RFModel:
+    """What `RFModel.load` read from these bytes before the whole-buffer
+    parser: UTF-8 text lines split by universal newlines."""
+    return line_parser_reference(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+@functools.cache
+def small_forest_text(seed: int) -> bytes:
+    """The model file of a small fitted forest: a few shallow trees."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((30, 3))
+    X[:, 0] = np.round(X[:, 0], 1)
+    y = (X[:, 1] + 0.4 * rng.random(30) > 0.7).astype(int)
+    model = fit_forest(X, y, ForestConfig(n_trees=3, max_depth=3, seed=seed))
+    return ("\n".join(model.to_lines()) + "\n").encode("utf-8")
+
+
+def _some_line(data, lines, first=0):
+    return data.draw(st.integers(min_value=first, max_value=len(lines) - 1))
+
+
+def _delete(data, text):
+    lines = text.split(b"\n")
+    del lines[_some_line(data, lines)]
+    return b"\n".join(lines)
+
+
+def _duplicate(data, text):
+    lines = text.split(b"\n")
+    lines.insert(_some_line(data, lines), lines[_some_line(data, lines)])
+    return b"\n".join(lines)
+
+
+def _swap(data, text):
+    lines = text.split(b"\n")
+    i, j = _some_line(data, lines), _some_line(data, lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
+def _truncate_line(data, text):
+    lines = text.split(b"\n")
+    i = _some_line(data, lines)
+    lines[i] = lines[i][: data.draw(st.integers(min_value=0, max_value=len(lines[i])))]
+    return b"\n".join(lines)
+
+
+def _truncate_file(data, text):
+    return text[: data.draw(st.integers(min_value=0, max_value=len(text)))]
+
+
+# bytes that end, split or extend a field, as well as any byte at all
+SOME_BYTES = st.one_of(st.sampled_from(list(b"\r\n\t 019.-+e=")), st.integers(0, 255))
+
+
+def _edit_byte(data, text):
+    if not text:
+        return text
+    i = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    return text[:i] + bytes([data.draw(SOME_BYTES)]) + text[i + 1 :]
+
+
+def _append_bytes(data, text):
+    lines = text.split(b"\n")
+    i = _some_line(data, lines)
+    lines[i] += bytes(data.draw(st.lists(SOME_BYTES, min_size=1, max_size=3)))
+    return b"\n".join(lines)
+
+
+def _widen_number(data, text):
+    """A run of digits, such as an id, a feat or part of a thr, made 10 to 30
+    digits long: wider than any field the parser gathers."""
+    runs = list(re.finditer(rb"\d+", text))
+    if not runs:
+        return text
+    run = runs[data.draw(st.integers(min_value=0, max_value=len(runs) - 1))]
+    digits = data.draw(st.text("0123456789", min_size=10, max_size=30)).encode()
+    return text[: run.start()] + digits + text[run.end() :]
+
+
+def _non_finite_threshold(data, text):
+    runs = list(re.finditer(rb"thr=\S*", text))
+    if not runs:
+        return text
+    run = runs[data.draw(st.integers(min_value=0, max_value=len(runs) - 1))]
+    value = data.draw(st.sampled_from([b"inf", b"-inf", b"nan", b"1e999", b"-1e400"]))
+    return text[: run.start()] + b"thr=" + value + text[run.end() :]
+
+
+def _crlf(data, text):
+    return text.replace(b"\n", b"\r\n")
+
+
+def _drop_final_newline(data, text):
+    return text[:-1] if text.endswith(b"\n") else text
+
+
+def _empty_body(data, text):
+    return b"\n".join(text.split(b"\n")[:2]) + b"\n"
+
+
+MODEL_MUTATIONS = {
+    "delete": _delete,
+    "duplicate": _duplicate,
+    "swap": _swap,
+    "truncate_line": _truncate_line,
+    "truncate_file": _truncate_file,
+    "edit_byte": _edit_byte,
+    "append_bytes": _append_bytes,
+    "widen_number": _widen_number,
+    "non_finite_threshold": _non_finite_threshold,
+    "crlf": _crlf,
+    "drop_final_newline": _drop_final_newline,
+    "empty_body": _empty_body,
+}
+
+
+def assert_same_model(model: RFModel, expected: RFModel) -> None:
+    assert model.config == expected.config
+    assert model.n_features == expected.n_features
+    for name in ("feature", "value", "roots", "right"):
+        assert getattr(model, name).tolist() == getattr(expected, name).tolist()
+    assert model.threshold.view(np.int64).tolist() == (
+        expected.threshold.view(np.int64).tolist()
+    )
+
+
+class TestWholeBufferParser:
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        mutations=st.lists(st.sampled_from(sorted(MODEL_MUTATIONS)), max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_parser_reference(
+        self, tmp_path_factory, seed, mutations, data
+    ):
+        text = small_forest_text(seed)
+        for name in mutations:
+            text = MODEL_MUTATIONS[name](data, text)
+        path = tmp_path_factory.getbasetemp() / "fuzz.model"
+        path.write_bytes(text)
+        try:
+            model = RFModel.load(path)
+        except ValueError as exc:
+            # the load prefixes the path; the parser names a line, never
+            # passing on an error of its own such as UnicodeDecodeError
+            assert type(exc) is ValueError
+            assert re.match(rf"{re.escape(str(path))}: line [1-9][0-9]*: ", str(exc))
+            assert mutations, "an unmutated model file was rejected"
+            return
+        assert_same_model(model, reference_load(text))
+
+    def test_crlf_and_missing_final_newline_read_alike(self, tmp_path):
+        text = small_forest_text(0)
+        path = tmp_path / "rf.model"
+        path.write_bytes(text.replace(b"\n", b"\r\n")[:-2])
+        assert_same_model(RFModel.load(path), reference_load(text))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("node 0 feat=", "node 0  feat="),  # two spaces
+            ("node 0 feat=", "node 0\tfeat="),
+            ("tree 0", "tree 00"),
+            ("node 0 feat=", "node 00 feat="),  # a leading zero
+            ("node 0 feat=", "node +0 feat="),
+            ("tree 0", "tree 0 "),  # trailing space
+            ("tree 0", "  "),  # a line of spaces is not blank
+            ("node 0 feat=", "node 0 feat=" + "1" * 20),  # wider than a field
+            (" seed=", "\rseed="),  # a line break to a universal-newline reader
+        ],
+    )
+    def test_non_canonical_spacing_and_numbers_rejected(self, old, new):
+        # each breaks the exact grammar; the line parser's split() and int()
+        # tolerated most of them
+        lines = small_forest_text(0).decode("utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if old in line)
+        lines[i] = lines[i].replace(old, new, 1)
+        with pytest.raises(ValueError, match=f"line {i + 1}: "):
+            RFModel.from_lines(lines)
+
+
+def synthetic_model_text(n_trees: int, depth: int, n_features: int = 60) -> str:
+    """A model file of complete trees of the given depth, with random features,
+    thresholds and classes, written directly rather than fitted."""
+    rng = np.random.default_rng(0)
+    leaf, stack = [], [0]  # one tree's preorder: whether each node is a leaf
+    while stack:
+        level = stack.pop()
+        leaf.append(level == depth)
+        if level < depth:
+            stack += [level + 1, level + 1]
+    lines = [
+        "format=needsense-rf version=1",
+        f"n_trees={n_trees} max_depth={depth} min_samples_leaf=1 "
+        f"features_per_split=8 bootstrap=1 seed=0 n_features={n_features}",
+    ]
+    for t in range(n_trees):
+        lines.append(f"tree {t}")
+        features = rng.integers(0, n_features, len(leaf)).tolist()
+        thresholds = rng.standard_normal(len(leaf)).tolist()
+        for i, (is_leaf, f, thr) in enumerate(zip(leaf, features, thresholds)):
+            if is_leaf:
+                lines.append(f"leaf {i} class={f % 2}")
+            else:
+                lines.append(f"node {i} feat={f} thr={thr!r}")
+    return "\n".join(lines) + "\n"
+
+
+# tracemalloc peak of RFModel.load over the file's size.  The line parser
+# peaked at 4.16x on the synthetic model below (5.02x on the default 100-tree
+# rf.model); index matrices or copies of the buffer would break the bound.
+LOAD_PEAK_MULTIPLE = 4.2
+
+
+def test_load_peak_memory_is_a_bounded_multiple_of_the_file(tmp_path):
+    path = tmp_path / "rf.model"
+    path.write_text(synthetic_model_text(n_trees=100, depth=7), encoding="utf-8")
+    RFModel.load(path)  # first use: imports and caches are not the parser's
+    tracemalloc.start()
+    try:
+        model = RFModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.feature) == 100 * 255
+    assert peak <= LOAD_PEAK_MULTIPLE * path.stat().st_size

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -211,6 +212,63 @@ class TestLikelihoodsAndPosterior:
             )
 
 
+def _set_line(i, text):
+    def mutate(lines):
+        lines[i] = text
+        return lines, i + 1
+
+    return mutate
+
+
+def _append_line(text):
+    def mutate(lines):
+        return [*lines, text], len(lines) + 1
+
+    return mutate
+
+
+def _drop_line(prefix):
+    # a required line that is missing is named as the line after the last
+    def mutate(lines):
+        kept = [line for line in lines if not line.startswith(prefix)]
+        return kept, len(kept) + 1
+
+    return mutate
+
+
+# each mutation of the lines of NB_MODEL_LINES returns the lines and the
+# 1-based line number that the parser must name
+NB_MODEL_LINES = [
+    "format=needsense-nb version=1",
+    "alpha=0.5",
+    "use_aggregates=1",
+    "docs c0=2 c1=2",
+    "token=NEG c0=0 c1=1",
+    "token=help c0=0 c1=1",
+]
+MALFORMED_NB_MODELS = {
+    "not_a_model": _set_line(0, "hello world"),
+    "alpha_negative": _set_line(1, "alpha=-1"),
+    "alpha_zero": _set_line(1, "alpha=0"),
+    "alpha_nan": _set_line(1, "alpha=nan"),
+    "alpha_inf": _set_line(1, "alpha=inf"),
+    "alpha_repeated": _append_line("alpha=0.5"),
+    "alpha_missing": _drop_line("alpha="),
+    "aggregates_two": _set_line(2, "use_aggregates=2"),
+    "docs_zero": _set_line(3, "docs c0=0 c1=2"),
+    "docs_missing_c1": _set_line(3, "docs c0=2"),
+    "docs_missing": _drop_line("docs "),
+    "token_missing_c0": _set_line(4, "token=NEG c1=1"),
+    "count_negative": _set_line(5, "token=help c0=-1 c1=1"),
+    "count_fractional": _set_line(5, "token=help c0=0.5 c1=1"),
+    "count_repeated": _set_line(5, "token=help c0=0 c0=1"),
+    "unknown_field": _set_line(5, "token=help c0=0 c1=1 c2=3"),
+    "token_repeated": _append_line("token=help c0=1 c1=1"),
+    "token_empty": _append_line("token= c0=1 c1=1"),
+    "unknown_line": _append_line("wat"),
+}
+
+
 class TestSerialization:
     def test_round_trip_counts_and_likelihoods(self):
         model = train_from_utterances(SMALL, alpha=0.5)
@@ -240,6 +298,22 @@ class TestSerialization:
         back = NBModel.load(path)
         for text in ["help me out", "looks good to me", "what now"]:
             assert back.predict_text(text) == model.predict_text(text)
+
+    def test_valid_table_model_loads(self):
+        model = NBModel.from_lines(NB_MODEL_LINES)
+        assert model.to_lines() == NB_MODEL_LINES
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NB_MODELS))
+    def test_reject_malformed(self, case):
+        lines, line_no = MALFORMED_NB_MODELS[case](list(NB_MODEL_LINES))
+        with pytest.raises(ValueError, match=f"^line {line_no}: "):
+            NBModel.from_lines(lines)
+
+    def test_load_names_path_and_line(self, tmp_path):
+        path = tmp_path / "nb.model"
+        path.write_bytes(b"format=needsense-nb version=1\nalpha=1.0\ntoken=\xff c0=1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "):
+            NBModel.load(path)
 
     def test_reject_garbage(self):
         with pytest.raises(ValueError):
