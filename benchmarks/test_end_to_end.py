@@ -5,7 +5,8 @@ The commands run in-process on the canonical suite
 (`benchmark_suite(20, seed=0)`, simulated once by the module fixture),
 and each checks its output against a golden sha256: the default 100-tree
 `rf.model`, the 10-fold report `eval` prints, and the decision lines
-`run` prints for session s00 with the models of a default `train`.
+`run` prints for session s00 with the models of a default `train`, both
+from the file and from standard input.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -16,6 +17,7 @@ and each checks its output against a golden sha256: the default 100-tree
 from __future__ import annotations
 
 import hashlib
+import io
 
 import pytest
 
@@ -77,6 +79,22 @@ def test_run_default_s00(benchmark, ds0, models, capsys):
     capsys.readouterr()
     args = ["run", str(ds0 / "s00.session"), "--models", str(models)]
     code = benchmark.pedantic(main, args=(args,), rounds=1, iterations=1)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00
+
+
+def test_run_default_s00_stdin(benchmark, ds0, models, capsys, monkeypatch):
+    """The live shell on standard input prints the same bytes as `run`
+    on the file."""
+    text = (ds0 / "s00.session").read_text(encoding="utf-8")
+    capsys.readouterr()
+
+    def run_stdin():
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return main(["run", "--models", str(models)])
+
+    code = benchmark.pedantic(run_stdin, rounds=1, iterations=1)
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00

@@ -4,8 +4,9 @@ Each case times one layer of `needsense train` or `needsense run` on the
 canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 7,339
 training rows x 60): stage-1 materialize, the fusion-matrix export,
 batch prediction over every training row, loading the saved forest, and
-the live decisions of one session.  `testpaths` does not collect this
-directory, so run it directly:
+the decisions of one session, both through the live shell and as `run`
+scores a file (stage 1 plus one batch prediction).  `testpaths` does not
+collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py
 
@@ -21,7 +22,12 @@ import pytest
 
 from needsense.config import Config
 from needsense.forest import RFModel
-from needsense.fusion import live_decisions, stage1_materialize, train_rf
+from needsense.fusion import (
+    live_decisions,
+    predict_session,
+    stage1_materialize,
+    train_rf,
+)
 from needsense.language import train_from_utterances
 from needsense.sessions import (
     export_fusion_matrix,
@@ -111,3 +117,21 @@ def test_live_decisions_one_session(benchmark, suite):
     )
     ticks = tick_times(record.duration, cfg.cadence_hz)
     assert [d.t for d in decisions] == ticks[cfg.window_w - 1:]
+
+
+def test_file_decisions_one_session(benchmark, suite):
+    """`run <file>`: stage 1 and one batch prediction over the whole
+    session, deciding as the live shell does."""
+    cfg, records, nb, _, _, rf = suite
+    record = records[0]
+
+    def decide():
+        derived = stage1_materialize(
+            record, nb, cfg.gaze_config(), cfg.cadence_hz
+        )
+        return predict_session(derived, rf, cfg.window_w)
+
+    decisions = benchmark.pedantic(decide, rounds=5, iterations=1)
+    assert decisions == live_decisions(
+        record, nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
+    )

@@ -1,5 +1,6 @@
 """Command-line surface: simulate sessions, train the two stages,
-evaluate, and run the live decision pipeline.
+evaluate, and decide: `run` scores a session file in one batch and feeds
+standard input through the live decision pipeline.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 model/config mismatch.
 """
@@ -15,8 +16,8 @@ from .config import Config, ConfigError, load_config
 from .forest import RFModel
 from .fusion import (
     FusedDecision,
-    live_decisions,
     live_pipeline,
+    predict_session,
     stage1_materialize,
     train_rf,
 )
@@ -312,10 +313,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_manifest(cfg, models, rf)
     if args.session is None or args.session == "-":
         return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
+    # a file has arrived whole, so it is scored in one batch; the live
+    # shell's holds give the same decisions (acceptance criterion 6)
     record = load_session(args.session)
-    decisions = live_decisions(
-        record, nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
-    )
+    derived = stage1_materialize(record, nb, cfg.gaze_config(), cfg.cadence_hz)
+    decisions = predict_session(derived, rf, cfg.window_w)
     for d in decisions:
         sys.stdout.write(_decision_line(d) + "\n")
     if not decisions:
@@ -381,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "run",
         parents=[common],
-        help="replay a session (or read one on stdin) and print decisions",
+        help="score a session file (or read one live on stdin) and print "
+        "decisions",
     )
     p.add_argument(
         "session",

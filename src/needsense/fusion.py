@@ -9,12 +9,15 @@ decision.
 Training is two-stage: stage 1 runs the gaze and language models over
 each raw recording in one batch pass, holds their outputs onto the tick
 grid and persists them as derived sessions; stage 2 exports windowed
-rows from those sessions and fits the forest.  The live path computes
-the same holds incrementally on a `Pipeline` (`wire_gaze`,
-`wire_language`, `make_frames`, `wire_fused`).  Because both paths
-quantize times to 3 decimals and need values to 6 before any windowing,
-a live replay of a recorded session reproduces the batch predictions bit
-for bit.
+rows from those sessions and fits the forest.  Scoring a recorded
+session uses the same batch core: stage 1, then one forest call over all
+its windows (`predict_session`).  Input that arrives over time goes
+through the live shell instead, which computes the same holds
+incrementally on a `Pipeline` (`wire_gaze`, `wire_language`,
+`make_frames`, `wire_fused`) and decides each tick from the messages
+before it.  Because both paths quantize times to 3 decimals and need
+values to 6 before any windowing, the live shell driven over a recorded
+session reproduces the batch predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -270,7 +273,9 @@ def live_decisions(
     window: int,
 ) -> list[FusedDecision]:
     """Run the live shell over a raw session's messages in
-    originating-time order and collect the per-tick decisions."""
+    originating-time order and collect the per-tick decisions.  `run`
+    scores a file with `predict_session` instead; this drives the live
+    path over a recording for the parity tests and the benchmarks."""
     pipe, sink = live_pipeline(
         nb_model, rf_model, gaze_config, cadence_hz, window
     )

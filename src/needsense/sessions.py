@@ -270,7 +270,7 @@ def _check_time(
     last_t[name] = t
 
 
-def parse_session(lines: list[str], source: str = "<memory>") -> SessionRecord:
+def parse_session(lines: list[str]) -> SessionRecord:
     """Parse and validate a session; errors name the offending line."""
     rows = [
         (i + 1, line.rstrip("\n"))
@@ -278,7 +278,7 @@ def parse_session(lines: list[str], source: str = "<memory>") -> SessionRecord:
         if line.strip()
     ]
     if not rows:
-        raise SessionFormatError(f"{source}: empty session file")
+        raise SessionFormatError("empty session file")
     line_no, header = rows[0]
     fields = _parse_fields(header, line_no)
     if fields.get("format_version") != str(FORMAT_VERSION):
@@ -349,10 +349,13 @@ def _parse_payload(name: str, fields: dict[str, str], line_no: int):
 
 
 def load(path: str | Path) -> SessionRecord:
+    """Read and parse a session file; every error names the file."""
     path = Path(path)
-    return parse_session(
-        path.read_text(encoding="utf-8").splitlines(), source=str(path)
-    )
+    try:
+        return parse_session(path.read_text(encoding="utf-8").splitlines())
+    except SessionFormatError as exc:
+        exc.args = (f"{path}: {exc}",)  # keeps exc.line
+        raise
 
 
 def save(record: SessionRecord, path: str | Path) -> None:

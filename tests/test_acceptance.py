@@ -9,6 +9,7 @@ tolerances and runtime budgets are asserted inside each test.
 
 from __future__ import annotations
 
+import io
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -393,7 +394,7 @@ def trained_workspace(tmp_path_factory):
 
 
 def test_criterion_6_live_replay_equals_batch_prediction(
-    trained_workspace, capsys
+    trained_workspace, capsys, monkeypatch
 ):
     with _criterion(6, "live replay decisions identical to batch rows") as c:
         ws = trained_workspace
@@ -404,7 +405,19 @@ def test_criterion_6_live_replay_equals_batch_prediction(
                 ["run", "--config", str(ws["config"]), str(session_path),
                  "--models", str(ws["models"])]
             ) == 0
-            live_lines = capsys.readouterr().out.splitlines()
+            file_lines = capsys.readouterr().out.splitlines()
+
+            # standard input goes through the live shell, a file through
+            # the batch core
+            monkeypatch.setattr(
+                "sys.stdin",
+                io.StringIO(session_path.read_text(encoding="utf-8")),
+            )
+            assert main(
+                ["run", "--config", str(ws["config"]),
+                 "--models", str(ws["models"])]
+            ) == 0
+            stdin_lines = capsys.readouterr().out.splitlines()
 
             derived = load_session(
                 ws["models"] / "ds1" / session_path.name
@@ -416,8 +429,10 @@ def test_criterion_6_live_replay_equals_batch_prediction(
                 f"help={d.label}"
                 for d in predict_session(derived, rf, 20)
             ]
-            assert live_lines == batch_lines, session_path.name
-            assert len(live_lines) > 0
+            assert file_lines == batch_lines, session_path.name
+            assert stdin_lines == file_lines, session_path.name
+            assert stdin_lines == batch_lines, session_path.name
+            assert len(file_lines) > 0
         assert c.elapsed < 30.0
 
 

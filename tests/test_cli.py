@@ -274,6 +274,22 @@ class TestRunCommand:
         ticks = int(record.duration * 10) + 1
         assert len(lines) == ticks - 19  # first 19 ticks are warm-up
 
+    def test_file_is_scored_in_one_forest_call(
+        self, workspace, capsys, monkeypatch
+    ):
+        calls = []
+        predict_batch = RFModel.predict_batch
+
+        def counted(model, rows):
+            calls.append(len(rows))
+            return predict_batch(model, rows)
+
+        monkeypatch.setattr(RFModel, "predict_batch", counted)
+        code, lines, _ = run_lines(workspace, capsys)
+        assert code == 0
+        assert len(lines) > 1
+        assert calls == [len(lines)]
+
     def test_stdin_mode_matches_file_mode(self, workspace, capsys, monkeypatch):
         code, file_lines, _ = run_lines(workspace, capsys)
         session = sorted(workspace["ds0"].glob("*.session"))[0]
@@ -605,6 +621,29 @@ class TestExitCodes:
         assert code == 3
         assert "Traceback" not in err
         assert "manifest.txt: training manifest missing" in err
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_malformed_session_file_is_exit_three(
+        self, workspace, tmp_path, capsys, command
+    ):
+        import shutil
+
+        ds0 = tmp_path / "ds0"
+        shutil.copytree(workspace["ds0"], ds0)
+        bad = sorted(ds0.glob("*.session"))[1]
+        lines = bad.read_text(encoding="utf-8").splitlines()
+        assert lines[4].startswith("stream=label start=")
+        lines[4] = re.sub(r"start=[^ ]+", "start=abc", lines[4])
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = ["--config", str(workspace["config"])]
+        if command == "train":
+            argv = ["train", *config, str(ds0), "--out", str(tmp_path / "m")]
+        else:
+            argv = ["run", *config, str(bad), "--models", str(workspace["models"])]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {bad}: line 5: bad number for 'start': abc\n"
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_forest_is_exit_three(self, workspace, tmp_path, capsys, case):

@@ -247,6 +247,20 @@ class TestValidation:
         )
         assert "bad number" in msg
 
+    def test_file_errors_name_the_path_once_and_keep_the_line(self, tmp_path):
+        path = tmp_path / "s00.session"
+        lines = make_record().to_lines()
+        lines[2] = lines[2].replace("start=1.000", "start=abc")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SessionFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: line 3: bad number for 'start': abc"
+        assert err.value.line == 3
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(SessionFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: empty session file"
+
     def test_validate_rejects_bad_session_id(self):
         record = make_record(session_id="has space")
         with pytest.raises(SessionFormatError, match="session id"):
