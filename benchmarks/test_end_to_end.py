@@ -4,14 +4,17 @@
 The commands run in-process on the canonical suite
 (`benchmark_suite(20, seed=0)`, simulated once by the module fixture),
 and each checks its output against a golden sha256: the default 100-tree
-`rf.model`, the 10-fold report `eval` prints, and the decision lines
-`run` prints for session s00 with the models of a default `train`, both
-from the file and from standard input.
+`rf.model`, the 20 derived sessions and the manifest a default `train`
+writes, the 10-fold report `eval` prints at the default config and with
+one tree (`rf_n_trees=1`, which leaves little but the non-fit cost), and
+the decision lines `run` prints for session s00 with the models of a
+default `train`, both from the file and from standard input.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
 
-`train` takes several seconds and `eval` well over half a minute.
+`train` takes several seconds, the default `eval` well over half a minute
+and each of the five one-tree `eval` rounds a few seconds.
 """
 
 from __future__ import annotations
@@ -29,6 +32,34 @@ DEFAULT_EVAL_10_FOLDS = (
     "65b301e72341fc292f4657cd82fb2c7abd40a5ee9264da61cb3964acc2a4e079"
 )
 DEFAULT_RUN_S00 = "8f377cc14e9ce921d5d200c806ea729f9f71b98653ae6e69aa87cab572ec2294"
+DEFAULT_MANIFEST = (
+    "eb4342ce6a3ed16c69edaec85c23576e5484cc1371a2d1f4a2267d9b32c2fe4b"
+)
+DEFAULT_DS1 = {
+    "s00": "f556773e0ad586518399fc07dcdc341f905d6d3d8be7ff73eb83fd63ba678985",
+    "s01": "00c91de1e39dbf825b75103d2e6c28995e4d81cb4161fe80b9ca8cb4d0f3038b",
+    "s02": "192572ad3e469838b10ccfce6e72e6f8c5a4fca9d8175732322b583f961782b2",
+    "s03": "da8be7251e23e801d9033dbcbc6655ddef2a0bdc5873952c4dc32a9f4dc6fbd1",
+    "s04": "8979146845331982390f5ff325a34061d81668b877198cdd3517a35d7283cf4f",
+    "s05": "651888f248f7311adacd8c2c62aee1e45e7e55f7d075dc18b85ed4341599f42a",
+    "s06": "51ae519b71771adc2db78b41864254484e9e4af3fd23958110c61a99ff38519d",
+    "s07": "2d4c8bc949cda7dc430783c22ac4b8bcd8807643615ca256b2180e6bfae9585e",
+    "s08": "bea6c5ce136d9f1012931f44742ea9ee286b2de56e5821d352f191aae1fc9427",
+    "s09": "1c0f0679c37bbca5774dbad308d126cff82e7f6a7021a0ff657c31c26b4f34f5",
+    "s10": "15f06c9401ce95ba2c497f75414b18a8cfc67b9abfd8a0c35e18ec4a2c7b811b",
+    "s11": "d13c8863b9387c440b9aac3a2e70f162b37cd105a2f751b7d082a9230d97eb77",
+    "s12": "274fd4707f61a25f52a00dd89e935e2cc5b9d6ad30f15bdd10607da7ed7259f7",
+    "s13": "802922dd003ef09ad11ec7cbfa24bdc338c686dfaf375a618c3d8db5647eeb23",
+    "s14": "223ad39094198bd490297d5cfb557bac8c77e565330c24191f8915924411938f",
+    "s15": "5a45df13c6346c7e3af173b862ca6e9bf1f0b2a4c70f6fe903cd453901903d90",
+    "s16": "552da61bf11766d9f3cf60cfe344160f49d6bd73e58caa9e0ed6b6b06f8d3843",
+    "s17": "2f99e0dadcdbb6d6bb2b07ac82597a93f956c9475936ffe843d806d7cbd9c6e2",
+    "s18": "faac1c62b50b99de06df69c8a47598b2e5f0351fcd08a2d74c1af22536e338e7",
+    "s19": "3bd3274e481853b11d386d6a3de6aeffef22939f48b86b3d827b4e4bfb76691e",
+}
+ONE_TREE_EVAL_10_FOLDS = (
+    "6f7cc241c0a878f95691656240adbd0a3cc0c8da50c963c408f24e9a35cdcf25"
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -65,6 +96,15 @@ def test_train_default(benchmark, ds0, tmp_path):
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
 
 
+def test_train_default_derived_sessions_and_manifest(models):
+    ds1 = {
+        path.stem: _sha256(path.read_bytes())
+        for path in sorted((models / "ds1").glob("*.session"))
+    }
+    assert ds1 == DEFAULT_DS1
+    assert _sha256((models / "manifest.txt").read_bytes()) == DEFAULT_MANIFEST
+
+
 def test_eval_default_10_folds(benchmark, ds0, capsys):
     capsys.readouterr()
     code = benchmark.pedantic(
@@ -73,6 +113,22 @@ def test_eval_default_10_folds(benchmark, ds0, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == DEFAULT_EVAL_10_FOLDS
+
+
+def test_eval_one_tree_10_folds(benchmark, ds0, tmp_path, capsys):
+    config = tmp_path / "one_tree.cfg"
+    config.write_text("rf_n_trees=1\n", encoding="utf-8")
+    args = ["eval", str(ds0), "--folds", "10", "--config", str(config)]
+    capsys.readouterr()
+    codes = []
+
+    def run_eval():
+        codes.append(main(args))
+        return capsys.readouterr().out
+
+    out = benchmark.pedantic(run_eval, rounds=5, iterations=1)
+    assert codes == [0] * 5
+    assert _sha256(out.encode("utf-8")) == ONE_TREE_EVAL_10_FOLDS
 
 
 def test_run_default_s00(benchmark, ds0, models, capsys):

@@ -51,7 +51,7 @@ def suite_matrix(tmp_path_factory):
         stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
         for r in records
     ]
-    matrix = export_fusion_matrix(ds1, cfg.window_w)
+    matrix = export_fusion_matrix(records, ds1, cfg.window_w)
     order = sorted(range(matrix.n_rows), key=lambda i: matrix.anchors[i])
     return matrix.features[order], matrix.labels[order]
 

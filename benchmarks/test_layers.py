@@ -44,8 +44,8 @@ DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad6
 
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
-    """Raw sessions, the text model, derived sessions and the default
-    forest, as `needsense train` makes them."""
+    """Raw sessions, the text model, their stage-1 (ticks, frames) and
+    the default forest, as `needsense train` makes them."""
     cfg = Config()
     ds0 = tmp_path_factory.mktemp("ds0")
     records = []
@@ -62,7 +62,7 @@ def suite(tmp_path_factory):
         stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
         for r in records
     ]
-    matrix = export_fusion_matrix(ds1, cfg.window_w)
+    matrix = export_fusion_matrix(records, ds1, cfg.window_w)
     rf = train_rf(matrix, cfg.forest_config())
     return cfg, records, nb, ds1, matrix, rf
 
@@ -77,13 +77,17 @@ def test_stage1_materialize_20_sessions(benchmark, suite):
         ]
 
     out = benchmark.pedantic(materialize, rounds=5, iterations=1)
-    assert [d.to_lines() for d in out] == [d.to_lines() for d in ds1]
+    assert [ticks for ticks, _ in out] == [ticks for ticks, _ in ds1]
+    assert [f.tobytes() for _, f in out] == [f.tobytes() for _, f in ds1]
 
 
 def test_export_fusion_matrix(benchmark, suite):
-    cfg, _, _, ds1, _, _ = suite
+    cfg, records, _, ds1, _, _ = suite
     matrix = benchmark.pedantic(
-        export_fusion_matrix, args=(ds1, cfg.window_w), rounds=5, iterations=1
+        export_fusion_matrix,
+        args=(records, ds1, cfg.window_w),
+        rounds=5,
+        iterations=1,
     )
     assert matrix.features.shape == (SUITE_ROWS, 3 * cfg.window_w)
 

@@ -29,6 +29,7 @@ from .sessions import (
     _parse_fields,
     _parse_float,
     _parse_payload,
+    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
@@ -120,19 +121,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise StageError(f"stage 1: {exc}")
     nb.save(out / NB_MODEL_NAME)
 
-    ds1_records = []
+    derived = []
     ds1_names = []
     for record in records:
-        ds1 = stage1_materialize(record, nb, cfg.gaze_config(), cfg.cadence_hz)
-        name = f"ds1/{ds1.session_id}.session"
-        ds1.save(out / name)
-        ds1_records.append(ds1)
+        ticks, frames = stage1_materialize(
+            record, nb, cfg.gaze_config(), cfg.cadence_hz
+        )
+        name = f"ds1/{record.session_id}.session"
+        derived_record(record, ticks, frames).save(out / name)
+        derived.append((ticks, frames))
         ds1_names.append(name)
 
     try:
-        matrix = export_fusion_matrix(ds1_records, cfg.window_w)
+        matrix = export_fusion_matrix(records, derived, cfg.window_w)
         rf = train_rf(matrix, cfg.forest_config())
-    except (ValueError, SessionFormatError) as exc:
+    except ValueError as exc:
         raise StageError(f"stage 2: {exc}")
     rf.save(out / RF_MODEL_NAME)
 

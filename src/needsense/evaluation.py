@@ -20,7 +20,7 @@ from .gaze import GazeConfig
 from .language import train_from_utterances
 from .sessions import (
     SessionRecord,
-    binary_label_at,
+    binary_labels,
     export_fusion_matrix,
     export_language_corpus,
 )
@@ -84,7 +84,6 @@ def confusion_counts(
     are fine, off-grid times are not.
     """
     grid = set(labeled_ticks(record, cadence_hz))
-    tp = fp = fn = tn = 0
     last = None
     for t, pred in predictions:
         if t not in grid:
@@ -97,16 +96,12 @@ def confusion_counts(
         last = t
         if pred not in (0, 1):
             raise ValueError(f"predictions must be 0 or 1, got {pred!r}")
-        truth = binary_label_at(record, t)
-        if pred and truth:
-            tp += 1
-        elif pred and not truth:
-            fp += 1
-        elif truth:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    truth = binary_labels(record, [t for t, _ in predictions])
+    pred = np.array([p for _, p in predictions], dtype=np.int64)
+    tp = int(pred @ truth)
+    fp = int(pred.sum()) - tp
+    fn = int(truth.sum()) - tp
+    return tp, fp, fn, len(pred) - tp - fp - fn
 
 
 def evaluate(
@@ -229,7 +224,7 @@ def run_full_eval(
 
     # the gaze models need no training: run them once per session
     ticks_of: dict[str, list[float]] = {}
-    gaze: dict[str, tuple[list[float], list[float]]] = {}
+    gaze: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for rec in canon:
         ticks = tick_times(rec.duration, cadence_hz)
         ticks_of[rec.session_id] = ticks
@@ -267,20 +262,18 @@ def run_full_eval(
             use_aggregates=nb_use_aggregates,
         )
 
-        def ds1(rec: SessionRecord) -> SessionRecord:
-            return derived_session(
-                rec, ticks_of[rec.session_id], gaze[rec.session_id], nb
-            )
+        def ds1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
+            ticks = ticks_of[rec.session_id]
+            return ticks, derived_session(rec, ticks, gaze[rec.session_id], nb)
 
         rf = train_rf(
-            export_fusion_matrix([ds1(rec) for rec in train], window),
+            export_fusion_matrix(train, [ds1(rec) for rec in train], window),
             forest_config,
         )
         for rec in test:
-            derived = ds1(rec)
-            lang = [m.payload for m in derived.messages("need_language")]
-            lang_rows.append(held_counts(rec, lang))
-            decisions = predict_session(derived, rf, window)
+            ticks, frames = ds1(rec)
+            lang_rows.append(held_counts(rec, frames[:, 2]))
+            decisions = predict_session((ticks, frames), rf, window)
             fused_preds = [
                 (d.t, d.label) for d in decisions if d.t < rec.duration
             ]

@@ -7,9 +7,11 @@ vector, and a random forest maps the vector to the final binary help
 decision.
 
 Training is two-stage: stage 1 runs the gaze and language models over
-each raw recording in one batch pass, holds their outputs onto the tick
-grid and persists them as derived sessions; stage 2 exports windowed
-rows from those sessions and fits the forest.  Scoring a recorded
+each raw recording in one batch pass and holds their outputs onto the
+tick grid, giving the tick times and a (T, 3) array of (mutual,
+confirmatory, language) frames; stage 2 exports windowed rows from
+those arrays and fits the forest.  The frames become derived session
+records only where `train` writes them to disk.  Scoring a recorded
 session uses the same batch core: stage 1, then one forest call over all
 its windows (`predict_session`).  Input that arrives over time goes
 through the live shell instead, which computes the same holds
@@ -30,13 +32,7 @@ import numpy as np
 from .forest import ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker
 from .language import NBModel
-from .sessions import (
-    NEED_STREAMS,
-    SessionRecord,
-    TrainingMatrix,
-    frame_windows,
-    need_frames,
-)
+from .sessions import NEED_STREAMS, SessionRecord, TrainingMatrix, frame_windows
 from .streams import (
     Pipeline,
     TimestampedMessage,
@@ -64,23 +60,16 @@ def zero_order_hold(
     values: list[float],
     ticks: list[float],
     initial: float = 0.0,
-) -> list[float]:
+) -> np.ndarray:
     """At each tick, the latest value with time <= tick, else `initial`.
     Batch counterpart of the live hold; times and ticks must ascend."""
-    out = []
-    held = initial
-    i = 0
-    for t in ticks:
-        while i < len(times) and times[i] <= t:
-            held = values[i]
-            i += 1
-        out.append(held)
-    return out
+    held = np.array([initial, *values], dtype=np.float64)
+    return held[np.searchsorted(times, ticks, side="right")]
 
 
 def gaze_holds(
     record: SessionRecord, config: GazeConfig, ticks: list[float]
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mutual and confirmatory need at wire precision, from the gaze
     models run over a raw session's frames and held onto `ticks`."""
     tracker = GazeNeedTracker(config)
@@ -101,13 +90,13 @@ def gaze_holds(
 def derived_session(
     record: SessionRecord,
     ticks: list[float],
-    gaze: tuple[list[float], list[float]],
+    gaze: tuple[np.ndarray, np.ndarray],
     nb_model: NBModel,
-) -> SessionRecord:
-    """Stage 1 of training for one raw session whose gaze holds on
-    `ticks` are given: add the language posterior held onto the same
-    ticks and keep all three as a derived session.  Utterances that
-    tokenize to nothing contribute nothing; labels are copied."""
+) -> np.ndarray:
+    """Stage 1 for one raw session whose gaze holds on `ticks` are given:
+    the (T, 3) frames of mutual, confirmatory and language need, the
+    language posterior held onto the same ticks.  Utterances that
+    tokenize to nothing contribute nothing."""
     lang_t: list[float] = []
     lang_v: list[float] = []
     for msg in record.messages("utterance"):
@@ -115,16 +104,7 @@ def derived_session(
         if v is not None:
             lang_t.append(msg.originating_time)
             lang_v.append(round(v, 6))
-    held = (*gaze, zero_order_hold(lang_t, lang_v, ticks))
-    return SessionRecord(
-        session_id=record.session_id,
-        duration=record.duration,
-        streams={
-            name: [TimestampedMessage(t, v) for t, v in zip(ticks, values)]
-            for name, values in zip(NEED_STREAMS, held)
-        },
-        labels=list(record.labels),
-    )
+    return np.column_stack((*gaze, zero_order_hold(lang_t, lang_v, ticks)))
 
 
 def stage1_materialize(
@@ -132,11 +112,11 @@ def stage1_materialize(
     nb_model: NBModel,
     gaze_config: GazeConfig,
     cadence_hz: float,
-) -> SessionRecord:
-    """Stage 1 of training: the gaze and language models' outputs over
-    one raw session, held onto its tick grid, as a derived session."""
+) -> tuple[list[float], np.ndarray]:
+    """Stage 1 of training: the tick grid of one raw session and the
+    gaze and language models' outputs held onto it, as (T, 3) frames."""
     ticks = tick_times(record.duration, cadence_hz)
-    return derived_session(
+    return ticks, derived_session(
         record, ticks, gaze_holds(record, gaze_config, ticks), nb_model
     )
 
@@ -149,11 +129,11 @@ def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
 
 
 def predict_session(
-    record: SessionRecord, model: RFModel, window: int
+    derived: tuple[list[float], np.ndarray], model: RFModel, window: int
 ) -> list[FusedDecision]:
-    """Batch predictions for every full window of a derived session,
-    including the final grid point at the session duration."""
-    times, frames = need_frames(record)
+    """Batch predictions for every full window of a session's stage-1
+    (ticks, frames), including the final grid point at the duration."""
+    times, frames = derived
     rows = frame_windows(frames, window)
     if not len(rows):
         return []

@@ -7,14 +7,15 @@ and need values 6; the canonical form orders messages globally by
 directly replayable in time order.
 
 Two stores share this format: raw recordings (gaze observations and
-utterances) and derived recordings (per-tick model outputs), produced by
-the first training stage and consumed by the second.
+utterances) and derived recordings (per-tick model outputs).  In memory
+the first training stage hands the second plain (ticks, frames) arrays;
+`derived_record` turns them into the derived recording `train` writes,
+and `need_frames` reads one back.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -348,36 +349,44 @@ def _parse_payload(name: str, fields: dict[str, str], line_no: int):
     return v
 
 
+def _read_lines(path: Path, parse):
+    """`parse` applied to the lines of a UTF-8 text file; every
+    `SessionFormatError`, and a byte that is not UTF-8, names the file."""
+    data = path.read_bytes()
+    try:
+        return parse(data.decode("utf-8").splitlines())
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        error = SessionFormatError("not UTF-8 text", line)
+    except SessionFormatError as exc:
+        error = exc
+    error.args = (f"{path}: {error}",)  # keeps error.line
+    raise error from None
+
+
 def load(path: str | Path) -> SessionRecord:
     """Read and parse a session file; every error names the file."""
-    path = Path(path)
-    try:
-        return parse_session(path.read_text(encoding="utf-8").splitlines())
-    except SessionFormatError as exc:
-        exc.args = (f"{path}: {exc}",)  # keeps exc.line
-        raise
+    return _read_lines(Path(path), parse_session)
 
 
-def save(record: SessionRecord, path: str | Path) -> None:
-    record.save(path)
-
-
-def label_at(record: SessionRecord, t: float) -> NeedLevelLabel:
-    """The need level at time t; span starts are inclusive, ends exclusive."""
-    if not 0.0 <= t < record.duration:
-        raise ValueError(f"time {t} outside [0, {record.duration})")
+def binary_labels(record: SessionRecord, times) -> np.ndarray:
+    """1 where the user needs the robot's help (levels 2 and 3), else 0,
+    at each time; span starts are inclusive, ends exclusive."""
+    times = np.asarray(times, dtype=np.float64)
+    outside = ~((times >= 0.0) & (times < record.duration))
+    if outside.any():
+        raise ValueError(
+            f"time {float(times[outside][0])} outside [0, {record.duration})"
+        )
     spans = sorted(record.labels, key=lambda s: s.start)
-    starts = [s.start for s in spans]
-    idx = bisect_right(starts, t) - 1
-    span = spans[idx]
-    if not span.start <= t < span.end:
-        raise ValueError(f"no label span covers time {t}")
-    return span.level
-
-
-def binary_label_at(record: SessionRecord, t: float) -> int:
-    """1 when the user needs the robot's help (levels 2 and 3), else 0."""
-    return label_at(record, t).binary
+    # index 0 stands for "before every span", which nothing covers
+    idx = np.searchsorted([s.start for s in spans], times, side="right")
+    uncovered = times >= np.array([-np.inf, *(s.end for s in spans)])[idx]
+    if uncovered.any():
+        raise ValueError(
+            f"no label span covers time {float(times[uncovered][0])}"
+        )
+    return np.array([0, *(s.level.binary for s in spans)], dtype=np.int64)[idx]
 
 
 @dataclass
@@ -419,20 +428,20 @@ def export_language_corpus(
     utterance's finalization time."""
     rows = []
     for record in sorted(records, key=lambda r: r.session_id):
-        for msg in record.messages("utterance"):
-            rows.append(
-                (
-                    Utterance(msg.payload, msg.originating_time),
-                    binary_label_at(record, msg.originating_time),
-                )
-            )
+        msgs = record.messages("utterance")
+        labels = binary_labels(record, [m.originating_time for m in msgs])
+        rows.extend(
+            (Utterance(m.payload, m.originating_time), y)
+            for m, y in zip(msgs, labels.tolist())
+        )
     return rows
 
 
 def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
-    """The tick times of a derived session and its (T, 3) array of
-    (mutual, confirmatory, language) values, checking that all three need
-    streams exist and share one tick grid."""
+    """The tick times of a derived session read from disk and its (T, 3)
+    array of (mutual, confirmatory, language) values, checking that all
+    three need streams exist and share one tick grid.  The inverse of
+    `derived_record`."""
     for name in NEED_STREAMS:
         if name not in record.streams:
             raise SessionFormatError(
@@ -451,6 +460,23 @@ def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
     return times, np.array(series, dtype=np.float64).T
 
 
+def derived_record(
+    record: SessionRecord, ticks: list[float], frames: np.ndarray
+) -> SessionRecord:
+    """The derived session that stage 1 writes for a raw session: its
+    (T, 3) frames on `ticks` as the three need streams, with the raw
+    session's labels."""
+    return SessionRecord(
+        session_id=record.session_id,
+        duration=record.duration,
+        streams={
+            name: [TimestampedMessage(t, v) for t, v in zip(ticks, values)]
+            for name, values in zip(NEED_STREAMS, frames.T.tolist())
+        },
+        labels=list(record.labels),
+    )
+
+
 def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
     """Sliding windows over (T, 3) frames: row i concatenates frames i to
     i + window - 1, oldest first, so it is anchored at frame
@@ -463,9 +489,12 @@ def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
 
 
 def export_fusion_matrix(
-    records: list[SessionRecord], window: int
+    records: list[SessionRecord],
+    derived: list[tuple[list[float], np.ndarray]],
+    window: int,
 ) -> TrainingMatrix:
-    """Sliding-window rows over the per-tick need streams.
+    """Sliding-window rows over the stage-1 (ticks, frames) of each raw
+    session, `derived[i]` belonging to `records[i]`.
 
     Each row concatenates `window` consecutive (mutual, confirmatory,
     language) frames oldest first and is labeled at the newest tick.
@@ -474,31 +503,25 @@ def export_fusion_matrix(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    blocks = []
-    label_blocks = []
+    blocks = [np.empty((0, window * 3), dtype=np.float64)]
+    label_blocks = [np.empty(0, dtype=np.int64)]
     anchors: list[tuple[str, float]] = []
-    ordered = sorted(records, key=lambda r: r.session_id)
-    for record in ordered:
-        times, frames = need_frames(record)
-        rows = frame_windows(frames, window)
-        for row, anchor_t in zip(rows, times[window - 1:]):
-            if anchor_t >= record.duration:
-                continue
-            blocks.append(row)
-            label_blocks.append(binary_label_at(record, anchor_t))
-            anchors.append((record.session_id, anchor_t))
-    features = (
-        np.array(blocks, dtype=np.float64)
-        if blocks
-        else np.empty((0, window * 3), dtype=np.float64)
+    ordered = sorted(
+        zip(records, derived, strict=True), key=lambda p: p[0].session_id
     )
+    for record, (ticks, frames) in ordered:
+        kept = [t for t in ticks[window - 1:] if t < record.duration]
+        # the ticks ascend, so the kept anchors are the first rows
+        blocks.append(frame_windows(frames, window)[: len(kept)])
+        label_blocks.append(binary_labels(record, kept))
+        anchors.extend((record.session_id, t) for t in kept)
     provenance = (
         f"fusion_export window={window} "
-        f"sessions={','.join(r.session_id for r in ordered)}"
+        f"sessions={','.join(r.session_id for r, _ in ordered)}"
     )
     return TrainingMatrix(
-        features=features,
-        labels=np.array(label_blocks, dtype=np.int64),
+        features=np.concatenate(blocks),
+        labels=np.concatenate(label_blocks),
         anchors=anchors,
         provenance=provenance,
     )

@@ -29,6 +29,7 @@ from .sessions import (
     _escape,
     _parse_fields,
     _parse_float,
+    _read_lines,
     _unescape,
     fmt_time,
 )
@@ -217,7 +218,7 @@ def save_script(script: ScenarioScript, path: str | Path) -> None:
     )
 
 
-def parse_script(lines: list[str], source: str = "<memory>") -> ScenarioScript:
+def parse_script(lines: list[str]) -> ScenarioScript:
     """Parse a script file; errors carry the offending line number."""
     rows = [
         (i + 1, line.rstrip("\n"))
@@ -225,7 +226,7 @@ def parse_script(lines: list[str], source: str = "<memory>") -> ScenarioScript:
         if line.strip()
     ]
     if not rows:
-        raise SessionFormatError(f"{source}: empty script file")
+        raise SessionFormatError("empty script file")
     line_no, header = rows[0]
     fields = _parse_fields(header, line_no)
     if fields.get("script_version") != str(SCRIPT_VERSION):
@@ -296,7 +297,7 @@ def parse_script(lines: list[str], source: str = "<memory>") -> ScenarioScript:
             )
     close_current()
     if not segments:
-        raise SessionFormatError(f"{source}: script has no segments")
+        raise SessionFormatError("script has no segments")
     try:
         return ScenarioScript(tuple(segments), noise=noise, seed=seed)
     except ValueError as exc:
@@ -304,10 +305,8 @@ def parse_script(lines: list[str], source: str = "<memory>") -> ScenarioScript:
 
 
 def load_script(path: str | Path) -> ScenarioScript:
-    path = Path(path)
-    return parse_script(
-        path.read_text(encoding="utf-8").splitlines(), source=str(path)
-    )
+    """Read and parse a script file; every error names the file."""
+    return _read_lines(Path(path), parse_script)
 
 
 # Phrase banks for the benchmark suite.  Vocabulary deliberately bleeds

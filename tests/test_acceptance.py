@@ -34,12 +34,12 @@ from needsense.sessions import (
     LabelSpan,
     NeedLevelLabel,
     SessionRecord,
-    binary_label_at,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
     load as load_session,
+    need_frames,
 )
 from needsense.simulate import (
     ScenarioScript,
@@ -250,12 +250,13 @@ def test_criterion_3_window_export_exactness():
         # system path: batch stage 1, then the exporter
         nb = train_from_utterances(export_language_corpus([record]))
         derived = stage1_materialize(record, nb, GazeConfig(), 10.0)
-        matrix = export_fusion_matrix([derived], 20)
+        matrix = export_fusion_matrix([record], [derived], 20)
         assert matrix.n_rows == 81
         assert matrix.dim == 60
 
         # oracle path: tracker and text model replayed by hand, a
-        # plain-python hold onto the tick grid, rows sliced by hand
+        # plain-python hold onto the tick grid, rows sliced and labeled
+        # by hand
         tracker = GazeNeedTracker(GazeConfig())
         gaze_t, mutual_v, conf_v = [], [], []
         for msg in record.messages("gaze_raw"):
@@ -295,7 +296,12 @@ def test_criterion_3_window_export_exactness():
             for k in range(i, i + 20):
                 expected += [series[0][k], series[1][k], series[2][k]]
             assert matrix.features[i].tolist() == expected
-            assert matrix.labels[i] == binary_label_at(record, anchor)
+            (level,) = [
+                span.level
+                for span in record.labels
+                if span.start <= anchor < span.end
+            ]
+            assert matrix.labels[i] == level.binary
         assert c.elapsed < 5.0
 
 
@@ -419,8 +425,8 @@ def test_criterion_6_live_replay_equals_batch_prediction(
             ) == 0
             stdin_lines = capsys.readouterr().out.splitlines()
 
-            derived = load_session(
-                ws["models"] / "ds1" / session_path.name
+            derived = need_frames(
+                load_session(ws["models"] / "ds1" / session_path.name)
             )
             batch_lines = [
                 f"t={fmt_time(d.t)} mutual={fmt_value(d.mutual)} "

@@ -165,6 +165,22 @@ class TestSimulateCommand:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_script_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.script"
+        path.write_text(
+            "script_version=1 seed=0\n"
+            "segment duration=abc label=Flow gaze=fix-task\n",
+            encoding="utf-8",
+        )
+        argv = ["simulate", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 2: bad number for 'duration': abc\n"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 3: not UTF-8 text\n"
+
 
 class TestTrainCommand:
     def test_artifacts_exist(self, workspace):
@@ -644,6 +660,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"error: {bad}: line 5: bad number for 'start': abc\n"
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_non_utf8_session_file_is_exit_three(
+        self, workspace, tmp_path, capsys, command
+    ):
+        import shutil
+
+        ds0 = tmp_path / "ds0"
+        shutil.copytree(workspace["ds0"], ds0)
+        bad = sorted(ds0.glob("*.session"))[0]
+        data = bad.read_bytes()
+        bad.write_bytes(data + b"\xff")
+        config = ["--config", str(workspace["config"])]
+        if command == "train":
+            argv = ["train", *config, str(ds0), "--out", str(tmp_path / "m")]
+        else:
+            argv = ["run", *config, str(bad), "--models", str(workspace["models"])]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        line = data.count(b"\n") + 1
+        assert err == f"error: {bad}: line {line}: not UTF-8 text\n"
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_forest_is_exit_three(self, workspace, tmp_path, capsys, case):

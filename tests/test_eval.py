@@ -172,13 +172,14 @@ class TestThresholdModelEval:
 class TestZeroOrderHold:
     def test_example(self):
         out = zero_order_hold([0.95, 1.05], [0.8, 0.9], [0.9, 1.0, 1.1])
-        assert out == [0.0, 0.8, 0.9]
+        assert out.tolist() == [0.0, 0.8, 0.9]
 
     def test_initial_override(self):
-        assert zero_order_hold([], [], [0.0, 0.1], initial=0.3) == [0.3, 0.3]
+        out = zero_order_hold([], [], [0.0, 0.1], initial=0.3)
+        assert out.tolist() == [0.3, 0.3]
 
     def test_tick_equal_to_time_sees_value(self):
-        assert zero_order_hold([1.0], [0.7], [1.0]) == [0.7]
+        assert zero_order_hold([1.0], [0.7], [1.0]).tolist() == [0.7]
 
     @given(
         events=st.lists(

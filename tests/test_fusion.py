@@ -24,10 +24,13 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionFormatError,
     SessionRecord,
+    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     frame_windows,
+    load as load_session,
     need_frames,
+    parse_session,
 )
 from needsense.simulate import benchmark_suite, simulate
 from needsense.streams import Pipeline, TimestampedMessage, replay, tick_times
@@ -37,38 +40,42 @@ LIGHT_FOREST = ForestConfig(
 )
 
 
-def stage2_fit(records):
+def stage2_fit(sessions):
     """Stage 2 as `needsense train` runs it: export, then fit."""
-    return train_rf(export_fusion_matrix(records, 20), LIGHT_FOREST)
+    return train_rf(
+        export_fusion_matrix(
+            [record for record, _ in sessions],
+            [derived for _, derived in sessions],
+            20,
+        ),
+        LIGHT_FOREST,
+    )
 
 
-def step_record(session_id="d00", duration=10.0):
-    """Derived session whose mutual value equals the binary label."""
+def step_session(session_id="d00", duration=10.0):
+    """A raw session's labels and the stage-1 (ticks, frames) whose mutual
+    value equals the binary label."""
     ticks = tick_times(duration, 10.0)
     half = duration / 2
-
-    def values(name):
-        if name == "need_mutual":
-            return [1.0 if t >= half else 0.0 for t in ticks]
-        if name == "need_confirmatory":
-            return [round((t * 0.07) % 0.5, 6) for t in ticks]
-        return [round((t * 0.13) % 0.9, 6) for t in ticks]
-
-    return SessionRecord(
+    frames = np.array(
+        [
+            [
+                1.0 if t >= half else 0.0,
+                round((t * 0.07) % 0.5, 6),
+                round((t * 0.13) % 0.9, 6),
+            ]
+            for t in ticks
+        ]
+    )
+    record = SessionRecord(
         session_id=session_id,
         duration=duration,
-        streams={
-            name: [
-                TimestampedMessage(t, v)
-                for t, v in zip(ticks, values(name))
-            ]
-            for name in ("need_mutual", "need_confirmatory", "need_language")
-        },
         labels=[
             LabelSpan(0.0, half, NeedLevelLabel.FLOW),
             LabelSpan(half, duration, NeedLevelLabel.L3),
         ],
     )
+    return record, (ticks, frames)
 
 
 class TestFrameTypes:
@@ -209,8 +216,12 @@ class TestStage1:
 
     def test_outputs_on_full_tick_grid(self):
         record = self.raw_session()
-        derived = stage1_materialize(record, self.nb(record), GazeConfig(), 10.0)
-        ticks = tick_times(record.duration, 10.0)
+        ticks, frames = stage1_materialize(
+            record, self.nb(record), GazeConfig(), 10.0
+        )
+        assert ticks == tick_times(record.duration, 10.0)
+        assert frames.shape == (len(ticks), 3)
+        derived = derived_record(record, ticks, frames)
         for name in ("need_mutual", "need_confirmatory", "need_language"):
             assert [
                 m.originating_time for m in derived.messages(name)
@@ -222,9 +233,10 @@ class TestStage1:
     def test_deterministic(self):
         record = self.raw_session()
         nb = self.nb(record)
-        a = stage1_materialize(record, nb, GazeConfig(), 10.0)
-        b = stage1_materialize(record, nb, GazeConfig(), 10.0)
-        assert a.to_lines() == b.to_lines()
+        a_ticks, a = stage1_materialize(record, nb, GazeConfig(), 10.0)
+        b_ticks, b = stage1_materialize(record, nb, GazeConfig(), 10.0)
+        assert a_ticks == b_ticks
+        assert a.tobytes() == b.tobytes()
 
     def test_no_utterances_means_zero_language(self):
         script = benchmark_suite(1, seed=3)[0]
@@ -241,18 +253,22 @@ class TestStage1:
         )
         other = self.raw_session(seed=4)
         nb = self.nb(other)
-        derived = stage1_materialize(silent, nb, GazeConfig(), 10.0)
-        assert all(
-            m.payload == 0.0 for m in derived.messages("need_language")
-        )
+        _, frames = stage1_materialize(silent, nb, GazeConfig(), 10.0)
+        assert all(v == 0.0 for v in frames[:, 2].tolist())
 
-    def test_derived_session_round_trips_through_format(self):
+    def test_derived_session_round_trips_through_format(self, tmp_path):
         record = self.raw_session()
-        derived = stage1_materialize(record, self.nb(record), GazeConfig(), 10.0)
+        ticks, frames = stage1_materialize(
+            record, self.nb(record), GazeConfig(), 10.0
+        )
+        derived = derived_record(record, ticks, frames)
         derived.validate()
-        from needsense.sessions import parse_session
-
         assert parse_session(derived.to_lines()).to_lines() == derived.to_lines()
+        path = tmp_path / "raw00.session"
+        derived.save(path)
+        back_ticks, back_frames = need_frames(load_session(path))
+        assert back_ticks == ticks
+        assert back_frames.tobytes() == frames.tobytes()
 
 
 # "???" and "..." tokenize to nothing, so they carry no language value
@@ -312,7 +328,9 @@ class TestBatchLiveHoldParity:
     @settings(max_examples=150, deadline=None)
     def test_stage1_equals_live_held_frames(self, session):
         record, cadence = session
-        derived = stage1_materialize(record, self.nb, GazeConfig(), cadence)
+        ticks, frames = stage1_materialize(
+            record, self.nb, GazeConfig(), cadence
+        )
 
         pipe = Pipeline()
         wire_gaze(pipe, GazeConfig())
@@ -332,29 +350,23 @@ class TestBatchLiveHoldParity:
             for m in pipe.stream("fusion_frame").messages
         ]
 
-        names = ("need_mutual", "need_confirmatory", "need_language")
-        batch = list(
-            zip(
-                [m.originating_time for m in derived.messages(names[0])],
-                zip(*([m.payload for m in derived.messages(n)] for n in names)),
-            )
-        )
+        batch = list(zip(ticks, map(tuple, frames.tolist())))
         assert live == batch
         assert [t for t, _ in batch] == tick_times(record.duration, cadence)
 
 
 class TestStage2:
     def test_separable_construction_reaches_full_training_accuracy(self):
-        record = step_record()
-        model = stage2_fit([record])
-        matrix = export_fusion_matrix([record], 20)
+        session = step_session()
+        model = stage2_fit([session])
+        matrix = export_fusion_matrix([session[0]], [session[1]], 20)
         labels, _ = model.predict_batch(matrix.features)
         assert labels.tolist() == matrix.labels.tolist()
 
     def test_same_seed_same_model(self):
-        record = step_record()
-        a = stage2_fit([record])
-        b = stage2_fit([record])
+        session = step_session()
+        a = stage2_fit([session])
+        b = stage2_fit([session])
         assert a.to_lines() == b.to_lines()
 
     def test_no_records_rejected(self):
@@ -362,7 +374,8 @@ class TestStage2:
             stage2_fit([])
 
     def test_train_rf_invariant_under_row_permutation(self):
-        matrix = export_fusion_matrix([step_record()], 20)
+        record, derived = step_session()
+        matrix = export_fusion_matrix([record], [derived], 20)
         rng = np.random.default_rng(0)
         perm = rng.permutation(matrix.n_rows)
         shuffled = type(matrix)(
@@ -377,48 +390,39 @@ class TestStage2:
 
 
 class TestSessionFrames:
-    def entry_points(self):
-        """Both batch consumers of a derived session's frames."""
-        model = stage2_fit([step_record()])
-        return (
-            lambda record: export_fusion_matrix([record], 20),
-            lambda record: predict_session(record, model, 20),
-        )
+    """`need_frames` reads a derived session back from its records."""
+
+    def step_derived_record(self):
+        record, (ticks, frames) = step_session()
+        return derived_record(record, ticks, frames)
 
     def test_reconstructs_tick_triples(self):
-        times, frames = need_frames(step_record())
+        times, frames = need_frames(self.step_derived_record())
         assert frames.shape == (101, 3)
         assert times[50] == 5.0
         assert frames[50, 0] == 1.0
         assert frames[49, 0] == 0.0
 
     def test_missing_stream_rejected(self):
-        for consume in self.entry_points():
-            record = step_record()
-            record.streams.pop("need_confirmatory")
-            with pytest.raises(SessionFormatError, match="need_confirmatory"):
-                consume(record)
+        record = self.step_derived_record()
+        record.streams.pop("need_confirmatory")
+        with pytest.raises(SessionFormatError, match="need_confirmatory"):
+            need_frames(record)
 
     def test_off_grid_rejected(self):
-        for consume in self.entry_points():
-            record = step_record()
-            record.streams["need_language"] = record.streams["need_language"][:-1]
-            with pytest.raises(SessionFormatError, match="grid"):
-                consume(record)
+        record = self.step_derived_record()
+        record.streams["need_language"] = record.streams["need_language"][:-1]
+        with pytest.raises(SessionFormatError, match="grid"):
+            need_frames(record)
 
 
 class TestPredictSession:
     def test_matches_per_vector_prediction(self):
-        record = step_record()
-        model = stage2_fit([record])
-        decisions = predict_session(record, model, 20)
-        ticks = [m.originating_time for m in record.messages("need_mutual")]
-        frames = list(
-            zip(*(
-                [m.payload for m in record.messages(name)]
-                for name in ("need_mutual", "need_confirmatory", "need_language")
-            ))
-        )
+        session = step_session()
+        model = stage2_fit([session])
+        ticks, frames = session[1]
+        decisions = predict_session((ticks, frames), model, 20)
+        frames = frames.tolist()
         assert len(decisions) == len(frames) - 19 == 82  # includes t == duration
         for i, decision in enumerate(decisions):
             vec = [v for f in frames[i : i + 20] for v in f]
@@ -428,9 +432,9 @@ class TestPredictSession:
             assert decision.score == round(float(scores[0]), 6)
 
     def test_short_session_gives_no_decisions(self):
-        record = step_record(duration=1.0)
-        model = stage2_fit([step_record()])
-        assert predict_session(record, model, 20) == []
+        _, derived = step_session(duration=1.0)
+        model = stage2_fit([step_session()])
+        assert predict_session(derived, model, 20) == []
 
 
 class TestLiveBatchParity:
@@ -443,7 +447,7 @@ class TestLiveBatchParity:
         derived = [
             stage1_materialize(r, nb, GazeConfig(), 10.0) for r in records
         ]
-        rf = stage2_fit(derived)
+        rf = stage2_fit(list(zip(records, derived)))
         for raw, ds1 in zip(records, derived):
             live = live_decisions(raw, nb, rf, GazeConfig(), 10.0, 20)
             batch = predict_session(ds1, rf, 20)

@@ -13,13 +13,14 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionFormatError,
     SessionRecord,
-    binary_label_at,
+    binary_labels,
+    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
-    label_at,
     load,
+    need_frames,
     parse_session,
 )
 from needsense.streams import TimestampedMessage, tick_times
@@ -47,23 +48,30 @@ def make_record(session_id="s00", duration=2.0):
     )
 
 
-def ticks_record(session_id="t00", duration=10.0, fn=None):
-    """Record carrying all three need streams on the full 10 Hz grid."""
-    fn = fn or (lambda t, j: round((t * (j + 1)) % 1.0, 6))
+def ticks_session(session_id="t00", duration=10.0):
+    """A raw session's labels (L3, then Flow from the midpoint) and the
+    stage-1 (ticks, frames) of all three need values on the 10 Hz grid."""
     ticks = tick_times(duration, 10.0)
-    streams = {}
-    for j, name in enumerate(
-        ("need_mutual", "need_confirmatory", "need_language")
-    ):
-        streams[name] = [TimestampedMessage(t, fn(t, j)) for t in ticks]
-    return SessionRecord(
+    record = SessionRecord(
         session_id=session_id,
         duration=duration,
-        streams=streams,
         labels=[
             LabelSpan(0.0, duration / 2, NeedLevelLabel.L3),
             LabelSpan(duration / 2, duration, NeedLevelLabel.FLOW),
         ],
+    )
+    frames = np.array(
+        [[round((t * (j + 1)) % 1.0, 6) for j in range(3)] for t in ticks]
+    )
+    return record, (ticks, frames)
+
+
+def export(sessions, window):
+    """`export_fusion_matrix` over (record, (ticks, frames)) pairs."""
+    return export_fusion_matrix(
+        [record for record, _ in sessions],
+        [derived for _, derived in sessions],
+        window,
     )
 
 
@@ -261,6 +269,23 @@ class TestValidation:
             load(path)
         assert str(err.value) == f"{path}: empty session file"
 
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "s00.session"
+        make_record().save(path)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\xff")
+        with pytest.raises(SessionFormatError) as err:
+            load(path)
+        line = data.count(b"\n") + 1
+        assert str(err.value) == f"{path}: line {line}: not UTF-8 text"
+        assert err.value.line == line
+        lines = data.split(b"\n")
+        lines[3] += b" \xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SessionFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: line 4: not UTF-8 text"
+
     def test_validate_rejects_bad_session_id(self):
         record = make_record(session_id="has space")
         with pytest.raises(SessionFormatError, match="session id"):
@@ -268,25 +293,27 @@ class TestValidation:
 
 
 class TestLabelAt:
+    """The binary label at given times (`binary_labels`)."""
+
     def record(self):
         return make_record()  # Flow on [0,1), L2 on [1,2)
 
     def test_span_start_inclusive(self):
-        assert label_at(self.record(), 1.0) is NeedLevelLabel.L2
+        assert binary_labels(self.record(), [1.0]).tolist() == [1]
 
     def test_span_end_exclusive(self):
-        assert label_at(self.record(), 0.999) is NeedLevelLabel.FLOW
+        assert binary_labels(self.record(), [0.999]).tolist() == [0]
 
     def test_zero(self):
-        assert label_at(self.record(), 0.0) is NeedLevelLabel.FLOW
+        assert binary_labels(self.record(), [0.0]).tolist() == [0]
 
     def test_duration_is_out_of_range(self):
-        with pytest.raises(ValueError):
-            label_at(self.record(), 2.0)
+        with pytest.raises(ValueError, match="outside"):
+            binary_labels(self.record(), [0.5, 2.0])
 
     def test_negative_out_of_range(self):
-        with pytest.raises(ValueError):
-            label_at(self.record(), -0.1)
+        with pytest.raises(ValueError, match="outside"):
+            binary_labels(self.record(), [-0.1])
 
     def test_binary_mapping(self):
         weights = {
@@ -301,8 +328,72 @@ class TestLabelAt:
             assert level.binary == binary
 
     def test_binary_label_at(self):
-        assert binary_label_at(self.record(), 0.5) == 0
-        assert binary_label_at(self.record(), 1.5) == 1
+        labels = binary_labels(self.record(), [0.5, 1.5])
+        assert labels.tolist() == [0, 1]
+        assert labels.dtype == np.int64
+
+    def test_gap_in_unvalidated_record(self):
+        record = make_record()
+        record.labels = [
+            LabelSpan(0.0, 0.5, NeedLevelLabel.FLOW),
+            LabelSpan(1.0, 2.0, NeedLevelLabel.L2),
+        ]
+        assert binary_labels(record, [0.4, 1.0]).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="no label span covers time 0.5"):
+            binary_labels(record, [0.4, 0.5])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_time_reference(self, data):
+        """Random contiguous span layouts, possibly with one span
+        dropped (an unvalidated record with a gap), probed on every span
+        boundary, at 0, just below the duration and anywhere between."""
+        cuts = sorted(
+            data.draw(st.sets(st.integers(1, 9999), min_size=1, max_size=8))
+        )
+        bounds = [0, *cuts]
+        levels = data.draw(
+            st.lists(
+                st.sampled_from(list(NeedLevelLabel)),
+                min_size=len(bounds) - 1,
+                max_size=len(bounds) - 1,
+            )
+        )
+        spans = [
+            LabelSpan(a / 1000, b / 1000, level)
+            for a, b, level in zip(bounds, bounds[1:], levels)
+        ]
+        if len(spans) > 1 and data.draw(st.booleans()):
+            spans.pop(data.draw(st.integers(0, len(spans) - 1)))
+        order = data.draw(st.permutations(spans))
+        duration = bounds[-1] / 1000
+        record = SessionRecord("h00", duration, labels=list(order))
+        edges = [b / 1000 for b in bounds]
+        probes = [*edges, 0.0, np.nextafter(duration, 0.0), -0.001]
+        times = data.draw(
+            st.lists(
+                st.sampled_from(probes)
+                | st.floats(-0.01, duration + 0.01, allow_nan=False),
+                max_size=12,
+            )
+        )
+
+        # every time is range-checked before any is looked up
+        outside = [t for t in times if not 0.0 <= t < duration]
+        covering = [[s for s in spans if s.start <= t < s.end] for t in times]
+        uncovered = [t for t, c in zip(times, covering) if not c]
+        if outside or uncovered:
+            message = (
+                f"time {outside[0]} outside [0, {duration})"
+                if outside
+                else f"no label span covers time {uncovered[0]}"
+            )
+            with pytest.raises(ValueError) as err:
+                binary_labels(record, times)
+            assert str(err.value) == message
+        else:
+            expected = [c[0].level.binary for c in covering]
+            assert binary_labels(record, times).tolist() == expected
 
 
 class TestLanguageCorpusExport:
@@ -333,70 +424,74 @@ class TestLanguageCorpusExport:
 
 class TestFusionMatrixExport:
     def test_single_session_row_count_and_dim(self):
-        matrix = export_fusion_matrix([ticks_record()], window=20)
+        matrix = export([ticks_session()], window=20)
         assert matrix.n_rows == 81
         assert matrix.dim == 60
         assert len(matrix.anchors) == 81
 
     def test_rows_match_python_slices(self):
-        record = ticks_record()
-        matrix = export_fusion_matrix([record], window=20)
-        ticks = [m.originating_time for m in record.messages("need_mutual")]
-        series = {
-            name: [m.payload for m in record.messages(name)]
-            for name in ("need_mutual", "need_confirmatory", "need_language")
-        }
+        record, (ticks, frames) = ticks_session()
+        matrix = export([(record, (ticks, frames))], window=20)
+        series = frames.tolist()
         for i, (sid, anchor_t) in enumerate(matrix.anchors):
             assert sid == record.session_id
             assert anchor_t == ticks[i + 19]
             expected = []
             for k in range(i, i + 20):
-                expected += [
-                    series["need_mutual"][k],
-                    series["need_confirmatory"][k],
-                    series["need_language"][k],
-                ]
+                expected += series[k]
             assert matrix.features[i].tolist() == expected
-            assert matrix.labels[i] == binary_label_at(record, anchor_t)
+            (level,) = [
+                span.level
+                for span in record.labels
+                if span.start <= anchor_t < span.end
+            ]
+            assert matrix.labels[i] == level.binary
 
     def test_final_grid_point_contributes_no_row(self):
-        matrix = export_fusion_matrix([ticks_record()], window=20)
+        matrix = export([ticks_session()], window=20)
         assert all(t < 10.0 for _, t in matrix.anchors)
         assert matrix.anchors[-1] == ("t00", 9.9)
         assert matrix.anchors[0] == ("t00", 1.9)
 
     def test_sessions_concatenated_in_id_order(self):
-        a, b = ticks_record("a0"), ticks_record("b0")
-        matrix = export_fusion_matrix([b, a], window=20)
+        a, b = ticks_session("a0"), ticks_session("b0")
+        matrix = export([b, a], window=20)
         assert matrix.n_rows == 162
         assert [sid for sid, _ in matrix.anchors[:81]] == ["a0"] * 81
         assert [sid for sid, _ in matrix.anchors[81:]] == ["b0"] * 81
 
     def test_window_one(self):
-        matrix = export_fusion_matrix([ticks_record()], window=1)
+        matrix = export([ticks_session()], window=1)
         assert matrix.n_rows == 100
         assert matrix.dim == 3
 
     def test_short_session_contributes_nothing(self):
-        record = ticks_record(duration=1.0)
-        matrix = export_fusion_matrix([record], window=20)
+        matrix = export([ticks_session(duration=1.0)], window=20)
         assert matrix.n_rows == 0
         assert matrix.dim == 60
 
+    def test_records_and_frames_must_line_up(self):
+        record, derived = ticks_session()
+        with pytest.raises(ValueError):
+            export_fusion_matrix([record], [derived, derived], window=20)
+
     def test_missing_stream_rejected(self):
-        record = ticks_record()
+        record, (ticks, frames) = ticks_session()
+        record = derived_record(record, ticks, frames)
         record.streams.pop("need_language")
         with pytest.raises(SessionFormatError, match="need_language"):
-            export_fusion_matrix([record], window=20)
+            need_frames(record)
 
     def test_off_grid_stream_rejected(self):
-        record = ticks_record()
+        record, (ticks, frames) = ticks_session()
+        record = derived_record(record, ticks, frames)
         record.streams["need_language"] = record.streams["need_language"][:-1]
         with pytest.raises(SessionFormatError, match="grid"):
-            export_fusion_matrix([record], window=20)
+            need_frames(record)
 
     def test_dtype_and_bounds(self):
-        matrix = export_fusion_matrix([ticks_record()], window=20)
+        matrix = export([ticks_session()], window=20)
         assert matrix.features.dtype == np.float64
         assert matrix.features.min() >= 0.0
         assert matrix.features.max() <= 1.0
+

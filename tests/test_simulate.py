@@ -211,6 +211,31 @@ class TestScriptFiles:
         save_script(load_script(path), tmp_path / "b.script")
         assert path.read_bytes() == (tmp_path / "b.script").read_bytes()
 
+    def test_file_errors_name_the_path_and_keep_the_line(self, tmp_path):
+        path = tmp_path / "bad.script"
+        lines = script_to_lines(self.script())
+        lines[1] = lines[1].replace("duration=8.000", "duration=abc")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SessionFormatError) as err:
+            load_script(path)
+        assert str(err.value) == f"{path}: line 2: bad number for 'duration': abc"
+        assert err.value.line == 2
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(SessionFormatError) as err:
+            load_script(path)
+        assert str(err.value) == f"{path}: empty script file"
+
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.script"
+        save_script(self.script(), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b" \xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SessionFormatError) as err:
+            load_script(path)
+        assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+        assert err.value.line == 3
+
     def test_benchmark_scripts_round_trip(self):
         for script in benchmark_suite(4, seed=2):
             assert parse_script(script_to_lines(script)) == script
