@@ -2,11 +2,12 @@
 
 Each case times one layer of `needsense train` or `needsense run` on the
 canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 7,339
-training rows x 60): stage-1 materialize, the fusion-matrix export,
-batch prediction over every training row, loading the saved forest, and
-the decisions of one session, both through the live shell and as `run`
-scores a file (stage 1 plus one batch prediction).  `testpaths` does not
-collect this directory, so run it directly:
+training rows x 60): loading the 20 session files, stage-1 materialize,
+the fusion-matrix export, batch prediction over every training row,
+loading the saved forest, and the decisions of one session, both through
+the live shell and as `run` scores a file (stage 1 plus one batch
+prediction).  `testpaths` does not collect this directory, so run it
+directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py
 
@@ -43,16 +44,24 @@ DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad6
 
 
 @pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    """Raw sessions, the text model, their stage-1 (ticks, frames) and
-    the default forest, as `needsense train` makes them."""
+def session_paths(tmp_path_factory):
+    """The suite's 20 session files, as `needsense simulate` writes them."""
     cfg = Config()
     ds0 = tmp_path_factory.mktemp("ds0")
-    records = []
+    paths = []
     for i, script in enumerate(benchmark_suite(20, seed=0)):
         path = ds0 / f"s{i:02d}.session"
         simulate(script, path.stem, thresholds=cfg.thresholds()).save(path)
-        records.append(load_session(path))
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def suite(session_paths):
+    """Raw sessions, the text model, their stage-1 (ticks, frames) and
+    the default forest, as `needsense train` makes them."""
+    cfg = Config()
+    records = [load_session(path) for path in session_paths]
     nb = train_from_utterances(
         export_language_corpus(records),
         alpha=cfg.nb_alpha,
@@ -65,6 +74,17 @@ def suite(tmp_path_factory):
     matrix = export_fusion_matrix(records, ds1, cfg.window_w)
     rf = train_rf(matrix, cfg.forest_config())
     return cfg, records, nb, ds1, matrix, rf
+
+
+def test_parse_suite_sessions(benchmark, session_paths):
+    records = benchmark.pedantic(
+        lambda: [load_session(path) for path in session_paths],
+        rounds=5,
+        iterations=1,
+    )
+    for path, record in zip(session_paths, records, strict=True):
+        data = ("\n".join(record.to_lines()) + "\n").encode("utf-8")
+        assert data == path.read_bytes(), path.name
 
 
 def test_stage1_materialize_20_sessions(benchmark, suite):

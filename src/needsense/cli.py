@@ -11,8 +11,9 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import Iterable
 
-from .config import Config, ConfigError, load_config
+from .config import Config, load_config
 from .forest import RFModel
 from .fusion import (
     FusedDecision,
@@ -25,10 +26,7 @@ from .language import CorpusError, NBModel, train_from_utterances
 from .evaluation import run_full_eval
 from .sessions import (
     SessionFormatError,
-    _check_time,
-    _parse_fields,
-    _parse_float,
-    _parse_payload,
+    SessionReader,
     derived_record,
     export_fusion_matrix,
     export_language_corpus,
@@ -37,6 +35,7 @@ from .sessions import (
     load as load_session,
 )
 from .simulate import benchmark_suite, load_script, save_script, simulate
+from .streams import read_lines, text_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,31 +185,34 @@ RUN_KEYS = (
 )
 
 
-def _read_manifest(models: Path) -> tuple[dict[str, str], dict[str, str]]:
+def _parse_manifest(lines: Iterable[str]) -> tuple[dict[str, str], dict[str, str]]:
     """The config items and the sha256 per artifact of a training
     manifest."""
-    path = models / MANIFEST_NAME
-    if not path.is_file():
-        raise SessionFormatError(f"{path}: training manifest missing")
     items: dict[str, str] = {}
     digests: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line.startswith("artifact="):
-            name, _, digest = line[len("artifact="):].partition(" sha256=")
+    for line_no, line in enumerate(lines, start=1):
+        key, eq, value = line.strip().partition("=")
+        name, sha, digest = value.partition(" sha256=")
+        if key == "artifact" and sha:
             digests[name] = digest
-        elif line:
-            key, _, value = line.partition("=")
+        elif eq and key != "artifact":
             items[key] = value
+        elif line.strip():
+            raise SessionFormatError(
+                "expected key=value or artifact=<name> sha256=<digest>", line_no
+            )
     if items.get("manifest_version") != "1":
-        raise SessionFormatError(f"{path}: unsupported manifest version")
+        raise SessionFormatError("unsupported manifest version")
     return items, digests
 
 
 def _check_manifest(cfg: Config, models: Path, rf: RFModel) -> None:
     """The parsed models must be the ones the manifest records, trained
     under the active values of every run-time key."""
-    items, digests = _read_manifest(models)
+    path = models / MANIFEST_NAME
+    if not path.is_file():
+        raise SessionFormatError(f"{path}: training manifest missing")
+    items, digests = read_lines(path, _parse_manifest)
     for name in (NB_MODEL_NAME, RF_MODEL_NAME):
         if digests.get(name) != _sha256(models / name):
             raise MismatchError(
@@ -249,9 +251,8 @@ def _warn_warmup(cfg: Config) -> None:
 
 def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     """Causal line-by-line mode: each decision is printed using only the
-    input received so far.  Input must be in session format, messages in
-    non-decreasing global time order, each stream's strictly increasing and
-    within the header's duration."""
+    input received so far, read as a session file is but with live input
+    streams only, in non-decreasing global time order."""
     pipe, sink = live_pipeline(
         nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
     )
@@ -266,42 +267,17 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
             emitted = len(sink)
             out.flush()  # a pipe reader sees each decision as its tick is reached
 
-    duration = None
-    last_global = None
-    last_t: dict[str, float] = {}
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = _parse_fields(line, line_no)
-        if duration is None:
-            if fields.get("format_version") != "1":
-                raise SessionFormatError(
-                    "expected a session header on standard input", line_no
-                )
-            duration = _parse_float(fields, "duration", line_no)
-            continue
-        name = fields.get("stream")
+    reader = SessionReader(text_lines(stream), in_time_order=True)
+    for line_no, name, item in reader:
         if name == "label":
             continue
         if name not in ("gaze_raw", "utterance"):
             raise SessionFormatError(
                 f"stream {name!r} is not a live input", line_no
             )
-        t = _parse_float(fields, "t", line_no)
-        if last_global is not None and t < last_global:
-            raise SessionFormatError(
-                f"message at t={t} arrives after t={last_global}; live input "
-                "must be in global time order",
-                line_no,
-            )
-        _check_time(name, t, duration, last_t, line_no)
-        last_global = t
-        pipe.emit(name, t, _parse_payload(name, fields, line_no))
+        pipe.emit(name, item.originating_time, item.payload)
         flush()
-    if duration is None:
-        raise SessionFormatError("no session header on standard input")
-    pipe.finalize(duration)
+    pipe.finalize(reader.duration)
     flush()
     if not sink:
         _warn_warmup(cfg)
@@ -408,14 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (
-        SessionFormatError,
-        CorpusError,
-        StageError,
-        ConfigError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (StageError, OSError, ValueError) as exc:  # every data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

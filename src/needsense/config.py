@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from .forest import ForestConfig
 from .gaze import GazeConfig, GazeThresholds
+from .streams import SessionFormatError, read_lines
 
 
 MAX_CADENCE_HZ = 1000.0
 
 
-class ConfigError(ValueError):
-    """Bad configuration file or values."""
+class ConfigError(SessionFormatError):
+    """Bad configuration file or values; carries its line number if known."""
 
 
 @dataclass
@@ -128,19 +130,27 @@ def config_from_items(items: dict[str, str]) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    """Read a key=value config file; blank lines and # comments allowed."""
+    """Read a key=value config file; blank lines and # comments allowed.
+    Every error names the path and the line."""
+    return read_lines(path, _parse_config)
+
+
+def _parse_config(lines: Iterable[str]) -> Config:
     items: dict[str, str] = {}
-    for i, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path} line {i}: expected key=value")
+            raise ConfigError("expected key=value", i)
         key, _, value = line.partition("=")
         key = key.strip()
         if key in items:
-            raise ConfigError(f"{path} line {i}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}", i)
+        try:
+            # every check on a value involves that value alone
+            config_from_items({key: value})
+        except ConfigError as exc:
+            raise ConfigError(str(exc), i) from None
         items[key] = value
     return config_from_items(items)

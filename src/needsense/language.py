@@ -16,6 +16,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
+
+from .streams import SessionFormatError, read_lines
 
 QUESTION_WORDS = frozenset(
     {"what", "who", "which", "where", "when", "how", "why"}
@@ -135,13 +138,15 @@ class NBModel:
         return lines
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> "NBModel":
+    def from_lines(cls, lines: Iterable[str]) -> "NBModel":
         """Parse the lines of a model file; every error names its line."""
-        if not lines or lines[0].strip() != "format=needsense-nb version=1":
-            raise _line_error(1, "not a naive Bayes model file")
+        lines = iter(lines)
+        if next(lines, "").strip() != "format=needsense-nb version=1":
+            raise SessionFormatError("not a naive Bayes model file", 1)
         alpha = use_aggregates = doc_counts = None
         token_counts: dict[str, tuple[int, int]] = {}
-        for line_no, line in enumerate(lines[1:], start=2):
+        line_no = 1
+        for line_no, line in enumerate(lines, start=2):
             fields = line.split()
             if not fields:
                 continue
@@ -166,9 +171,11 @@ class NBModel:
                 else:
                     raise ValueError("unrecognized or repeated model line")
             except ValueError as exc:
-                raise _line_error(line_no, f"{exc}: {line.strip()}") from None
+                raise SessionFormatError(f"{exc}: {line.strip()}", line_no) from None
         if alpha is None or doc_counts is None:
-            raise _line_error(len(lines) + 1, "model file ends without alpha or docs")
+            raise SessionFormatError(
+                "model file ends without alpha or docs", line_no + 1
+            )
         return cls(alpha, use_aggregates is not False, doc_counts, token_counts)
 
     def save(self, path: str | Path) -> None:
@@ -176,18 +183,7 @@ class NBModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NBModel":
-        data = Path(path).read_bytes()
-        try:
-            return cls.from_lines(data.decode("utf-8").splitlines())
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{path}: line {line_no}: not UTF-8 text") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _line_error(line_no: int, message: str) -> ValueError:
-    return ValueError(f"line {line_no}: {message}")
+        return read_lines(path, cls.from_lines)
 
 
 def _count_pair(fields: list[str]) -> tuple[int, int]:

@@ -6,6 +6,9 @@ and need values 6; the canonical form orders messages globally by
 (time, stream), which keeps files diffable, byte-reproducible, and
 directly replayable in time order.
 
+A file's lines and those of a live session on standard input pass
+through one incremental reader (`SessionReader`).
+
 Two stores share this format: raw recordings (gaze observations and
 utterances) and derived recordings (per-tick model outputs).  In memory
 the first training stage hands the second plain (ticks, frames) arrays;
@@ -19,27 +22,21 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaze import GazeObservation
 from .language import Utterance
-from .streams import TimestampedMessage, time_ordered
+from .streams import SessionFormatError, TimestampedMessage, read_lines, time_ordered
 
 FORMAT_VERSION = 1
 
-# Streams with a defined on-disk payload encoding.
-STORABLE_STREAMS = (
-    "gaze_raw",
-    "utterance",
-    "need_mutual",
-    "need_confirmatory",
-    "need_language",
-    "need_fused",
-)
-
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
+
+# Streams with a defined on-disk payload encoding.
+STORABLE_STREAMS = ("gaze_raw", "utterance", *NEED_STREAMS, "need_fused")
 
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -73,16 +70,6 @@ class LabelSpan:
     level: NeedLevelLabel
 
 
-class SessionFormatError(ValueError):
-    """Malformed session data; carries the offending line number if known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 def fmt_time(t: float) -> str:
     return f"{round(t, 3) + 0.0:.3f}"
 
@@ -96,17 +83,7 @@ def _escape(text: str) -> str:
 
 
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", r"\1", text, flags=re.DOTALL)
 
 
 @dataclass
@@ -132,21 +109,16 @@ class SessionRecord:
             raise SessionFormatError(f"invalid session id {self.session_id!r}")
         if not self.duration > 0:
             raise SessionFormatError("duration must be > 0")
+        last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
             if name not in STORABLE_STREAMS:
                 raise SessionFormatError(f"unknown stream name {name!r}")
-            last = None
             for msg in msgs:
+                _check_time(name, msg.originating_time, self.duration, last_t)
+        for msg in self.messages("utterance"):  # else it would not load back
+            if not msg.payload.strip() or {"\n", "\r"} & set(msg.payload):
                 t = msg.originating_time
-                if not 0.0 <= t <= self.duration:
-                    raise SessionFormatError(
-                        f"stream {name}: time {t} outside [0, {self.duration}]"
-                    )
-                if last is not None and t <= last:
-                    raise SessionFormatError(
-                        f"stream {name}: non-monotone time {t} after {last}"
-                    )
-                last = t
+                raise SessionFormatError(f"utterance at {t} is blank or spans lines")
         _validate_labels(self.labels, self.duration)
 
     def to_lines(self) -> list[str]:
@@ -254,8 +226,26 @@ def _parse_float(fields: dict[str, str], key: str, line_no: int) -> float:
     return v
 
 
+def _header(
+    lines: Iterable[str], kind: str, version_key: str, version: int
+) -> tuple[int, dict[str, str], Iterator[tuple[int, str]]]:
+    """The line number and fields of the first nonblank line, a header
+    with `version_key`=`version`, and the numbered nonblank lines after it."""
+    rows = ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
+    first = next(rows, None)
+    if first is None:
+        raise SessionFormatError(f"empty {kind} file")
+    line_no, header = first
+    fields = _parse_fields(header, line_no)
+    if fields.get(version_key) != str(version):
+        raise SessionFormatError(
+            f"unsupported or missing {version_key} in header", line_no
+        )
+    return line_no, fields, rows
+
+
 def _check_time(
-    name: str, t: float, duration: float, last_t: dict[str, float], line_no: int
+    name: str, t: float, duration: float, last_t: dict[str, float], line_no=None
 ) -> None:
     """A message's t must lie in [0, duration] and be later than the previous
     message on its stream; records it as that stream's last time."""
@@ -271,58 +261,73 @@ def _check_time(
     last_t[name] = t
 
 
-def parse_session(lines: list[str]) -> SessionRecord:
-    """Parse and validate a session; errors name the offending line."""
-    rows = [
-        (i + 1, line.rstrip("\n"))
-        for i, line in enumerate(lines)
-        if line.strip()
-    ]
-    if not rows:
-        raise SessionFormatError("empty session file")
-    line_no, header = rows[0]
-    fields = _parse_fields(header, line_no)
-    if fields.get("format_version") != str(FORMAT_VERSION):
-        raise SessionFormatError(
-            f"unsupported or missing format_version in header", line_no
-        )
-    session_id = fields.get("session_id", "")
-    if not _SESSION_ID_RE.match(session_id):
-        raise SessionFormatError(f"invalid session id {session_id!r}", line_no)
-    duration = _parse_float(fields, "duration", line_no)
+class SessionReader:
+    """Session-format lines read one at a time, the header on construction.
+    Iterating yields (line number, stream name, `LabelSpan` or
+    `TimestampedMessage`) per later line once it passes every check that
+    needs no later line; `in_time_order` also bars a message earlier than
+    the one before it."""
 
+    def __init__(self, lines: Iterable[str], in_time_order: bool = False):
+        line_no, fields, self._rows = _header(
+            lines, "session", "format_version", FORMAT_VERSION
+        )
+        self.session_id = fields.get("session_id", "")
+        if not _SESSION_ID_RE.match(self.session_id):
+            raise SessionFormatError(f"invalid session id {self.session_id!r}", line_no)
+        self.duration = _parse_float(fields, "duration", line_no)
+        self.in_time_order = in_time_order
+
+    def __iter__(self) -> Iterator[tuple[int, str, object]]:
+        last_t: dict[str, float] = {}
+        latest = float("-inf")
+        for line_no, line in self._rows:
+            fields = _parse_fields(line, line_no)
+            name = fields.get("stream")
+            if name is None:
+                raise SessionFormatError("missing stream field", line_no)
+            if name == "label":
+                start = _parse_float(fields, "start", line_no)
+                end = _parse_float(fields, "end", line_no)
+                level = _need_level(fields.get("level", ""), line_no)
+                yield line_no, name, LabelSpan(start, end, level)
+                continue
+            if name not in STORABLE_STREAMS:
+                raise SessionFormatError(f"unknown stream name {name!r}", line_no)
+            t = _parse_float(fields, "t", line_no)
+            if self.in_time_order and t < latest:
+                raise SessionFormatError(
+                    f"message at t={t} arrives after t={latest}; live input "
+                    "must be in global time order",
+                    line_no,
+                )
+            latest = t
+            _check_time(name, t, self.duration, last_t, line_no)
+            payload = _parse_payload(name, fields, line_no)
+            yield line_no, name, TimestampedMessage(t, payload)
+
+
+def parse_session(lines: Iterable[str]) -> SessionRecord:
+    """Parse and validate a session; errors name the offending line."""
+    reader = SessionReader(lines)
     streams: dict[str, list[TimestampedMessage]] = {}
-    last_t: dict[str, float] = {}
     labels: list[LabelSpan] = []
     label_lines: dict[float, int] = {}
-
-    for line_no, line in rows[1:]:
-        fields = _parse_fields(line, line_no)
-        name = fields.get("stream")
-        if name is None:
-            raise SessionFormatError("missing stream field", line_no)
+    for line_no, name, item in reader:
         if name == "label":
-            start = _parse_float(fields, "start", line_no)
-            end = _parse_float(fields, "end", line_no)
-            level_text = fields.get("level", "")
-            try:
-                level = NeedLevelLabel(level_text)
-            except ValueError:
-                raise SessionFormatError(
-                    f"unknown need level {level_text!r}", line_no
-                )
-            labels.append(LabelSpan(start, end, level))
-            label_lines[start] = line_no
-            continue
-        if name not in STORABLE_STREAMS:
-            raise SessionFormatError(f"unknown stream name {name!r}", line_no)
-        t = _parse_float(fields, "t", line_no)
-        _check_time(name, t, duration, last_t, line_no)
-        payload = _parse_payload(name, fields, line_no)
-        streams.setdefault(name, []).append(TimestampedMessage(t, payload))
+            labels.append(item)
+            label_lines[item.start] = line_no
+        else:
+            streams.setdefault(name, []).append(item)
+    _validate_labels(labels, reader.duration, label_lines)
+    return SessionRecord(reader.session_id, reader.duration, streams, labels)
 
-    _validate_labels(labels, duration, label_lines)
-    return SessionRecord(session_id, duration, streams, labels)
+
+def _need_level(text: str, line_no: int) -> NeedLevelLabel:
+    try:
+        return NeedLevelLabel(text)
+    except ValueError:
+        raise SessionFormatError(f"unknown need level {text!r}", line_no) from None
 
 
 def _parse_payload(name: str, fields: dict[str, str], line_no: int):
@@ -336,10 +341,7 @@ def _parse_payload(name: str, fields: dict[str, str], line_no: int):
             confidence=conf,
         )
     if name == "utterance":
-        raw = fields.get("text")
-        if raw is None or not (raw.startswith('"') and raw.endswith('"')):
-            raise SessionFormatError("utterance missing quoted text", line_no)
-        text = _unescape(raw[1:-1])
+        text = _quoted_text(fields, line_no)
         if not text.strip():
             raise SessionFormatError("utterance text is empty", line_no)
         return text
@@ -349,24 +351,16 @@ def _parse_payload(name: str, fields: dict[str, str], line_no: int):
     return v
 
 
-def _read_lines(path: Path, parse):
-    """`parse` applied to the lines of a UTF-8 text file; every
-    `SessionFormatError`, and a byte that is not UTF-8, names the file."""
-    data = path.read_bytes()
-    try:
-        return parse(data.decode("utf-8").splitlines())
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        error = SessionFormatError("not UTF-8 text", line)
-    except SessionFormatError as exc:
-        error = exc
-    error.args = (f"{path}: {error}",)  # keeps error.line
-    raise error from None
+def _quoted_text(fields: dict[str, str], line_no: int) -> str:
+    raw = fields.get("text")
+    if raw is None or not (raw.startswith('"') and raw.endswith('"')):
+        raise SessionFormatError("utterance missing quoted text", line_no)
+    return _unescape(raw[1:-1])
 
 
 def load(path: str | Path) -> SessionRecord:
     """Read and parse a session file; every error names the file."""
-    return _read_lines(Path(path), parse_session)
+    return read_lines(path, parse_session)
 
 
 def binary_labels(record: SessionRecord, times) -> np.ndarray:
@@ -391,7 +385,7 @@ def binary_labels(record: SessionRecord, times) -> np.ndarray:
 
 @dataclass
 class TrainingMatrix:
-    """Windowed feature rows with binary labels and per-row provenance.
+    """Windowed feature rows with binary labels and the anchor of each row.
 
     Anchors are (session_id, anchor time) pairs defining the canonical row
     ordering that downstream training relies on for reproducibility.
@@ -400,7 +394,6 @@ class TrainingMatrix:
     features: np.ndarray
     labels: np.ndarray
     anchors: list[tuple[str, float]]
-    provenance: str
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -515,13 +508,8 @@ def export_fusion_matrix(
         blocks.append(frame_windows(frames, window)[: len(kept)])
         label_blocks.append(binary_labels(record, kept))
         anchors.extend((record.session_id, t) for t in kept)
-    provenance = (
-        f"fusion_export window={window} "
-        f"sessions={','.join(r.session_id for r, _ in ordered)}"
-    )
     return TrainingMatrix(
         features=np.concatenate(blocks),
         labels=np.concatenate(label_blocks),
         anchors=anchors,
-        provenance=provenance,
     )

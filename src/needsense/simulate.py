@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from .sessions import (
     SessionFormatError,
     SessionRecord,
     _escape,
+    _header,
+    _need_level,
     _parse_fields,
     _parse_float,
-    _read_lines,
-    _unescape,
+    _quoted_text,
     fmt_time,
 )
-from .streams import TimestampedMessage
+from .streams import TimestampedMessage, read_lines
 
 FRAME_HZ = 30.0
 
@@ -218,21 +220,9 @@ def save_script(script: ScenarioScript, path: str | Path) -> None:
     )
 
 
-def parse_script(lines: list[str]) -> ScenarioScript:
+def parse_script(lines: Iterable[str]) -> ScenarioScript:
     """Parse a script file; errors carry the offending line number."""
-    rows = [
-        (i + 1, line.rstrip("\n"))
-        for i, line in enumerate(lines)
-        if line.strip()
-    ]
-    if not rows:
-        raise SessionFormatError("empty script file")
-    line_no, header = rows[0]
-    fields = _parse_fields(header, line_no)
-    if fields.get("script_version") != str(SCRIPT_VERSION):
-        raise SessionFormatError(
-            "unsupported or missing script_version in header", line_no
-        )
+    line_no, fields, rows = _header(lines, "script", "script_version", SCRIPT_VERSION)
     try:
         seed = int(fields.get("seed", "0"))
     except ValueError:
@@ -240,57 +230,36 @@ def parse_script(lines: list[str]) -> ScenarioScript:
     noise = _parse_float(fields, "noise", line_no) if "noise" in fields else 0.0
 
     segments: list[SegmentSpec] = []
-    current: dict | None = None
+    current: list | None = None  # line number, then the open segment's fields
 
     def close_current() -> None:
         if current is not None:
+            line_no, *spec, utterances = current
             try:
-                segments.append(
-                    SegmentSpec(
-                        duration=current["duration"],
-                        level=current["level"],
-                        behavior=current["behavior"],
-                        utterances=tuple(current["utterances"]),
-                    )
-                )
+                segments.append(SegmentSpec(*spec, tuple(utterances)))
             except ValueError as exc:
-                raise SessionFormatError(str(exc), current["line"])
+                raise SessionFormatError(str(exc), line_no)
 
-    for line_no, line in rows[1:]:
+    for line_no, line in rows:
         keyword, _, rest = line.strip().partition(" ")
         fields = _parse_fields(rest, line_no)
         if keyword == "segment":
             close_current()
-            level_text = fields.get("label", "")
-            try:
-                level = NeedLevelLabel(level_text)
-            except ValueError:
-                raise SessionFormatError(
-                    f"unknown need level {level_text!r}", line_no
-                )
+            level = _need_level(fields.get("label", ""), line_no)
             behavior = fields.get("gaze", "")
             try:
                 _parse_behavior(behavior)
             except ValueError as exc:
                 raise SessionFormatError(str(exc), line_no)
-            current = {
-                "duration": _parse_float(fields, "duration", line_no),
-                "level": level,
-                "behavior": behavior,
-                "utterances": [],
-                "line": line_no,
-            }
+            duration = _parse_float(fields, "duration", line_no)
+            current = [line_no, duration, level, behavior, []]
         elif keyword == "utterance":
             if current is None:
                 raise SessionFormatError(
                     "utterance before any segment", line_no
                 )
-            raw = fields.get("text")
-            if raw is None or not (raw.startswith('"') and raw.endswith('"')):
-                raise SessionFormatError("utterance missing quoted text", line_no)
-            current["utterances"].append(
-                (_parse_float(fields, "offset", line_no), _unescape(raw[1:-1]))
-            )
+            text = _quoted_text(fields, line_no)
+            current[-1].append((_parse_float(fields, "offset", line_no), text))
         else:
             raise SessionFormatError(
                 f"unrecognized script line {keyword!r}", line_no
@@ -306,7 +275,7 @@ def parse_script(lines: list[str]) -> ScenarioScript:
 
 def load_script(path: str | Path) -> ScenarioScript:
     """Read and parse a script file; every error names the file."""
-    return _read_lines(Path(path), parse_script)
+    return read_lines(path, parse_script)
 
 
 # Phrase banks for the benchmark suite.  Vocabulary deliberately bleeds

@@ -5,7 +5,8 @@ scheduler orders deliveries and ticks by those times, never by when they
 are processed.  This is what makes the live path, which wires the models
 onto a `Pipeline` (see `fusion`), reproduce the batch computation over a
 recorded session exactly: both see the same originating times regardless
-of processing latency.
+of processing latency.  For the same reason a session file and a live
+session on standard input are read through one line reader.
 
 Time resolution is one millisecond; producers are expected to round
 originating times to 3 decimal places (the wire precision) so in-memory
@@ -15,7 +16,8 @@ values match what survives a save/load round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
 # Fixed stream vocabulary; wiring with any other name is an error.
 KNOWN_STREAM_NAMES = (
@@ -30,6 +32,46 @@ KNOWN_STREAM_NAMES = (
     "need_fused",
     "label",
 )
+
+
+class SessionFormatError(ValueError):
+    """Malformed line-oriented input; carries its line number if known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def _split(text: str) -> list[str]:
+    # the one newline rule: "\n", "\r\n" or "\r" and nothing else, so text
+    # keeps the U+2028, form feeds and the like str.splitlines splits at
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def text_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of text arriving in chunks of whole lines, as a text
+    stream's lines or a whole file do, each line as soon as its chunk."""
+    for chunk in chunks:
+        lines = _split(chunk)
+        if not lines[-1]:
+            lines.pop()  # nothing follows the chunk's last line end
+        yield from lines
+
+
+def read_lines(path: str | Path, parse: Callable[[Iterator[str]], Any]) -> Any:
+    """`parse` of the `text_lines` of a UTF-8 file.  A byte that is not
+    UTF-8 is an error naming its line, and every `ValueError` gets the path
+    prefixed, keeping its type and `line`."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(text_lines([data.decode("utf-8")]))
+    except UnicodeDecodeError as exc:
+        line = len(_split(data[: exc.start].decode("utf-8")))
+        error = SessionFormatError("not UTF-8 text", line)
+    except ValueError as exc:
+        error = exc
+    error.args = (f"{path}: {error}",)
+    raise error from None
 
 
 class StreamError(Exception):

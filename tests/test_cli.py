@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import re
+import shutil
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needsense.cli import _run_stdin, main
 from needsense.config import Config, ConfigError, config_from_items, load_config
 from needsense.forest import RFModel
 from needsense.language import NBModel
-from needsense.sessions import load as load_session
+from needsense.sessions import (
+    LabelSpan,
+    NeedLevelLabel,
+    SessionFormatError,
+    SessionRecord,
+    load as load_session,
+)
+from needsense.streams import TimestampedMessage
 
 LIGHT_CONFIG = "\n".join(
     [
@@ -114,6 +126,28 @@ class TestConfig:
         path.write_text("seed=1\nseed=2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (b"seed=1\nwindow_w\n", 2, "expected key=value"),
+            (b"seed=1\nseed=2\n", 2, "duplicate key 'seed'"),
+            (b"# c\n\nrf_trees=10\n", 3, "unknown config key 'rf_trees'"),
+            (b"seed=abc\n", 1, "bad value for 'seed': 'abc'"),
+            (b"seed=1\nwindow_w=0\n", 2, "window_w must be >= 1"),
+            (b"seed=1\nseed\xff=2\n", 2, "not UTF-8 text"),
+        ],
+    )
+    def test_file_errors_name_the_path_and_the_line(
+        self, tmp_path, text, line, message
+    ):
+        path = tmp_path / "a.cfg"
+        path.write_bytes(text)
+        with pytest.raises(SessionFormatError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+        assert err.value.line == line
+        assert isinstance(err.value, ConfigError) == (message != "not UTF-8 text")
 
     def test_gaze_config_carries_thresholds(self):
         cfg = config_from_items(
@@ -257,6 +291,10 @@ class TestEvalCommand:
         )
         assert code == 3
         assert "at least" in capsys.readouterr().err
+
+
+# every character str.splitlines splits at besides \n and \r
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def run_lines(workspace, capsys, *extra):
@@ -411,6 +449,27 @@ class TestRunCommand:
         )
         assert code == 3
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sep", SEPARATORS, ids=[f"U+{ord(c):04X}" for c in SEPARATORS]
+    )
+    def test_utterance_with_a_separator_runs_alike_from_file_and_stdin(
+        self, workspace, tmp_path, capsys, monkeypatch, sep
+    ):
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        text = session.read_text(encoding="utf-8")
+        assert 'text="' in text
+        text = text.replace('text="', f'text="help{sep}', 1)
+        path = tmp_path / session.name
+        path.write_text(text, encoding="utf-8")
+        argv = ["run", "--config", str(workspace["config"]),
+                "--models", str(workspace["models"])]
+        assert main([*argv, str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert from_file
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([*argv, "-"]) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_stdin_flushes_each_decision_before_reading_on(self, workspace):
         class RecordingOut:
@@ -622,6 +681,47 @@ class TestExitCodes:
         assert captured.out == ""
         assert "nb.model does not match the sha256" in captured.err
 
+    @pytest.mark.parametrize("target", ["config", "manifest"])
+    def test_non_utf8_config_or_manifest_is_exit_three(
+        self, workspace, tmp_path, capsys, target
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        config = tmp_path / "needsense.cfg"
+        shutil.copy(workspace["config"], config)
+        path = config if target == "config" else models / "manifest.txt"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(config), str(session), "--models", str(models)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: line 3: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("bad", ["not a manifest line", "artifact=nb.model"])
+    def test_malformed_manifest_line_is_exit_three(
+        self, workspace, tmp_path, capsys, bad
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        manifest = models / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        at = lines.index("rf_n_trees=15")
+        lines[at] = bad
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(
+            ["run", "--config", str(workspace["config"]), str(session),
+             "--models", str(models)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line {at + 1}: expected key=value or "
+            "artifact=<name> sha256=<digest>\n"
+        )
+
     def test_missing_manifest_is_exit_three(self, workspace, tmp_path, capsys):
         import shutil
 
@@ -738,3 +838,108 @@ class TestExitCodes:
         )
         assert code == 0
         capsys.readouterr()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """`data` with one line deleted, duplicated, swapped with another or
+    cut short, or with one byte replaced."""
+    lines = data.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "cut", "byte"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "cut":
+        body = lines[i].rstrip(b"\r\n")
+        lines[i] = body[: draw(st.integers(0, len(body)))] + lines[i][len(body):]
+    else:
+        out = bytearray(data)
+        out[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace, tmp_path_factory):
+    """A copy of the trained models and the config, and a 3 s session.
+    Its header's duration is one digit, so no one-byte edit declares an
+    hours-long session, which `run` would spend ticking through."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(workspace["models"], root / "models")
+    shutil.copy(workspace["config"], root / "needsense.cfg")
+    s00 = load_session(sorted(workspace["ds0"].glob("*.session"))[0])
+    record = SessionRecord(
+        session_id="fz",
+        duration=3.0,
+        streams={
+            "gaze_raw": [
+                m for m in s00.messages("gaze_raw") if m.originating_time < 3
+            ],
+            "utterance": [TimestampedMessage(1.5, "where does this piece go")],
+        },
+        labels=[LabelSpan(0.0, 3.0, NeedLevelLabel.L0)],
+    )
+    lines = record.to_lines()
+    lines[0] = "format_version=1 session_id=fz duration=3"
+    session = root / "fz.session"
+    session.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return root, session
+
+
+def run_in_process(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestMutatedInputs:
+    """Every mutated input ends in exit 0, 3 or 4 without a traceback, and
+    a data error names the mutated file, or a line of standard input."""
+
+    @pytest.mark.parametrize(
+        "target", ["models/nb.model", "models/manifest.txt", "needsense.cfg"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file(self, fuzz_inputs, target, data):
+        root, session = fuzz_inputs
+        path = root / target
+        original = path.read_bytes()
+        path.write_bytes(data.draw(mutated(original)))
+        try:
+            code, err = run_in_process(
+                ["run", "--config", str(root / "needsense.cfg"), str(session),
+                 "--models", str(root / "models")]
+            )
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith(f"error: {path}: "), err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_stdin(self, fuzz_inputs, data):
+        root, session = fuzz_inputs
+        # read as the standard input of a C or POSIX locale decodes it
+        text = data.draw(mutated(session.read_bytes())).decode(
+            "utf-8", "surrogateescape"
+        )
+        code, err = run_in_process(
+            ["run", "--config", str(root / "needsense.cfg"), "-",
+             "--models", str(root / "models")],
+            text,
+        )
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+        if code == 3:
+            assert re.match(r"error: line [1-9][0-9]*: ", err), err

@@ -382,7 +382,6 @@ class TestStage2:
             features=matrix.features[perm],
             labels=matrix.labels[perm],
             anchors=[matrix.anchors[i] for i in perm],
-            provenance=matrix.provenance,
         )
         a = train_rf(matrix, LIGHT_FOREST)
         b = train_rf(shuffled, LIGHT_FOREST)

@@ -26,6 +26,10 @@ from needsense.sessions import (
 from needsense.streams import TimestampedMessage, tick_times
 
 
+# every character str.splitlines splits at besides \n and \r
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def make_record(session_id="s00", duration=2.0):
     return SessionRecord(
         session_id=session_id,
@@ -285,6 +289,27 @@ class TestValidation:
         with pytest.raises(SessionFormatError) as err:
             load(path)
         assert str(err.value) == f"{path}: line 4: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "sep", SEPARATORS, ids=[f"U+{ord(c):04X}" for c in SEPARATORS]
+    )
+    def test_utterance_with_a_separator_character_round_trips(self, tmp_path, sep):
+        # a line ends only at \n, \r\n or \r, not wherever str.splitlines would
+        record = make_record()
+        text = f"where{sep}does this go"
+        record.streams["utterance"] = [TimestampedMessage(0.5, text)]
+        path = tmp_path / "s00.session"
+        record.save(path)
+        back = load(path)
+        assert back.messages("utterance")[0].payload == text
+        assert back.to_lines() == record.to_lines()
+
+    @pytest.mark.parametrize("text", ["two\nlines", "two\rlines", "two\r\nlines", " "])
+    def test_validate_rejects_an_utterance_that_would_not_load_back(self, text):
+        record = make_record()
+        record.streams["utterance"] = [TimestampedMessage(0.5, text)]
+        with pytest.raises(SessionFormatError, match="utterance at 0.5"):
+            record.validate()
 
     def test_validate_rejects_bad_session_id(self):
         record = make_record(session_id="has space")
