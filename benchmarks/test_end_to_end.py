@@ -127,7 +127,8 @@ def test_eval_one_tree_10_folds(benchmark, ds0, tmp_path, capsys):
         return capsys.readouterr().out
 
     out = benchmark.pedantic(run_eval, rounds=5, iterations=1)
-    assert codes == [0] * 5
+    # five rounds when timed, one under --benchmark-disable
+    assert codes and all(code == 0 for code in codes)
     assert _sha256(out.encode("utf-8")) == ONE_TREE_EVAL_10_FOLDS
 
 

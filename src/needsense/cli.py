@@ -2,13 +2,16 @@
 evaluate, and decide: `run` scores a session file in one batch and feeds
 standard input through the live decision pipeline.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 model/config mismatch.
+Exit codes: 0 success, 1 standard output closed early (a reader such as
+`head` stopped; no error line), 2 usage, 3 data error, 4 model/config
+mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -38,6 +41,7 @@ from .simulate import benchmark_suite, load_script, save_script, simulate
 from .streams import read_lines, text_lines
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MISMATCH = 4
@@ -380,7 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early, which is not bad input; the
+        # output still buffered goes to os.devnull so that exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -18,6 +18,7 @@ and `need_frames` reads one back.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -109,16 +110,18 @@ class SessionRecord:
             raise SessionFormatError(f"invalid session id {self.session_id!r}")
         if not self.duration > 0:
             raise SessionFormatError("duration must be > 0")
+        if not math.isfinite(self.duration):
+            raise SessionFormatError("non-finite value for 'duration'")
         last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
             if name not in STORABLE_STREAMS:
                 raise SessionFormatError(f"unknown stream name {name!r}")
             for msg in msgs:
-                _check_time(name, msg.originating_time, self.duration, last_t)
-        for msg in self.messages("utterance"):  # else it would not load back
-            if not msg.payload.strip() or {"\n", "\r"} & set(msg.payload):
                 t = msg.originating_time
-                raise SessionFormatError(f"utterance at {t} is blank or spans lines")
+                _check_time(name, t, self.duration, last_t)
+                problem = _payload_problem(name, msg.payload)
+                if problem:  # else it would not load back
+                    raise SessionFormatError(f"{name} at {t}: {problem}")
         _validate_labels(self.labels, self.duration)
 
     def to_lines(self) -> list[str]:
@@ -221,7 +224,7 @@ def _parse_float(fields: dict[str, str], key: str, line_no: int) -> float:
         v = float(fields[key])
     except ValueError:
         raise SessionFormatError(f"bad number for {key!r}: {fields[key]}", line_no)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise SessionFormatError(f"non-finite value for {key!r}", line_no)
     return v
 
@@ -330,25 +333,40 @@ def _need_level(text: str, line_no: int) -> NeedLevelLabel:
         raise SessionFormatError(f"unknown need level {text!r}", line_no) from None
 
 
+def _payload_problem(name: str, payload) -> str | None:
+    """Why a message payload cannot be stored, or None: a gaze value that is
+    not finite or a conf outside [0, 1], a need value outside [0, 1], or an
+    utterance that is blank or spans lines.  Plain float comparisons, since
+    every message of every saved or loaded session passes here."""
+    if name == "gaze_raw":
+        for key, v in (("yaw", payload.yaw), ("pitch", payload.pitch)):
+            if not math.isfinite(v):
+                return f"non-finite value for {key!r}"
+        if not 0.0 <= payload.confidence <= 1.0:
+            return f"conf {payload.confidence} outside [0, 1]"
+    elif name == "utterance":
+        if not payload.strip() or {"\n", "\r"} & set(payload):
+            return "utterance text is empty or spans lines"
+    elif not 0.0 <= payload <= 1.0:
+        return f"need value {payload} outside [0, 1]"
+    return None
+
+
 def _parse_payload(name: str, fields: dict[str, str], line_no: int):
     if name == "gaze_raw":
-        conf = _parse_float(fields, "conf", line_no)
-        if not 0.0 <= conf <= 1.0:
-            raise SessionFormatError(f"conf {conf} outside [0, 1]", line_no)
-        return GazeObservation(
+        payload = GazeObservation(
             yaw=_parse_float(fields, "yaw", line_no),
             pitch=_parse_float(fields, "pitch", line_no),
-            confidence=conf,
+            confidence=_parse_float(fields, "conf", line_no),
         )
-    if name == "utterance":
-        text = _quoted_text(fields, line_no)
-        if not text.strip():
-            raise SessionFormatError("utterance text is empty", line_no)
-        return text
-    v = _parse_float(fields, "v", line_no)
-    if not 0.0 <= v <= 1.0:
-        raise SessionFormatError(f"need value {v} outside [0, 1]", line_no)
-    return v
+    elif name == "utterance":
+        payload = _quoted_text(fields, line_no)
+    else:
+        payload = _parse_float(fields, "v", line_no)
+    problem = _payload_problem(name, payload)
+    if problem:
+        raise SessionFormatError(problem, line_no)
+    return payload
 
 
 def _quoted_text(fields: dict[str, str], line_no: int) -> str:

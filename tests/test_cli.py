@@ -5,14 +5,19 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import needsense
 from needsense.cli import _run_stdin, main
 from needsense.config import Config, ConfigError, config_from_items, load_config
 from needsense.forest import RFModel
@@ -585,7 +590,53 @@ MALFORMED_TEXT_MODELS = {
 }
 
 
+@pytest.fixture(scope="module")
+def long_session(workspace):
+    """A 200 s session, whose decision lines overfill a pipe's buffer."""
+    script = workspace["root"] / "long.script"
+    script.write_text(
+        "script_version=1 seed=0 noise=0.02\n"
+        "segment duration=200.000 label=Flow gaze=fix-task\n",
+        encoding="utf-8",
+    )
+    out = workspace["root"] / "long"
+    assert main(["simulate", str(script), "--out", str(out)]) == 0
+    return out / "long.session"
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("mode", ["file", "stdin"])
+    def test_reader_closing_early_is_exit_one_and_quiet(
+        self, workspace, long_session, mode
+    ):
+        # as `needsense run ... | head -2`: the reader takes two decision
+        # lines and closes the pipe while `run` still has more to write
+        argv = [
+            sys.executable, "-m", "needsense", "run",
+            "--config", str(workspace["config"]),
+            "--models", str(workspace["models"]),
+        ]
+        src = str(Path(needsense.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        with open(long_session, "rb") as session:
+            if mode == "file":
+                argv.append(str(long_session))
+            proc = subprocess.Popen(
+                argv,
+                stdin=session if mode == "stdin" else subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            lines = [proc.stdout.readline().decode() for _ in range(2)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert all(DECISION_RE.match(line.rstrip("\n")) for line in lines), lines
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_usage_error_is_exit_two(self):
         with pytest.raises(SystemExit) as err:
             main(["run"])  # --models is required

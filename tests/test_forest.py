@@ -589,11 +589,14 @@ class TestRankCountExactness:
                 max_size=40,
             )
         )
-        X = np.array(TIGHT_VALUES)[distinct_rows[pick]]
+        # and one of them twice more, once per label, so that some nodes hold
+        # rows equal in every feature with both labels
+        twin = data.draw(st.sampled_from(pick))
+        X = np.array(TIGHT_VALUES)[distinct_rows[[*pick, twin, twin]]]
         # constant columns make every sampled feature constant at some nodes
         X[:, : min(constant_columns, d - 1)] = -0.0
         y = np.random.default_rng(seed).integers(0, 2, size=len(X))
-        assume(len(set(y.tolist())) == 2)
+        y[-2:] = [0, 1]
         config = ForestConfig(
             n_trees=n_trees,
             max_depth=max_depth,
@@ -618,6 +621,54 @@ class TestRankCountExactness:
             assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
             assert model.feature[model.roots].tolist() == [3, 3, 3]
             assert model.threshold[model.roots].tolist() == [2.5, 2.5, 2.5]
+
+    def test_feature_identical_nodes_are_never_widened(self):
+        # d = 3 features and m = 1 per split, so a widened search is the one
+        # call of a step whose candidates are d - m = 2 features per node
+        def searched(X, y, config):
+            calls = []
+            search = forest._best_splits
+
+            def counted(values, ranks, labels, rows, n, pos, features, min_leaf):
+                calls.append((features.shape[1] == 2, [X[r] for r in rows]))
+                return search(values, ranks, labels, rows, n, pos, features, min_leaf)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forest, "_best_splits", counted)
+                model = fit_forest(X, y, config)
+            assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+            return model, calls
+
+        def identical(node_X):
+            return bool((node_X == node_X[0]).all())
+
+        # every bootstrap node is all one row, with both labels
+        X = np.tile([0.5, -1.0, 2.0], (6, 1))
+        y = np.array([0, 1, 0, 1, 0, 1])
+        config = ForestConfig(n_trees=8, features_per_split=1, seed=3)
+        model, calls = searched(X, y, config)
+        assert calls and not any(widen for widen, _ in calls)
+        assert (model.feature == -1).all()
+        # rows 4 and 5 are equal in every feature and differ in label; column
+        # 0 is constant, so other nodes that sample it still widen
+        X = np.array(
+            [[0.0, 1.0, 4.0], [0.0, 2.0, 3.0], [0.0, 3.0, 2.0],
+             [0.0, 4.0, 1.0], [0.0, 5.0, 5.0], [0.0, 5.0, 5.0]]
+        )
+        y = np.array([0, 1, 0, 1, 0, 1])
+        widened, identical_searched = 0, 0
+        for seed in range(6):
+            config = ForestConfig(n_trees=4, features_per_split=1, seed=seed)
+            _, calls = searched(X, y, config)
+            for widen, node_Xs in calls:
+                same = [identical(node_X) for node_X in node_Xs]
+                if widen:
+                    assert not any(same)
+                    widened += len(same)
+                else:
+                    identical_searched += sum(same)
+        # the sampled search did meet identical nodes, and other nodes widened
+        assert widened and identical_searched
 
     def test_midpoint_rounding_onto_upper_value_is_no_split(self):
         assert (1.0 + ODD_ULP) / 2.0 == 1.0

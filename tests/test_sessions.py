@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,55 @@ class TestRoundTrip:
         ]
 
 
+def wire(scale: int, lo: int, hi: int):
+    """Floats k / scale for integers k in [lo, hi]: values a session file
+    writes and reads back exactly."""
+    return st.integers(lo, hi).map(lambda k: k / scale)
+
+
+# mostly wire-precision values in [0, 1], sometimes ones outside it and ones
+# no session file may hold
+UNIT_VALUES = wire(10**6, 0, 10**6)
+PAYLOAD_VALUES = st.one_of(
+    *[UNIT_VALUES] * 6,
+    wire(10**6, -2 * 10**6, 2 * 10**6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def storable_records(draw):
+    """Session records at wire precision with every storable stream and
+    labels covering [0, duration); some hold values that `validate`
+    refuses, such as NaN, an infinity or a range error."""
+    ms = draw(st.integers(1, 5000))
+    duration = draw(st.sampled_from([ms / 1000] * 9 + [math.inf]))
+    cuts = draw(st.lists(st.integers(1, ms - 1), unique=True, max_size=3)) if ms > 1 else []
+    bounds = [0.0, *(c / 1000 for c in sorted(cuts)), duration]
+    levels = st.sampled_from(list(NeedLevelLabel))
+    labels = [LabelSpan(a, b, draw(levels)) for a, b in zip(bounds, bounds[1:])]
+    times = st.lists(st.integers(0, ms), unique=True, min_size=1, max_size=4).map(
+        lambda ks: [k / 1000 for k in sorted(ks)]
+    )
+    payloads = {
+        "gaze_raw": st.builds(
+            GazeObservation, PAYLOAD_VALUES, PAYLOAD_VALUES, PAYLOAD_VALUES
+        ),
+        "utterance": st.text(min_size=1, max_size=12),
+        **dict.fromkeys(
+            ["need_mutual", "need_confirmatory", "need_language", "need_fused"],
+            PAYLOAD_VALUES,
+        ),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(payloads)), unique=True))
+    streams = {
+        name: [TimestampedMessage(t, draw(payloads[name])) for t in draw(times)]
+        for name in names
+    }
+    session_id = draw(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True))
+    return SessionRecord(session_id, duration, streams, labels)
+
+
 class TestValidation:
     def parse_one_bad(self, mutate):
         lines = make_record().to_lines()
@@ -253,6 +304,27 @@ class TestValidation:
         )
         assert "empty" in msg
 
+    @pytest.mark.parametrize(
+        "line_no, field, edit",
+        [
+            (1, "duration", lambda ls: ls.__setitem__(0, ls[0].replace("2.000", "nan"))),
+            (9, "t", lambda ls: ls.append("stream=need_mutual t=inf v=0.100000")),
+            (
+                9,
+                "yaw",
+                lambda ls: ls.append(
+                    "stream=gaze_raw t=1.500 yaw=nan pitch=0.000000 conf=0.900000"
+                ),
+            ),
+            (9, "v", lambda ls: ls.append("stream=need_mutual t=1.500 v=-inf")),
+        ],
+        ids=["duration=nan", "t=inf", "yaw=nan", "v=-inf"],
+    )
+    def test_non_finite_number_names_field_and_line(self, line_no, field, edit):
+        msg = self.parse_one_bad(edit)
+        assert f"line {line_no}" in msg
+        assert f"non-finite value for {field!r}" in msg
+
     def test_bad_number(self):
         msg = self.parse_one_bad(
             lambda ls: ls.append("stream=need_mutual t=abc v=0.1")
@@ -310,6 +382,46 @@ class TestValidation:
         record.streams["utterance"] = [TimestampedMessage(0.5, text)]
         with pytest.raises(SessionFormatError, match="utterance at 0.5"):
             record.validate()
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("gaze_raw", GazeObservation(math.nan, 0.0, 0.9)),
+            ("gaze_raw", GazeObservation(0.0, -math.inf, 0.9)),
+            ("gaze_raw", GazeObservation(0.0, 0.0, math.nan)),
+            ("gaze_raw", GazeObservation(0.0, 0.0, 1.5)),
+            ("need_mutual", math.nan),
+            ("need_mutual", 1.5),
+            ("need_mutual", -0.25),
+        ],
+        ids=["yaw=nan", "pitch=-inf", "conf=nan", "conf=1.5", "v=nan", "v=1.5", "v=-0.25"],
+    )
+    def test_validate_rejects_a_payload_that_would_not_load_back(
+        self, tmp_path, name, payload
+    ):
+        record = make_record()
+        record.streams[name] = [TimestampedMessage(1.5, payload)]
+        with pytest.raises(SessionFormatError, match=f"{name} at 1.5: "):
+            record.save(tmp_path / "s00.session")
+        assert not (tmp_path / "s00.session").exists()
+
+    def test_validate_rejects_an_infinite_duration(self):
+        record = make_record(duration=math.inf)
+        record.labels[-1] = LabelSpan(1.0, math.inf, NeedLevelLabel.L2)
+        with pytest.raises(SessionFormatError, match="duration"):
+            record.validate()
+
+    @given(record=storable_records())
+    @settings(max_examples=150, deadline=None)
+    def test_every_record_validate_accepts_loads_back_equal(
+        self, tmp_path_factory, record
+    ):
+        path = tmp_path_factory.getbasetemp() / "round_trip.session"
+        try:
+            record.save(path)
+        except SessionFormatError:
+            return
+        assert load(path) == record
 
     def test_validate_rejects_bad_session_id(self):
         record = make_record(session_id="has space")
