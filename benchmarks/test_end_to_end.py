@@ -33,7 +33,7 @@ DEFAULT_EVAL_10_FOLDS = (
 )
 DEFAULT_RUN_S00 = "8f377cc14e9ce921d5d200c806ea729f9f71b98653ae6e69aa87cab572ec2294"
 DEFAULT_MANIFEST = (
-    "eb4342ce6a3ed16c69edaec85c23576e5484cc1371a2d1f4a2267d9b32c2fe4b"
+    "95ebfb224f3e35ee731e1ca434f8f1e0ebb508acfce290334cc22f815a7e7dfe"
 )
 DEFAULT_DS1 = {
     "s00": "f556773e0ad586518399fc07dcdc341f905d6d3d8be7ff73eb83fd63ba678985",

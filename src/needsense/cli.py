@@ -1,10 +1,11 @@
 """Command-line surface: simulate sessions, train the two stages,
-evaluate, and decide: `run` scores a session file in one batch and feeds
-standard input through the live decision pipeline.
+evaluate, and decide: `run` takes every setting from the training
+manifest of the models it runs, scores a session file in one batch and
+feeds standard input through the live decision pipeline.
 
 Exit codes: 0 success, 1 standard output closed early (a reader such as
-`head` stopped; no error line), 2 usage, 3 data error, 4 model/config
-mismatch.
+`head` stopped; no error line), 2 usage, 3 data error, 4 models or
+manifest changed since `train` wrote them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
-from .config import Config, load_config
+from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
 from .fusion import (
     FusedDecision,
@@ -49,11 +51,13 @@ EXIT_MISMATCH = 4
 MANIFEST_NAME = "manifest.txt"
 NB_MODEL_NAME = "nb.model"
 RF_MODEL_NAME = "rf.model"
+# the last manifest line: the sha256 of the lines before it
+MANIFEST_SEAL = "manifest_sha256"
 
 
 class MismatchError(Exception):
-    """Models differ from their manifest or were trained under another
-    run-time config."""
+    """A manifest's lines differ from the ones `train` sealed it with, or
+    the models differ from the manifest or from each other."""
 
 
 class StageError(Exception):
@@ -66,7 +70,7 @@ def _sha256(path: Path) -> str:
 
 def _active_config(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "cadence", None) is not None:
         cfg.cadence_hz = args.cadence
@@ -146,7 +150,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     lines.extend(cfg.to_lines())
     for name in [NB_MODEL_NAME, *ds1_names, RF_MODEL_NAME]:
         lines.append(f"artifact={name} sha256={_sha256(out / name)}")
-    (out / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "".join(f"{line}\n" for line in lines)
+    seal = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    (out / MANIFEST_NAME).write_text(
+        f"{text}{MANIFEST_SEAL}={seal}\n", encoding="utf-8"
+    )
     print(
         f"trained on {len(records)} sessions: {NB_MODEL_NAME}, "
         f"{len(ds1_names)} derived sessions, {RF_MODEL_NAME} "
@@ -177,64 +185,69 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Config keys that change what `run` computes but that no model file
-# encodes; the models' own settings are covered by their sha256.
-RUN_KEYS = (
-    "cadence_hz",
-    "window_w",
-    "gaze_yaw_center",
-    "gaze_pitch_center",
-    "gaze_debounce",
-    "min_confidence",
-)
-
-
-def _parse_manifest(lines: Iterable[str]) -> tuple[dict[str, str], dict[str, str]]:
-    """The config items and the sha256 per artifact of a training
-    manifest."""
+def _parse_manifest(lines: Iterable[str]) -> tuple[Config, dict[str, str], bool]:
+    """The config and the sha256 per artifact that a training manifest
+    records, and whether its last line holds the sha256 of the lines
+    before it."""
     items: dict[str, str] = {}
     digests: dict[str, str] = {}
+    version = seal = None
+    body = hashlib.sha256()
     for line_no, line in enumerate(lines, start=1):
-        key, eq, value = line.strip().partition("=")
+        if seal is not None:
+            raise SessionFormatError(
+                f"line after the {MANIFEST_SEAL} line", line_no
+            )
+        key, eq, value = line.partition("=")
         name, sha, digest = value.partition(" sha256=")
-        if key == "artifact" and sha:
+        if key == MANIFEST_SEAL:
+            seal = value
+            continue
+        if key == "manifest_version":
+            version = value
+        elif key == "artifact" and sha:
             digests[name] = digest
         elif eq and key != "artifact":
-            items[key] = value
-        elif line.strip():
+            add_item(items, line, line_no)
+        else:
             raise SessionFormatError(
                 "expected key=value or artifact=<name> sha256=<digest>", line_no
             )
-    if items.get("manifest_version") != "1":
+        body.update(f"{line}\n".encode("utf-8"))
+    if version != "1":
         raise SessionFormatError("unsupported manifest version")
-    return items, digests
+    if seal is None:
+        raise SessionFormatError(f"{MANIFEST_SEAL} line missing")
+    for field in fields(Config):
+        if field.name not in items:
+            raise SessionFormatError(f"config key {field.name!r} missing")
+    return config_from_items(items), digests, seal == body.hexdigest()
 
 
-def _check_manifest(cfg: Config, models: Path, rf: RFModel) -> None:
-    """The parsed models must be the ones the manifest records, trained
-    under the active values of every run-time key."""
+def _check_manifest(models: Path, rf: RFModel) -> Config:
+    """The config the models were trained under, read from their
+    manifest once the manifest's lines, the parsed models and the window
+    are shown to be the ones `train` wrote."""
     path = models / MANIFEST_NAME
     if not path.is_file():
         raise SessionFormatError(f"{path}: training manifest missing")
-    items, digests = read_lines(path, _parse_manifest)
+    cfg, digests, sealed = read_lines(path, _parse_manifest)
+    if not sealed:
+        raise MismatchError(
+            f"{path}: lines do not match the sha256 on its {MANIFEST_SEAL} line"
+        )
     for name in (NB_MODEL_NAME, RF_MODEL_NAME):
         if digests.get(name) != _sha256(models / name):
             raise MismatchError(
                 f"{models / name} does not match the sha256 recorded in "
                 f"{MANIFEST_NAME}"
             )
-    active = dict(line.split("=", 1) for line in cfg.to_lines())
-    for key in RUN_KEYS:
-        if items.get(key) != active[key]:
-            raise MismatchError(
-                f"models were trained with {key}={items.get(key)}, "
-                f"configured {active[key]}"
-            )
     if rf.n_features != 3 * cfg.window_w:
         raise MismatchError(
             f"forest expects {rf.n_features} features, window_w="
             f"{cfg.window_w} yields {3 * cfg.window_w}"
         )
+    return cfg
 
 
 def _decision_line(d: FusedDecision) -> str:
@@ -289,11 +302,10 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _active_config(args)
     models = Path(args.models)
     nb = NBModel.load(models / NB_MODEL_NAME)
     rf = RFModel.load(models / RF_MODEL_NAME)
-    _check_manifest(cfg, models, rf)
+    cfg = _check_manifest(models, rf)
     if args.session is None or args.session == "-":
         return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
     # a file has arrived whole, so it is scored in one batch; the live
@@ -316,20 +328,23 @@ def build_parser() -> argparse.ArgumentParser:
             "and utterance classification over sliding windows."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument(
+    # each command takes the flags it reads; `run` reads its manifest
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="key=value config file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="override the config seed")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
         "--cadence", type=float, help="tick cadence in Hz (overrides config)"
     )
-    common.add_argument(
+    grid.add_argument(
         "--window", type=int, help="fusion window in ticks (overrides config)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "gen-scripts",
-        parents=[common],
+        parents=[config, seed],
         help="write a deterministic benchmark scenario suite",
     )
     p.add_argument("--count", type=int, default=20, help="number of scripts")
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_scripts)
 
     p = sub.add_parser(
-        "simulate", parents=[common], help="render scenario scripts to sessions"
+        "simulate", parents=[config], help="render scenario scripts to sessions"
     )
     p.add_argument("scripts", nargs="+", help="scenario script files")
     p.add_argument("--out", required=True, help="output directory")
@@ -348,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "train",
-        parents=[common],
+        parents=[config, seed, grid],
         help="two-stage training: text model, derived sessions, then forest",
     )
     p.add_argument("ds0", help="directory of recorded .session files")
@@ -356,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser(
-        "eval", parents=[common], help="cross-validated per-model metrics"
+        "eval",
+        parents=[config, seed, grid],
+        help="cross-validated per-model metrics",
     )
     p.add_argument("ds0", help="directory of recorded .session files")
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
@@ -365,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
-        parents=[common],
         help="score a session file (or read one live on stdin) and print "
         "decisions",
     )

@@ -2,8 +2,9 @@
 
 One file, one key per line, every key optional and defaulted; unknown
 keys are rejected so typos fail loudly.  Command-line flags override
-file values.  The zero sentinel on rf_max_depth and
-rf_features_per_split means "unlimited" and "automatic" respectively.
+file values.  A training manifest records every key in the same form.
+The zero sentinel on rf_max_depth and rf_features_per_split means
+"unlimited" and "automatic" respectively.
 """
 
 from __future__ import annotations
@@ -139,18 +140,24 @@ def _parse_config(lines: Iterable[str]) -> Config:
     items: dict[str, str] = {}
     for i, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError("expected key=value", i)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in items:
-            raise ConfigError(f"duplicate key {key!r}", i)
-        try:
-            # every check on a value involves that value alone
-            config_from_items({key: value})
-        except ConfigError as exc:
-            raise ConfigError(str(exc), i) from None
-        items[key] = value
+        if line and not line.startswith("#"):
+            add_item(items, line, i)
     return config_from_items(items)
+
+
+def add_item(items: dict[str, str], line: str, line_no: int) -> None:
+    """Add the `key=value` of line `line_no` to `items`.  A line without
+    `=`, a duplicate or unknown key or a bad value is an error naming the
+    line."""
+    key, eq, value = line.partition("=")
+    if not eq:
+        raise ConfigError("expected key=value", line_no)
+    key = key.strip()
+    if key in items:
+        raise ConfigError(f"duplicate key {key!r}", line_no)
+    try:
+        # every check on a value involves that value alone
+        config_from_items({key: value})
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line_no) from None
+    items[key] = value

@@ -106,11 +106,14 @@ class SessionRecord:
         )
 
     def validate(self) -> None:
+        """Refuse what `load` would refuse of the lines `to_lines` writes,
+        whose times are rounded to whole milliseconds."""
         if not _SESSION_ID_RE.match(self.session_id):
             raise SessionFormatError(f"invalid session id {self.session_id!r}")
-        if not self.duration > 0:
+        duration = round(self.duration, 3)
+        if not duration > 0:
             raise SessionFormatError("duration must be > 0")
-        if not math.isfinite(self.duration):
+        if not math.isfinite(duration):
             raise SessionFormatError("non-finite value for 'duration'")
         last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
@@ -118,11 +121,15 @@ class SessionRecord:
                 raise SessionFormatError(f"unknown stream name {name!r}")
             for msg in msgs:
                 t = msg.originating_time
-                _check_time(name, t, self.duration, last_t)
+                _check_time(name, round(t, 3), duration, last_t)
                 problem = _payload_problem(name, msg.payload)
                 if problem:  # else it would not load back
                     raise SessionFormatError(f"{name} at {t}: {problem}")
-        _validate_labels(self.labels, self.duration)
+        spans = [
+            LabelSpan(round(s.start, 3), round(s.end, 3), s.level)
+            for s in self.labels
+        ]
+        _validate_labels(spans, duration)
 
     def to_lines(self) -> list[str]:
         """Canonical serialization.  Identity under save/load requires the

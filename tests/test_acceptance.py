@@ -408,8 +408,7 @@ def test_criterion_6_live_replay_equals_batch_prediction(
         for session_path in sorted(ws["ds0"].glob("*.session")):
             capsys.readouterr()
             assert main(
-                ["run", "--config", str(ws["config"]), str(session_path),
-                 "--models", str(ws["models"])]
+                ["run", str(session_path), "--models", str(ws["models"])]
             ) == 0
             file_lines = capsys.readouterr().out.splitlines()
 
@@ -420,8 +419,7 @@ def test_criterion_6_live_replay_equals_batch_prediction(
                 io.StringIO(session_path.read_text(encoding="utf-8")),
             )
             assert main(
-                ["run", "--config", str(ws["config"]),
-                 "--models", str(ws["models"])]
+                ["run", "--models", str(ws["models"])]
             ) == 0
             stdin_lines = capsys.readouterr().out.splitlines()
 

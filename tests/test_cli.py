@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needsense
-from needsense.cli import _run_stdin, main
+from needsense.cli import _decision_line, _run_stdin, build_parser, main
 from needsense.config import Config, ConfigError, config_from_items, load_config
 from needsense.forest import RFModel
 from needsense.language import NBModel
@@ -29,7 +30,8 @@ from needsense.sessions import (
     SessionRecord,
     load as load_session,
 )
-from needsense.streams import TimestampedMessage
+from needsense.fusion import predict_session, stage1_materialize
+from needsense.streams import TimestampedMessage, text_lines
 
 LIGHT_CONFIG = "\n".join(
     [
@@ -298,6 +300,29 @@ class TestEvalCommand:
         assert "at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("gen-scripts", ["--config", "--seed", "--count", "--noise", "--out"]),
+        ("simulate", ["--config", "--out"]),
+        ("train", ["--config", "--seed", "--cadence", "--window", "--out"]),
+        (
+            "eval",
+            ["--config", "--seed", "--cadence", "--window", "--folds", "--out"],
+        ),
+        ("run", ["--models"]),
+    ],
+)
+def test_each_command_takes_only_the_flags_it_reads(command, options):
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parser = commands.choices[command]
+    taken = [flag for action in parser._actions for flag in action.option_strings]
+    assert sorted(taken) == sorted(["-h", "--help", *options])
+
+
 # every character str.splitlines splits at besides \n and \r
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -305,8 +330,7 @@ SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 def run_lines(workspace, capsys, *extra):
     session = sorted(workspace["ds0"].glob("*.session"))[0]
     code = main(
-        ["run", "--config", str(workspace["config"]), str(session),
-         "--models", str(workspace["models"]), *extra]
+        ["run", str(session), "--models", str(workspace["models"]), *extra]
     )
     captured = capsys.readouterr()
     return code, captured.out.splitlines(), captured.err
@@ -356,8 +380,7 @@ class TestRunCommand:
             "sys.stdin", io.StringIO(session.read_text(encoding="utf-8"))
         )
         code = main(
-            ["run", "--config", str(workspace["config"]), "-",
-             "--models", str(workspace["models"])]
+            ["run", "-", "--models", str(workspace["models"])]
         )
         assert code == 0
         assert capsys.readouterr().out.splitlines() == file_lines
@@ -374,8 +397,7 @@ class TestRunCommand:
         def run_with(text):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(
-                ["run", "--config", str(workspace["config"]), "-",
-                 "--models", str(workspace["models"])]
+                ["run", "-", "--models", str(workspace["models"])]
             ) == 0
             return capsys.readouterr().out.splitlines()
 
@@ -399,8 +421,7 @@ class TestRunCommand:
         reordered = [lines[0], gaze[1], gaze[0]]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(reordered) + "\n"))
         code = main(
-            ["run", "--config", str(workspace["config"]), "-",
-             "--models", str(workspace["models"])]
+            ["run", "-", "--models", str(workspace["models"])]
         )
         assert code == 3
         assert "global time order" in capsys.readouterr().err
@@ -408,8 +429,7 @@ class TestRunCommand:
     def stdin_run(self, workspace, capsys, monkeypatch, lines):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         code = main(
-            ["run", "--config", str(workspace["config"]), "-",
-             "--models", str(workspace["models"])]
+            ["run", "-", "--models", str(workspace["models"])]
         )
         return code, capsys.readouterr().err
 
@@ -449,8 +469,7 @@ class TestRunCommand:
             io.StringIO("stream=gaze_raw t=0.000 yaw=0.0 pitch=0.0 conf=1.0\n"),
         )
         code = main(
-            ["run", "--config", str(workspace["config"]), "-",
-             "--models", str(workspace["models"])]
+            ["run", "-", "--models", str(workspace["models"])]
         )
         assert code == 3
         assert "header" in capsys.readouterr().err
@@ -467,8 +486,7 @@ class TestRunCommand:
         text = text.replace('text="', f'text="help{sep}', 1)
         path = tmp_path / session.name
         path.write_text(text, encoding="utf-8")
-        argv = ["run", "--config", str(workspace["config"]),
-                "--models", str(workspace["models"])]
+        argv = ["run", "--models", str(workspace["models"])]
         assert main([*argv, str(path)]) == 0
         from_file = capsys.readouterr().out
         assert from_file
@@ -517,13 +535,61 @@ class TestRunCommand:
         assert main(["simulate", str(script), "--out", str(out)]) == 0
         capsys.readouterr()  # drain the simulate progress line
         code = main(
-            ["run", "--config", str(workspace["config"]),
-             str(out / "tiny.session"), "--models", str(workspace["models"])]
+            ["run", str(out / "tiny.session"), "--models", str(workspace["models"])]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == ""
         assert "warm-up" in captured.err
+
+    def test_settings_come_from_the_manifest(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "5hz.cfg"
+        config.write_text(
+            LIGHT_CONFIG + "\ncadence_hz=5.0\nwindow_w=10\n", encoding="utf-8"
+        )
+        models = tmp_path / "models"
+        assert main(
+            ["train", "--config", str(config), str(workspace["ds0"]),
+             "--out", str(models)]
+        ) == 0
+        cfg = load_config(config)
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        derived = stage1_materialize(
+            load_session(session),
+            NBModel.load(models / "nb.model"),
+            cfg.gaze_config(),
+            cfg.cadence_hz,
+        )
+        rf = RFModel.load(models / "rf.model")
+        expected = [
+            _decision_line(d) for d in predict_session(derived, rf, cfg.window_w)
+        ]
+        assert expected[0].startswith("t=1.800 ")  # 10 ticks at 5 Hz
+        capsys.readouterr()
+        assert main(["run", str(session), "--models", str(models)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(session.read_text(encoding="utf-8"))
+        )
+        assert main(["run", "--models", str(models)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(config), str(session),
+                  "--models", str(models)])
+        assert err.value.code == 2
+        # a manifest edited to another cadence no longer runs
+        manifest = models / "manifest.txt"
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(
+                "\ncadence_hz=5.0\n", "\ncadence_hz=10.0\n"
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["run", str(session), "--models", str(models)]) == 4
+        assert capsys.readouterr().out == ""
 
 
 def _first(lines, prefix):
@@ -590,6 +656,44 @@ MALFORMED_TEXT_MODELS = {
 }
 
 
+def _resealed(edit):
+    """Apply `edit` to the lines before a manifest's last and seal the
+    result with their sha256, as `train` does."""
+
+    def mutate(lines):
+        body, message = edit(lines[:-1])
+        text = "".join(f"{line}\n" for line in body)
+        seal = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return [*body, f"manifest_sha256={seal}"], message
+
+    return mutate
+
+
+# each mutation of a valid manifest returns the lines and the error that
+# `run` must print after the path
+MALFORMED_MANIFESTS = {
+    "seal_missing": lambda ls: (ls[:-1], "manifest_sha256 line missing"),
+    "line_after_seal": lambda ls: (
+        [*ls, ls[-1]], f"line {len(ls) + 1}: line after the manifest_sha256 line"
+    ),
+    "key_missing": _resealed(
+        lambda ls: (
+            [ln for ln in ls if not ln.startswith("seed=")],
+            "config key 'seed' missing",
+        )
+    ),
+    "key_repeated": _resealed(
+        lambda ls: ([*ls[:2], ls[1], *ls[2:]], "line 3: duplicate key 'cadence_hz'")
+    ),
+    "key_unknown": _resealed(
+        lambda ls: (
+            [*ls[:2], "rf_trees=10", *ls[2:]],
+            "line 3: unknown config key 'rf_trees'",
+        )
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def long_session(workspace):
     """A 200 s session, whose decision lines overfill a pipe's buffer."""
@@ -613,7 +717,6 @@ class TestExitCodes:
         # lines and closes the pipe while `run` still has more to write
         argv = [
             sys.executable, "-m", "needsense", "run",
-            "--config", str(workspace["config"]),
             "--models", str(workspace["models"]),
         ]
         src = str(Path(needsense.__file__).parents[1])
@@ -645,26 +748,17 @@ class TestExitCodes:
             main(["no-such-command"])
         assert err.value.code == 2
 
-    def test_window_mismatch_is_exit_four(self, workspace, capsys):
-        code, _, err = run_lines(workspace, capsys, "--window", "10")
-        assert code == 4
-        assert "window_w" in err
-
-    def test_cadence_mismatch_is_exit_four(self, workspace, capsys):
-        code, _, err = run_lines(workspace, capsys, "--cadence", "5.0")
-        assert code == 4
-        assert "cadence" in err
-
     def test_bad_config_file_is_exit_three(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("rf_trees=10\n", encoding="utf-8")
-        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        models = tmp_path / "models"
         code = main(
-            ["run", "--config", str(bad), str(session),
-             "--models", str(workspace["models"])]
+            ["train", "--config", str(bad), str(workspace["ds0"]),
+             "--out", str(models)]
         )
         assert code == 3
         assert "unknown" in capsys.readouterr().err
+        assert not models.exists()
 
     def test_cadence_above_one_khz_is_exit_three(self, workspace, tmp_path, capsys):
         code = main(
@@ -690,25 +784,50 @@ class TestExitCodes:
         )
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(broken)]
+            ["run", str(session), "--models", str(broken)]
         )
         assert code == 3
         assert "manifest" in capsys.readouterr().err
 
     def test_gaze_key_mismatch_is_exit_four(self, workspace, tmp_path, capsys):
-        # gaze settings live in no model file, only in the manifest
-        cfg = tmp_path / "debounce5.cfg"
-        cfg.write_text(LIGHT_CONFIG + "\ngaze_debounce=5\n", encoding="utf-8")
-        session = sorted(workspace["ds0"].glob("*.session"))[0]
-        code = main(
-            ["run", "--config", str(cfg), str(session),
-             "--models", str(workspace["models"])]
+        # gaze settings live in no model file, only in the manifest, whose
+        # last line holds the sha256 of the lines before it
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        manifest = models / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert "\ngaze_debounce=2\n" in text
+        manifest.write_text(
+            text.replace("\ngaze_debounce=2\n", "\ngaze_debounce=5\n"),
+            encoding="utf-8",
         )
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(["run", str(session), "--models", str(models)])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "gaze_debounce=2, configured 5" in captured.err
+        assert captured.err == (
+            f"error: {manifest}: lines do not match the sha256 on its "
+            "manifest_sha256 line\n"
+        )
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_unsealed_or_incomplete_manifest_is_exit_three(
+        self, workspace, tmp_path, capsys, case
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        manifest = models / "manifest.txt"
+        lines, message = MALFORMED_MANIFESTS[case](
+            manifest.read_text(encoding="utf-8").splitlines()
+        )
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(["run", str(session), "--models", str(models)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}: {message}\n"
 
     def test_edited_text_model_is_exit_four(self, workspace, tmp_path, capsys):
         import shutil
@@ -724,8 +843,7 @@ class TestExitCodes:
         NBModel.load(nb_path)  # still a valid model
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(edited)]
+            ["run", str(session), "--models", str(edited)]
         )
         captured = capsys.readouterr()
         assert code == 4
@@ -745,9 +863,12 @@ class TestExitCodes:
         lines[2] += b"\xff"
         path.write_bytes(b"\n".join(lines))
         session = sorted(workspace["ds0"].glob("*.session"))[0]
-        code = main(
-            ["run", "--config", str(config), str(session), "--models", str(models)]
-        )
+        if target == "config":
+            argv = ["train", "--config", str(config), str(workspace["ds0"]),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["run", str(session), "--models", str(models)]
+        code = main(argv)
         assert code == 3
         assert capsys.readouterr().err == f"error: {path}: line 3: not UTF-8 text\n"
 
@@ -764,8 +885,7 @@ class TestExitCodes:
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(models)]
+            ["run", str(session), "--models", str(models)]
         )
         assert code == 3
         assert capsys.readouterr().err == (
@@ -781,8 +901,7 @@ class TestExitCodes:
         (bare / "manifest.txt").unlink()
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(bare)]
+            ["run", str(session), "--models", str(bare)]
         )
         err = capsys.readouterr().err
         assert code == 3
@@ -802,11 +921,11 @@ class TestExitCodes:
         assert lines[4].startswith("stream=label start=")
         lines[4] = re.sub(r"start=[^ ]+", "start=abc", lines[4])
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config = ["--config", str(workspace["config"])]
         if command == "train":
-            argv = ["train", *config, str(ds0), "--out", str(tmp_path / "m")]
+            argv = ["train", "--config", str(workspace["config"]), str(ds0),
+                    "--out", str(tmp_path / "m")]
         else:
-            argv = ["run", *config, str(bad), "--models", str(workspace["models"])]
+            argv = ["run", str(bad), "--models", str(workspace["models"])]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
@@ -823,11 +942,11 @@ class TestExitCodes:
         bad = sorted(ds0.glob("*.session"))[0]
         data = bad.read_bytes()
         bad.write_bytes(data + b"\xff")
-        config = ["--config", str(workspace["config"])]
         if command == "train":
-            argv = ["train", *config, str(ds0), "--out", str(tmp_path / "m")]
+            argv = ["train", "--config", str(workspace["config"]), str(ds0),
+                    "--out", str(tmp_path / "m")]
         else:
-            argv = ["run", *config, str(bad), "--models", str(workspace["models"])]
+            argv = ["run", str(bad), "--models", str(workspace["models"])]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
@@ -847,8 +966,7 @@ class TestExitCodes:
         rf_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(broken)]
+            ["run", str(session), "--models", str(broken)]
         )
         err = capsys.readouterr().err
         assert code == 3
@@ -870,8 +988,7 @@ class TestExitCodes:
         nb_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
-            ["run", "--config", str(workspace["config"]), str(session),
-             "--models", str(broken)]
+            ["run", str(session), "--models", str(broken)]
         )
         err = capsys.readouterr().err
         assert code == 3
@@ -879,15 +996,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {nb_path}: line {line_no}: ")
 
     def test_flag_overrides_beat_config_file(self, workspace, tmp_path, capsys):
-        # same mismatch exit proves the flag took effect over the file
+        # the same manifest as a train without window_w=10 in the file
+        # proves the flag took effect over the file
         mism = tmp_path / "w10.cfg"
         mism.write_text(LIGHT_CONFIG + "\nwindow_w=10\n", encoding="utf-8")
-        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        models = tmp_path / "models"
         code = main(
-            ["run", "--config", str(mism), "--window", "20", str(session),
-             "--models", str(workspace["models"])]
+            ["train", "--config", str(mism), "--window", "20",
+             str(workspace["ds0"]), "--out", str(models)]
         )
         assert code == 0
+        assert (models / "manifest.txt").read_bytes() == (
+            workspace["models"] / "manifest.txt"
+        ).read_bytes()
         capsys.readouterr()
 
 
@@ -964,18 +1085,26 @@ class TestMutatedInputs:
         root, session = fuzz_inputs
         path = root / target
         original = path.read_bytes()
-        path.write_bytes(data.draw(mutated(original)))
+        mutant = data.draw(mutated(original))
+        path.write_bytes(mutant)
+        if target == "needsense.cfg":  # `run` reads no config file
+            argv = ["gen-scripts", "--config", str(path), "--count", "1",
+                    "--out", str(root / "scripts")]
+        else:
+            argv = ["run", str(session), "--models", str(root / "models")]
         try:
-            code, err = run_in_process(
-                ["run", "--config", str(root / "needsense.cfg"), str(session),
-                 "--models", str(root / "models")]
-            )
+            code, err = run_in_process(argv)
         finally:
             path.write_bytes(original)
         assert code in (0, 3, 4), err
         assert "Traceback" not in err
         if code == 3:
             assert err.startswith(f"error: {path}: "), err
+        if code == 0 and target == "models/manifest.txt":
+            # the sealed manifest admits no edit but a line end's spelling
+            assert list(text_lines([mutant.decode("utf-8")])) == list(
+                text_lines([original.decode("utf-8")])
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -986,8 +1115,7 @@ class TestMutatedInputs:
             "utf-8", "surrogateescape"
         )
         code, err = run_in_process(
-            ["run", "--config", str(root / "needsense.cfg"), "-",
-             "--models", str(root / "models")],
+            ["run", "-", "--models", str(root / "models")],
             text,
         )
         assert code in (0, 3, 4), err

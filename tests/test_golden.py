@@ -18,7 +18,7 @@ from needsense.cli import main
 from needsense.simulate import benchmark_suite, save_script
 
 GOLDEN_RF_MODEL = "3c8b7ac09d8e1f1fe929077626b14bb56c2ef090e996026554ac65d30c326f10"
-GOLDEN_MANIFEST = "0297d3291145c4fecce0c55bdf73c5741315f6c9d03794125cbdd9d91adeb1cb"
+GOLDEN_MANIFEST = "202ab7f24a5ee37d98a82199afda161a20e400991e9454d36ea65ba0115140be"
 GOLDEN_RUN_S02 = "cdfbf7ae0c58b936c6ca8905f4fc58b31c2c09d1b82cf5e806cf4c71cbe1c482"
 GOLDEN_EVAL_4_FOLDS = "ef017d28fbbb9097f9f7396ad34ab94f50bf6a818c2a34fe16c4d9d696c72f68"
 
@@ -51,7 +51,8 @@ def test_rf_model_hash(golden):
 
 
 def test_manifest_hash_covers_every_artifact(golden):
-    # the manifest lists the sha256 of nb.model, each ds1 session and rf.model
+    # the manifest lists the sha256 of nb.model, each ds1 session and
+    # rf.model, and ends in the sha256 of the lines before
     manifest = golden["models"] / "manifest.txt"
     assert _sha256(manifest.read_bytes()) == GOLDEN_MANIFEST
 
@@ -59,8 +60,8 @@ def test_manifest_hash_covers_every_artifact(golden):
 def test_run_decision_lines_hash(golden, capsys):
     capsys.readouterr()
     code = main(
-        ["run", "--config", str(golden["config"]),
-         str(golden["ds0"] / "s02.session"), "--models", str(golden["models"])]
+        ["run", str(golden["ds0"] / "s02.session"),
+         "--models", str(golden["models"])]
     )
     out = capsys.readouterr().out
     assert code == 0

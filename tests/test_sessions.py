@@ -198,6 +198,34 @@ def storable_records(draw):
     return SessionRecord(session_id, duration, streams, labels)
 
 
+def _stream(name, *messages):
+    """A record edit that sets stream `name` to `messages`, each a
+    (time, payload) pair."""
+
+    def edit(record):
+        record.streams[name] = [TimestampedMessage(t, p) for t, p in messages]
+
+    return edit
+
+
+def _at_1_5(name, payload):
+    """A record edit that puts `payload` on stream `name` at t=1.5, and
+    the start of the error naming it."""
+    return _stream(name, (1.5, payload)), f"{name} at 1.5: "
+
+
+def _labels(*spans):
+    """A record edit that sets the labels to `spans`, each a
+    (start, end, level) triple."""
+
+    def edit(record):
+        record.labels = [
+            LabelSpan(start, end, NeedLevelLabel(level)) for start, end, level in spans
+        ]
+
+    return edit
+
+
 class TestValidation:
     def parse_one_bad(self, mutate):
         lines = make_record().to_lines()
@@ -384,24 +412,38 @@ class TestValidation:
             record.validate()
 
     @pytest.mark.parametrize(
-        "name, payload",
+        "edit, match",
         [
-            ("gaze_raw", GazeObservation(math.nan, 0.0, 0.9)),
-            ("gaze_raw", GazeObservation(0.0, -math.inf, 0.9)),
-            ("gaze_raw", GazeObservation(0.0, 0.0, math.nan)),
-            ("gaze_raw", GazeObservation(0.0, 0.0, 1.5)),
-            ("need_mutual", math.nan),
-            ("need_mutual", 1.5),
-            ("need_mutual", -0.25),
+            _at_1_5("gaze_raw", GazeObservation(math.nan, 0.0, 0.9)),
+            _at_1_5("gaze_raw", GazeObservation(0.0, -math.inf, 0.9)),
+            _at_1_5("gaze_raw", GazeObservation(0.0, 0.0, math.nan)),
+            _at_1_5("gaze_raw", GazeObservation(0.0, 0.0, 1.5)),
+            _at_1_5("need_mutual", math.nan),
+            _at_1_5("need_mutual", 1.5),
+            _at_1_5("need_mutual", -0.25),
+            # a file holds times rounded to whole milliseconds
+            (
+                _stream("need_mutual", (0.0001, 0.1), (0.0002, 0.2)),
+                "non-monotone time 0.0 after 0.0",
+            ),
+            (
+                _labels(
+                    (0.0, 1.0001, "Flow"), (1.0001, 1.0003, "L1"), (1.0003, 2.0, "L2")
+                ),
+                "label span start 1.0 not before end 1.0",
+            ),
         ],
-        ids=["yaw=nan", "pitch=-inf", "conf=nan", "conf=1.5", "v=nan", "v=1.5", "v=-0.25"],
+        ids=[
+            "yaw=nan", "pitch=-inf", "conf=nan", "conf=1.5", "v=nan", "v=1.5",
+            "v=-0.25", "t=0.0001,0.0002", "span=1.0001-1.0003",
+        ],
     )
     def test_validate_rejects_a_payload_that_would_not_load_back(
-        self, tmp_path, name, payload
+        self, tmp_path, edit, match
     ):
         record = make_record()
-        record.streams[name] = [TimestampedMessage(1.5, payload)]
-        with pytest.raises(SessionFormatError, match=f"{name} at 1.5: "):
+        edit(record)
+        with pytest.raises(SessionFormatError, match=match):
             record.save(tmp_path / "s00.session")
         assert not (tmp_path / "s00.session").exists()
 
