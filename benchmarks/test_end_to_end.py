@@ -8,7 +8,8 @@ and each checks its output against a golden sha256: the default 100-tree
 writes, the 10-fold report `eval` prints at the default config and with
 one tree (`rf_n_trees=1`, which leaves little but the non-fit cost), and
 the decision lines `run` prints for session s00 with the models of a
-default `train`, both from the file and from standard input.
+default `train`, both from the file and from standard input, and for s00
+played 10 times in a row on standard input.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -25,13 +26,19 @@ import io
 import pytest
 
 from needsense.cli import main
+from needsense.sessions import LabelSpan, SessionRecord, load as load_session
 from needsense.simulate import benchmark_suite, save_script
+from needsense.streams import TimestampedMessage
 
 DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
 DEFAULT_EVAL_10_FOLDS = (
     "65b301e72341fc292f4657cd82fb2c7abd40a5ee9264da61cb3964acc2a4e079"
 )
 DEFAULT_RUN_S00 = "8f377cc14e9ce921d5d200c806ea729f9f71b98653ae6e69aa87cab572ec2294"
+# s00 played 10 times in a row on standard input: 3,938 decisions
+DEFAULT_RUN_S00_10X = (
+    "af8e3d74421124f4df1775d2a921cb765cf63c790c739810869560fb5eb02ed7"
+)
 DEFAULT_MANIFEST = (
     "95ebfb224f3e35ee731e1ca434f8f1e0ebb508acfce290334cc22f815a7e7dfe"
 )
@@ -155,3 +162,46 @@ def test_run_default_s00_stdin(benchmark, ds0, models, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00
+
+
+def repeated(record: SessionRecord, k: int) -> SessionRecord:
+    """The session played `k` times in a row: copy i has its messages and
+    label spans shifted by i durations, in whole milliseconds."""
+    period = round(record.duration * 1000)
+
+    def shift(t: float, i: int) -> float:
+        return (round(t * 1000) + i * period) / 1000
+
+    return SessionRecord(
+        record.session_id,
+        k * period / 1000,
+        {
+            name: [
+                TimestampedMessage(shift(m.originating_time, i), m.payload)
+                for i in range(k)
+                for m in msgs
+            ]
+            for name, msgs in record.streams.items()
+        },
+        [
+            LabelSpan(shift(s.start, i), shift(s.end, i), s.level)
+            for i in range(k)
+            for s in record.labels
+        ],
+    )
+
+
+def test_run_default_s00_10x_stdin(benchmark, ds0, models, capsys, monkeypatch):
+    """A long live session: s00 ten times over on standard input."""
+    record = repeated(load_session(ds0 / "s00.session"), 10)
+    text = "\n".join(record.to_lines()) + "\n"
+    capsys.readouterr()
+
+    def run_stdin():
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return main(["run", "--models", str(models)])
+
+    code = benchmark.pedantic(run_stdin, rounds=1, iterations=1)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00_10X

@@ -89,9 +89,9 @@ def _load_sessions(directory: str):
 
 def cmd_gen_scripts(args: argparse.Namespace) -> int:
     cfg = _active_config(args)
+    scripts = benchmark_suite(args.count, seed=cfg.seed, noise=args.noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scripts = benchmark_suite(args.count, seed=cfg.seed, noise=args.noise)
     for i, script in enumerate(scripts):
         save_script(script, out / f"s{i:02d}.script")
     print(f"wrote {len(scripts)} scripts to {out}")
@@ -269,34 +269,30 @@ def _warn_warmup(cfg: Config) -> None:
 def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     """Causal line-by-line mode: each decision is printed using only the
     input received so far, read as a session file is but with live input
-    streams only, in non-decreasing global time order."""
+    streams only, in non-decreasing global time order.  Decisions are
+    written and dropped as they are made, so memory stays flat however
+    long the session runs."""
     pipe, sink = live_pipeline(
         nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
     )
-
-    emitted = 0
+    written = 0
 
     def flush() -> None:
-        nonlocal emitted
-        if emitted < len(sink):
-            for decision in sink[emitted:]:
-                out.write(_decision_line(decision) + "\n")
-            emitted = len(sink)
+        nonlocal written
+        if sink:
+            out.write("".join(_decision_line(d) + "\n" for d in sink))
             out.flush()  # a pipe reader sees each decision as its tick is reached
+            written += len(sink)
+            sink.clear()
 
-    reader = SessionReader(text_lines(stream), in_time_order=True)
-    for line_no, name, item in reader:
-        if name == "label":
-            continue
-        if name not in ("gaze_raw", "utterance"):
-            raise SessionFormatError(
-                f"stream {name!r} is not a live input", line_no
-            )
-        pipe.emit(name, item.originating_time, item.payload)
-        flush()
+    reader = SessionReader(text_lines(stream), live=True)
+    for _, name, item in reader:
+        if name != "label":
+            pipe.emit(name, item.originating_time, item.payload)
+            flush()
     pipe.finalize(reader.duration)
     flush()
-    if not sink:
+    if not written:
         _warn_warmup(cfg)
     return EXIT_OK
 
@@ -308,9 +304,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _check_manifest(models, rf)
     if args.session is None or args.session == "-":
         return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
-    # a file has arrived whole, so it is scored in one batch; the live
-    # shell's holds give the same decisions (acceptance criterion 6)
-    record = load_session(args.session)
+    # a file is read as live input is but has arrived whole, so it is
+    # scored in one batch; the live shell's holds give the same decisions
+    # (acceptance criterion 6)
+    record = load_session(args.session, live=True)
     derived = stage1_materialize(record, nb, cfg.gaze_config(), cfg.cadence_hz)
     decisions = predict_session(derived, rf, cfg.window_w)
     for d in decisions:

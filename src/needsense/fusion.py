@@ -14,12 +14,13 @@ those arrays and fits the forest.  The frames become derived session
 records only where `train` writes them to disk.  Scoring a recorded
 session uses the same batch core: stage 1, then one forest call over all
 its windows (`predict_session`).  Input that arrives over time goes
-through the live shell instead, which computes the same holds
-incrementally on a `Pipeline` (`wire_gaze`, `wire_language`,
-`make_frames`, `wire_fused`) and decides each tick from the messages
-before it.  Because both paths quantize times to 3 decimals and need
-values to 6 before any windowing, the live shell driven over a recorded
-session reproduces the batch predictions bit for bit.
+through the live shell instead (`live_pipeline`): three callbacks on a
+`Pipeline`, one per input stream holding that model's latest output and
+one per tick deciding over the last W held frames, so it keeps nothing
+but those frames and computes the same holds incrementally.  Because
+both paths quantize times to 3 decimals and need values to 6 before any
+windowing, the live shell driven over a recorded session reproduces the
+batch predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 from .forest import ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker
 from .language import NBModel
-from .sessions import NEED_STREAMS, SessionRecord, TrainingMatrix, frame_windows
+from .sessions import SessionRecord, TrainingMatrix, frame_windows
 from .streams import (
+    LIVE_INPUTS,
     Pipeline,
     TimestampedMessage,
     WiringError,
@@ -146,85 +148,6 @@ def predict_session(
     ]
 
 
-def wire_gaze(pipe: Pipeline, config: GazeConfig) -> None:
-    """gaze_raw -> need_mutual + need_confirmatory, one value per frame,
-    rounded to wire precision so live values match persisted ones."""
-    tracker = GazeNeedTracker(config)
-    mutual = pipe.stream("need_mutual")
-    conf = pipe.stream("need_confirmatory")
-
-    def on_frame(msg: TimestampedMessage) -> None:
-        frame = tracker.update(msg.originating_time, msg.payload)
-        mutual.emit(msg.originating_time, round(frame.mutual, 6))
-        conf.emit(msg.originating_time, round(frame.confirmatory, 6))
-
-    pipe.stream("gaze_raw").subscribe(on_frame)
-
-
-def wire_language(pipe: Pipeline, model: NBModel) -> None:
-    """utterance -> need_language at the utterance's originating time.
-    Utterances that tokenize to nothing produce no output (counted)."""
-    lang = pipe.stream("need_language")
-
-    def on_utterance(msg: TimestampedMessage) -> None:
-        v = model.predict_text(msg.payload)
-        if v is None:
-            pipe._count_drop("need_language")
-            return
-        lang.emit(msg.originating_time, round(v, 6))
-
-    pipe.stream("utterance").subscribe(on_utterance)
-
-
-def make_frames(pipe: Pipeline, cadence_hz: float) -> None:
-    """Zero-order hold of the three need streams onto one tick grid:
-    emits one (mutual, confirmatory, language) tuple per tick on
-    fusion_frame.  All initials 0.0."""
-    held = dict.fromkeys(NEED_STREAMS, 0.0)
-    frames = pipe.stream("fusion_frame")
-
-    for name in NEED_STREAMS:
-        def on_need(msg: TimestampedMessage, name: str = name) -> None:
-            held[name] = msg.payload
-
-        pipe.stream(name).subscribe(on_need)
-
-    def on_tick(t: float) -> None:
-        frames.emit(t, tuple(held.values()))
-
-    pipe.add_ticker(cadence_hz, on_tick)
-
-
-def wire_fused(
-    pipe: Pipeline, model: RFModel, window: int, sink: list[FusedDecision]
-) -> None:
-    """fusion_frame -> need_fused via the forest over the last `window`
-    frames, oldest first.  No decisions during warm-up.  Scores are
-    wire-rounded; vote fractions are never close enough to 0.5 for that
-    to flip the label."""
-    if window < 1:
-        raise WiringError("window must be >= 1")
-    fused = pipe.stream("need_fused")
-    buf: deque[tuple[float, float, float]] = deque(maxlen=window)
-
-    def on_frame(msg: TimestampedMessage) -> None:
-        buf.append(msg.payload)
-        if len(buf) < window:
-            return
-        labels, scores = model.predict_batch(
-            np.array(buf, dtype=np.float64).reshape(1, -1)
-        )
-        score = round(float(scores[0]), 6)
-        fused.emit(msg.originating_time, score)
-        sink.append(
-            FusedDecision(
-                msg.originating_time, *msg.payload, score, int(labels[0])
-            )
-        )
-
-    pipe.stream("fusion_frame").subscribe(on_frame)
-
-
 def live_pipeline(
     nb_model: NBModel,
     rf_model: RFModel,
@@ -234,13 +157,48 @@ def live_pipeline(
 ) -> tuple[Pipeline, list[FusedDecision]]:
     """The live shell: raw gaze frames and utterances go into the
     pipeline, and one decision per tick, once the window has filled, comes
-    out in the returned sink."""
+    out in the returned sink, which the caller empties as it reads it.
+
+    Each input stream holds its model's latest values at wire precision,
+    0.0 before the first; each tick decides over the last `window` held
+    frames, oldest first.  Scores are wire-rounded; vote fractions are
+    never close enough to 0.5 for that to flip the label."""
+    if window < 1:
+        raise WiringError("window must be >= 1")
     pipe = Pipeline()
     sink: list[FusedDecision] = []
-    wire_gaze(pipe, gaze_config)
-    wire_language(pipe, nb_model)
-    make_frames(pipe, cadence_hz)
-    wire_fused(pipe, rf_model, window, sink)
+    tracker = GazeNeedTracker(gaze_config)
+    held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language
+    frames: deque[tuple[float, float, float]] = deque(maxlen=window)
+
+    def on_gaze(msg: TimestampedMessage) -> None:
+        frame = tracker.update(msg.originating_time, msg.payload)
+        held[0] = round(frame.mutual, 6)
+        held[1] = round(frame.confirmatory, 6)
+
+    def on_utterance(msg: TimestampedMessage) -> None:
+        v = nb_model.predict_text(msg.payload)
+        if v is None:  # it tokenizes to nothing
+            pipe._count_drop("need_language")
+        else:
+            held[2] = round(v, 6)
+
+    def on_tick(t: float) -> None:
+        frames.append(tuple(held))
+        if len(frames) < window:
+            return
+        labels, scores = rf_model.predict_batch(
+            np.array(frames, dtype=np.float64).reshape(1, -1)
+        )
+        sink.append(
+            FusedDecision(
+                t, *frames[-1], round(float(scores[0]), 6), int(labels[0])
+            )
+        )
+
+    pipe.stream("gaze_raw").subscribe(on_gaze)
+    pipe.stream("utterance").subscribe(on_utterance)
+    pipe.add_ticker(cadence_hz, on_tick)
     return pipe, sink
 
 
@@ -256,13 +214,9 @@ def live_decisions(
     originating-time order and collect the per-tick decisions.  `run`
     scores a file with `predict_session` instead; this drives the live
     path over a recording for the parity tests and the benchmarks."""
-    pipe, sink = live_pipeline(
-        nb_model, rf_model, gaze_config, cadence_hz, window
-    )
+    pipe, sink = live_pipeline(nb_model, rf_model, gaze_config, cadence_hz, window)
     messages = [
-        (name, msg)
-        for name in ("gaze_raw", "utterance")
-        for msg in record.messages(name)
+        (name, msg) for name in LIVE_INPUTS for msg in record.messages(name)
     ]
     replay(pipe, messages, record.duration)
     return sink

@@ -30,14 +30,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaze import GazeObservation
 from .language import Utterance
-from .streams import SessionFormatError, TimestampedMessage, read_lines, time_ordered
+from .streams import (
+    LIVE_INPUTS,
+    STREAM_NAMES,
+    SessionFormatError,
+    TimestampedMessage,
+    read_lines,
+    time_ordered,
+)
 
 FORMAT_VERSION = 1
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
-
-# Streams with a defined on-disk payload encoding.
-STORABLE_STREAMS = ("gaze_raw", "utterance", *NEED_STREAMS, "need_fused")
 
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -117,7 +121,7 @@ class SessionRecord:
             raise SessionFormatError("non-finite value for 'duration'")
         last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
-            if name not in STORABLE_STREAMS:
+            if name not in STREAM_NAMES:
                 raise SessionFormatError(f"unknown stream name {name!r}")
             for msg in msgs:
                 t = msg.originating_time
@@ -275,10 +279,10 @@ class SessionReader:
     """Session-format lines read one at a time, the header on construction.
     Iterating yields (line number, stream name, `LabelSpan` or
     `TimestampedMessage`) per later line once it passes every check that
-    needs no later line; `in_time_order` also bars a message earlier than
-    the one before it."""
+    needs no later line; `live` input also bars a stream the live shell
+    does not read and a message earlier than the one before it."""
 
-    def __init__(self, lines: Iterable[str], in_time_order: bool = False):
+    def __init__(self, lines: Iterable[str], live: bool = False):
         line_no, fields, self._rows = _header(
             lines, "session", "format_version", FORMAT_VERSION
         )
@@ -286,7 +290,7 @@ class SessionReader:
         if not _SESSION_ID_RE.match(self.session_id):
             raise SessionFormatError(f"invalid session id {self.session_id!r}", line_no)
         self.duration = _parse_float(fields, "duration", line_no)
-        self.in_time_order = in_time_order
+        self.live = live
 
     def __iter__(self) -> Iterator[tuple[int, str, object]]:
         last_t: dict[str, float] = {}
@@ -302,10 +306,14 @@ class SessionReader:
                 level = _need_level(fields.get("level", ""), line_no)
                 yield line_no, name, LabelSpan(start, end, level)
                 continue
-            if name not in STORABLE_STREAMS:
+            if name not in STREAM_NAMES:
                 raise SessionFormatError(f"unknown stream name {name!r}", line_no)
+            if self.live and name not in LIVE_INPUTS:
+                raise SessionFormatError(
+                    f"stream {name!r} is not a live input", line_no
+                )
             t = _parse_float(fields, "t", line_no)
-            if self.in_time_order and t < latest:
+            if self.live and t < latest:
                 raise SessionFormatError(
                     f"message at t={t} arrives after t={latest}; live input "
                     "must be in global time order",
@@ -317,9 +325,10 @@ class SessionReader:
             yield line_no, name, TimestampedMessage(t, payload)
 
 
-def parse_session(lines: Iterable[str]) -> SessionRecord:
-    """Parse and validate a session; errors name the offending line."""
-    reader = SessionReader(lines)
+def parse_session(lines: Iterable[str], live: bool = False) -> SessionRecord:
+    """Parse and validate a session, read as `live` input if asked (see
+    `SessionReader`); errors name the offending line."""
+    reader = SessionReader(lines, live)
     streams: dict[str, list[TimestampedMessage]] = {}
     labels: list[LabelSpan] = []
     label_lines: dict[float, int] = {}
@@ -383,9 +392,9 @@ def _quoted_text(fields: dict[str, str], line_no: int) -> str:
     return _unescape(raw[1:-1])
 
 
-def load(path: str | Path) -> SessionRecord:
+def load(path: str | Path, live: bool = False) -> SessionRecord:
     """Read and parse a session file; every error names the file."""
-    return read_lines(path, parse_session)
+    return read_lines(path, lambda lines: parse_session(lines, live))
 
 
 def binary_labels(record: SessionRecord, times) -> np.ndarray:

@@ -15,6 +15,7 @@ combine a sustained look at the robot with help-seeking phrasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -99,8 +100,8 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("script needs at least one segment")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("noise must be finite and >= 0")
 
     @property
     def duration(self) -> float:

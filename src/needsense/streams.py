@@ -2,11 +2,13 @@
 
 Every message carries the time its data originated at the source, and the
 scheduler orders deliveries and ticks by those times, never by when they
-are processed.  This is what makes the live path, which wires the models
-onto a `Pipeline` (see `fusion`), reproduce the batch computation over a
-recorded session exactly: both see the same originating times regardless
-of processing latency.  For the same reason a session file and a live
-session on standard input are read through one line reader.
+are processed.  This is what makes the live shell, callbacks on a
+`Pipeline`'s input streams and ticks (see `fusion`), reproduce the batch
+computation over a recorded session exactly: both see the same
+originating times regardless of processing latency.  Streams keep no
+message, so a live run's memory does not grow with its length.  A
+session file and a live session on standard input are read through one
+line reader.
 
 Time resolution is one millisecond; producers are expected to round
 originating times to 3 decimal places (the wire precision) so in-memory
@@ -19,19 +21,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-# Fixed stream vocabulary; wiring with any other name is an error.
-KNOWN_STREAM_NAMES = (
+# The streams a session file holds, in their order at equal times; wiring
+# any other name is an error.
+STREAM_NAMES = (
     "gaze_raw",
-    "gaze_direction",
-    "gaze_target",
     "need_mutual",
     "need_confirmatory",
     "utterance",
     "need_language",
-    "fusion_frame",
-    "need_fused",
-    "label",
 )
+
+# The streams the live shell reads: raw gaze frames and utterances.
+LIVE_INPUTS = ("gaze_raw", "utterance")
 
 
 class SessionFormatError(ValueError):
@@ -82,10 +83,6 @@ class WiringError(StreamError):
     """Unknown stream name or invalid operator parameters."""
 
 
-class OrderingError(StreamError):
-    """Originating-time ordering violated on a stream."""
-
-
 @dataclass(frozen=True)
 class TimestampedMessage:
     """A payload stamped with the time its data originated, in seconds."""
@@ -95,29 +92,17 @@ class TimestampedMessage:
 
 
 class Stream:
-    """An ordered, append-only message stream with one producer.
+    """A message stream with one producer that keeps no message.
+    Subscribers are invoked synchronously in subscription order."""
 
-    Subscribers are invoked synchronously in subscription order; per-stream
-    delivery therefore equals originating-time order by construction.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.messages: list[TimestampedMessage] = []
-        self.last_time: float | None = None
+    def __init__(self) -> None:
         self._subscribers: list[Callable[[TimestampedMessage], None]] = []
 
     def subscribe(self, fn: Callable[[TimestampedMessage], None]) -> None:
         self._subscribers.append(fn)
 
     def emit(self, t: float, payload: Any) -> None:
-        if self.last_time is not None and t <= self.last_time:
-            raise OrderingError(
-                f"stream {self.name}: originating time {t} not after {self.last_time}"
-            )
         msg = TimestampedMessage(t, payload)
-        self.last_time = t
-        self.messages.append(msg)
         for fn in self._subscribers:
             fn(msg)
 
@@ -164,10 +149,10 @@ class Pipeline:
         self._finalized = False
 
     def stream(self, name: str) -> Stream:
-        if name not in KNOWN_STREAM_NAMES:
+        if name not in STREAM_NAMES:
             raise WiringError(f"unknown stream name {name!r}")
         if name not in self.streams:
-            self.streams[name] = Stream(name)
+            self.streams[name] = Stream()
         return self.streams[name]
 
     def add_ticker(self, cadence_hz: float, fn: Callable[[float], None]) -> None:
@@ -195,7 +180,7 @@ class Pipeline:
 
 
 # Canonical cross-stream order for tiebreaks at equal times.
-_STREAM_ORDER = {name: i for i, name in enumerate(KNOWN_STREAM_NAMES)}
+_STREAM_ORDER = {name: i for i, name in enumerate(STREAM_NAMES)}
 
 
 def time_ordered(

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -188,6 +189,16 @@ class TestGenScripts:
         theirs = sorted(p.read_bytes() for p in other.glob("*"))
         assert ours != theirs
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_is_exit_three_and_writes_nothing(
+        self, tmp_path, capsys, noise
+    ):
+        out = tmp_path / "scripts"
+        code = main(["gen-scripts", "--noise", noise, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: noise must be finite and >= 0\n"
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_session_ids_come_from_script_stems(self, workspace):
@@ -342,6 +353,43 @@ DECISION_RE = re.compile(
 )
 
 
+def repeated(record: SessionRecord, k: int) -> SessionRecord:
+    """The session played `k` times in a row: copy i has its messages and
+    label spans shifted by i durations, in whole milliseconds."""
+    period = round(record.duration * 1000)
+
+    def shift(t: float, i: int) -> float:
+        return (round(t * 1000) + i * period) / 1000
+
+    return SessionRecord(
+        record.session_id,
+        k * period / 1000,
+        {
+            name: [
+                TimestampedMessage(shift(m.originating_time, i), m.payload)
+                for i in range(k)
+                for m in msgs
+            ]
+            for name, msgs in record.streams.items()
+        },
+        [
+            LabelSpan(shift(s.start, i), shift(s.end, i), s.level)
+            for i in range(k)
+            for s in record.labels
+        ],
+    )
+
+
+class DiscardingOut:
+    """A standard output that keeps no text."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 class TestRunCommand:
     def test_decision_lines_parse(self, workspace, capsys):
         code, lines, _ = run_lines(workspace, capsys)
@@ -426,6 +474,22 @@ class TestRunCommand:
         assert code == 3
         assert "global time order" in capsys.readouterr().err
 
+    def test_file_rejects_time_travel_as_stdin_does(
+        self, workspace, tmp_path, capsys
+    ):
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        lines = session.read_text(encoding="utf-8").splitlines()
+        gaze = [ln for ln in lines if ln.startswith("stream=gaze_raw")]
+        path = tmp_path / session.name
+        path.write_text(
+            "\n".join([lines[0], gaze[1], gaze[0]]) + "\n", encoding="utf-8"
+        )
+        code = main(["run", str(path), "--models", str(workspace["models"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: ")
+        assert "global time order" in err
+
     def stdin_run(self, workspace, capsys, monkeypatch, lines):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         code = main(
@@ -463,6 +527,32 @@ class TestRunCommand:
         assert f"line {1 + len(body)}: stream gaze_raw: time" in err
         assert f"outside [0, {duration}]" in err
 
+    @pytest.mark.parametrize("mode", ["file", "stdin"])
+    def test_stream_the_live_shell_does_not_read_is_exit_three(
+        self, workspace, capsys, monkeypatch, mode
+    ):
+        derived = sorted((workspace["models"] / "ds1").glob("*.session"))[0]
+        lines = derived.read_text(encoding="utf-8").splitlines()
+        line_no = 1 + next(
+            i for i, ln in enumerate(lines) if ln.startswith("stream=need_")
+        )
+        assert lines[line_no - 1].startswith("stream=need_mutual ")
+        argv = ["run", "--models", str(workspace["models"])]
+        if mode == "file":
+            code = main([*argv, str(derived)])
+            where = f"{derived}: "
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+            code = main([*argv, "-"])
+            where = ""
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {where}line {line_no}: stream 'need_mutual' is not a live "
+            "input\n"
+        )
+
     def test_stdin_requires_header(self, workspace, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin",
@@ -493,6 +583,27 @@ class TestRunCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main([*argv, "-"]) == 0
         assert capsys.readouterr().out == from_file
+
+    def test_stdin_memory_stays_flat_as_the_session_grows(
+        self, workspace, monkeypatch
+    ):
+        record = load_session(sorted(workspace["ds0"].glob("*.session"))[0])
+
+        def peak(k: int) -> int:
+            text = "\n".join(repeated(record, k).to_lines()) + "\n"
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdout", DiscardingOut())
+            tracemalloc.start()
+            try:
+                assert main(["run", "-", "--models", str(workspace["models"])]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # garbage awaiting the cycle collector moves a peak by some kB; a
+        # shell that kept its messages or decisions would add megabytes
+        once, ten_times = peak(1), peak(10)
+        assert ten_times <= once + 64 * 1024, (once, ten_times)
 
     def test_stdin_flushes_each_decision_before_reading_on(self, workspace):
         class RecordingOut:

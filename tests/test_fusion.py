@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from needsense.forest import ForestConfig
 from needsense.fusion import (
     live_decisions,
-    make_frames,
     predict_session,
     stage1_materialize,
     train_rf,
-    wire_gaze,
-    wire_language,
 )
 from needsense.gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from needsense.language import Utterance, train_from_utterances
@@ -33,7 +30,7 @@ from needsense.sessions import (
     parse_session,
 )
 from needsense.simulate import benchmark_suite, simulate
-from needsense.streams import Pipeline, TimestampedMessage, replay, tick_times
+from needsense.streams import LIVE_INPUTS, TimestampedMessage, replay, tick_times
 
 LIGHT_FOREST = ForestConfig(
     n_trees=10, max_depth=6, min_samples_leaf=3, seed=5
@@ -78,17 +75,19 @@ def step_session(session_id="d00", duration=10.0):
     return record, (ticks, frames)
 
 
+def held_frames(sink) -> list[tuple[float, tuple[float, float, float]]]:
+    """(tick, held (mutual, confirmatory, language) frame) per decision."""
+    return [(d.t, (d.mutual, d.confirmatory, d.language)) for d in sink]
+
+
 class TestFrameTypes:
-    def test_as_tuple_order(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
-        pipe.emit("need_language", 0.5, 0.3)
-        pipe.emit("need_confirmatory", 0.6, 0.2)
-        pipe.emit("need_mutual", 0.7, 0.1)
+    def test_as_tuple_order(self, live_shell):
+        pipe, sink, _ = live_shell()
+        pipe.emit("utterance", 0.5, "0.3")
+        pipe.emit("gaze_raw", 0.6, GazeObservation(0.0, 0.2))
+        pipe.emit("gaze_raw", 0.7, GazeObservation(0.1, 0.2))
         pipe.finalize(1.0)
-        assert pipe.stream("fusion_frame").messages[-1].payload == (
-            0.1, 0.2, 0.3
-        )
+        assert held_frames(sink)[-1][1] == (0.1, 0.2, 0.3)
 
 
 class TestAssemble:
@@ -126,27 +125,31 @@ class TestAssemble:
 
 
 class TestWireGaze:
-    def test_emits_wire_rounded_tracker_values(self):
-        pipe = Pipeline()
-        wire_gaze(pipe, GazeConfig())
+    """The live shell holds the gaze tracker's values, wire-rounded."""
+
+    def test_emits_wire_rounded_tracker_values(self, live_shell):
+        # one tick per frame: the gaze frames arrive on the 30 Hz grid
+        pipe, sink, _ = live_shell(30.0, gaze_config=GazeConfig())
         times = [round(k / 30, 3) for k in range(45)]
-        for t in times:
-            pipe.emit("gaze_raw", t, GazeObservation(0.0, 0.0, 1.0))
-        mutual = pipe.stream("need_mutual").messages
-        assert [m.originating_time for m in mutual] == times
+        gaze = [TimestampedMessage(t, GazeObservation(0.0, 0.0, 1.0)) for t in times]
+        for msg in gaze:
+            pipe.emit("gaze_raw", msg.originating_time, msg.payload)
+        pipe.finalize(times[-1])
+        mutual = [(d.t, d.mutual) for d in sink]
+        assert [t for t, _ in mutual] == times
         tracker = GazeNeedTracker(GazeConfig())
-        for msg in pipe.stream("gaze_raw").messages:
+        for msg in gaze:
             frame = tracker.update(msg.originating_time, msg.payload)
-            held = mutual[times.index(msg.originating_time)].payload
+            held = mutual[times.index(msg.originating_time)][1]
             assert held == round(frame.mutual, 6)
             assert held == round(held, 6)
 
-    def test_confirmatory_also_wired(self):
-        pipe = Pipeline()
-        wire_gaze(pipe, GazeConfig())
+    def test_confirmatory_also_wired(self, live_shell):
+        pipe, sink, _ = live_shell(gaze_config=GazeConfig())
         pipe.emit("gaze_raw", 0.0, GazeObservation(0.0, -0.45, 1.0))
-        conf = pipe.stream("need_confirmatory").messages
-        assert [(m.originating_time, m.payload) for m in conf] == [(0.0, 0.0)]
+        pipe.finalize(0.0)
+        conf = [(d.t, d.confirmatory) for d in sink]
+        assert conf == [(0.0, 0.0)]
 
 
 class TestWireLanguage:
@@ -158,53 +161,48 @@ class TestWireLanguage:
             ]
         )
 
-    def test_posterior_emitted_at_utterance_time(self):
-        pipe = Pipeline()
+    def test_posterior_emitted_at_utterance_time(self, live_shell):
         model = self.model()
-        wire_language(pipe, model)
+        pipe, sink, _ = live_shell(nb_model=model)
         pipe.emit("utterance", 2.5, "help")
-        out = pipe.stream("need_language").messages
+        pipe.finalize(2.5)
+        out = [(d.t, d.language) for d in sink if d.language]
         assert len(out) == 1
-        assert out[0].originating_time == 2.5
-        assert out[0].payload == round(model.predict_text("help"), 6)
+        assert out[0][0] == 2.5
+        assert out[0][1] == round(model.predict_text("help"), 6)
 
-    def test_empty_tokenization_dropped_and_counted(self):
-        pipe = Pipeline()
-        wire_language(pipe, self.model())
+    def test_empty_tokenization_dropped_and_counted(self, live_shell):
+        pipe, sink, _ = live_shell(nb_model=self.model())
         pipe.emit("utterance", 1.0, "???")
-        assert pipe.stream("need_language").messages == []
+        pipe.finalize(2.0)
+        assert [d.language for d in sink if d.language] == []
         assert pipe.drop_counts["need_language"] == 1
 
 
 class TestMakeFrames:
-    def test_holds_between_messages(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
-        pipe.emit("need_language", 3.0, 0.9)
+    """The live shell's hold of all three values onto the tick grid."""
+
+    def test_holds_between_messages(self, live_shell):
+        pipe, sink, _ = live_shell()
+        pipe.emit("utterance", 3.0, "0.9")
         pipe.finalize(4.0)
-        frames = pipe.stream("fusion_frame").messages
+        frames = held_frames(sink)
         assert len(frames) == 41
-        for frame in frames:
-            mutual, confirmatory, language = frame.payload
-            assert language == (0.9 if frame.originating_time >= 3.0 else 0.0)
+        for t, (mutual, confirmatory, language) in frames:
+            assert language == (0.9 if t >= 3.0 else 0.0)
             assert mutual == 0.0 and confirmatory == 0.0
 
-    def test_message_at_tick_time_is_seen_by_that_tick(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
-        pipe.emit("need_mutual", 0.2, 0.5)
+    def test_message_at_tick_time_is_seen_by_that_tick(self, live_shell):
+        pipe, sink, _ = live_shell()
+        pipe.emit("gaze_raw", 0.2, GazeObservation(0.5, 0.0))
         pipe.finalize(0.3)
-        by_t = {
-            m.originating_time: m.payload[0]
-            for m in pipe.stream("fusion_frame").messages
-        }
+        by_t = {t: frame[0] for t, frame in held_frames(sink)}
         assert by_t == {0.0: 0.0, 0.1: 0.0, 0.2: 0.5, 0.3: 0.5}
 
-    def test_frame_count_includes_duration_tick(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
+    def test_frame_count_includes_duration_tick(self, live_shell):
+        pipe, sink, _ = live_shell()
         pipe.finalize(10.0)
-        assert len(pipe.stream("fusion_frame").messages) == 101
+        assert len(held_frames(sink)) == 101
 
 
 class TestStage1:
@@ -326,29 +324,26 @@ class TestBatchLiveHoldParity:
 
     @given(session=raw_sessions())
     @settings(max_examples=150, deadline=None)
-    def test_stage1_equals_live_held_frames(self, session):
+    def test_stage1_equals_live_held_frames(self, live_shell, session):
         record, cadence = session
         ticks, frames = stage1_materialize(
             record, self.nb, GazeConfig(), cadence
         )
 
-        pipe = Pipeline()
-        wire_gaze(pipe, GazeConfig())
-        wire_language(pipe, self.nb)
-        make_frames(pipe, cadence)
+        # window 1: one decision per tick, warm-up included
+        pipe, sink, _ = live_shell(
+            cadence, nb_model=self.nb, gaze_config=GazeConfig()
+        )
         replay(
             pipe,
             [
                 (name, msg)
-                for name in ("gaze_raw", "utterance")
+                for name in LIVE_INPUTS
                 for msg in record.messages(name)
             ],
             record.duration,
         )
-        live = [
-            (m.originating_time, m.payload)
-            for m in pipe.stream("fusion_frame").messages
-        ]
+        live = held_frames(sink)
 
         batch = list(zip(ticks, map(tuple, frames.tolist())))
         assert live == batch

@@ -185,7 +185,7 @@ def storable_records(draw):
         ),
         "utterance": st.text(min_size=1, max_size=12),
         **dict.fromkeys(
-            ["need_mutual", "need_confirmatory", "need_language", "need_fused"],
+            ["need_mutual", "need_confirmatory", "need_language"],
             PAYLOAD_VALUES,
         ),
     }
@@ -315,6 +315,12 @@ class TestValidation:
             lambda ls: ls.append("stream=telemetry t=1.500 v=0.100000")
         )
         assert "telemetry" in msg
+
+    def test_fused_scores_are_not_a_stream(self):
+        msg = self.parse_one_bad(
+            lambda ls: ls.append("stream=need_fused t=1.500 v=0.100000")
+        )
+        assert "line 9: unknown stream name 'need_fused'" in msg
 
     def test_unparseable_text(self):
         msg = self.parse_one_bad(lambda ls: ls.append("what is this"))

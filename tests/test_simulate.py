@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from needsense.gaze import (
@@ -66,8 +68,9 @@ class TestSegmentSpec:
     def test_script_validation(self):
         with pytest.raises(ValueError, match="segment"):
             ScenarioScript(())
-        with pytest.raises(ValueError, match="noise"):
-            ScenarioScript((seg(2.0),), noise=-0.1)
+        for noise in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise"):
+                ScenarioScript((seg(2.0),), noise=noise)
 
     def test_duration_accumulates_at_wire_precision(self):
         script = ScenarioScript((seg(1.1), seg(2.2), seg(3.3)))

@@ -1,16 +1,14 @@
-"""Stream substrate: ordering, replay, and the live hold and window that
-run on it."""
+"""Stream substrate: ordering, replay, and the live shell's hold and
+window that run on it."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needsense.fusion import make_frames, wire_fused
+from needsense.gaze import GazeObservation
 from needsense.streams import (
-    OrderingError,
     Pipeline,
     TimestampedMessage,
     WiringError,
@@ -19,36 +17,22 @@ from needsense.streams import (
 )
 
 
-def held_language(pipe: Pipeline) -> list[tuple[float, float]]:
-    """The language value of each frame the live hold emitted."""
-    return [
-        (m.originating_time, m.payload[2])
-        for m in pipe.stream("fusion_frame").messages
-    ]
+def held_language(sink) -> list[tuple[float, float]]:
+    """The language value of each frame the live hold decided on."""
+    return [(d.t, d.language) for d in sink]
 
 
-class RecordingModel:
-    """Stands in for the forest and records every window it is given."""
-
-    def __init__(self):
-        self.windows = []
-
-    def predict_batch(self, X):
-        self.windows.append(tuple(X[0].tolist()))
-        return np.zeros(1, dtype=np.int64), np.zeros(1)
-
-
-def live_windows(size, frames):
+def live_windows(live_shell, size, frames, cadence_hz=1.0):
     """(time, window) for each decision of the live ring buffer over
-    (time, frame) inputs."""
-    pipe = Pipeline()
-    model = RecordingModel()
-    sink = []
-    wire_fused(pipe, model, size, sink)
-    for t, frame in frames:
-        pipe.emit("fusion_frame", t, frame)
-    assert len(sink) == len(model.windows)
-    return [(d.t, w) for d, w in zip(sink, model.windows)]
+    (tick time, frame) inputs, each frame held from its tick on."""
+    pipe, sink, forest = live_shell(cadence_hz, size)
+    for t, (mutual, confirmatory, language) in frames:
+        pipe.emit("gaze_raw", t, GazeObservation(mutual, confirmatory))
+        pipe.emit("utterance", t, repr(language))
+    if frames:
+        pipe.finalize(frames[-1][0])
+    assert len(sink) == len(forest.windows)
+    return [(d.t, w) for d, w in zip(sink, forest.windows)]
 
 
 def frame(k):
@@ -66,18 +50,6 @@ class TestEmit:
         pipe.emit("need_mutual", 2.0, 0.5)
         assert seen == [(1.0, 0.4), (2.0, 0.5)]
 
-    def test_equal_time_rejected(self):
-        pipe = Pipeline()
-        pipe.emit("need_mutual", 2.0, 0.4)
-        with pytest.raises(OrderingError):
-            pipe.emit("need_mutual", 2.0, 0.5)
-
-    def test_backward_time_rejected(self):
-        pipe = Pipeline()
-        pipe.emit("need_mutual", 2.0, 0.4)
-        with pytest.raises(OrderingError):
-            pipe.emit("need_mutual", 1.5, 0.5)
-
     def test_unknown_stream_rejected_at_wiring(self):
         pipe = Pipeline()
         with pytest.raises(WiringError):
@@ -90,34 +62,30 @@ class TestEmit:
 
 
 class TestSampleHold:
-    """The live zero-order hold (`make_frames`) on one need stream."""
+    """The live shell's zero-order hold of one model's output."""
 
-    def test_initial_until_first_input(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
-        pipe.emit("need_language", 0.95, 0.8)
+    def test_initial_until_first_input(self, live_shell):
+        pipe, sink, _ = live_shell()
+        pipe.emit("utterance", 0.95, "0.8")
         pipe.finalize(1.5)
-        out = held_language(pipe)
+        out = held_language(sink)
         for t, v in out:
             assert v == (0.0 if t < 1.0 else 0.8)
         assert [t for t, _ in out] == [round(k / 10, 3) for k in range(16)]
 
-    def test_no_input_emits_initial_forever(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
+    def test_no_input_emits_initial_forever(self, live_shell):
+        pipe, sink, _ = live_shell()
         pipe.finalize(0.5)
         assert [
-            (m.originating_time, m.payload)
-            for m in pipe.stream("fusion_frame").messages
+            (d.t, (d.mutual, d.confirmatory, d.language)) for d in sink
         ] == [(round(k / 10, 3), (0.0, 0.0, 0.0)) for k in range(6)]
 
-    def test_latest_at_or_before_tick(self):
-        pipe = Pipeline()
-        make_frames(pipe, 10.0)
-        pipe.emit("need_language", 1.0, 0.2)
-        pipe.emit("need_language", 1.05, 0.9)
+    def test_latest_at_or_before_tick(self, live_shell):
+        pipe, sink, _ = live_shell()
+        pipe.emit("utterance", 1.0, "0.2")
+        pipe.emit("utterance", 1.05, "0.9")
         pipe.finalize(1.2)
-        out = dict(held_language(pipe))
+        out = dict(held_language(sink))
         assert out[1.0] == 0.2
         assert out[1.1] == 0.9
 
@@ -132,18 +100,17 @@ class TestSampleHold:
         cut=st.integers(min_value=0, max_value=48),
     )
     @settings(max_examples=60, deadline=None)
-    def test_causality_under_truncation(self, times_values, cut):
+    def test_causality_under_truncation(self, live_shell, times_values, cut):
         # output at ticks <= T only depends on inputs at times <= T
         msgs = sorted({round(k / 10, 3): v for k, v in times_values}.items())
         t_cut = round(cut / 10, 3)
 
         def run(messages):
-            pipe = Pipeline()
-            make_frames(pipe, 10.0)
+            pipe, sink, _ = live_shell()
             for t, v in messages:
-                pipe.emit("need_language", t, v)
+                pipe.emit("utterance", t, repr(v))
             pipe.finalize(5.0)
-            return held_language(pipe)
+            return held_language(sink)
 
         full = [o for o in run(msgs) if o[0] <= t_cut]
         truncated = [
@@ -153,44 +120,46 @@ class TestSampleHold:
 
 
 class TestSlidingWindow:
-    """The live ring buffer (`wire_fused`) over fusion frames."""
+    """The live shell's ring buffer over held frames."""
 
-    def test_size_one_wraps_input(self):
-        out = live_windows(1, [(float(k + 1), frame(k)) for k in range(4)])
-        assert out == [(float(k + 1), frame(k)) for k in range(4)]
+    def test_size_one_wraps_input(self, live_shell):
+        out = live_windows(live_shell, 1, [(float(k), frame(k)) for k in range(4)])
+        assert out == [(float(k), frame(k)) for k in range(4)]
 
-    def test_w3_example(self):
+    def test_w3_example(self, live_shell):
         a, b, c, d = (frame(k) for k in range(4))
-        out = live_windows(3, [(float(k + 1), frame(k)) for k in range(4)])
+        out = live_windows(live_shell, 3, [(float(k), frame(k)) for k in range(4)])
         assert out == [
-            (3.0, a + b + c),
-            (4.0, b + c + d),
+            (2.0, a + b + c),
+            (3.0, b + c + d),
         ]
 
-    def test_100_ticks_w20_gives_81_windows_matching_offline_slices(self):
+    def test_100_ticks_w20_gives_81_windows_matching_offline_slices(
+        self, live_shell
+    ):
         out = live_windows(
-            20, [(round(k / 10, 3), frame(k)) for k in range(100)]
+            live_shell, 20, [(round(k / 10, 3), frame(k)) for k in range(100)], 10.0
         )
         assert len(out) == 81
         for i, (t, window) in enumerate(out):
             assert t == round((i + 19) / 10, 3)
             assert window == sum((frame(k) for k in range(i, i + 20)), ())
 
-    def test_no_output_during_warmup(self):
-        out = live_windows(5, [(float(k + 1), frame(k)) for k in range(4)])
+    def test_no_output_during_warmup(self, live_shell):
+        out = live_windows(live_shell, 5, [(float(k), frame(k)) for k in range(4)])
         assert out == []
 
-    def test_bad_size_rejected(self):
+    def test_bad_size_rejected(self, live_shell):
         with pytest.raises(WiringError):
-            wire_fused(Pipeline(), RecordingModel(), 0, [])
+            live_shell(window=0)
 
     @given(
         n=st.integers(min_value=0, max_value=60),
         w=st.integers(min_value=1, max_value=25),
     )
     @settings(max_examples=60, deadline=None)
-    def test_output_count(self, n, w):
-        out = live_windows(w, [(float(k + 1), frame(k)) for k in range(n)])
+    def test_output_count(self, live_shell, n, w):
+        out = live_windows(live_shell, w, [(float(k), frame(k)) for k in range(n)])
         assert len(out) == max(0, n - w + 1)
 
 
@@ -216,14 +185,19 @@ class TestReplay:
             ("utterance", 1.0),
         ]
 
-    def test_replay_reemits_stored_messages_exactly(self):
+    def test_replay_reemits_stored_messages_exactly(self, live_shell):
         messages = [
-            ("need_mutual", TimestampedMessage(round(k / 7, 3), k / 10))
+            (
+                "gaze_raw",
+                TimestampedMessage(round(k / 7, 3), GazeObservation(k / 10, 0.0)),
+            )
             for k in range(10)
         ]
-        pipe = Pipeline()
+        pipe, _, _ = live_shell()
+        delivered = []
+        pipe.stream("gaze_raw").subscribe(delivered.append)
         replay(pipe, list(messages), 3.0)
-        assert pipe.stream("need_mutual").messages == [m for _, m in messages]
+        assert delivered == [m for _, m in messages]
 
     @given(ticks=st.sets(st.integers(min_value=0, max_value=40), max_size=15))
     @settings(max_examples=50, deadline=None)
