@@ -2,7 +2,8 @@
 
 Fits the default 100-tree forest on the canonical suite's stage-2 matrix
 (`benchmark_suite(20, seed=0)`: 7,339 rows x 60), as `needsense train`
-does.  `testpaths` does not collect this directory, so run it directly:
+does, at seed 0 and at seed 7 (`needsense train --seed 7`).  `testpaths`
+does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_forest_fit.py
 
@@ -30,6 +31,9 @@ from needsense.simulate import benchmark_suite, simulate
 DEFAULT_FIT_NODES = 54_974
 # sha256 of the default fit's model file, "\n".join(to_lines()) + "\n"
 DEFAULT_FIT_SHA256 = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
+# the same at seed 7, as `needsense train --seed 7` fits
+SEED_7_FIT_NODES = 55_368
+SEED_7_FIT_SHA256 = "002f183a9e67369264b9f1a1881798c33f496ad2df5fea7791d355566b944eaa"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,11 @@ def suite_matrix(tmp_path_factory):
     return matrix.features[order], matrix.labels[order]
 
 
+def model_sha256(model) -> str:
+    text = "\n".join(model.to_lines()) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_fit_default_forest(benchmark, suite_matrix):
     X, y = suite_matrix
     assert X.shape == (7339, 60)
@@ -63,5 +72,14 @@ def test_fit_default_forest(benchmark, suite_matrix):
         fit_forest, args=(X, y, Config().forest_config()), rounds=3, iterations=1
     )
     assert len(model.feature) == DEFAULT_FIT_NODES
-    text = "\n".join(model.to_lines()) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_FIT_SHA256
+    assert model_sha256(model) == DEFAULT_FIT_SHA256
+
+
+def test_fit_default_forest_seed_7(benchmark, suite_matrix):
+    X, y = suite_matrix
+    model = benchmark.pedantic(
+        fit_forest, args=(X, y, Config(seed=7).forest_config()), rounds=1,
+        iterations=1,
+    )
+    assert len(model.feature) == SEED_7_FIT_NODES
+    assert model_sha256(model) == SEED_7_FIT_SHA256

@@ -28,7 +28,6 @@ from .fusion import (
     train_rf,
 )
 from .language import CorpusError, NBModel, train_from_utterances
-from .evaluation import run_full_eval
 from .sessions import (
     SessionFormatError,
     SessionReader,
@@ -39,7 +38,6 @@ from .sessions import (
     fmt_value,
     load as load_session,
 )
-from .simulate import benchmark_suite, load_script, save_script, simulate
 from .streams import read_lines, text_lines
 
 EXIT_OK = 0
@@ -88,6 +86,7 @@ def _load_sessions(directory: str):
 
 
 def cmd_gen_scripts(args: argparse.Namespace) -> int:
+    from .simulate import benchmark_suite, save_script
     cfg = _active_config(args)
     scripts = benchmark_suite(args.count, seed=cfg.seed, noise=args.noise)
     out = Path(args.out)
@@ -99,6 +98,7 @@ def cmd_gen_scripts(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import load_script, simulate
     cfg = _active_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,6 +165,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import run_full_eval
     cfg = _active_config(args)
     records = _load_sessions(args.ds0)
     report = run_full_eval(

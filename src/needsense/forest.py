@@ -18,25 +18,21 @@ share a rank, as -0.0 and 0.0 share a run of a sorted column; which one the
 table keeps cannot move a midpoint, because x + 0.0 == x + -0.0 for every
 nonzero x.
 
-The trees grow in lockstep, one node of each per step, and a step's nodes
-are searched together: one `bincount` over (node, feature, rank, label)
-counts a whole block of them.  The numpy call overhead is then paid per
-block, not per node, which matters because most nodes are small.
+The trees grow in lockstep and a step's nodes are searched together: one
+`bincount` over (node, feature, rank, label) counts a block of up to
+_SEARCH_CELLS cells, so numpy's call overhead is paid per block, not per
+node, and most nodes are small.  A cell's bin takes one gather from a table
+of 2 * rank + label (a byte per cell here) and one add of a 32-bit key;
+with keys this narrow, 1 << 18-cell blocks beat 1 << 17.
 
 When the sampled feature subset offers no usable split the search widens
-to the remaining features, so a node only becomes a leaf when it is pure,
-hits a stopping rule, or has no distinguishing feature at all.  That
-guarantees an unlimited-depth forest memorizes any consistently labeled
-training set.  A node whose rows are all the same row of ranks, equal in
-every feature, is made a leaf without the widened search: no feature takes
-two values there, so that search could only come back empty, and it draws
-nothing from the tree's generator.  Such nodes are common, since bootstrap
-samples repeat rows and duplicate windows carry both labels.
-
-A search block holds up to _SEARCH_CELLS gathered cells.  Blocks twice the
-size of 1 << 16 spend less of the fit on per-block numpy overhead for a
-slightly larger peak; larger blocks again gained no speed and grew the peak
-further.
+to the other features that vary at the node, so a node only becomes a leaf
+when it is pure, hits a stopping rule, or has no distinguishing feature at
+all: an unlimited-depth forest memorizes any consistently labeled training
+set.  A constant feature offers no split, so leaving it out changes no tree,
+and a node with none left that varies (as where bootstrap repeats one row
+with both labels) is a leaf at once.  Widening draws nothing from the
+tree's generator.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ class ForestConfig:
 
 
 # cells one `_best_splits` block may gather and count: bounds its working set
-_SEARCH_CELLS = 1 << 17
+_SEARCH_CELLS = 1 << 18
 
 
 def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +90,9 @@ def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, ranks
 
 
-def _row_ids(ranks: np.ndarray) -> np.ndarray:
-    """An id per row of ranks, shared by the rows equal in every column: the
-    index of its bytes among the distinct rows."""
-    rows = ranks.view(np.dtype((np.void, ranks.shape[1] * ranks.itemsize)))
-    return np.unique(rows.ravel(), return_inverse=True)[1]
+def _index_type(size: int) -> type:
+    """The narrower of int32 and int64 that holds every index below size."""
+    return np.int32 if size <= 2**31 else np.int64
 
 
 def _blocks(cost: np.ndarray):
@@ -119,13 +113,14 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _best_splits(values, ranks, labels, rows, n, pos, features, min_leaf):
+def _best_splits(values, codes, rows, n, pos, features, min_leaf):
     """(feature, threshold, left positives) of each node's best split over its
     candidate features; feature is -1 where none of them splits the node.
 
-    Node i holds rows[i] (n[i] rows, pos[i] of them positive) and the sorted
-    candidate features features[i] of a (k, m) array.  Each (node, feature)
-    pair is a slot with its own `width` bins per class, one per rank, so one
+    codes[j, r] is 2 * rank + label of row r in feature j.  Node i holds rows[i]
+    (n[i] rows, pos[i] of them positive) and the features features[i] of a
+    (k, m) array, ascending among those that vary at the node.  Each (node,
+    feature) pair is a slot with `width` bins per class, one per rank, so one
     bincount counts every (value, label) of every node of a block.  The
     occupied bins in slot order are the values present at each node,
     consecutive ones within a slot are the candidate boundaries, and
@@ -133,24 +128,22 @@ def _best_splits(values, ranks, labels, rows, n, pos, features, min_leaf):
     maximum of each node realizes the tie-breaking.
     """
     (k, m), width = features.shape, values.shape[1]
-    feature, threshold = np.full(k, -1), np.zeros(k)
-    pos_left = np.zeros(k, dtype=np.int64)
+    feature, threshold, pos_left = np.full(k, -1), np.zeros(k), np.zeros(k, np.int64)
     for start, stop in _blocks((n + width) * m):
         node_n, node_pos = n[start:stop], pos[start:stop]
-        block_rows = np.concatenate(rows[start:stop], dtype=np.intp)
         block_features = features[start:stop]
         table = block_features.size * width
-        node_of_row = np.repeat(np.arange(stop - start), node_n)
+        index = _index_type(max(codes.size, 2 * table))
         # the cell of row r and the f-th feature of its node i counts into bin
-        # (i * m + f) * width + rank, one table further on when r is positive
-        cell = np.repeat(block_features, node_n, axis=0)
-        cell += (block_rows * ranks.shape[1])[:, None]
-        key = ranks.ravel().take(cell)
-        key = key + (node_of_row * (m * width) + labels[block_rows] * table)[:, None]
-        key += np.arange(0, m * width, width)
+        # ((i * m + f) * width + rank) * 2 + label
+        cell = np.repeat(block_features.astype(index) * codes.shape[1], node_n, axis=0)
+        cell += np.concatenate(rows[start:stop], dtype=index)[:, None]
+        slot_bins = np.arange(0, 2 * table, 2 * width, dtype=index)
+        key = np.repeat(slot_bins.reshape(-1, m), node_n, axis=0)
+        key += codes.ravel().take(cell)
         counts = np.bincount(key.ravel(), minlength=2 * table)
-        positive = counts[table:]
-        total = counts[:table] + positive
+        positive = counts[1::2]
+        total = counts[::2] + positive
         present = np.flatnonzero(total)
         slot_at, rank_at = np.divmod(present, width)
         # every slot holds all its node's rows, so the running totals restart
@@ -322,7 +315,7 @@ def _scan(buf: np.ndarray):
     stays bounded.
     """
     text = buf[:-_PAD]
-    index = np.int32 if buf.size < 2**31 else np.int64
+    index = _index_type(buf.size)
     ends = np.flatnonzero(text == ord("\n")).astype(index)
     if text.size and text[-1] != ord("\n"):
         ends = np.append(ends, index(text.size))  # a last line with no line end
@@ -504,8 +497,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     takes from every unfinished tree its next node that needs a search (the
     stopping rules make leaves of the nodes popped before it), searches them
     all in one `_best_splits` call, widens those whose sampled features gave
-    no split in one more, then splits each node and pushes its children.
-    The widened search skips the nodes whose rows share one row of ranks.
+    no split in one more, over their features that vary and were not sampled,
+    then splits each node and pushes its children.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -523,7 +516,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         raise ValueError("training matrix must contain both classes")
     (n, d), m = X.shape, config.resolve_features(X.shape[1])
     values, ranks = _rank_table(X)
-    row_id = _row_ids(ranks)
+    dtype = np.min_scalar_type(2 * values.shape[1] - 1)
+    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
     max_depth = math.inf if config.max_depth is None else config.max_depth
     min_leaf = config.min_samples_leaf
     rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
@@ -554,21 +548,26 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         else:
             sampled = np.broadcast_to(np.arange(d), (len(step), d))
         best = _best_splits(
-            values, ranks, labels, node_rows, node_n, node_pos, sampled, min_leaf
+            values, codes, node_rows, node_n, node_pos, sampled, min_leaf
         )
         widen = np.flatnonzero(best[0] < 0)
         if m < d and widen.size:
-            # a node whose rows share one id takes one value in every feature
-            ids = row_id[np.concatenate([node_rows[i] for i in widen], dtype=np.intp)]
+            # a feature varies at a node where two consecutive rows differ in it
+            node_ranks = ranks[np.concatenate([node_rows[i] for i in widen])]
             first = np.cumsum(node_n[widen]) - node_n[widen]
-            differ = np.minimum.reduceat(ids, first) < np.maximum.reduceat(ids, first)
-            widen = widen[differ]
+            differ = node_ranks[1:] != node_ranks[:-1]
+            differ[first[1:] - 1] = False  # the pairs that span two nodes
+            # 0: a varying feature not sampled, 1: a constant one, 2: a sampled one
+            kind = (~np.logical_or.reduceat(differ, first)).astype(np.int8)
+            kind[np.arange(widen.size)[:, None], sampled[widen]] = 2
+            varying = np.count_nonzero(kind == 0, axis=1)
+            widen, kind = widen[varying > 0], kind[varying > 0]
         if m < d and widen.size:
-            rest = np.ones((widen.size, d), dtype=bool)
-            rest[np.arange(widen.size)[:, None], sampled[widen]] = False
-            rest = np.nonzero(rest)[1].reshape(widen.size, d - m)
+            # each node's varying features ascending, then constant ones, which
+            # offer no candidate, up to the longest list of the step
+            rest = np.argsort(kind, axis=1, kind="stable")[:, : varying.max()]
             widened = _best_splits(
-                values, ranks, labels, [node_rows[i] for i in widen],
+                values, codes, [node_rows[i] for i in widen],
                 node_n[widen], node_pos[widen], rest, min_leaf,
             )
             for column, found in zip(best, widened):

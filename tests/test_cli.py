@@ -334,6 +334,25 @@ def test_each_command_takes_only_the_flags_it_reads(command, options):
     assert sorted(taken) == sorted(["-h", "--help", *options])
 
 
+def test_import_leaves_out_the_modules_of_other_commands():
+    # `run` and `train` never compile the modules only `eval`, `simulate`
+    # and `gen-scripts` use; a checkout without bytecode compiles each import
+    code = (
+        "import sys, needsense.cli; "
+        "print(*sorted(set(sys.modules) & "
+        "{'needsense.evaluation', 'needsense.simulate'}))"
+    )
+    src = str(Path(needsense.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout == "\n"
+
+
 # every character str.splitlines splits at besides \n and \r
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

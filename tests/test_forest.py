@@ -623,15 +623,17 @@ class TestRankCountExactness:
             assert model.threshold[model.roots].tolist() == [2.5, 2.5, 2.5]
 
     def test_feature_identical_nodes_are_never_widened(self):
-        # d = 3 features and m = 1 per split, so a widened search is the one
-        # call of a step whose candidates are d - m = 2 features per node
+        # a widened search is the one call of a step that searches nodes of
+        # the call before it again
         def searched(X, y, config):
-            calls = []
+            calls, previous = [], []
             search = forest._best_splits
 
-            def counted(values, ranks, labels, rows, n, pos, features, min_leaf):
-                calls.append((features.shape[1] == 2, [X[r] for r in rows]))
-                return search(values, ranks, labels, rows, n, pos, features, min_leaf)
+            def counted(values, codes, rows, n, pos, features, min_leaf):
+                widen = all(any(r is p for p in previous) for r in rows)
+                previous[:] = rows
+                calls.append((widen, [X[r] for r in rows]))
+                return search(values, codes, rows, n, pos, features, min_leaf)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(forest, "_best_splits", counted)
@@ -670,6 +672,87 @@ class TestRankCountExactness:
         # the sampled search did meet identical nodes, and other nodes widened
         assert widened and identical_searched
 
+    def test_widened_search_takes_the_features_that_vary_at_the_node(self):
+        def searches(X, y, config):
+            """(rows, features, feature found) of each `_best_splits` call."""
+            calls = []
+            search = forest._best_splits
+
+            def recorded(values, codes, rows, n, pos, features, min_leaf):
+                found = search(values, codes, rows, n, pos, features, min_leaf)
+                calls.append((rows, features, found[0].copy()))
+                return found
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forest, "_best_splits", recorded)
+                model = fit_forest(X, y, config)
+            assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+            return calls
+
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(40, 9)).astype(float)
+        X[:, [1, 4]] = 7.0  # constant columns
+        X[-8:] = X[-9]  # the last 9 rows are equal in every feature
+        y = rng.integers(0, 2, size=40)
+        y[-2:] = [0, 1]
+        widened = padded = identical = 0
+        for seed in range(6):
+            calls = searches(X, y, ForestConfig(n_trees=4, seed=seed))
+            first_pass = [
+                i for i, (rows, _, _) in enumerate(calls)
+                if i == 0 or not all(
+                    any(r is p for p in calls[i - 1][0]) for r in rows
+                )
+            ]
+            for i in first_pass:
+                rows, sampled, found = calls[i]
+                # each node left without a split, with its varying features
+                # that were not sampled, ascending
+                expected = []
+                for node_rows, node_sampled, feature in zip(rows, sampled, found):
+                    if feature >= 0:
+                        continue
+                    node_X = X[node_rows]
+                    varies = [
+                        f for f in range(X.shape[1])
+                        if f not in node_sampled and len(set(node_X[:, f])) > 1
+                    ]
+                    identical += bool((node_X == node_X[0]).all())
+                    if varies:
+                        expected.append((node_rows, varies))
+                if not expected:
+                    assert i + 1 == len(calls) or i + 1 in first_pass
+                    continue
+                widen_rows, features, _ = calls[i + 1]
+                assert [id(r) for r in widen_rows] == [id(r) for r, _ in expected]
+                # padded to the longest list of the step
+                assert features.shape[1] == max(len(varies) for _, varies in expected)
+                for (node_rows, varies), node_features in zip(expected, features):
+                    node_X = X[node_rows]
+                    assert node_features[: len(varies)].tolist() == varies
+                    # the padding: features constant at the node
+                    for f in node_features[len(varies):]:
+                        assert (node_X[:, f] == node_X[0, f]).all()
+                        padded += 1
+                widened += len(expected)
+        assert widened and padded and identical
+
+    def test_column_of_200_values_matches_argsort_reference(self):
+        # 2 * rank + label of a 200-value column does not fit in uint8
+        assert np.min_scalar_type(2 * 200 - 1) == np.uint16
+        rng = np.random.default_rng(2)
+        X = np.column_stack(
+            [rng.permutation(np.repeat(np.arange(200.0), 2)),
+             rng.integers(0, 4, size=400).astype(float)]
+        )
+        y = (X[:, 0] % 7 < 3).astype(int) ^ (X[:, 1] == 2)
+        for bootstrap in (False, True):
+            config = ForestConfig(
+                n_trees=3, features_per_split=1, bootstrap=bootstrap, seed=4
+            )
+            model = fit_forest(X, y, config)
+            assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
     def test_midpoint_rounding_onto_upper_value_is_no_split(self):
         assert (1.0 + ODD_ULP) / 2.0 == 1.0
         assert (ODD_ULP + EVEN_ULP) / 2.0 == EVEN_ULP
@@ -679,53 +762,72 @@ class TestRankCountExactness:
         assert model.feature[0] == -1
 
 
-class TestLockstepExactness:
-    @given(
-        distinct_rows=arrays(
-            np.int64,
-            st.tuples(
-                st.integers(min_value=1, max_value=12),
-                st.integers(min_value=2, max_value=5),
-            ),
-            elements=st.integers(min_value=0, max_value=len(TIGHT_VALUES) - 1),
+@given(
+    distinct_rows=arrays(
+        np.int64,
+        st.tuples(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=2, max_value=5),
         ),
-        data=st.data(),
-        seed=st.integers(min_value=0, max_value=2**16),
-        n_trees=st.integers(min_value=1, max_value=12),
-        min_samples_leaf=st.sampled_from([1, 2]),
-        per_split=st.sampled_from(["auto", "one", "all"]),
-        bootstrap=st.booleans(),
-        budget=st.sampled_from([1, 7, 64, 512]),
+        elements=st.integers(min_value=0, max_value=len(TIGHT_VALUES) - 1),
+    ),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_trees=st.integers(min_value=1, max_value=12),
+    min_samples_leaf=st.sampled_from([1, 2]),
+    per_split=st.sampled_from(["auto", "one", "all"]),
+    bootstrap=st.booleans(),
+    budget=st.sampled_from([1, 7, 64, 512]),
+)
+@settings(max_examples=80, deadline=None)
+def search_blocks_match_argsort_reference(
+    distinct_rows, data, seed, n_trees, min_samples_leaf, per_split,
+    bootstrap, budget,
+):
+    """Run by two tests below, with each index type; a property at module
+    level, since hypothesis refuses one run from two test instances."""
+    # tiny cell budgets split a step into many blocks, and search any
+    # node larger than the budget alone
+    pick = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(distinct_rows) - 1),
+            min_size=2,
+            max_size=40,
+        )
     )
-    @settings(max_examples=80, deadline=None)
-    def test_search_blocks_match_argsort_reference(
-        self, distinct_rows, data, seed, n_trees, min_samples_leaf, per_split,
-        bootstrap, budget,
-    ):
-        # tiny cell budgets split a step into many blocks, and search any
-        # node larger than the budget alone
-        pick = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=len(distinct_rows) - 1),
-                min_size=2,
-                max_size=40,
-            )
-        )
-        X = np.array(TIGHT_VALUES)[distinct_rows[pick]]
-        X[:, 0] = 0.0  # a constant column, so that some searches widen
-        y = np.random.default_rng(seed).integers(0, 2, size=len(X))
-        assume(len(set(y.tolist())) == 2)
-        config = ForestConfig(
-            n_trees=n_trees,
-            min_samples_leaf=min_samples_leaf,
-            features_per_split={"auto": None, "one": 1, "all": X.shape[1]}[per_split],
-            bootstrap=bootstrap,
-            seed=seed,
-        )
+    X = np.array(TIGHT_VALUES)[distinct_rows[pick]]
+    X[:, 0] = 0.0  # a constant column, so that some searches widen
+    y = np.random.default_rng(seed).integers(0, 2, size=len(X))
+    assume(len(set(y.tolist())) == 2)
+    config = ForestConfig(
+        n_trees=n_trees,
+        min_samples_leaf=min_samples_leaf,
+        features_per_split={"auto": None, "one": 1, "all": X.shape[1]}[per_split],
+        bootstrap=bootstrap,
+        seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "_SEARCH_CELLS", budget)
+        model = fit_forest(X, y, config)
+    assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
+
+class TestLockstepExactness:
+    def test_search_blocks_match_argsort_reference(self):
+        search_blocks_match_argsort_reference()
+
+    def test_64_bit_indices_match_argsort_reference(self):
+        # the same examples with the wider index type that large tables take
+        chosen = []
+
+        def wide(size):
+            chosen.append(size)
+            return np.int64
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forest, "_SEARCH_CELLS", budget)
-            model = fit_forest(X, y, config)
-        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+            patch.setattr(forest, "_index_type", wide)
+            search_blocks_match_argsort_reference()
+        assert chosen
 
     def test_one_step_widens_one_tree_and_not_another(self):
         # seed 21: tree 0 samples the constant column 0 at its root and
