@@ -9,7 +9,9 @@ writes, the 10-fold report `eval` prints at the default config and with
 one tree (`rf_n_trees=1`, which leaves little but the non-fit cost), and
 the decision lines `run` prints for session s00 with the models of a
 default `train`, both from the file and from standard input, and for s00
-played 10 times in a row on standard input.
+played 10 times in a row on standard input.  One more default `train`
+runs as a process of its own, so that its peak RSS can be read apart from
+this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -22,9 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import needsense
 from needsense.cli import main
 from needsense.sessions import LabelSpan, SessionRecord, load as load_session
 from needsense.simulate import benchmark_suite, save_script
@@ -101,6 +108,41 @@ def test_train_default(benchmark, ds0, tmp_path):
     )
     assert code == 0
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
+
+
+# Runs `python <its arguments>` in a child and prints the child's ru_maxrss
+# (KiB) from os.wait4.  It runs in a fresh interpreter that imports only os
+# and sys, so the child's reading holds the few MB this launcher has at the
+# spawn, never the RSS of the process that runs the tests.
+MAXRSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_train_default_peak_rss(benchmark, ds0, tmp_path):
+    """A default `train` in a process of its own: its artifacts, and its own
+    peak RSS in `extra_info["train_maxrss_mb"]`."""
+    models = tmp_path / "models"
+    src = Path(needsense.__file__).resolve().parents[1]
+    command = [
+        sys.executable, "-c", MAXRSS_LAUNCHER,
+        "-m", "needsense", "train", str(ds0), "--out", str(models),
+    ]
+
+    def train():
+        return subprocess.run(
+            command, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+
+    proc = benchmark.pedantic(train, rounds=1, iterations=1)
+    benchmark.extra_info["train_maxrss_mb"] = int(proc.stdout.split()[-1]) / 1024
+    assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
+    assert _sha256((models / "manifest.txt").read_bytes()) == DEFAULT_MANIFEST
 
 
 def test_train_default_derived_sessions_and_manifest(models):

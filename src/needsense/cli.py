@@ -111,6 +111,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_stage1(records, nb: NBModel, cfg: Config, out: Path):
+    """Stage 1 of each raw session, written under `out` as a derived
+    session: the (ticks, frames) of each and the names of the files."""
+    derived = []
+    ds1_names = []
+    for record in records:
+        ticks, frames = stage1_materialize(
+            record, nb, cfg.gaze_config(), cfg.cadence_hz
+        )
+        name = f"ds1/{record.session_id}.session"
+        derived_record(record, ticks, frames).save(out / name)
+        derived.append((ticks, frames))
+        ds1_names.append(name)
+    return derived, ds1_names
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _active_config(args)
     records = _load_sessions(args.ds0)
@@ -128,19 +144,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise StageError(f"stage 1: {exc}")
     nb.save(out / NB_MODEL_NAME)
 
-    derived = []
-    ds1_names = []
-    for record in records:
-        ticks, frames = stage1_materialize(
-            record, nb, cfg.gaze_config(), cfg.cadence_hz
-        )
-        name = f"ds1/{record.session_id}.session"
-        derived_record(record, ticks, frames).save(out / name)
-        derived.append((ticks, frames))
-        ds1_names.append(name)
-
+    derived, ds1_names = _write_stage1(records, nb, cfg, out)
     try:
         matrix = export_fusion_matrix(records, derived, cfg.window_w)
+        n_sessions = len(records)
+        # the fit reads only the matrix, so the sessions are freed before it
+        del records, derived
         rf = train_rf(matrix, cfg.forest_config())
     except ValueError as exc:
         raise StageError(f"stage 2: {exc}")
@@ -156,7 +165,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"{text}{MANIFEST_SEAL}={seal}\n", encoding="utf-8"
     )
     print(
-        f"trained on {len(records)} sessions: {NB_MODEL_NAME}, "
+        f"trained on {n_sessions} sessions: {NB_MODEL_NAME}, "
         f"{len(ds1_names)} derived sessions, {RF_MODEL_NAME} "
         f"({matrix.n_rows} rows x {matrix.dim}); manifest at "
         f"{out / MANIFEST_NAME}"

@@ -33,6 +33,13 @@ set.  A constant feature offers no split, so leaving it out changes no tree,
 and a node with none left that varies (as where bootstrap repeats one row
 with both labels) is a leaf at once.  Widening draws nothing from the
 tree's generator.
+
+A split node's rows are partitioned on the same codes: a row goes left
+where its code in the split feature is below 2 * rank + 2 of the split's
+lower value.  A valid threshold lies at or above that value and below the
+next one present at the node, so these are exactly the rows with
+X <= threshold, read by a gather from one contiguous row of the codes (a
+byte per cell here) rather than a strided eight-byte gather from X.
 """
 
 from __future__ import annotations
@@ -114,8 +121,10 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 
 def _best_splits(values, codes, rows, n, pos, features, min_leaf):
-    """(feature, threshold, left positives) of each node's best split over its
-    candidate features; feature is -1 where none of them splits the node.
+    """(feature, threshold, left positives, bound) of each node's best split
+    over its candidate features; feature is -1 where none of them splits the
+    node.  bound is 2 * rank + 2 of the split's lower value, so a row of the
+    node goes left exactly where its code in the feature is below it.
 
     codes[j, r] is 2 * rank + label of row r in feature j.  Node i holds rows[i]
     (n[i] rows, pos[i] of them positive) and the features features[i] of a
@@ -128,7 +137,8 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf):
     maximum of each node realizes the tie-breaking.
     """
     (k, m), width = features.shape, values.shape[1]
-    feature, threshold, pos_left = np.full(k, -1), np.zeros(k), np.zeros(k, np.int64)
+    feature, threshold = np.full(k, -1), np.zeros(k)
+    pos_left, bound = np.zeros(k, np.int64), np.zeros(k, np.int64)
     for start, stop in _blocks((n + width) * m):
         node_n, node_pos = n[start:stop], pos[start:stop]
         block_features = features[start:stop]
@@ -181,7 +191,10 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf):
         feature[found] = block_features.ravel()[slot[hit]]
         threshold[found] = thr[valid[hit]]
         pos_left[found] = pl[hit]
-    return feature, threshold, pos_left
+        # a valid threshold has lo <= thr < hi, and no row of the node holds a
+        # value between them, so thr splits the node's rows where rank lo does
+        bound[found] = 2 * rank_at[valid[hit]] + 2
+    return feature, threshold, pos_left, bound
 
 
 def _balance(split: np.ndarray) -> np.ndarray:
@@ -444,10 +457,12 @@ class RFModel:
         scores = self.tree_votes(X).mean(axis=0)
         return (scores >= 0.5).astype(np.int64), scores
 
-    def to_lines(self) -> list[str]:
+    def _line_blocks(self):
+        """The model's lines a block at a time: the header, then each tree's
+        lines, `tree t` first."""
         cfg = self.config
         depth = "none" if cfg.max_depth is None else str(cfg.max_depth)
-        lines = [
+        yield [
             "format=needsense-rf version=1",
             f"n_trees={cfg.n_trees} max_depth={depth} "
             f"min_samples_leaf={cfg.min_samples_leaf} "
@@ -455,17 +470,20 @@ class RFModel:
             f"bootstrap={int(cfg.bootstrap)} seed={cfg.seed} "
             f"n_features={self.n_features}",
         ]
-        tree_at = {root: ti for ti, root in enumerate(self.roots.tolist())}
-        columns = self.feature.tolist(), self.threshold.tolist(), self.value.tolist()
-        for i, (feature, thr, leaf_class) in enumerate(zip(*columns)):
-            if i in tree_at:
-                root = i
-                lines.append(f"tree {tree_at[i]}")
-            if feature < 0:
-                lines.append(f"leaf {i - root} class={leaf_class}")
-            else:
-                lines.append(f"node {i - root} feat={feature} thr={thr!r}")
-        return lines
+        bounds = [*self.roots.tolist(), len(self.feature)]
+        arrays = self.feature, self.threshold, self.value
+        for t, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            lines = [f"tree {t}"]
+            columns = (a[start:stop].tolist() for a in arrays)
+            for i, (feature, thr, leaf_class) in enumerate(zip(*columns)):
+                if feature < 0:
+                    lines.append(f"leaf {i} class={leaf_class}")
+                else:
+                    lines.append(f"node {i} feat={feature} thr={thr!r}")
+            yield lines
+
+    def to_lines(self) -> list[str]:
+        return [line for lines in self._line_blocks() for line in lines]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "RFModel":
@@ -474,7 +492,11 @@ class RFModel:
         return cls(*_checked(*_scan(np.frombuffer(text + bytes(_PAD), dtype=np.uint8))))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
+        """Write the lines of `to_lines` a tree at a time, so only one tree's
+        text is held at once."""
+        with open(path, "w", encoding="utf-8") as f:
+            for lines in self._line_blocks():
+                f.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RFModel":
@@ -498,7 +520,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     stopping rules make leaves of the nodes popped before it), searches them
     all in one `_best_splits` call, widens those whose sampled features gave
     no split in one more, over their features that vary and were not sampled,
-    then splits each node and pushes its children.
+    then splits each node by its rows' codes and pushes its children.
+
+    X is read only to build the rank and code tables, and no copy of it is
+    made when it is already a float64 array, so a caller that passes its own
+    matrix holds one copy of the rows through the fit.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -572,14 +598,15 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
             )
             for column, found in zip(best, widened):
                 column[widen] = found
-        for (ti, rows, depth, pos), feature, threshold, pos_left in zip(
+        for (ti, rows, depth, pos), feature, threshold, pos_left, bound in zip(
             step, *(column.tolist() for column in best)
         ):
             if feature < 0:
                 trees[ti].append(_leaf(len(rows), pos))
                 continue
             trees[ti].append((feature, threshold, -1))
-            mask = X[rows, feature] <= threshold
+            # X[rows, feature] <= threshold, read from one row of codes
+            mask = codes[feature].take(rows) < bound
             # push right first so the left subtree is processed next (preorder)
             stacks[ti].append((rows[~mask], depth + 1, pos - pos_left))
             stacks[ti].append((rows[mask], depth + 1, pos_left))

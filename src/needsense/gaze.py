@@ -44,7 +44,7 @@ class GazeTarget(Enum):
     ELSEWHERE = "Elsewhere"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazeObservation:
     """One gaze estimate: yaw (positive toward the user's right), pitch
     (positive upward), both in radians, and tracker confidence in [0, 1]."""

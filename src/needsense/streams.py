@@ -83,7 +83,7 @@ class WiringError(StreamError):
     """Unknown stream name or invalid operator parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimestampedMessage:
     """A payload stamped with the time its data originated, in seconds."""
 

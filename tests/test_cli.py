@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -20,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needsense
+from needsense import cli
 from needsense.cli import _decision_line, _run_stdin, build_parser, main
 from needsense.config import Config, ConfigError, config_from_items, load_config
 from needsense.forest import RFModel
+from needsense.gaze import GazeObservation
 from needsense.language import NBModel
 from needsense.sessions import (
     LabelSpan,
@@ -279,6 +282,33 @@ class TestTrainCommand:
         assert (again / "manifest.txt").read_bytes() == (
             workspace["models"] / "manifest.txt"
         ).read_bytes()
+
+    def test_sessions_are_freed_before_the_fit(self, workspace, tmp_path):
+        # the forest fit is train's largest stage, and it reads only the matrix
+        load, train_rf = cli.load_session, cli.train_rf
+        loaded = []
+        fitted = []
+
+        def load_recorded(path):
+            record = load(path)
+            loaded.append(weakref.ref(record))
+            return record
+
+        def train_checked(matrix, config):
+            assert loaded and all(ref() is None for ref in loaded)
+            fitted.append(matrix.n_rows)
+            return train_rf(matrix, config)
+
+        with mock.patch.object(cli, "load_session", load_recorded), \
+                mock.patch.object(cli, "train_rf", train_checked):
+            assert main(
+                ["train", "--config", str(workspace["config"]),
+                 str(workspace["ds0"]), "--out", str(tmp_path / "m")]
+            ) == 0
+        assert len(loaded) == 4 and fitted
+        # a session's messages and gaze frames keep no dict per instance
+        assert not hasattr(TimestampedMessage(0.0, 1.0), "__dict__")
+        assert not hasattr(GazeObservation(0.0, 0.0), "__dict__")
 
     def test_empty_directory_is_a_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -762,6 +762,74 @@ class TestRankCountExactness:
         assert model.feature[0] == -1
 
 
+def code_splits(X, y, nodes, min_leaf):
+    """Search the nodes (row arrays of X) over every feature with
+    `_best_splits`, on the codes `fit_forest` builds, and check that each
+    split's bound sends left exactly the rows that X <= threshold does.
+    Returns the (feature, threshold) of each split."""
+    values, ranks = forest._rank_table(X)
+    dtype = np.min_scalar_type(2 * values.shape[1] - 1)
+    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + y.astype(dtype)
+    rows_type = np.min_scalar_type(len(X) - 1)
+    nodes = [np.asarray(rows, dtype=rows_type) for rows in nodes]
+    n = np.array([len(rows) for rows in nodes])
+    pos = np.array([np.count_nonzero(y[rows]) for rows in nodes])
+    features = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
+    found = forest._best_splits(values, codes, nodes, n, pos, features, min_leaf)
+    splits = []
+    for rows, feature, threshold, pos_left, bound in zip(
+        nodes, *(column.tolist() for column in found)
+    ):
+        if feature < 0:
+            continue
+        left = X[rows, feature] <= threshold
+        assert (codes[feature].take(rows) < bound).tolist() == left.tolist()
+        assert pos_left == np.count_nonzero(y[rows][left])
+        splits.append((feature, threshold))
+    return splits
+
+
+class TestCodeSplit:
+    """`fit_forest` partitions a node by `codes[feature] < bound`, which must
+    send left the rows that X[:, feature] <= threshold does."""
+
+    @given(
+        cells=arrays(
+            np.int64,
+            st.tuples(
+                st.integers(min_value=2, max_value=30),
+                st.integers(min_value=1, max_value=4),
+            ),
+            elements=st.integers(min_value=0, max_value=len(TIGHT_VALUES) - 1),
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        min_leaf=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_sends_left_the_rows_the_threshold_does(self, cells, seed, min_leaf):
+        # ties, -0.0 with 0.0, and adjacent floats whose midpoint rounds onto
+        # the lower one
+        X = np.array(TIGHT_VALUES)[cells]
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=len(X))
+        # the whole matrix, where every value is present, and bootstrap draws
+        nodes = [np.arange(len(X))]
+        nodes += [rng.integers(0, len(X), size=len(X)) for _ in range(3)]
+        code_splits(X, y, nodes, min_leaf)
+
+    def test_threshold_on_the_lower_value(self):
+        # the midpoint of 1.0 and the next float is 1.0 itself; each side holds
+        # both labels, so a bound one off either way moves a row
+        X = np.array([[1.0], [1.0], [1.0], [ODD_ULP], [ODD_ULP]])
+        y = np.array([0, 0, 1, 1, 0])
+        assert code_splits(X, y, [np.arange(5)], 1) == [(0, 1.0)]
+
+    def test_signed_zeros_share_a_side(self):
+        X = np.array([[-0.0], [0.0], [-0.0], [1.0], [1.0]])
+        y = np.array([0, 1, 0, 1, 0])
+        assert code_splits(X, y, [np.arange(5)], 1) == [(0, 0.5)]
+
+
 @given(
     distinct_rows=arrays(
         np.int64,
