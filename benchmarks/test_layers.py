@@ -1,8 +1,9 @@
 """Per-layer benchmarks at the default config.
 
 Each case times one layer of `needsense train` or `needsense run` on the
-canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 7,339
-training rows x 60): loading the 20 session files, stage-1 materialize,
+canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 23,138
+gaze frames, 7,339 training rows x 60): loading the 20 session files,
+the gaze tracker over every gaze frame, stage-1 materialize,
 the fusion-matrix export, batch prediction over every training row,
 loading the saved forest, and the decisions of one session, both through
 the live shell and as `run` scores a file (stage 1 plus one batch
@@ -29,6 +30,7 @@ from needsense.fusion import (
     stage1_materialize,
     train_rf,
 )
+from needsense.gaze import GazeNeedTracker
 from needsense.language import train_from_utterances
 from needsense.sessions import (
     export_fusion_matrix,
@@ -39,6 +41,10 @@ from needsense.simulate import benchmark_suite, simulate
 from needsense.streams import tick_times
 
 SUITE_ROWS = 7_339
+SUITE_GAZE_FRAMES = 23_138
+# sha256 of the repr of the list of every (mutual, confirmatory) the
+# tracker gives over the suite's gaze frames, session by session
+SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447decb74"
 # sha256 of the default forest's rf.model, as in test_forest_fit.py
 DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
 
@@ -85,6 +91,28 @@ def test_parse_suite_sessions(benchmark, session_paths):
     for path, record in zip(session_paths, records, strict=True):
         data = ("\n".join(record.to_lines()) + "\n").encode("utf-8")
         assert data == path.read_bytes(), path.name
+
+
+def test_gaze_tracker_suite_frames(benchmark, session_paths):
+    """`GazeNeedTracker.update` over every gaze frame of the suite, a new
+    tracker per session, as stage 1 and the live shell call it."""
+    config = Config().gaze_config()
+    sessions = [
+        [(m.originating_time, m.payload) for m in load_session(p).messages("gaze_raw")]
+        for p in session_paths
+    ]
+
+    def track():
+        needs = []
+        for frames in sessions:
+            update = GazeNeedTracker(config).update
+            needs.extend([update(t, obs) for t, obs in frames])
+        return needs
+
+    needs = benchmark.pedantic(track, rounds=5, iterations=1)
+    assert len(needs) == SUITE_GAZE_FRAMES
+    digest = hashlib.sha256(repr(needs).encode("utf-8")).hexdigest()
+    assert digest == SUITE_GAZE_NEEDS
 
 
 def test_stage1_materialize_20_sessions(benchmark, suite):

@@ -105,7 +105,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for path in args.scripts:
         script = load_script(path)
         session_id = Path(path).stem
-        record = simulate(script, session_id, thresholds=cfg.thresholds())
+        try:
+            record = simulate(script, session_id, thresholds=cfg.thresholds())
+        except ValueError as exc:  # a script that renders to invalid values
+            exc.args = (f"{path}: {exc}",)
+            raise
         record.save(out / f"{session_id}.session")
     print(f"wrote {len(args.scripts)} sessions to {out}")
     return EXIT_OK
@@ -234,10 +238,11 @@ def _parse_manifest(lines: Iterable[str]) -> tuple[Config, dict[str, str], bool]
     return config_from_items(items), digests, seal == body.hexdigest()
 
 
-def _check_manifest(models: Path, rf: RFModel) -> Config:
+def _check_manifest(models: Path, rf: RFModel, parsed: dict[str, str]) -> Config:
     """The config the models were trained under, read from their
-    manifest once the manifest's lines, the parsed models and the window
-    are shown to be the ones `train` wrote."""
+    manifest once the manifest's lines, the window and the models parsed
+    (`parsed`: the sha256 of the bytes parsed, per file name) are shown to
+    be the ones `train` wrote."""
     path = models / MANIFEST_NAME
     if not path.is_file():
         raise SessionFormatError(f"{path}: training manifest missing")
@@ -246,8 +251,8 @@ def _check_manifest(models: Path, rf: RFModel) -> Config:
         raise MismatchError(
             f"{path}: lines do not match the sha256 on its {MANIFEST_SEAL} line"
         )
-    for name in (NB_MODEL_NAME, RF_MODEL_NAME):
-        if digests.get(name) != _sha256(models / name):
+    for name, digest in parsed.items():
+        if digests.get(name) != digest:
             raise MismatchError(
                 f"{models / name} does not match the sha256 recorded in "
                 f"{MANIFEST_NAME}"
@@ -309,9 +314,13 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     models = Path(args.models)
-    nb = NBModel.load(models / NB_MODEL_NAME)
-    rf = RFModel.load(models / RF_MODEL_NAME)
-    cfg = _check_manifest(models, rf)
+    # each model is checked against the manifest by the bytes it was parsed
+    # from, so a `train` rewriting the directory meanwhile cannot pass
+    nb_sha, rf_sha = hashlib.sha256(), hashlib.sha256()
+    nb = NBModel.load(models / NB_MODEL_NAME, nb_sha)
+    rf = RFModel.load(models / RF_MODEL_NAME, rf_sha)
+    parsed = {NB_MODEL_NAME: nb_sha.hexdigest(), RF_MODEL_NAME: rf_sha.hexdigest()}
+    cfg = _check_manifest(models, rf, parsed)
     if args.session is None or args.session == "-":
         return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
     # a file is read as live input is but has arrived whole, so it is

@@ -104,28 +104,6 @@ def confusion_counts(
     return tp, fp, fn, len(pred) - tp - fp - fn
 
 
-def evaluate(
-    predictions: list[tuple[float, int]],
-    record: SessionRecord,
-    cadence_hz: float,
-) -> MetricsReport:
-    """Score a per-tick binary prediction stream against one session."""
-    return metrics_from_counts(*confusion_counts(predictions, record, cadence_hz))
-
-
-def threshold_model_eval(
-    values: list[tuple[float, float]],
-    record: SessionRecord,
-    cadence_hz: float,
-    threshold: float = 0.5,
-) -> MetricsReport:
-    """Binarize a single model's need values (value >= threshold means
-    help) and score them."""
-    return evaluate(
-        [(t, 1 if v >= threshold else 0) for t, v in values], record, cadence_hz
-    )
-
-
 def kfold(
     sessions: list[SessionRecord], k: int = 10, seed: int = 0
 ) -> list[tuple[list[SessionRecord], list[SessionRecord]]]:

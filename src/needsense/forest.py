@@ -221,11 +221,14 @@ _THR_BYTES = _DIGITS.copy()
 _THR_BYTES[np.frombuffer(b"+-.einfa", dtype=np.uint8)] = True
 
 
-def _read(path: str | Path) -> np.ndarray:
-    """The bytes of a file, read once into an array that ends with _PAD zeros."""
+def _read(path: str | Path, digest=None) -> np.ndarray:
+    """The bytes of a file, read once into an array that ends with _PAD zeros;
+    a hashlib `digest`, if given, is updated with them."""
     with open(path, "rb") as f:
         buf = np.zeros(os.fstat(f.fileno()).st_size + _PAD, dtype=np.uint8)
         size = f.readinto(buf[:-_PAD])
+    if digest is not None:
+        digest.update(buf[:size])
     return buf[: size + _PAD]
 
 
@@ -499,9 +502,12 @@ class RFModel:
                 f.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "RFModel":
+    def load(cls, path: str | Path, digest=None) -> "RFModel":
+        """Parse a model file read once; a hashlib `digest`, if given, is
+        updated with the bytes parsed."""
         try:
-            return cls(*_checked(*_scan(_read(path))))
+            # no name holds the buffer, so it is freed once `_scan` returns
+            return cls(*_checked(*_scan(_read(path, digest))))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

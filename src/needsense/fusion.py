@@ -79,10 +79,10 @@ def gaze_holds(
     mutual: list[float] = []
     conf: list[float] = []
     for msg in record.messages("gaze_raw"):
-        frame = tracker.update(msg.originating_time, msg.payload)
+        m, c = tracker.update(msg.originating_time, msg.payload)
         times.append(msg.originating_time)
-        mutual.append(round(frame.mutual, 6))
-        conf.append(round(frame.confirmatory, 6))
+        mutual.append(round(m, 6))
+        conf.append(round(c, 6))
     return (
         zero_order_hold(times, mutual, ticks),
         zero_order_hold(times, conf, ticks),
@@ -176,9 +176,9 @@ def live_pipeline(
     frames: deque[tuple[float, float, float]] = deque(maxlen=window)
 
     def on_gaze(msg: TimestampedMessage) -> None:
-        frame = tracker.update(msg.originating_time, msg.payload)
-        held[0] = round(frame.mutual, 6)
-        held[1] = round(frame.confirmatory, 6)
+        mutual, conf = tracker.update(msg.originating_time, msg.payload)
+        held[0] = round(mutual, 6)
+        held[1] = round(conf, 6)
 
     def on_utterance(msg: TimestampedMessage) -> None:
         v = nb_model.predict_text(msg.payload)

@@ -1,9 +1,26 @@
 """Gaze-pattern need models.
 
-Raw gaze angles are quantized into nine qualitative directions, the
-directions are interpreted against the assumed scene layout (robot directly
-ahead, task on the table below), contiguous same-target runs are segmented
-with debouncing, and two models score the current run:
+Each raw gaze frame is read as a look at one of three targets under the
+assumed scene layout: robot directly ahead, task on the table below.  The
+paper quantizes the angles into nine qualitative directions around a
+closed Center box (|yaw| <= yaw_center and |pitch| <= pitch_center) and
+maps each direction to a target:
+
+    direction   yaw                 pitch                 target
+    ---------   -----------------   -------------------   ---------
+    Center      in the box          in the box            Robot
+    Down        in the box          < -pitch_center       Task
+    DownLeft    < -yaw_center       < -pitch_center       Task
+    DownRight   > yaw_center        < -pitch_center       Task
+    Up          in the box          > pitch_center        Elsewhere
+    UpLeft      < -yaw_center       > pitch_center        Elsewhere
+    UpRight     > yaw_center        > pitch_center        Elsewhere
+    Left        < -yaw_center       in the box            Elsewhere
+    Right       > yaw_center        in the box            Elsewhere
+
+Only the target is used, so `gaze_target` reads it straight from the
+angles.  Contiguous same-target runs are segmented with debouncing, and
+two models score the current run:
 
 * mutual gaze - a sustained look at the robot; value min(1, d/2.5) where d
   is the run duration in seconds.
@@ -19,29 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 # Run duration at which a need value saturates at 1.0; also the cutoff
 # under which a glance counts as "brief" for the confirmatory pattern.
 GLANCE_THRESHOLD_S = 2.5
 
-
-class QualitativeGazeDirection(Enum):
-    UP = "Up"
-    UP_RIGHT = "UpRight"
-    RIGHT = "Right"
-    DOWN_RIGHT = "DownRight"
-    DOWN = "Down"
-    DOWN_LEFT = "DownLeft"
-    LEFT = "Left"
-    UP_LEFT = "UpLeft"
-    CENTER = "Center"
-
-
-class GazeTarget(Enum):
-    ROBOT = "Robot"
-    TASK = "Task"
-    ELSEWHERE = "Elsewhere"
+# the three gaze targets
+ROBOT, TASK, ELSEWHERE = 0, 1, 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,90 +78,25 @@ class GazeConfig:
             raise ValueError("debounce must be >= 1")
 
 
-@dataclass(frozen=True)
-class GazeRun:
-    """A contiguous run of frames on one target.  `duration` is the time
-    elapsed since the run's first frame (0.0 on that frame)."""
-
-    target: GazeTarget
-    start: float
-    duration: float
-
-
-def classify_direction(
-    obs: GazeObservation, th: GazeThresholds
-) -> QualitativeGazeDirection:
-    """Quantize a gaze observation into one of the nine directions.
-
-    Center iff both angles are within the center box; otherwise the 8-way
-    sector from the horizontal excess (Left/Right) and vertical excess
-    (Up/Down).  Exactly one direction matches any finite observation.
-    """
+def gaze_target(obs: GazeObservation, th: GazeThresholds) -> int:
+    """The target of the observation's direction in the table above: TASK
+    below the Center box, ROBOT in it, ELSEWHERE otherwise."""
     if not (math.isfinite(obs.yaw) and math.isfinite(obs.pitch)):
         raise ValueError("gaze angles must be finite")
-    horiz = ""
-    vert = ""
-    if obs.yaw > th.yaw_center:
-        horiz = "Right"
-    elif obs.yaw < -th.yaw_center:
-        horiz = "Left"
-    if obs.pitch > th.pitch_center:
-        vert = "Up"
-    elif obs.pitch < -th.pitch_center:
-        vert = "Down"
-    if not horiz and not vert:
-        return QualitativeGazeDirection.CENTER
-    return QualitativeGazeDirection(vert + horiz if vert else horiz)
-
-
-# Scene layout assumption: robot straight ahead, task on the table below.
-_TARGET_BY_DIRECTION = {
-    QualitativeGazeDirection.CENTER: GazeTarget.ROBOT,
-    QualitativeGazeDirection.DOWN: GazeTarget.TASK,
-    QualitativeGazeDirection.DOWN_LEFT: GazeTarget.TASK,
-    QualitativeGazeDirection.DOWN_RIGHT: GazeTarget.TASK,
-}
-
-
-def interpret_target(direction: QualitativeGazeDirection) -> GazeTarget:
-    """Center -> Robot; the down directions -> Task; all else -> Elsewhere."""
-    return _TARGET_BY_DIRECTION.get(direction, GazeTarget.ELSEWHERE)
+    if obs.pitch < -th.pitch_center:
+        return TASK
+    if abs(obs.yaw) <= th.yaw_center and obs.pitch <= th.pitch_center:
+        return ROBOT
+    return ELSEWHERE
 
 
 def need_from_duration(d: float) -> float:
     return min(1.0, d / GLANCE_THRESHOLD_S)
 
 
-def mutual_gaze_need(run: GazeRun) -> float:
-    """min(1, d/2.5) while the user looks at the robot, else 0."""
-    if run.target is GazeTarget.ROBOT:
-        return need_from_duration(run.duration)
-    return 0.0
-
-
-def confirmatory_gaze_need(run: GazeRun, prev: GazeRun | None) -> float:
-    """Score the current glance of a task/robot back-and-forth.
-
-    Fires only when the previous run and the current run alternate between
-    Task and Robot and both are brief (< 2.5 s).  The value ramps with the
-    current glance's duration and drops back to 0 once the glance is no
-    longer brief.
-    """
-    if prev is None:
-        return 0.0
-    pair = (prev.target, run.target)
-    if pair not in (
-        (GazeTarget.TASK, GazeTarget.ROBOT),
-        (GazeTarget.ROBOT, GazeTarget.TASK),
-    ):
-        return 0.0
-    if prev.duration >= GLANCE_THRESHOLD_S or run.duration >= GLANCE_THRESHOLD_S:
-        return 0.0
-    return need_from_duration(run.duration)
-
-
-class GazeSegmenter:
-    """Debounced run segmentation over a frame-by-frame target stream.
+class GazeNeedTracker:
+    """Per-session state machine from raw observations to the two need
+    values.
 
     The current run's target switches only after `debounce` consecutive
     frames of a new target, and the new run is backdated to the first of
@@ -168,83 +104,48 @@ class GazeSegmenter:
     alive without advancing a pending switch.
     """
 
-    def __init__(self, debounce: int = 2, min_confidence: float = 0.5):
-        if debounce < 1:
-            raise ValueError("debounce must be >= 1")
-        self.debounce = debounce
-        self.min_confidence = min_confidence
-        self._target: GazeTarget | None = None
-        self._start = 0.0
-        self._prev: GazeRun | None = None
-        self._cand_target: GazeTarget | None = None
-        self._cand_count = 0
-        self._cand_first_t = 0.0
-
-    @property
-    def previous_run(self) -> GazeRun | None:
-        return self._prev
-
-    def update(
-        self, t: float, target: GazeTarget, confidence: float = 1.0
-    ) -> GazeRun:
-        if self._target is None:
-            self._target = target
-            self._start = t
-            return GazeRun(target, t, 0.0)
-        if confidence < self.min_confidence:
-            return GazeRun(self._target, self._start, t - self._start)
-        if target is self._target:
-            self._cand_target = None
-            self._cand_count = 0
-            return GazeRun(self._target, self._start, t - self._start)
-        if target is self._cand_target:
-            self._cand_count += 1
-        else:
-            self._cand_target = target
-            self._cand_count = 1
-            self._cand_first_t = t
-        if self._cand_count >= self.debounce:
-            self._prev = GazeRun(
-                self._target, self._start, self._cand_first_t - self._start
-            )
-            self._target = target
-            self._start = self._cand_first_t
-            self._cand_target = None
-            self._cand_count = 0
-        return GazeRun(self._target, self._start, t - self._start)
-
-
-@dataclass(frozen=True)
-class TrackerFrame:
-    """Per-frame output of the gaze need tracker."""
-
-    t: float
-    direction: QualitativeGazeDirection
-    target: GazeTarget
-    run: GazeRun
-    mutual: float
-    confirmatory: float
-
-
-class GazeNeedTracker:
-    """Stateful per-session pipeline from raw observations to the two
-    need values, one TrackerFrame per input frame."""
-
     def __init__(self, config: GazeConfig | None = None):
         self.config = config or GazeConfig()
-        self._segmenter = GazeSegmenter(
-            self.config.debounce, self.config.min_confidence
-        )
+        # the current run; no target before the first frame
+        self.target: int | None = None
+        self.start = 0.0
+        # the run before it; while there is none, it scores as Elsewhere
+        self.prev_target = ELSEWHERE
+        self.prev_duration = 0.0
+        # a new target seen on `pending_count` frames since `pending_start`
+        self.pending: int | None = None
+        self.pending_count = 0
+        self.pending_start = 0.0
 
-    def update(self, t: float, obs: GazeObservation) -> TrackerFrame:
-        direction = classify_direction(obs, self.config.thresholds)
-        target = interpret_target(direction)
-        run = self._segmenter.update(t, target, obs.confidence)
-        return TrackerFrame(
-            t=t,
-            direction=direction,
-            target=target,
-            run=run,
-            mutual=mutual_gaze_need(run),
-            confirmatory=confirmatory_gaze_need(run, self._segmenter.previous_run),
-        )
+    def update(self, t: float, obs: GazeObservation) -> tuple[float, float]:
+        """The (mutual, confirmatory) need once the frame at `t` is seen."""
+        cfg = self.config
+        target = gaze_target(obs, cfg.thresholds)
+        if self.target is None:
+            self.target, self.start = target, t
+            return 0.0, 0.0
+        if obs.confidence < cfg.min_confidence:
+            pass  # the run and any pending switch stay as they are
+        elif target == self.target:
+            self.pending = None
+        else:
+            if target == self.pending:
+                self.pending_count += 1
+            else:
+                self.pending, self.pending_count, self.pending_start = target, 1, t
+            if self.pending_count >= cfg.debounce:
+                self.prev_target = self.target
+                self.prev_duration = self.pending_start - self.start
+                self.target, self.start = target, self.pending_start
+                self.pending = None
+        d = t - self.start
+        mutual = need_from_duration(d) if self.target == ROBOT else 0.0
+        # a run's target differs from the one before it, so two runs off
+        # Elsewhere alternate between Task and Robot
+        if (
+            ELSEWHERE in (self.target, self.prev_target)
+            or self.prev_duration >= GLANCE_THRESHOLD_S
+            or d >= GLANCE_THRESHOLD_S
+        ):
+            return mutual, 0.0
+        return mutual, need_from_duration(d)

@@ -182,8 +182,10 @@ class NBModel:
         Path(path).write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
 
     @classmethod
-    def load(cls, path: str | Path) -> "NBModel":
-        return read_lines(path, cls.from_lines)
+    def load(cls, path: str | Path, digest=None) -> "NBModel":
+        """Parse a model file read once; a hashlib `digest`, if given, is
+        updated with the bytes parsed."""
+        return read_lines(path, cls.from_lines, digest)
 
 
 def _count_pair(fields: list[str]) -> tuple[int, int]:

@@ -59,11 +59,16 @@ def text_lines(chunks: Iterable[str]) -> Iterator[str]:
         yield from lines
 
 
-def read_lines(path: str | Path, parse: Callable[[Iterator[str]], Any]) -> Any:
-    """`parse` of the `text_lines` of a UTF-8 file.  A byte that is not
+def read_lines(
+    path: str | Path, parse: Callable[[Iterator[str]], Any], digest=None
+) -> Any:
+    """`parse` of the `text_lines` of a UTF-8 file, read once; a hashlib
+    `digest`, if given, is updated with its bytes.  A byte that is not
     UTF-8 is an error naming its line, and every `ValueError` gets the path
     prefixed, keeping its type and `line`."""
     data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     try:
         return parse(text_lines([data.decode("utf-8")]))
     except UnicodeDecodeError as exc:

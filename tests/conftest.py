@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -43,7 +42,7 @@ class EchoTracker:
         pass
 
     def update(self, t, obs):
-        return SimpleNamespace(mutual=obs.yaw, confirmatory=obs.pitch)
+        return obs.yaw, obs.pitch
 
 
 @pytest.fixture(scope="session")

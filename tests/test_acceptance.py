@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from needsense.cli import main
-from needsense.evaluation import average_help, evaluate, run_full_eval
+from needsense.evaluation import (
+    average_help,
+    confusion_counts,
+    metrics_from_counts,
+    run_full_eval,
+)
 from needsense.forest import ForestConfig, RFModel, fit_forest
 from needsense.fusion import predict_session, stage1_materialize
 from needsense.gaze import GazeConfig, GazeNeedTracker
@@ -88,14 +93,14 @@ def test_criterion_1_gaze_need_formula_exactness():
         tracker = GazeNeedTracker(GazeConfig())
         for msg in record.messages("gaze_raw"):
             t = msg.originating_time
-            frame = tracker.update(t, msg.payload)
-            assert abs(frame.mutual - min(1.0, t / 2.5)) <= 1e-9
+            mutual, _ = tracker.update(t, msg.payload)
+            assert abs(mutual - min(1.0, t / 2.5)) <= 1e-9
 
         # the half-way anchor: a 1.25 s run scores exactly 0.5
         anchored = GazeNeedTracker(GazeConfig())
         obs = record.messages("gaze_raw")[0].payload
         anchored.update(0.0, obs)
-        assert anchored.update(1.25, obs).mutual == 0.5
+        assert anchored.update(1.25, obs)[0] == 0.5
 
         # alternating glances: run durations derived from script geometry
         period = 1.5
@@ -109,7 +114,7 @@ def test_criterion_1_gaze_need_formula_exactness():
         tracker = GazeNeedTracker(GazeConfig())
         for msg in alt.messages("gaze_raw"):
             t = msg.originating_time
-            frame = tracker.update(t, msg.payload)
+            mutual, _ = tracker.update(t, msg.payload)
             glance = int(t // period)
             start = glance * period
             if t == start and glance >= 1:
@@ -121,7 +126,7 @@ def test_criterion_1_gaze_need_formula_exactness():
                 on_robot = glance % 2 == 1
                 d = t - start
             expected = min(1.0, d / 2.5) if on_robot else 0.0
-            assert abs(frame.mutual - expected) <= 1e-9, t
+            assert abs(mutual - expected) <= 1e-9, t
 
         # eyes on the task: mutual stays exactly zero
         task = simulate(
@@ -132,7 +137,7 @@ def test_criterion_1_gaze_need_formula_exactness():
         )
         tracker = GazeNeedTracker(GazeConfig())
         for msg in task.messages("gaze_raw"):
-            assert tracker.update(msg.originating_time, msg.payload).mutual == 0.0
+            assert tracker.update(msg.originating_time, msg.payload)[0] == 0.0
 
         assert c.elapsed < 1.0
 
@@ -260,10 +265,10 @@ def test_criterion_3_window_export_exactness():
         tracker = GazeNeedTracker(GazeConfig())
         gaze_t, mutual_v, conf_v = [], [], []
         for msg in record.messages("gaze_raw"):
-            frame = tracker.update(msg.originating_time, msg.payload)
+            mutual, conf = tracker.update(msg.originating_time, msg.payload)
             gaze_t.append(msg.originating_time)
-            mutual_v.append(round(frame.mutual, 6))
-            conf_v.append(round(frame.confirmatory, 6))
+            mutual_v.append(round(mutual, 6))
+            conf_v.append(round(conf, 6))
         lang_t, lang_v = [], []
         for msg in record.messages("utterance"):
             v = nb.predict_text(msg.payload)
@@ -470,7 +475,9 @@ def test_criterion_7_metrics_closed_form_on_all_small_matrices():
                             for j in range(total - pos):
                                 pred_of[float(pos + j)] = 1 if j < fp else 0
                             preds = sorted(pred_of.items())
-                        m = evaluate(preds, record, 1.0)
+                        m = metrics_from_counts(
+                            *confusion_counts(preds, record, 1.0)
+                        )
                         assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
 
                         precision = 0.0 if tp + fp == 0 else tp / (tp + fp)

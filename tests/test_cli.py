@@ -236,6 +236,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 3: not UTF-8 text\n"
 
+    def test_script_that_renders_non_finite_names_the_file(
+        self, tmp_path, capsys
+    ):
+        # a noise this large parses, but draws angles that overflow
+        scripts = tmp_path / "scripts"
+        assert main(
+            ["gen-scripts", "--count", "1", "--noise", "1e308",
+             "--out", str(scripts)]
+        ) == 0
+        path = scripts / "s00.script"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: gaze_raw at ")
+        assert "non-finite value" in err
+        assert not (out / "s00.session").exists()
+
 
 class TestTrainCommand:
     def test_artifacts_exist(self, workspace):
@@ -1009,6 +1027,38 @@ class TestExitCodes:
         assert code == 4
         assert captured.out == ""
         assert "nb.model does not match the sha256" in captured.err
+
+    def test_models_replaced_after_parsing_is_exit_four(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a `train --out` into the models directory finishes after `run`
+        # parsed the models and before it reads their manifest
+        import shutil
+
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        other = tmp_path / "5hz"
+        assert main(
+            ["train", "--config", str(workspace["config"]), "--cadence", "5",
+             str(workspace["ds0"]), "--out", str(other)]
+        ) == 0
+        load = RFModel.load
+
+        def load_then_retrain(*args):
+            model = load(*args)
+            for name in ("nb.model", "rf.model", "manifest.txt"):
+                shutil.copyfile(other / name, models / name)
+            return model
+
+        monkeypatch.setattr(RFModel, "load", load_then_retrain)
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        capsys.readouterr()
+        code = main(["run", str(session), "--models", str(models)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        # the text model does not depend on the cadence, the forest does
+        assert "rf.model does not match the sha256" in captured.err
 
     @pytest.mark.parametrize("target", ["config", "manifest"])
     def test_non_utf8_config_or_manifest_is_exit_three(

@@ -13,12 +13,10 @@ from needsense.evaluation import (
     MetricsReport,
     average_help,
     confusion_counts,
-    evaluate,
     kfold,
     labeled_ticks,
     metrics_from_counts,
     run_full_eval,
-    threshold_model_eval,
 )
 from needsense.forest import ForestConfig
 from needsense.fusion import zero_order_hold
@@ -132,41 +130,6 @@ class TestConfusionCounts:
         with pytest.raises(ValueError, match="0 or 1"):
             confusion_counts([(1.0, 2)], two_phase(), 1.0)
 
-    def test_evaluate_combines(self):
-        record = two_phase()
-        m = evaluate([(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)], record, 1.0)
-        assert (m.tp, m.fp, m.fn, m.tn) == (2, 0, 0, 2)
-        assert m.f1 == 1.0
-
-
-class TestThresholdModelEval:
-    def test_threshold_is_inclusive(self):
-        record = two_phase()
-        values = [(0.0, 0.4), (1.0, 0.5), (2.0, 0.5), (3.0, 0.6)]
-        m = threshold_model_eval(values, record, 1.0)
-        assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 0, 1)
-
-    def test_matches_composed_evaluate(self):
-        record = two_phase()
-        values = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.2), (3.0, 0.8)]
-        direct = threshold_model_eval(values, record, 1.0, threshold=0.5)
-        composed = evaluate(
-            [(t, 1 if v >= 0.5 else 0) for t, v in values], record, 1.0
-        )
-        assert direct == composed
-
-    def test_constant_low_value_flags_precision(self):
-        record = two_phase()
-        values = [(float(t), 0.2) for t in range(4)]
-        m = threshold_model_eval(values, record, 1.0)
-        assert m.precision_undefined
-        assert (m.tp, m.fp, m.fn, m.tn) == (0, 0, 2, 2)
-
-    def test_custom_threshold(self):
-        record = two_phase()
-        values = [(0.0, 0.3), (1.0, 0.3), (2.0, 0.3), (3.0, 0.3)]
-        m = threshold_model_eval(values, record, 1.0, threshold=0.3)
-        assert (m.tp, m.fp) == (2, 2)
 
 
 class TestZeroOrderHold:

@@ -139,9 +139,9 @@ class TestWireGaze:
         assert [t for t, _ in mutual] == times
         tracker = GazeNeedTracker(GazeConfig())
         for msg in gaze:
-            frame = tracker.update(msg.originating_time, msg.payload)
+            value, _ = tracker.update(msg.originating_time, msg.payload)
             held = mutual[times.index(msg.originating_time)][1]
-            assert held == round(frame.mutual, 6)
+            assert held == round(value, 6)
             assert held == round(held, 6)
 
     def test_confirmatory_also_wired(self, live_shell):

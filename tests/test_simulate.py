@@ -7,12 +7,13 @@ import math
 import pytest
 
 from needsense.gaze import (
+    ELSEWHERE,
+    ROBOT,
+    TASK,
     GazeConfig,
     GazeNeedTracker,
-    GazeTarget,
     GazeThresholds,
-    classify_direction,
-    interpret_target,
+    gaze_target,
 )
 from needsense.sessions import NeedLevelLabel, SessionFormatError, parse_session
 from needsense.simulate import (
@@ -42,10 +43,7 @@ def one_segment_session(behavior, duration=3.0, session_id="b00"):
 
 
 def targets_of(record):
-    return [
-        interpret_target(classify_direction(m.payload, TH))
-        for m in record.messages("gaze_raw")
-    ]
+    return [gaze_target(m.payload, TH) for m in record.messages("gaze_raw")]
 
 
 class TestSegmentSpec:
@@ -80,28 +78,28 @@ class TestSegmentSpec:
 class TestGazeBehaviors:
     def test_fix_robot_looks_center(self):
         record = one_segment_session("fix-robot")
-        assert set(targets_of(record)) == {GazeTarget.ROBOT}
+        assert set(targets_of(record)) == {ROBOT}
 
     def test_fix_task_looks_down(self):
         record = one_segment_session("fix-task")
-        assert set(targets_of(record)) == {GazeTarget.TASK}
+        assert set(targets_of(record)) == {TASK}
 
     def test_fix_away_looks_elsewhere(self):
         record = one_segment_session("fix-away")
-        assert set(targets_of(record)) == {GazeTarget.ELSEWHERE}
+        assert set(targets_of(record)) == {ELSEWHERE}
 
     def test_alternation_parity(self):
         record = one_segment_session("alternate:1.5", duration=6.0)
         for msg, target in zip(record.messages("gaze_raw"), targets_of(record)):
             glance = int(msg.originating_time // 1.5)
-            expected = GazeTarget.TASK if glance % 2 == 0 else GazeTarget.ROBOT
-            assert target is expected
+            expected = TASK if glance % 2 == 0 else ROBOT
+            assert target == expected
 
     def test_mutual_saturates_under_fix_robot(self):
         record = one_segment_session("fix-robot", duration=4.0)
         tracker = GazeNeedTracker(GazeConfig())
         values = [
-            tracker.update(m.originating_time, m.payload).mutual
+            tracker.update(m.originating_time, m.payload)[0]
             for m in record.messages("gaze_raw")
         ]
         assert values[0] == 0.0
@@ -111,7 +109,7 @@ class TestGazeBehaviors:
         record = one_segment_session("alternate:1.5", duration=6.0)
         tracker = GazeNeedTracker(GazeConfig())
         peak = max(
-            tracker.update(m.originating_time, m.payload).confirmatory
+            tracker.update(m.originating_time, m.payload)[1]
             for m in record.messages("gaze_raw")
         )
         assert peak >= 0.5
@@ -121,7 +119,7 @@ class TestGazeBehaviors:
         record = one_segment_session("alternate:3.0", duration=12.0)
         tracker = GazeNeedTracker(GazeConfig())
         peak = max(
-            tracker.update(m.originating_time, m.payload).confirmatory
+            tracker.update(m.originating_time, m.payload)[1]
             for m in record.messages("gaze_raw")
         )
         assert peak == 0.0
