@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
@@ -181,18 +181,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import run_full_eval
     cfg = _active_config(args)
     records = _load_sessions(args.ds0)
-    report = run_full_eval(
-        records,
-        gaze_config=cfg.gaze_config(),
-        forest_config=cfg.forest_config(),
-        cadence_hz=cfg.cadence_hz,
-        window=cfg.window_w,
-        nb_alpha=cfg.nb_alpha,
-        nb_use_aggregates=cfg.nb_use_aggregates,
-        folds=args.folds,
-        seed=cfg.seed,
-    )
-    text = report.render()
+    text = run_full_eval(records, cfg, args.folds).render()
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -281,6 +270,18 @@ def _warn_warmup(cfg: Config) -> None:
     )
 
 
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` as they come, up to the first holding a lone surrogate,
+    which is an error naming its line: a byte that is not UTF-8, which
+    standard input's decoder escaped."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SessionFormatError("not UTF-8 text", line_no) from None
+        yield line
+
+
 def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     """Causal line-by-line mode: each decision is printed using only the
     input received so far, read as a session file is but with live input
@@ -300,7 +301,7 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
             written += len(sink)
             sink.clear()
 
-    reader = SessionReader(text_lines(stream), live=True)
+    reader = SessionReader(_utf8_lines(text_lines(stream)), live=True)
     for _, name, item in reader:
         if name != "label":
             pipe.emit(name, item.originating_time, item.payload)

@@ -5,7 +5,9 @@ with micro-averaged precision/recall/F1.  The gaze models need no
 training and are evaluated over every session; the language and fusion
 models are evaluated with session-level k-fold cross validation, with
 the text classifier and the forest retrained inside each fold so no
-session ever influences a model that scores it.
+session ever influences a model that scores it.  The fused model is
+scored on exactly the rows `train` fits, exported from the test
+sessions.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import ForestConfig
-from .fusion import derived_session, gaze_holds, predict_session, train_rf
-from .gaze import GazeConfig
+from .config import Config
+from .fusion import derived_session, gaze_holds, train_rf
 from .language import train_from_utterances
 from .sessions import (
     SessionRecord,
@@ -65,42 +66,20 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
     )
 
 
-def labeled_ticks(record: SessionRecord, cadence_hz: float) -> list[float]:
-    """Tick grid points that carry a label: every tick in [0, duration)."""
-    return [
-        t for t in tick_times(record.duration, cadence_hz) if t < record.duration
-    ]
-
-
-def confusion_counts(
-    predictions: list[tuple[float, int]],
-    record: SessionRecord,
-    cadence_hz: float,
-) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) of per-tick predictions against the labels.
-
-    Every prediction time must lie on the session's labeled tick grid in
-    increasing order; prediction streams that start late (window warm-up)
-    are fine, off-grid times are not.
-    """
-    grid = set(labeled_ticks(record, cadence_hz))
-    last = None
-    for t, pred in predictions:
-        if t not in grid:
-            raise ValueError(
-                f"prediction time {t} not on the tick grid of session "
-                f"{record.session_id}"
-            )
-        if last is not None and t <= last:
-            raise ValueError("prediction times must strictly increase")
-        last = t
-        if pred not in (0, 1):
-            raise ValueError(f"predictions must be 0 or 1, got {pred!r}")
-    truth = binary_labels(record, [t for t, _ in predictions])
-    pred = np.array([p for _, p in predictions], dtype=np.int64)
-    tp = int(pred @ truth)
-    fp = int(pred.sum()) - tp
-    fn = int(truth.sum()) - tp
+def confusion_counts(pred, truth) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of 0/1 predictions against the 0/1 labels of the
+    same ticks, the two aligned position by position."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    if len(pred) != len(truth):
+        raise ValueError(f"{len(pred)} predictions against {len(truth)} labels")
+    if not (np.isin(pred, (0, 1)).all() and np.isin(truth, (0, 1)).all()):
+        raise ValueError("predictions and labels must be 0 or 1")
+    pred = pred.astype(bool)
+    truth = truth.astype(bool)
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
     return tp, fp, fn, len(pred) - tp - fp - fn
 
 
@@ -181,87 +160,62 @@ class EvalReport:
 
 
 def run_full_eval(
-    sessions: list[SessionRecord],
-    *,
-    gaze_config: GazeConfig | None = None,
-    forest_config: ForestConfig | None = None,
-    cadence_hz: float = 10.0,
-    window: int = 20,
-    nb_alpha: float = 1.0,
-    nb_use_aggregates: bool = True,
-    folds: int = 10,
-    seed: int = 0,
+    sessions: list[SessionRecord], cfg: Config, folds: int = 10
 ) -> EvalReport:
-    """The full protocol: gaze models scored over every session, language
-    and fusion scored by session-level cross validation with per-fold
-    retraining.  Fusion predictions exist only once the window is full,
-    so its counts cover slightly fewer ticks than the per-model rows."""
-    gaze_config = gaze_config or GazeConfig()
-    forest_config = forest_config or ForestConfig()
+    """The full protocol under one config: gaze models scored over every
+    session, language and fusion scored by session-level cross validation
+    with per-fold retraining.  Each model is scored on the ticks before the
+    session's duration, the fused model only on the rows `train` exports,
+    one per such tick with a full window, so its counts cover fewer ticks."""
     canon = sorted(sessions, key=lambda r: r.session_id)
-
-    # the gaze models need no training: run them once per session
-    ticks_of: dict[str, list[float]] = {}
-    gaze: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    totals = {
+        key: np.zeros(4, dtype=np.int64)
+        for key in ("mutual", "confirmatory", "language", "fused")
+    }
+    # per session: the ticks, the labels of those before the duration, and
+    # the gaze holds, which need no training and so are scored here
+    per_session = {}
     for rec in canon:
-        ticks = tick_times(rec.duration, cadence_hz)
-        ticks_of[rec.session_id] = ticks
-        gaze[rec.session_id] = gaze_holds(rec, gaze_config, ticks)
+        ticks = tick_times(rec.duration, cfg.cadence_hz)
+        truth = binary_labels(rec, [t for t in ticks if t < rec.duration])
+        holds = gaze_holds(rec, cfg.gaze_config(), ticks)
+        per_session[rec.session_id] = ticks, truth, holds
+        for key, hold in zip(("mutual", "confirmatory"), holds):
+            totals[key] += confusion_counts(hold[: len(truth)] >= 0.5, truth)
 
-    def tallied(rows: list[tuple[int, int, int, int]]) -> MetricsReport:
-        tp = sum(r[0] for r in rows)
-        fp = sum(r[1] for r in rows)
-        fn = sum(r[2] for r in rows)
-        tn = sum(r[3] for r in rows)
-        return metrics_from_counts(tp, fp, fn, tn)
-
-    def held_counts(
-        rec: SessionRecord, values: list[float]
-    ) -> tuple[int, int, int, int]:
-        # a model's held values, thresholded at 0.5, on the labeled ticks
-        preds = [
-            (t, 1 if v >= 0.5 else 0)
-            for t, v in zip(ticks_of[rec.session_id], values)
-            if t < rec.duration
-        ]
-        return confusion_counts(preds, rec, cadence_hz)
-
-    def gaze_row(index: int) -> MetricsReport:
-        return tallied(
-            [held_counts(rec, gaze[rec.session_id][index]) for rec in canon]
-        )
-
-    lang_rows: list[tuple[int, int, int, int]] = []
-    fused_rows: list[tuple[int, int, int, int]] = []
-    for train, test in kfold(canon, folds, seed):
+    for train, test in kfold(canon, folds, cfg.seed):
         nb = train_from_utterances(
             export_language_corpus(train),
-            alpha=nb_alpha,
-            use_aggregates=nb_use_aggregates,
+            alpha=cfg.nb_alpha,
+            use_aggregates=cfg.nb_use_aggregates,
         )
 
-        def ds1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
-            ticks = ticks_of[rec.session_id]
-            return ticks, derived_session(rec, ticks, gaze[rec.session_id], nb)
+        def stage1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
+            ticks, _, holds = per_session[rec.session_id]
+            return ticks, derived_session(rec, ticks, holds, nb)
 
         rf = train_rf(
-            export_fusion_matrix(train, [ds1(rec) for rec in train], window),
-            forest_config,
+            export_fusion_matrix(
+                train, [stage1(rec) for rec in train], cfg.window_w
+            ),
+            cfg.forest_config(),
         )
-        for rec in test:
-            ticks, frames = ds1(rec)
-            lang_rows.append(held_counts(rec, frames[:, 2]))
-            decisions = predict_session((ticks, frames), rf, window)
-            fused_preds = [
-                (d.t, d.label) for d in decisions if d.t < rec.duration
-            ]
-            fused_rows.append(confusion_counts(fused_preds, rec, cadence_hz))
+        derived = [stage1(rec) for rec in test]
+        for rec, (_, frames) in zip(test, derived):
+            truth = per_session[rec.session_id][1]
+            totals["language"] += confusion_counts(
+                frames[: len(truth), 2] >= 0.5, truth
+            )
+        # the fused model is scored on the rows `train` would make of the
+        # test sessions, in one forest call
+        rows = export_fusion_matrix(test, derived, cfg.window_w)
+        totals["fused"] += confusion_counts(
+            rf.predict_batch(rows.features)[0], rows.labels
+        )
 
     return EvalReport(
         rows={
-            "mutual": gaze_row(0),
-            "confirmatory": gaze_row(1),
-            "language": tallied(lang_rows),
-            "fused": tallied(fused_rows),
+            key: metrics_from_counts(*counts.tolist())
+            for key, counts in totals.items()
         }
     )

@@ -124,14 +124,10 @@ def stage1_materialize(
 
 
 def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
-    """Fit the forest on the matrix in canonical row order, so permuting
-    the rows of an otherwise identical matrix changes nothing.  A matrix
-    already in that order, as `export_fusion_matrix` builds it, is fitted
-    as it is, with no reordered copy."""
-    order = sorted(range(matrix.n_rows), key=lambda i: matrix.anchors[i])
-    if order == list(range(matrix.n_rows)):
-        return fit_forest(matrix.features, matrix.labels, config)
-    return fit_forest(matrix.features[order], matrix.labels[order], config)
+    """Fit the forest on the matrix's rows in the order given, which
+    `export_fusion_matrix` makes canonical, so the same sessions give the
+    same model in whatever order they are passed."""
+    return fit_forest(matrix.features, matrix.labels, config)
 
 
 def predict_session(

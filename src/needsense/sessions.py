@@ -419,11 +419,10 @@ def binary_labels(record: SessionRecord, times) -> np.ndarray:
 
 @dataclass
 class TrainingMatrix:
-    """Windowed feature rows with binary labels and the anchor of each row.
-
-    Anchors are (session_id, anchor time) pairs defining the canonical row
-    ordering that downstream training relies on for reproducibility.
-    """
+    """Windowed feature rows with binary labels and the anchor of each row,
+    a (session_id, anchor time) pair.  `export_fusion_matrix` emits the rows
+    in canonical order, sessions by id and ticks ascending, and the forest
+    is fitted on them in that order."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -526,7 +525,9 @@ def export_fusion_matrix(
     Each row concatenates `window` consecutive (mutual, confirmatory,
     language) frames oldest first and is labeled at the newest tick.
     Warm-up ticks and the unlabeled final grid point (at exactly the
-    session duration) contribute no rows.
+    session duration) contribute no rows.  Rows come in canonical order,
+    sessions by id and each one's ticks ascending, whatever the order of
+    `records`.
     """
     if window < 1:
         raise ValueError("window must be >= 1")

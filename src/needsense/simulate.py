@@ -100,8 +100,9 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("script needs at least one segment")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError("noise must be finite and >= 0")
+        # an angle's std-dev in radians: past pi the angles say nothing
+        if not 0.0 <= self.noise <= math.pi:
+            raise ValueError("noise must be in [0, pi]")
 
     @property
     def duration(self) -> float:

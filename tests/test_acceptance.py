@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from needsense.cli import main
+from needsense.config import Config
 from needsense.evaluation import (
     average_help,
     confusion_counts,
@@ -39,6 +40,7 @@ from needsense.sessions import (
     LabelSpan,
     NeedLevelLabel,
     SessionRecord,
+    binary_labels,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
@@ -358,11 +360,10 @@ def test_criterion_5_fusion_beats_every_single_model():
         assert len(sessions) >= 20
         report = run_full_eval(
             sessions,
-            forest_config=ForestConfig(
-                n_trees=30, max_depth=8, min_samples_leaf=5, seed=11
+            Config(
+                rf_n_trees=30, rf_max_depth=8, rf_min_samples_leaf=5, seed=11
             ),
             folds=10,
-            seed=11,
         )
         parts = {
             key: report.rows[key].f1
@@ -457,7 +458,6 @@ def test_criterion_7_metrics_closed_form_on_all_small_matrices():
                             record = SessionRecord(
                                 "m0", 1.0, {}, spans((0.0, 1.0, "Flow"))
                             )
-                            preds = []
                         else:
                             label_spans = []
                             if pos:
@@ -469,14 +469,15 @@ def test_criterion_7_metrics_closed_form_on_all_small_matrices():
                             record = SessionRecord(
                                 "m0", float(total), {}, spans(*label_spans)
                             )
-                            pred_of = {}
-                            for i in range(pos):
-                                pred_of[float(i)] = 1 if i < tp else 0
-                            for j in range(total - pos):
-                                pred_of[float(pos + j)] = 1 if j < fp else 0
-                            preds = sorted(pred_of.items())
+                        # one tick per second: the first `pos` are positive
+                        ticks = [float(i) for i in range(total)]
+                        preds = [1 if i < tp else 0 for i in range(pos)] + [
+                            1 if j < fp else 0 for j in range(total - pos)
+                        ]
                         m = metrics_from_counts(
-                            *confusion_counts(preds, record, 1.0)
+                            *confusion_counts(
+                                preds, binary_labels(record, ticks)
+                            )
                         )
                         assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
 

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 import shutil
@@ -35,6 +36,7 @@ from needsense.sessions import (
     load as load_session,
 )
 from needsense.fusion import predict_session, stage1_materialize
+from needsense.simulate import load_script
 from needsense.streams import TimestampedMessage, text_lines
 
 LIGHT_CONFIG = "\n".join(
@@ -192,15 +194,41 @@ class TestGenScripts:
         theirs = sorted(p.read_bytes() for p in other.glob("*"))
         assert ours != theirs
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1", "1e308"])
     def test_bad_noise_is_exit_three_and_writes_nothing(
         self, tmp_path, capsys, noise
     ):
         out = tmp_path / "scripts"
         code = main(["gen-scripts", "--noise", noise, "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err == "error: noise must be finite and >= 0\n"
+        assert capsys.readouterr().err == "error: noise must be in [0, pi]\n"
         assert not out.exists()
+
+    def test_noise_of_pi_renders(self, tmp_path):
+        scripts = tmp_path / "scripts"
+        assert main(
+            ["gen-scripts", "--count", "1", "--noise", repr(math.pi),
+             "--out", str(scripts)]
+        ) == 0
+        assert load_script(scripts / "s00.script").noise == math.pi
+        out = tmp_path / "out"
+        assert main(
+            ["simulate", str(scripts / "s00.script"), "--out", str(out)]
+        ) == 0
+        load_session(out / "s00.session").validate()
+
+    def test_script_noise_past_pi_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "loud.script"
+        path.write_text(
+            "script_version=1 seed=0 noise=1e308\n"
+            "segment duration=2 label=Flow gaze=fix-task\n",
+            encoding="utf-8",
+        )
+        argv = ["simulate", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: noise must be in [0, pi]\n"
+        )
 
 
 class TestSimulateCommand:
@@ -236,23 +264,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 3: not UTF-8 text\n"
 
-    def test_script_that_renders_non_finite_names_the_file(
+    def test_script_that_does_not_render_names_the_file(
         self, tmp_path, capsys
     ):
-        # a noise this large parses, but draws angles that overflow
-        scripts = tmp_path / "scripts"
-        assert main(
-            ["gen-scripts", "--count", "1", "--noise", "1e308",
-             "--out", str(scripts)]
-        ) == 0
-        path = scripts / "s00.script"
+        # the offset lies inside its segment, but rounds onto its end
+        path = tmp_path / "late.script"
+        path.write_text(
+            "script_version=1 seed=0\n"
+            "segment duration=1 label=Flow gaze=fix-task\n"
+            'utterance offset=0.9996 text="done"\n',
+            encoding="utf-8",
+        )
         out = tmp_path / "out"
-        capsys.readouterr()
         assert main(["simulate", str(path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: gaze_raw at ")
-        assert "non-finite value" in err
-        assert not (out / "s00.session").exists()
+        assert capsys.readouterr().err == (
+            f"error: {path}: utterance at offset 0.9996 rounds past its "
+            "segment\n"
+        )
+        assert not (out / "late.session").exists()
 
 
 class TestTrainCommand:
@@ -630,6 +659,26 @@ class TestRunCommand:
         )
         assert code == 3
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["inside_quotes", "after_quotes"])
+    def test_stdin_byte_that_is_not_utf8_names_its_line(
+        self, workspace, capsys, monkeypatch, where
+    ):
+        # a C or POSIX locale's standard input escapes byte 0xff as U+DCFF
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        lines = session.read_text(encoding="utf-8").splitlines()
+        line_no = 1 + next(
+            i for i, ln in enumerate(lines) if ln.startswith("stream=utterance")
+        )
+        line = lines[line_no - 1]
+        lines[line_no - 1] = (
+            line.replace('text="', 'text="\udcff', 1)
+            if where == "inside_quotes"
+            else line + "\udcff"
+        )
+        code, err = self.stdin_run(workspace, capsys, monkeypatch, lines)
+        assert code == 3
+        assert err == f"error: line {line_no}: not UTF-8 text\n"
 
     @pytest.mark.parametrize(
         "sep", SEPARATORS, ids=[f"U+{ord(c):04X}" for c in SEPARATORS]

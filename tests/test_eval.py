@@ -4,26 +4,40 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needsense.config import Config
 from needsense.evaluation import (
     EvalReport,
     MetricsReport,
     average_help,
     confusion_counts,
     kfold,
-    labeled_ticks,
     metrics_from_counts,
     run_full_eval,
 )
-from needsense.forest import ForestConfig
+from needsense.forest import RFModel
 from needsense.fusion import zero_order_hold
-from needsense.sessions import LabelSpan, NeedLevelLabel, SessionRecord
-from needsense.simulate import benchmark_suite, simulate
+from needsense.sessions import (
+    LabelSpan,
+    NeedLevelLabel,
+    SessionRecord,
+    binary_labels,
+)
+from needsense.simulate import (
+    ScenarioScript,
+    SegmentSpec,
+    benchmark_suite,
+    simulate,
+)
+from needsense.streams import tick_times
 
-LIGHT_FOREST = ForestConfig(n_trees=10, max_depth=6, min_samples_leaf=3, seed=5)
+LIGHT_CONFIG = Config(
+    rf_n_trees=10, rf_max_depth=6, rf_min_samples_leaf=3, seed=1
+)
 
 
 def labeled_record(spans, session_id="e00"):
@@ -91,45 +105,50 @@ class TestMetricsFromCounts:
         assert combined.tn == a[3] + b[3]
 
 
-class TestLabeledTicks:
-    def test_excludes_duration_grid_point(self):
-        record = two_phase(duration=1.0, flip=0.5)
-        assert labeled_ticks(record, 10.0) == [round(k / 10, 3) for k in range(10)]
-
-    def test_cadence_one(self):
-        record = two_phase(duration=3.0, flip=1.0)
-        assert labeled_ticks(record, 1.0) == [0.0, 1.0, 2.0]
-
-
 class TestConfusionCounts:
     def test_counts_against_labels(self):
         record = two_phase(duration=4.0, flip=2.0)
-        preds = [(0.0, 0), (1.0, 1), (2.0, 1), (3.0, 0)]
-        assert confusion_counts(preds, record, 1.0) == (1, 1, 1, 1)
+        truth = binary_labels(record, [0.0, 1.0, 2.0, 3.0])
+        assert confusion_counts([0, 1, 1, 0], truth) == (1, 1, 1, 1)
 
     def test_late_start_allowed(self):
-        record = two_phase()
-        assert confusion_counts([(3.0, 1)], record, 1.0) == (1, 0, 0, 0)
+        # a model that starts late is scored on the labels of its ticks
+        truth = binary_labels(two_phase(), [3.0])
+        assert confusion_counts([1], truth) == (1, 0, 0, 0)
 
     def test_empty_allowed(self):
-        assert confusion_counts([], two_phase(), 1.0) == (0, 0, 0, 0)
-
-    def test_off_grid_time_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            confusion_counts([(0.55, 1)], two_phase(), 1.0)
+        assert confusion_counts([], []) == (0, 0, 0, 0)
+        assert confusion_counts(np.empty(0, bool), np.empty(0, int)) == (
+            0, 0, 0, 0,
+        )
 
     def test_duration_tick_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            confusion_counts([(4.0, 1)], two_phase(), 1.0)
+        # the grid point at the duration carries no label to score against
+        with pytest.raises(ValueError, match="outside"):
+            binary_labels(two_phase(), [4.0])
 
-    def test_non_increasing_rejected(self):
-        with pytest.raises(ValueError, match="increase"):
-            confusion_counts([(1.0, 1), (1.0, 0)], two_phase(), 1.0)
+    def test_misaligned_lengths_rejected(self):
+        with pytest.raises(ValueError, match="3 predictions against 2 labels"):
+            confusion_counts([0, 1, 1], [0, 1])
 
     def test_bad_prediction_value_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            confusion_counts([(1.0, 2)], two_phase(), 1.0)
+            confusion_counts([2], [1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            confusion_counts([1], [-1])
 
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1))),
+        as_bool=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_loop(self, pairs, as_bool):
+        pred = np.array([p for p, _ in pairs], dtype=bool if as_bool else int)
+        truth = np.array([t for _, t in pairs], dtype=np.int64)
+        expected = [0, 0, 0, 0]
+        for p, t in pairs:
+            expected[{(1, 1): 0, (1, 0): 1, (0, 1): 2, (0, 0): 3}[p, t]] += 1
+        assert confusion_counts(pred, truth) == tuple(expected)
 
 
 class TestZeroOrderHold:
@@ -257,8 +276,6 @@ class TestAverageHelp:
     )
     @settings(max_examples=80, deadline=None)
     def test_invariant_under_span_splitting(self, splits, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         levels = ["Flow", "L0", "L1", "L2", "L3"]
         record = labeled_record(
@@ -317,11 +334,13 @@ def small_suite():
     return [simulate(s, f"r{i:02d}") for i, s in enumerate(scripts)]
 
 
+def ticks_before_duration(record: SessionRecord) -> list[float]:
+    return [t for t in tick_times(record.duration, 10.0) if t < record.duration]
+
+
 class TestRunFullEval:
-    def run(self, sessions):
-        return run_full_eval(
-            sessions, forest_config=LIGHT_FOREST, folds=3, seed=1
-        )
+    def run(self, sessions, folds=3):
+        return run_full_eval(sessions, LIGHT_CONFIG, folds)
 
     def test_report_rows(self, small_suite):
         report = self.run(small_suite)
@@ -336,18 +355,50 @@ class TestRunFullEval:
 
     def test_tick_coverage(self, small_suite):
         report = self.run(small_suite)
-        per_model_total = sum(
-            len(labeled_ticks(r, 10.0)) for r in small_suite
-        )
+        labeled = [len(ticks_before_duration(r)) for r in small_suite]
+        per_model_total = sum(labeled)
         warmup = 19  # a 20-tick window is first full at the 20th tick
-        fused_total = sum(
-            len(labeled_ticks(r, 10.0)) - warmup for r in small_suite
-        )
+        fused_total = sum(n - warmup for n in labeled)
         for key in ("mutual", "confirmatory", "language"):
             m = report.rows[key]
             assert m.tp + m.fp + m.fn + m.tn == per_model_total
         f = report.rows["fused"]
         assert f.tp + f.fp + f.fn + f.tn == fused_total
+
+    def test_session_shorter_than_the_window(self, small_suite):
+        # 1.5 s at 10 Hz is 15 labeled ticks, fewer than the 20-tick window
+        short = simulate(
+            ScenarioScript(
+                (SegmentSpec(1.5, NeedLevelLabel.L3, "fix-robot"),), seed=3
+            ),
+            "r99",
+        )
+        sessions = [*small_suite, short]
+        report = self.run(sessions)
+        window = LIGHT_CONFIG.window_w
+        fused_total = sum(
+            max(0, len(ticks_before_duration(r)) - window + 1) for r in sessions
+        )
+        f = report.rows["fused"]
+        assert f.tp + f.fp + f.fn + f.tn == fused_total
+        m = report.rows["mutual"]
+        assert m.tp + m.fp + m.fn + m.tn == sum(
+            len(ticks_before_duration(r)) for r in sessions
+        )
+
+    def test_one_forest_call_per_fold(self, small_suite, monkeypatch):
+        calls = []
+        predict = RFModel.predict_batch
+
+        def counted(model, X):
+            calls.append(len(X))
+            return predict(model, X)
+
+        monkeypatch.setattr(RFModel, "predict_batch", counted)
+        report = self.run(small_suite, folds=3)
+        assert len(calls) == 3
+        f = report.rows["fused"]
+        assert sum(calls) == f.tp + f.fp + f.fn + f.tn
 
     def test_session_order_irrelevant(self, small_suite):
         forward = self.run(small_suite).render()

@@ -369,18 +369,31 @@ class TestStage2:
             stage2_fit([])
 
     def test_train_rf_invariant_under_row_permutation(self):
-        record, derived = step_session()
-        matrix = export_fusion_matrix([record], [derived], 20)
+        # the export owns the canonical row order, so sessions passed in
+        # any order give the same rows and so the same model
+        sessions = [
+            step_session(f"d{i:02d}", duration)
+            for i, duration in enumerate([10.0, 6.0, 8.5, 12.0])
+        ]
         rng = np.random.default_rng(0)
-        perm = rng.permutation(matrix.n_rows)
-        shuffled = type(matrix)(
-            features=matrix.features[perm],
-            labels=matrix.labels[perm],
-            anchors=[matrix.anchors[i] for i in perm],
+        shuffled = [sessions[i] for i in rng.permutation(len(sessions))]
+        assert shuffled[0][0].session_id != "d00"
+        a, b = (
+            export_fusion_matrix(
+                [record for record, _ in pairs],
+                [derived for _, derived in pairs],
+                20,
+            )
+            for pairs in (sessions, shuffled)
         )
-        a = train_rf(matrix, LIGHT_FOREST)
-        b = train_rf(shuffled, LIGHT_FOREST)
-        assert a.to_lines() == b.to_lines()
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.anchors == b.anchors
+        assert a.anchors == sorted(a.anchors)
+        assert (
+            train_rf(a, LIGHT_FOREST).to_lines()
+            == train_rf(b, LIGHT_FOREST).to_lines()
+        )
 
 
 class TestSessionFrames:

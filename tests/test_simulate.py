@@ -66,9 +66,11 @@ class TestSegmentSpec:
     def test_script_validation(self):
         with pytest.raises(ValueError, match="segment"):
             ScenarioScript(())
-        for noise in (-0.1, math.nan, math.inf):
+        past_pi = math.nextafter(math.pi, 4)
+        for noise in (-0.1, math.nan, math.inf, 1e308, past_pi):
             with pytest.raises(ValueError, match="noise"):
                 ScenarioScript((seg(2.0),), noise=noise)
+        assert ScenarioScript((seg(2.0),), noise=math.pi).noise == math.pi
 
     def test_duration_accumulates_at_wire_precision(self):
         script = ScenarioScript((seg(1.1), seg(2.2), seg(3.3)))
