@@ -7,13 +7,15 @@ does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_forest_fit.py
 
-Each round takes several seconds; pass `--benchmark-disable` to run the
-fit once as a plain test.
+Each round takes a few seconds; pass `--benchmark-disable` to run the
+fit once as a plain test.  `extra_info` holds each fit's minor page faults
+(`fit_minflt`) and CPU seconds (`fit_cpu_s`), averaged over its rounds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import resource
 
 import pytest
 
@@ -56,8 +58,32 @@ def suite_matrix(tmp_path_factory):
         for r in records
     ]
     matrix = export_fusion_matrix(records, ds1, cfg.window_w)
-    order = sorted(range(matrix.n_rows), key=lambda i: matrix.anchors[i])
-    return matrix.features[order], matrix.labels[order]
+    # the export's own (session, time) order, the canonical one
+    assert all(a < b for a, b in zip(matrix.anchors, matrix.anchors[1:]))
+    return matrix.features, matrix.labels
+
+
+def measured_fit(benchmark, X, y, config, rounds):
+    """The model of `benchmark.pedantic` over `fit_forest`, with the fit's
+    minor page faults and CPU seconds per call in `extra_info`, so that
+    allocation churn shows beside the time."""
+    usage = {"calls": 0, "minflt": 0, "cpu_s": 0.0}
+
+    def fit():
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        model = fit_forest(X, y, config)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        usage["calls"] += 1
+        usage["minflt"] += after.ru_minflt - before.ru_minflt
+        usage["cpu_s"] += (after.ru_utime - before.ru_utime) + (
+            after.ru_stime - before.ru_stime
+        )
+        return model
+
+    model = benchmark.pedantic(fit, rounds=rounds, iterations=1)
+    benchmark.extra_info["fit_minflt"] = usage["minflt"] / usage["calls"]
+    benchmark.extra_info["fit_cpu_s"] = usage["cpu_s"] / usage["calls"]
+    return model
 
 
 def model_sha256(model) -> str:
@@ -68,18 +94,13 @@ def model_sha256(model) -> str:
 def test_fit_default_forest(benchmark, suite_matrix):
     X, y = suite_matrix
     assert X.shape == (7339, 60)
-    model = benchmark.pedantic(
-        fit_forest, args=(X, y, Config().forest_config()), rounds=3, iterations=1
-    )
+    model = measured_fit(benchmark, X, y, Config().forest_config(), rounds=3)
     assert len(model.feature) == DEFAULT_FIT_NODES
     assert model_sha256(model) == DEFAULT_FIT_SHA256
 
 
 def test_fit_default_forest_seed_7(benchmark, suite_matrix):
     X, y = suite_matrix
-    model = benchmark.pedantic(
-        fit_forest, args=(X, y, Config(seed=7).forest_config()), rounds=1,
-        iterations=1,
-    )
+    model = measured_fit(benchmark, X, y, Config(seed=7).forest_config(), rounds=1)
     assert len(model.feature) == SEED_7_FIT_NODES
     assert model_sha256(model) == SEED_7_FIT_SHA256

@@ -9,6 +9,7 @@ The zero sentinel on rf_max_depth and rf_features_per_split means
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -54,8 +55,8 @@ class Config:
             raise ConfigError("gaze_debounce must be >= 1")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ConfigError("min_confidence must be in [0, 1]")
-        if not self.nb_alpha > 0:
-            raise ConfigError("nb_alpha must be > 0")
+        if not (math.isfinite(self.nb_alpha) and self.nb_alpha > 0):
+            raise ConfigError("nb_alpha must be finite and > 0")
         if self.rf_n_trees < 1:
             raise ConfigError("rf_n_trees must be >= 1")
         if self.rf_max_depth < 0:

@@ -23,7 +23,15 @@ The trees grow in lockstep and a step's nodes are searched together: one
 _SEARCH_CELLS cells, so numpy's call overhead is paid per block, not per
 node, and most nodes are small.  A cell's bin takes one gather from a table
 of 2 * rank + label (a byte per cell here) and one add of a 32-bit key;
-with keys this narrow, 1 << 18-cell blocks beat 1 << 17.
+with keys this narrow, 1 << 18-cell blocks beat 1 << 17.  A block writes its
+row-sized arrays into buffers that last the whole fit (`_Buffers`), grown to
+the largest block searched: arrays allocated per block make the heap shrink
+and grow back at every block, ~100k minor page faults in a default fit.
+
+Each searched node's feature subset is the one `Generator.choice` would draw
+from its tree's generator, in the same order, but `_FeatureDraws` finds the
+subsets of all the trees of a step at once, from each tree's own buffer of
+32-bit halves of its generator's output, rather than by a call per node.
 
 When the sampled feature subset offers no usable split the search widens
 to the other features that vary at the node, so a node only becomes a leaf
@@ -47,6 +55,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -113,6 +122,131 @@ def _blocks(cost: np.ndarray):
         start = stop
 
 
+class _Buffers:
+    """Arrays that every search of one fit writes into, each grown to the
+    largest size asked of it, so that a block reuses pages already mapped
+    rather than allocating its row-sized arrays afresh."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous array of this shape and dtype, reusing `name`'s."""
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+# the `_Buffers` of the fit running in this thread, if any
+_FIT_BUFFERS: ContextVar[_Buffers | None] = ContextVar("_FIT_BUFFERS", default=None)
+
+
+# 32-bit halves of its generator's output that each tree's draw buffer holds
+_HALVES = 1 << 9
+
+
+class _FeatureDraws:
+    """Each tree's next feature subset, sorted: the m of d features that
+    `rng.choice(d, size=m, replace=False)` would draw from its generator,
+    found for all the trees of a step at once rather than by a call per node.
+
+    numpy draws with Floyd's algorithm (Bentley and Floyd, CACM 1987) unless
+    d > 10000 and m > d // 50, where it shuffles a tail; there `sample` calls
+    `choice`.  Floyd draws v in [0, j] for j = d - m .. d - 1 and picks j in
+    place of a v picked before.  numpy then shuffles the picks, drawing in
+    [0, i] for i = m - 1 .. 1; the subset is sorted, so those draws are only
+    consumed.  Each bounded draw is Lemire's (ACM TOMACS 2019): a 32-bit half
+    of the generator's output times bound + 1, whose high word is the value,
+    drawn again while the low word is below (2**32 - bound - 1) % (bound + 1).
+    A 64-bit output gives its low half first and keeps the other, as the
+    generator's state (`has_uint32`, `uinteger`) does after the bootstrap.
+
+    Tree t reads its halves in order from row t of `halves`, at `cursor[t]`
+    and below `stop[t]`, refilled from `bit_generator.random_raw`.  A step
+    multiplies the 2m - 1 halves of every tree by their bounds and resolves
+    Floyd's repeats in m vectorized passes.  A tree with a low word below
+    bound + 1, which a rejection needs, goes through `_scalar` over the same
+    halves.
+    """
+
+    def __init__(self, rngs, d: int, m: int) -> None:
+        self.rngs, self.d, self.m = rngs, d, m
+        self.floyd = not (d > 10000 and m > d // 50)
+        # bound + 1 of each of a subset's 2m - 1 draws: Floyd's, then the shuffle's
+        bounds = np.concatenate((np.arange(d - m, d), np.arange(m - 1, 0, -1)))
+        self.excl = bounds.astype(np.uint64) + 1
+        # a refill leaves fewer than 2m - 1 halves unread, so one step fits
+        width = max(_HALVES, 2 * bounds.size) if self.floyd else 0
+        self.halves = np.empty((len(rngs), width), np.uint32)
+        self.cursor = np.zeros(len(rngs), np.intp)
+        self.stop = np.zeros(len(rngs), np.intp)
+        for t, rng in enumerate(rngs if self.floyd else ()):
+            state = rng.bit_generator.state
+            if state["has_uint32"]:
+                self.halves[t, 0], self.stop[t] = state["uinteger"], 1
+            self._fill(t)
+
+    def _fill(self, t: int) -> None:
+        """Move tree t's unread halves to the front of its row and fill the
+        rest from its generator."""
+        row, start, stop = self.halves[t], self.cursor[t], self.stop[t]
+        unread = stop - start
+        row[:unread] = row[start:stop]
+        raws = (row.size - unread) // 2
+        raw = self.rngs[t].bit_generator.random_raw(raws)
+        row[unread : unread + 2 * raws] = raw.astype("<u8").view("<u4")
+        self.cursor[t], self.stop[t] = 0, unread + 2 * raws
+
+    def _bounded(self, t: int, bound: int) -> int:
+        """Tree t's next draw in [0, bound], a half at a time."""
+        excl = bound + 1
+        threshold = (0xFFFFFFFF - bound) % excl
+        while True:
+            if self.cursor[t] == self.stop[t]:
+                self._fill(t)
+            product = int(self.halves[t, self.cursor[t]]) * excl
+            self.cursor[t] += 1
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+    def _scalar(self, t: int) -> list[int]:
+        """Tree t's next subset, sorted, drawn one bounded draw at a time."""
+        d, m = self.d, self.m
+        picks: set[int] = set()
+        for j in range(d - m, d):
+            v = self._bounded(t, j)
+            picks.add(j if v in picks else v)
+        for i in range(m - 1, 0, -1):
+            self._bounded(t, i)
+        return sorted(picks)
+
+    def sample(self, trees: np.ndarray) -> np.ndarray:
+        """The next subset of each tree in `trees` (no tree twice), sorted, as
+        a (len(trees), m) array."""
+        d, m = self.d, self.m
+        if not self.floyd:
+            draws = [self.rngs[t].choice(d, size=m, replace=False) for t in trees]
+            return np.sort(draws, axis=1)
+        need = 2 * m - 1
+        for t in trees[self.stop[trees] - self.cursor[trees] < need].tolist():
+            self._fill(t)
+        at = self.cursor[trees]
+        product = self.halves[trees[:, None], at[:, None] + np.arange(need)] * self.excl
+        self.cursor[trees] = at + need
+        picks = (product[:, :m] >> 32).astype(np.intp)
+        for i in range(1, m):
+            repeat = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+            picks[repeat, i] = d - m + i
+        rejecting = ((product & 0xFFFFFFFF) < self.excl).any(axis=1)
+        for i in np.flatnonzero(rejecting).tolist():
+            self.cursor[trees[i]] = at[i]
+            picks[i] = self._scalar(trees[i])
+        picks.sort(axis=1)
+        return picks
+
+
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Whether each element of a starts a run of equal values."""
     starts = np.ones(a.size, dtype=bool)
@@ -134,9 +268,11 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf):
     occupied bins in slot order are the values present at each node,
     consecutive ones within a slot are the candidate boundaries, and
     candidates ascend by node, then feature, then threshold; the first
-    maximum of each node realizes the tie-breaking.
+    maximum of each node realizes the tie-breaking.  A block writes its
+    row-sized arrays into the running fit's `_Buffers`, or into fresh ones.
     """
     (k, m), width = features.shape, values.shape[1]
+    buffers = _FIT_BUFFERS.get() or _Buffers()
     feature, threshold = np.full(k, -1), np.zeros(k)
     pos_left, bound = np.zeros(k, np.int64), np.zeros(k, np.int64)
     for start, stop in _blocks((n + width) * m):
@@ -144,13 +280,22 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf):
         block_features = features[start:stop]
         table = block_features.size * width
         index = _index_type(max(codes.size, 2 * table))
+        size = int(node_n.sum())
+        owner = np.repeat(np.arange(stop - start, dtype=index), node_n)
         # the cell of row r and the f-th feature of its node i counts into bin
-        # ((i * m + f) * width + rank) * 2 + label
-        cell = np.repeat(block_features.astype(index) * codes.shape[1], node_n, axis=0)
-        cell += np.concatenate(rows[start:stop], dtype=index)[:, None]
+        # ((i * m + f) * width + rank) * 2 + label; `key` holds each cell's
+        # flat index into codes until the codes are gathered.  Every index is
+        # in range, and mode="clip" writes into `out` unbuffered.
+        key = buffers.get("key", (size, m), index)
+        offsets = block_features.astype(index) * codes.shape[1]
+        np.take(offsets, owner, axis=0, out=key, mode="clip")
+        row = np.concatenate(rows[start:stop], out=buffers.get("row", (size,), index))
+        key += row[:, None]
+        code = buffers.get("code", (size, m), codes.dtype)
+        codes.ravel().take(key, out=code, mode="clip")
         slot_bins = np.arange(0, 2 * table, 2 * width, dtype=index)
-        key = np.repeat(slot_bins.reshape(-1, m), node_n, axis=0)
-        key += codes.ravel().take(cell)
+        np.take(slot_bins.reshape(-1, m), owner, axis=0, out=key, mode="clip")
+        key += code
         counts = np.bincount(key.ravel(), minlength=2 * table)
         positive = counts[1::2]
         total = counts[::2] + positive
@@ -516,40 +661,10 @@ def _leaf(n: int, pos: int) -> tuple[int, float, int]:
     return -1, 0.0, 1 if 2 * pos >= n else 0  # a tie goes to the positive class
 
 
-def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
-    """Train on raw arrays; rows are taken in the given (canonical) order.
-
-    The trees grow in lockstep.  Each keeps its own generator, stack and
-    preorder, so its draws are those of growing it alone: its bootstrap
-    first, then one feature subset per node it searches, in preorder.  A step
-    takes from every unfinished tree its next node that needs a search (the
-    stopping rules make leaves of the nodes popped before it), searches them
-    all in one `_best_splits` call, widens those whose sampled features gave
-    no split in one more, over their features that vary and were not sampled,
-    then splits each node by its rows' codes and pushes its children.
-
-    X is read only to build the rank and code tables, and no copy of it is
-    made when it is already a float64 array, so a caller that passes its own
-    matrix holds one copy of the rows through the fit.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-        raise ValueError("X must be 2-D and aligned with y")
-    if len(X) == 0:
-        raise ValueError("cannot train on an empty matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    # checked before the cast, which would truncate a label such as 0.7
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    labels = y.astype(np.intp)
-    if labels.min() == labels.max():
-        raise ValueError("training matrix must contain both classes")
-    (n, d), m = X.shape, config.resolve_features(X.shape[1])
-    values, ranks = _rank_table(X)
-    dtype = np.min_scalar_type(2 * values.shape[1] - 1)
-    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
+def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
+    """Each tree's (feature, threshold, value) nodes in preorder, the trees
+    grown in lockstep (see `fit_forest`)."""
+    n, d = ranks.shape
     max_depth = math.inf if config.max_depth is None else config.max_depth
     min_leaf = config.min_samples_leaf
     rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
@@ -559,6 +674,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         rows = rows.astype(np.min_scalar_type(n - 1))
         stacks.append([(rows, 0, np.count_nonzero(labels[rows]))])
     trees = [[] for _ in rngs]  # per tree: (feature, threshold, value) in preorder
+    draws = _FeatureDraws(rngs, d, m) if m < d else None
     while True:
         step = []  # (tree, rows, depth, positives) of the nodes to search
         for ti, stack in enumerate(stacks):
@@ -575,8 +691,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
         node_n = np.array([len(rows) for rows in node_rows])
         node_pos = np.array([pos for _, _, _, pos in step])
         if m < d:
-            draws = [rngs[ti].choice(d, size=m, replace=False) for ti, *_ in step]
-            sampled = np.sort(draws, axis=1)
+            sampled = draws.sample(np.array([ti for ti, *_ in step]))
         else:
             sampled = np.broadcast_to(np.arange(d), (len(step), d))
         best = _best_splits(
@@ -616,7 +731,49 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
             # push right first so the left subtree is processed next (preorder)
             stacks[ti].append((rows[~mask], depth + 1, pos - pos_left))
             stacks[ti].append((rows[mask], depth + 1, pos_left))
+    return trees
+
+
+def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
+    """Train on raw arrays; rows are taken in the given (canonical) order.
+
+    The trees grow in lockstep.  Each keeps its own generator, stack and
+    preorder, so its draws are those of growing it alone: its bootstrap
+    first, then one feature subset per node it searches, in preorder.  A step
+    takes from every unfinished tree its next node that needs a search (the
+    stopping rules make leaves of the nodes popped before it), searches them
+    all in one `_best_splits` call, widens those whose sampled features gave
+    no split in one more, over their features that vary and were not sampled,
+    then splits each node by its rows' codes and pushes its children.
+
+    X is read only to build the rank and code tables, and no copy of it is
+    made when it is already a float64 array, so a caller that passes its own
+    matrix holds one copy of the rows through the fit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise ValueError("X must be 2-D and aligned with y")
+    if len(X) == 0:
+        raise ValueError("cannot train on an empty matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    # checked before the cast, which would truncate a label such as 0.7
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    labels = y.astype(np.intp)
+    if labels.min() == labels.max():
+        raise ValueError("training matrix must contain both classes")
+    m = config.resolve_features(X.shape[1])
+    values, ranks = _rank_table(X)
+    dtype = np.min_scalar_type(2 * values.shape[1] - 1)
+    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
+    token = _FIT_BUFFERS.set(_Buffers())
+    try:
+        trees = _grow(values, ranks, codes, labels, config, m)
+    finally:
+        _FIT_BUFFERS.reset(token)  # before the node arrays are built: no higher peak
     roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
     resolved = replace(config, features_per_split=m)
     nodes = [node for tree in trees for node in tree]
-    return RFModel(*zip(*nodes), roots, resolved, d)
+    return RFModel(*zip(*nodes), roots, resolved, X.shape[1])

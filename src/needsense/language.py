@@ -231,6 +231,17 @@ def train_nb(
     if use_aggregates:
         token_counts.setdefault(QWORD, [0, 0])
         token_counts.setdefault(NEG, [0, 0])
+    # the smallest smoothed likelihood of a class is alpha / (total + alpha * v);
+    # where it is 0 or not a number, as when alpha * v overflows, predict
+    # would take its log
+    v = len(token_counts)
+    for label in (0, 1):
+        total = sum(c[label] for c in token_counts.values())
+        if not alpha / (total + alpha * v) > 0:
+            raise CorpusError(
+                f"alpha={alpha!r} over a vocabulary of {v} gives a smoothed "
+                "likelihood of 0"
+            )
     return NBModel(
         alpha=alpha,
         use_aggregates=use_aggregates,

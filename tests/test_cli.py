@@ -115,6 +115,9 @@ class TestConfig:
             config_from_items({"cadence_hz": "0"}).validate()
         with pytest.raises(ConfigError):
             config_from_items({"nb_alpha": "0"}).validate()
+        for text in ("inf", "nan"):
+            with pytest.raises(ConfigError, match="nb_alpha must be finite"):
+                config_from_items({"nb_alpha": text})
 
     def test_cadence_above_one_khz_rejected(self):
         # the tick grid is whole milliseconds: above 1 kHz ticks collide,
@@ -986,6 +989,40 @@ class TestExitCodes:
         assert code == 3
         assert "unknown" in capsys.readouterr().err
         assert not models.exists()
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_nb_alpha_names_the_config_line(
+        self, workspace, tmp_path, capsys, alpha
+    ):
+        config = tmp_path / "alpha.cfg"
+        config.write_text(f"nb_alpha={alpha}\n", encoding="utf-8")
+        models = tmp_path / "models"
+        code = main(
+            ["train", "--config", str(config), str(workspace["ds0"]),
+             "--out", str(models)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {config}: line 1: nb_alpha must be finite and > 0\n"
+        )
+        assert not models.exists()
+
+    def test_nb_alpha_that_overflows_smoothing_fails_stage_one(
+        self, workspace, tmp_path, capsys
+    ):
+        # finite, but alpha times the vocabulary is not
+        config = tmp_path / "alpha.cfg"
+        config.write_text("nb_alpha=1e308\n", encoding="utf-8")
+        models = tmp_path / "models"
+        code = main(
+            ["train", "--config", str(config), str(workspace["ds0"]),
+             "--out", str(models)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: stage 1: alpha=1e+308 over a vocabulary of ")
+        assert err.endswith(" gives a smoothed likelihood of 0\n")
+        assert not (models / "nb.model").exists()
 
     def test_cadence_above_one_khz_is_exit_three(self, workspace, tmp_path, capsys):
         code = main(

@@ -918,6 +918,134 @@ class TestLockstepExactness:
         assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
 
 
+class CountingGenerator:
+    """A generator that counts its `choice` calls and delegates the rest."""
+
+    def __init__(self, rng):
+        self.rng, self.choices = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def bootstrapped(seed, n_trees, n):
+    """Each tree's generator after a bootstrap of n rows, as `fit_forest`
+    draws it; an odd n leaves a 32-bit half pending."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    for rng in rngs:
+        rng.integers(0, n, size=n)
+    return rngs
+
+
+def returned_state(draws, t):
+    """Tree t's generator state once its unread halves are given back: the
+    64-bit outputs they came from are undrawn, and an odd one out is the
+    pending half."""
+    unread = int(draws.stop[t] - draws.cursor[t])
+    bit_generator = draws.rngs[t].bit_generator
+    bit_generator.advance(-(unread // 2))
+    state = bit_generator.state
+    pending = int(draws.halves[t, draws.cursor[t]]) if unread % 2 else None
+    return state["state"], pending
+
+
+def choice_state(rng):
+    state = rng.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+class TestFeatureDraws:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=200),
+        n_trees=st.integers(min_value=1, max_value=4),
+        bootstrap_rows=st.integers(min_value=1, max_value=500),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_generator_choice(self, seed, d, n_trees, bootstrap_rows, data):
+        m = data.draw(st.integers(min_value=1, max_value=d - 1))
+        # each step draws for some of the trees, as a lockstep step does
+        steps = data.draw(
+            st.lists(
+                st.sets(st.integers(min_value=0, max_value=n_trees - 1), min_size=1),
+                min_size=1,
+                max_size=30,
+            )
+        )
+        expected = bootstrapped(seed, n_trees, bootstrap_rows)
+        draws = forest._FeatureDraws(bootstrapped(seed, n_trees, bootstrap_rows), d, m)
+        for trees in steps:
+            trees = np.array(sorted(trees))
+            subsets = [expected[t].choice(d, size=m, replace=False) for t in trees]
+            assert draws.sample(trees).tolist() == np.sort(subsets, axis=1).tolist()
+        for t in range(n_trees):
+            assert returned_state(draws, t) == choice_state(expected[t])
+
+    def test_possible_rejection_takes_the_scalar_path(self):
+        d, m = 60, 8
+        # a zero half gives a low word of 0; for the first Floyd draw, in
+        # [0, d - m], that is below Lemire's threshold, so it is drawn again
+        bound = d - m
+        assert (2**32 - bound - 1) % (bound + 1) > 0
+        draws, twin = (
+            forest._FeatureDraws(bootstrapped(11, 3, 7339), d, m) for _ in range(2)
+        )
+        for each in (draws, twin):
+            each.halves[1, each.cursor[1]] = 0
+        start = draws.cursor.copy()
+        subsets = draws.sample(np.arange(3))
+        assert subsets[1].tolist() == twin._scalar(1)
+        # the rejected half and the 2m - 1 draws
+        assert draws.cursor[1] - start[1] == 2 * m
+        assert (draws.cursor[[0, 2]] - start[[0, 2]]).tolist() == [2 * m - 1] * 2
+        # the other trees are unaffected: they still match numpy
+        expected = bootstrapped(11, 3, 7339)
+        for t in (0, 2):
+            subset = np.sort(expected[t].choice(d, size=m, replace=False))
+            assert subsets[t].tolist() == subset.tolist()
+
+    @pytest.mark.parametrize(
+        "d, m, calls",
+        [(10001, 201, 1), (20000, 1000, 1), (10001, 200, 0), (20000, 10, 0)],
+    )
+    def test_tail_shuffle_shapes_go_through_choice(self, d, m, calls):
+        # numpy shuffles a tail, not Floyd's algorithm, where d > 10000 and
+        # m > d // 50
+        rngs = [CountingGenerator(rng) for rng in bootstrapped(5, 2, 100)]
+        subsets = forest._FeatureDraws(rngs, d, m).sample(np.arange(2))
+        expected = bootstrapped(5, 2, 100)
+        for t in range(2):
+            subset = np.sort(expected[t].choice(d, size=m, replace=False))
+            assert subsets[t].tolist() == subset.tolist()
+            assert rngs[t].choices == calls
+
+    def test_default_shaped_fit_makes_no_choice_call(self):
+        # 60 features, 8 per split, as the default window gives
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 5, size=(300, 60)).astype(float)
+        y = rng.integers(0, 2, size=300)
+        config = ForestConfig(n_trees=3, seed=9)
+        made = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            made.append(CountingGenerator(default_rng(seed)))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", counted)
+            model = fit_forest(X, y, config)
+        assert len(made) == 3
+        assert [rng.choices for rng in made] == [0, 0, 0]
+        assert model.config.features_per_split == 8
+        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
+
 def line_parser_reference(lines) -> RFModel:
     """The line-by-line parser that the whole-buffer one replaced, kept as the
     reference: one `match` per line, then one vectorized test per rule."""

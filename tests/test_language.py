@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -144,6 +145,17 @@ class TestTrain:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             train_from_utterances(SMALL, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e308, math.nan, 5e-324])
+    def test_alpha_whose_smoothing_leaves_no_likelihood_rejected(self, alpha):
+        # alpha * vocabulary overflows, or alpha / total underflows, so a
+        # smoothed likelihood is 0 or not a number and its log would fail
+        with pytest.raises(CorpusError, match="smoothed likelihood of 0"):
+            train_from_utterances(SMALL, alpha=alpha)
+
+    def test_large_finite_alpha_trains(self):
+        model = train_from_utterances(SMALL, alpha=1e300)
+        assert 0.0 < model.predict_text("help me please") < 1.0
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="labels"):
