@@ -1,10 +1,11 @@
 """Per-layer benchmarks at the default config.
 
-Each case times one layer of `needsense train` or `needsense run` on the
-canonical suite (`benchmark_suite(20, seed=0)`: 20 sessions, 23,138
-gaze frames, 7,339 training rows x 60): loading the 20 session files,
-the gaze tracker over every gaze frame, stage-1 materialize,
-the fusion-matrix export, batch prediction over every training row,
+Each case times one layer of `needsense simulate`, `needsense train` or
+`needsense run` on the canonical suite (`benchmark_suite(20, seed=0)`: 20
+sessions, 23,138 gaze frames, 7,339 training rows x 60): simulating the
+20 scripts, loading the 20 session files, the gaze tracker over every
+gaze frame, stage-1 materialize, writing the 20 derived sessions, the
+fusion-matrix export, batch prediction over every training row,
 loading the saved forest, and the decisions of one session, both through
 the live shell and as `run` scores a file (stage 1 plus one batch
 prediction).  `testpaths` does not collect this directory, so run it
@@ -36,15 +37,19 @@ from needsense.sessions import (
     export_fusion_matrix,
     export_language_corpus,
     load as load_session,
+    save_derived,
 )
 from needsense.simulate import benchmark_suite, simulate
 from needsense.streams import tick_times
+from test_end_to_end import DEFAULT_DS1
 
 SUITE_ROWS = 7_339
 SUITE_GAZE_FRAMES = 23_138
 # sha256 of the repr of the list of every (mutual, confirmatory) the
 # tracker gives over the suite's gaze frames, session by session
 SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447decb74"
+# sha256 of the 20 suite sessions' bytes, one after another
+SUITE_SESSIONS = "3dcd00f5737f8a943464c2ec9fec18fc6cce38325b01a4d802d7aa9381b14696"
 # sha256 of the default forest's rf.model, as in test_forest_fit.py
 DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
 
@@ -80,6 +85,22 @@ def suite(session_paths):
     matrix = export_fusion_matrix(records, ds1, cfg.window_w)
     rf = train_rf(matrix, cfg.forest_config())
     return cfg, records, nb, ds1, matrix, rf
+
+
+def test_simulate_suite_scripts(benchmark, session_paths):
+    thresholds = Config().thresholds()
+    scripts = benchmark_suite(20, seed=0)
+    records = benchmark.pedantic(
+        lambda: [
+            simulate(script, f"s{i:02d}", thresholds=thresholds)
+            for i, script in enumerate(scripts)
+        ],
+        rounds=5,
+        iterations=1,
+    )
+    data = [("\n".join(r.to_lines()) + "\n").encode("utf-8") for r in records]
+    assert hashlib.sha256(b"".join(data)).hexdigest() == SUITE_SESSIONS
+    assert data == [path.read_bytes() for path in session_paths]
 
 
 def test_parse_suite_sessions(benchmark, session_paths):
@@ -127,6 +148,22 @@ def test_stage1_materialize_20_sessions(benchmark, suite):
     out = benchmark.pedantic(materialize, rounds=5, iterations=1)
     assert [ticks for ticks, _ in out] == [ticks for ticks, _ in ds1]
     assert [f.tobytes() for _, f in out] == [f.tobytes() for _, f in ds1]
+
+
+def test_write_derived_sessions(benchmark, suite, tmp_path):
+    """The 20 derived sessions a default `train` writes under ds1/."""
+    _, records, _, ds1, _, _ = suite
+
+    def write():
+        for record, (ticks, frames) in zip(records, ds1, strict=True):
+            save_derived(tmp_path / f"{record.session_id}.session", record, ticks, frames)
+
+    benchmark.pedantic(write, rounds=5, iterations=1)
+    written = {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.session"))
+    }
+    assert written == DEFAULT_DS1
 
 
 def test_export_fusion_matrix(benchmark, suite):

@@ -31,12 +31,12 @@ from .language import CorpusError, NBModel, train_from_utterances
 from .sessions import (
     SessionFormatError,
     SessionReader,
-    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
     load as load_session,
+    save_derived,
 )
 from .streams import read_lines, text_lines
 
@@ -125,7 +125,7 @@ def _write_stage1(records, nb: NBModel, cfg: Config, out: Path):
             record, nb, cfg.gaze_config(), cfg.cadence_hz
         )
         name = f"ds1/{record.session_id}.session"
-        derived_record(record, ticks, frames).save(out / name)
+        save_derived(out / name, record, ticks, frames)
         derived.append((ticks, frames))
         ds1_names.append(name)
     return derived, ds1_names

@@ -49,8 +49,9 @@ class Config:
             raise ConfigError(f"cadence_hz must be in (0, {MAX_CADENCE_HZ}]")
         if self.window_w < 1:
             raise ConfigError("window_w must be >= 1")
-        if not (self.gaze_yaw_center > 0 and self.gaze_pitch_center > 0):
-            raise ConfigError("gaze center half-widths must be > 0")
+        for center in (self.gaze_yaw_center, self.gaze_pitch_center):
+            if not (math.isfinite(center) and center > 0):
+                raise ConfigError("gaze center half-widths must be finite and > 0")
         if self.gaze_debounce < 1:
             raise ConfigError("gaze_debounce must be >= 1")
         if not 0.0 <= self.min_confidence <= 1.0:

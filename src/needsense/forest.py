@@ -42,12 +42,18 @@ and a node with none left that varies (as where bootstrap repeats one row
 with both labels) is a leaf at once.  Widening draws nothing from the
 tree's generator.
 
-A split node's rows are partitioned on the same codes: a row goes left
-where its code in the split feature is below 2 * rank + 2 of the split's
-lower value.  A valid threshold lies at or above that value and below the
-next one present at the node, so these are exactly the rows with
-X <= threshold, read by a gather from one contiguous row of the codes (a
-byte per cell here) rather than a strided eight-byte gather from X.
+A node is a [start, stop) range of its tree's row array, which lasts the
+whole fit (scikit-learn's splitter keeps its samples so; Louppe,
+arXiv:1407.7502).  A split node's rows are partitioned on the same codes: a
+row goes left where its code in the split feature is below 2 * rank + 2 of
+the split's lower value.  A valid threshold lies at or above that value and
+below the next one present at the node, so these are exactly the rows with
+X <= threshold, read by a gather from the codes (a byte per cell here)
+rather than a strided eight-byte gather from X.  After a step's searches,
+one such test covers every split node's rows (`_partition`), and each
+node's range is rewritten in place, lefts first and each side in its old
+order.  Class counts and the widening test do not depend on row order, and
+the order is the one a per-node `rows[mask]`, `rows[~mask]` gives.
 """
 
 from __future__ import annotations
@@ -661,6 +667,43 @@ def _leaf(n: int, pos: int) -> tuple[int, float, int]:
     return -1, 0.0, 1 if 2 * pos >= n else 0  # a tie goes to the positive class
 
 
+def _partition(codes, rows, n, feature, bound) -> np.ndarray:
+    """Rewrite each split node's rows in place, those going left first and
+    each side in its old order, which is how `rows[mask]` and `rows[~mask]`
+    order them; returns how many go left at each node.
+
+    rows[i] is a view of node i's n[i] rows in its tree's row array, split on
+    feature[i] at bound[i] (see `_best_splits`).  One go-left test reads the
+    codes of every row of a block of nodes holding up to _SEARCH_CELLS rows;
+    then each node's range takes two slice assignments.
+    """
+    buffers = _FIT_BUFFERS.get() or _Buffers()
+    index = _index_type(codes.size)
+    # a split's lower value is below the node's highest, so its bound fits
+    bound = bound.astype(codes.dtype)
+    n_left = np.empty(len(rows), np.intp)
+    for start, stop in _blocks(n):
+        node_n = n[start:stop]
+        size = int(node_n.sum())
+        block = buffers.get("block", (size,), rows[0].dtype)
+        np.concatenate(rows[start:stop], out=block)
+        key = np.repeat((feature[start:stop] * codes.shape[1]).astype(index), node_n)
+        key += block
+        left = codes.ravel().take(key) < np.repeat(bound[start:stop], node_n)
+        # a split node holds at least 2 rows, so no two of these starts are equal
+        starts = np.cumsum(node_n) - node_n
+        n_left[start:stop] = np.add.reduceat(left, starts)
+        lefts, rights = np.compress(left, block), np.compress(~left, block)
+        l0 = r0 = 0
+        for node_rows, size, nl in zip(
+            rows[start:stop], node_n.tolist(), n_left[start:stop].tolist()
+        ):
+            node_rows[:nl] = lefts[l0 : l0 + nl]
+            node_rows[nl:] = rights[r0 : r0 + size - nl]
+            l0, r0 = l0 + nl, r0 + size - nl
+    return n_left
+
+
 def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
     """Each tree's (feature, threshold, value) nodes in preorder, the trees
     grown in lockstep (see `fit_forest`)."""
@@ -668,28 +711,30 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
     max_depth = math.inf if config.max_depth is None else config.max_depth
     min_leaf = config.min_samples_leaf
     rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
-    stacks = []  # per tree: (rows, depth, positives) of the nodes still to grow
-    for rng in rngs:
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        rows = rows.astype(np.min_scalar_type(n - 1))
-        stacks.append([(rows, 0, np.count_nonzero(labels[rows]))])
+    # each tree's bootstrap rows, for the whole fit: a node is a range of its
+    # tree's row, which a split partitions in place
+    order = np.empty((len(rngs), n), dtype=np.min_scalar_type(n - 1))
+    stacks = []  # per tree: (start, stop, depth, positives) of the nodes to grow
+    for rows, rng in zip(order, rngs):
+        rows[:] = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        stacks.append([(0, n, 0, np.count_nonzero(labels[rows]))])
     trees = [[] for _ in rngs]  # per tree: (feature, threshold, value) in preorder
     draws = _FeatureDraws(rngs, d, m) if m < d else None
     while True:
-        step = []  # (tree, rows, depth, positives) of the nodes to search
+        step = []  # (tree, start, stop, depth, positives) of the nodes to search
         for ti, stack in enumerate(stacks):
             while stack:
-                rows, depth, pos = stack.pop()
-                size = len(rows)
+                start, stop, depth, pos = stack.pop()
+                size = stop - start
                 if 0 < pos < size and size >= 2 * min_leaf and depth < max_depth:
-                    step.append((ti, rows, depth, pos))
+                    step.append((ti, start, stop, depth, pos))
                     break
                 trees[ti].append(_leaf(size, pos))
         if not step:
             break
-        node_rows = [rows for _, rows, _, _ in step]
-        node_n = np.array([len(rows) for rows in node_rows])
-        node_pos = np.array([pos for _, _, _, pos in step])
+        node_rows = [order[ti, start:stop] for ti, start, stop, _, _ in step]
+        node_n = np.array([stop - start for _, start, stop, _, _ in step])
+        node_pos = np.array([pos for *_, pos in step])
         if m < d:
             sampled = draws.sample(np.array([ti for ti, *_ in step]))
         else:
@@ -719,18 +764,24 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
             )
             for column, found in zip(best, widened):
                 column[widen] = found
-        for (ti, rows, depth, pos), feature, threshold, pos_left, bound in zip(
-            step, *(column.tolist() for column in best)
+        split = np.flatnonzero(best[0] >= 0)
+        n_left = np.zeros(len(step), np.intp)
+        if split.size:
+            # X[rows, feature] <= threshold, read from the codes
+            n_left[split] = _partition(
+                codes, [node_rows[i] for i in split], node_n[split],
+                best[0][split], best[3][split],
+            )
+        for (ti, start, stop, depth, pos), feature, threshold, pos_left, nl in zip(
+            step, *(column.tolist() for column in (*best[:3], n_left))
         ):
             if feature < 0:
-                trees[ti].append(_leaf(len(rows), pos))
+                trees[ti].append(_leaf(stop - start, pos))
                 continue
             trees[ti].append((feature, threshold, -1))
-            # X[rows, feature] <= threshold, read from one row of codes
-            mask = codes[feature].take(rows) < bound
             # push right first so the left subtree is processed next (preorder)
-            stacks[ti].append((rows[~mask], depth + 1, pos - pos_left))
-            stacks[ti].append((rows[mask], depth + 1, pos_left))
+            stacks[ti].append((start + nl, stop, depth + 1, pos - pos_left))
+            stacks[ti].append((start, start + nl, depth + 1, pos_left))
     return trees
 
 
@@ -744,7 +795,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     stopping rules make leaves of the nodes popped before it), searches them
     all in one `_best_splits` call, widens those whose sampled features gave
     no split in one more, over their features that vary and were not sampled,
-    then splits each node by its rows' codes and pushes its children.
+    then partitions the split nodes' rows in place by their codes and pushes
+    each node's two ranges as its children.
 
     X is read only to build the rank and code tables, and no copy of it is
     made when it is already a float64 array, so a caller that passes its own

@@ -12,8 +12,8 @@ through one incremental reader (`SessionReader`).
 Two stores share this format: raw recordings (gaze observations and
 utterances) and derived recordings (per-tick model outputs).  In memory
 the first training stage hands the second plain (ticks, frames) arrays;
-`derived_record` turns them into the derived recording `train` writes,
-and `need_frames` reads one back.
+`save_derived` writes them as the derived recording `train` keeps, and
+`need_frames` reads one back.
 """
 
 from __future__ import annotations
@@ -112,13 +112,7 @@ class SessionRecord:
     def validate(self) -> None:
         """Refuse what `load` would refuse of the lines `to_lines` writes,
         whose times are rounded to whole milliseconds."""
-        if not _SESSION_ID_RE.match(self.session_id):
-            raise SessionFormatError(f"invalid session id {self.session_id!r}")
-        duration = round(self.duration, 3)
-        if not duration > 0:
-            raise SessionFormatError("duration must be > 0")
-        if not math.isfinite(duration):
-            raise SessionFormatError("non-finite value for 'duration'")
+        duration = _checked_duration(self.session_id, self.duration)
         last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
             if name not in STREAM_NAMES:
@@ -129,15 +123,10 @@ class SessionRecord:
                 problem = _payload_problem(name, msg.payload)
                 if problem:  # else it would not load back
                     raise SessionFormatError(f"{name} at {t}: {problem}")
-        spans = [
-            LabelSpan(round(s.start, 3), round(s.end, 3), s.level)
-            for s in self.labels
-        ]
-        _validate_labels(spans, duration)
+        _validate_rounded_labels(self.labels, duration)
 
-    def to_lines(self) -> list[str]:
-        """Canonical serialization.  Identity under save/load requires the
-        record's times and values to already be at wire precision."""
+    def _head_lines(self) -> list[str]:
+        """The header and label lines that every serialization starts with."""
         lines = [
             f"format_version={FORMAT_VERSION} session_id={self.session_id} "
             f"duration={fmt_time(self.duration)}"
@@ -147,6 +136,12 @@ class SessionRecord:
                 f"stream=label start={fmt_time(span.start)} "
                 f"end={fmt_time(span.end)} level={span.level.value}"
             )
+        return lines
+
+    def to_lines(self) -> list[str]:
+        """Canonical serialization.  Identity under save/load requires the
+        record's times and values to already be at wire precision."""
+        lines = self._head_lines()
         for name, msg in self.all_messages():
             lines.append(_message_line(name, msg))
         return lines
@@ -156,6 +151,25 @@ class SessionRecord:
         Path(path).write_text(
             "\n".join(self.to_lines()) + "\n", encoding="utf-8"
         )
+
+
+def _checked_duration(session_id: str, duration: float) -> float:
+    """The duration `to_lines` writes, once it and the session id are shown
+    to be ones `load` reads back."""
+    if not _SESSION_ID_RE.match(session_id):
+        raise SessionFormatError(f"invalid session id {session_id!r}")
+    duration = round(duration, 3)
+    if not duration > 0:
+        raise SessionFormatError("duration must be > 0")
+    if not math.isfinite(duration):
+        raise SessionFormatError("non-finite value for 'duration'")
+    return duration
+
+
+def _validate_rounded_labels(labels: list[LabelSpan], duration: float) -> None:
+    """`_validate_labels` of the spans as `to_lines` writes them."""
+    spans = [LabelSpan(round(s.start, 3), round(s.end, 3), s.level) for s in labels]
+    _validate_labels(spans, duration)
 
 
 def _message_line(name: str, msg: TimestampedMessage) -> str:
@@ -228,6 +242,28 @@ def _parse_fields(line: str, line_no: int) -> dict[str, str]:
     return fields
 
 
+# a gaze line with its fields in canonical order, as nearly every line of a
+# recording is; `_plain_gaze` reads it without `_parse_fields`
+_GAZE_LINE = re.compile(r"stream=gaze_raw t=(\S+) yaw=(\S+) pitch=(\S+) conf=(\S+)")
+
+
+def _plain_gaze(line: str) -> tuple[float, GazeObservation] | None:
+    """(t, observation) of a `_GAZE_LINE` whose values are finite numbers and
+    whose conf lies in [0, 1], else None.  Such a line passes every check of
+    the general path but the time checks, and gives the same message; any
+    other line takes the general path, which names its fault."""
+    match = _GAZE_LINE.fullmatch(line)
+    if match is None:
+        return None
+    try:
+        t, yaw, pitch, conf = map(float, match.groups())
+    except ValueError:
+        return None
+    if not (math.isfinite(t) and math.isfinite(yaw) and math.isfinite(pitch)):
+        return None
+    return (t, GazeObservation(yaw, pitch, conf)) if 0.0 <= conf <= 1.0 else None
+
+
 def _parse_float(fields: dict[str, str], key: str, line_no: int) -> float:
     if key not in fields:
         raise SessionFormatError(f"missing field {key!r}", line_no)
@@ -296,6 +332,13 @@ class SessionReader:
         last_t: dict[str, float] = {}
         latest = float("-inf")
         for line_no, line in self._rows:
+            gaze = _plain_gaze(line)
+            if gaze and (gaze[0] >= latest or not self.live):
+                t, obs = gaze
+                latest = t
+                _check_time("gaze_raw", t, self.duration, last_t, line_no)
+                yield line_no, "gaze_raw", TimestampedMessage(t, obs)
+                continue
             fields = _parse_fields(line, line_no)
             name = fields.get("stream")
             if name is None:
@@ -467,7 +510,7 @@ def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
     """The tick times of a derived session read from disk and its (T, 3)
     array of (mutual, confirmatory, language) values, checking that all
     three need streams exist and share one tick grid.  The inverse of
-    `derived_record`."""
+    `save_derived`."""
     for name in NEED_STREAMS:
         if name not in record.streams:
             raise SessionFormatError(
@@ -486,21 +529,46 @@ def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
     return times, np.array(series, dtype=np.float64).T
 
 
-def derived_record(
-    record: SessionRecord, ticks: list[float], frames: np.ndarray
-) -> SessionRecord:
-    """The derived session that stage 1 writes for a raw session: its
-    (T, 3) frames on `ticks` as the three need streams, with the raw
-    session's labels."""
-    return SessionRecord(
-        session_id=record.session_id,
-        duration=record.duration,
-        streams={
-            name: [TimestampedMessage(t, v) for t, v in zip(ticks, values)]
-            for name, values in zip(NEED_STREAMS, frames.T.tolist())
-        },
-        labels=list(record.labels),
-    )
+def save_derived(
+    path: str | Path, record: SessionRecord, ticks: list[float], frames: np.ndarray
+) -> None:
+    """Write the derived session of raw session `record`: its stage-1
+    (T, 3) frames on `ticks` as the three need streams, with the record's
+    labels.  The bytes, and the error for a value `load` would refuse, are
+    those `SessionRecord.save` gives for a record of those messages; the
+    lines are formatted straight from the arrays, tick by tick with the need
+    streams in canonical order, which is the order `to_lines` sorts them
+    into."""
+    duration = _checked_duration(record.session_id, record.duration)
+    _check_needs(ticks, frames, duration)
+    _validate_rounded_labels(record.labels, duration)
+    lines = record._head_lines()
+    for tick, (mutual, confirmatory, language) in zip(ticks, frames.tolist()):
+        t = fmt_time(tick)
+        lines.append(
+            f"stream=need_mutual t={t} v={fmt_value(mutual)}\n"
+            f"stream=need_confirmatory t={t} v={fmt_value(confirmatory)}\n"
+            f"stream=need_language t={t} v={fmt_value(language)}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_needs(ticks: list[float], frames: np.ndarray, duration: float) -> None:
+    """Raise what `SessionRecord.validate` raises first of the need streams
+    (ticks, frames) would make: it checks each stream in turn, a message's
+    time before its value.  Every stream has the same times, so only the
+    first can fault on one, and only up to its first faulty value."""
+    ticks, frames = ticks[: len(frames)], frames[: len(ticks)]  # as zip pairs them
+    outside = ~((frames >= 0.0) & (frames <= 1.0))  # NaN too
+    last_t: dict[str, float] = {}
+    for k, name in enumerate(NEED_STREAMS):
+        bad = np.flatnonzero(outside[:, k])[:1].tolist()
+        if k == 0:
+            for t in ticks[: bad[0] + 1 if bad else len(ticks)]:
+                _check_time(name, round(t, 3), duration, last_t)
+        if bad:
+            problem = _payload_problem(name, float(frames[bad[0], k]))
+            raise SessionFormatError(f"{name} at {ticks[bad[0]]}: {problem}")
 
 
 def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:

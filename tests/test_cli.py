@@ -119,6 +119,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match="nb_alpha must be finite"):
                 config_from_items({"nb_alpha": text})
 
+    @pytest.mark.parametrize("key", ["gaze_yaw_center", "gaze_pitch_center"])
+    @pytest.mark.parametrize("text", ["inf", "nan", "0", "-0.1"])
+    def test_gaze_centers_must_be_finite_and_positive(self, key, text):
+        with pytest.raises(ConfigError, match="half-widths must be finite and > 0"):
+            config_from_items({key: text})
+        cfg = Config()
+        setattr(cfg, key, float(text))
+        with pytest.raises(ConfigError, match="half-widths must be finite and > 0"):
+            cfg.validate()
+
     def test_cadence_above_one_khz_rejected(self):
         # the tick grid is whole milliseconds: above 1 kHz ticks collide,
         # and an infinite cadence would never advance
@@ -1006,6 +1016,24 @@ class TestExitCodes:
             f"error: {config}: line 1: nb_alpha must be finite and > 0\n"
         )
         assert not models.exists()
+
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_infinite_gaze_center_names_the_config_line(
+        self, workspace, tmp_path, capsys, command
+    ):
+        config = tmp_path / "center.cfg"
+        config.write_text("rf_n_trees=3\ngaze_yaw_center=inf\n", encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = {
+            "train": [str(workspace["ds0"])],
+            "simulate": [str(p) for p in sorted(workspace["scripts"].glob("*.script"))],
+        }[command]
+        code = main([command, "--config", str(config), *inputs, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {config}: line 2: gaze center half-widths must be finite and > 0\n"
+        )
+        assert not out.exists()
 
     def test_nb_alpha_that_overflows_smoothing_fails_stage_one(
         self, workspace, tmp_path, capsys

@@ -21,13 +21,13 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionFormatError,
     SessionRecord,
-    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     frame_windows,
     load as load_session,
     need_frames,
     parse_session,
+    save_derived,
 )
 from needsense.simulate import benchmark_suite, simulate
 from needsense.streams import LIVE_INPUTS, TimestampedMessage, replay, tick_times
@@ -212,14 +212,15 @@ class TestStage1:
     def nb(self, record):
         return train_from_utterances(export_language_corpus([record]))
 
-    def test_outputs_on_full_tick_grid(self):
+    def test_outputs_on_full_tick_grid(self, tmp_path):
         record = self.raw_session()
         ticks, frames = stage1_materialize(
             record, self.nb(record), GazeConfig(), 10.0
         )
         assert ticks == tick_times(record.duration, 10.0)
         assert frames.shape == (len(ticks), 3)
-        derived = derived_record(record, ticks, frames)
+        save_derived(tmp_path / "raw00.session", record, ticks, frames)
+        derived = load_session(tmp_path / "raw00.session")
         for name in ("need_mutual", "need_confirmatory", "need_language"):
             assert [
                 m.originating_time for m in derived.messages(name)
@@ -259,11 +260,10 @@ class TestStage1:
         ticks, frames = stage1_materialize(
             record, self.nb(record), GazeConfig(), 10.0
         )
-        derived = derived_record(record, ticks, frames)
-        derived.validate()
-        assert parse_session(derived.to_lines()).to_lines() == derived.to_lines()
         path = tmp_path / "raw00.session"
-        derived.save(path)
+        save_derived(path, record, ticks, frames)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert parse_session(lines).to_lines() == lines
         back_ticks, back_frames = need_frames(load_session(path))
         assert back_ticks == ticks
         assert back_frames.tobytes() == frames.tobytes()
@@ -399,25 +399,29 @@ class TestStage2:
 class TestSessionFrames:
     """`need_frames` reads a derived session back from its records."""
 
-    def step_derived_record(self):
+    @pytest.fixture
+    def step_derived(self, tmp_path):
+        """The step session's derived session, as `train` writes and reads it."""
         record, (ticks, frames) = step_session()
-        return derived_record(record, ticks, frames)
+        path = tmp_path / "d00.session"
+        save_derived(path, record, ticks, frames)
+        return load_session(path)
 
-    def test_reconstructs_tick_triples(self):
-        times, frames = need_frames(self.step_derived_record())
+    def test_reconstructs_tick_triples(self, step_derived):
+        times, frames = need_frames(step_derived)
         assert frames.shape == (101, 3)
         assert times[50] == 5.0
         assert frames[50, 0] == 1.0
         assert frames[49, 0] == 0.0
 
-    def test_missing_stream_rejected(self):
-        record = self.step_derived_record()
+    def test_missing_stream_rejected(self, step_derived):
+        record = step_derived
         record.streams.pop("need_confirmatory")
         with pytest.raises(SessionFormatError, match="need_confirmatory"):
             need_frames(record)
 
-    def test_off_grid_rejected(self):
-        record = self.step_derived_record()
+    def test_off_grid_rejected(self, step_derived):
+        record = step_derived
         record.streams["need_language"] = record.streams["need_language"][:-1]
         with pytest.raises(SessionFormatError, match="grid"):
             need_frames(record)

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import needsense.sessions as sessions_module
 from needsense.gaze import GazeObservation
 from needsense.sessions import (
     LabelSpan,
     NeedLevelLabel,
     SessionFormatError,
+    SessionReader,
     SessionRecord,
     binary_labels,
-    derived_record,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
@@ -24,6 +26,7 @@ from needsense.sessions import (
     load,
     need_frames,
     parse_session,
+    save_derived,
 )
 from needsense.streams import TimestampedMessage, tick_times
 
@@ -70,6 +73,24 @@ def ticks_session(session_id="t00", duration=10.0):
         [[round((t * (j + 1)) % 1.0, 6) for j in range(3)] for t in ticks]
     )
     return record, (ticks, frames)
+
+
+def derived_record(record, ticks, frames):
+    """The derived session of `record` as messages: its (T, 3) frames on
+    `ticks` as the three need streams, with its labels.  `save` of it is
+    the reference `save_derived` must match."""
+    return SessionRecord(
+        session_id=record.session_id,
+        duration=record.duration,
+        streams={
+            name: [TimestampedMessage(t, v) for t, v in zip(ticks, values)]
+            for name, values in zip(
+                ("need_mutual", "need_confirmatory", "need_language"),
+                frames.T.tolist(),
+            )
+        },
+        labels=list(record.labels),
+    )
 
 
 def export(sessions, window):
@@ -680,3 +701,174 @@ class TestFusionMatrixExport:
         assert matrix.features.min() >= 0.0
         assert matrix.features.max() <= 1.0
 
+
+
+def read_items(lines, live):
+    """What a `SessionReader` gives for `lines`: the repr of the items it
+    yields, then the text and line of the error it ends with, if any."""
+    items = []
+    try:
+        items.extend(SessionReader(lines, live))
+    except SessionFormatError as exc:
+        return repr(items), (str(exc), exc.line)
+    return repr(items), None
+
+
+# a valid gaze line's fields; the line before it is a gaze line at 0.4 and an
+# utterance at 0.45 comes between them, so a t of 0.42 is in order for its
+# stream but not in the global order live input needs
+GAZE_FIELDS = [("t", "0.500"), ("yaw", "0.010000"), ("pitch", "-0.400000"), ("conf", "0.900000")]
+GAZE_VALUE_TEXTS = st.one_of(
+    st.sampled_from(
+        [
+            "nan", "inf", "-inf", "Infinity", "1_0", '"0.5"', "'0.5'", "1e400",
+            "0x1", "", ".5", "+1", "-0.0", "1.5", "-0.1", "0.300", "0.400",
+            "0.450", "2.500", "\u0663", "1=2", "0.5,",
+        ]
+    ),
+    st.text(alphabet="0123456789.e+-_naif\"= ", max_size=6),
+)
+GAZE_TIME_TEXTS = st.one_of(
+    st.sampled_from(["0.300", "0.400", "0.420", "0.450", "0.45", "1.000", "2.000", "2.001"]),
+    GAZE_VALUE_TEXTS,
+)
+
+
+@st.composite
+def mutated_gaze_lines(draw):
+    """A valid gaze line with some values replaced, fields reordered,
+    dropped or added, and its spaces changed."""
+    fields = [
+        (key, draw(GAZE_TIME_TEXTS if key == "t" else GAZE_VALUE_TEXTS))
+        if draw(st.integers(0, 3)) == 0 else (key, value)
+        for key, value in GAZE_FIELDS
+    ]
+    if draw(st.booleans()):
+        fields = draw(st.permutations(fields))
+    if draw(st.booleans()):
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["t", "yaw", "extra", "v", "text"]))
+        fields.insert(draw(st.integers(0, len(fields))), (key, draw(GAZE_VALUE_TEXTS)))
+    stream = draw(st.sampled_from(["gaze_raw"] * 4 + ["need_mutual", "gaze"]))
+    parts = [f"stream={stream}", *(f"{key}={value}" for key, value in fields)]
+    gaps = [draw(st.sampled_from([" "] * 6 + ["  ", "\t"])) for _ in parts[1:]]
+    line = parts[0] + "".join(gap + part for gap, part in zip(gaps, parts[1:]))
+    return draw(st.sampled_from(["", "", " "])) + line + draw(st.sampled_from(["", "", " "]))
+
+
+class TestGazeLineFastPath:
+    """`SessionReader` reads a plain gaze line with one pattern match; every
+    line must read as the general path alone reads it."""
+
+    @given(line=mutated_gaze_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_same_items_and_errors_as_the_general_path(self, line):
+        lines = [
+            "format_version=1 session_id=g0 duration=2.000",
+            "stream=label start=0.000 end=2.000 level=L1",
+            "stream=gaze_raw t=0.400 yaw=0.000000 pitch=0.000000 conf=1.000000",
+            'stream=utterance t=0.450 text="where"',
+            line,
+            "stream=gaze_raw t=1.000 yaw=0.100000 pitch=0.200000 conf=0.300000",
+        ]
+        fast = [read_items(lines, live) for live in (False, True)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sessions_module, "_GAZE_LINE", re.compile(r"(?!)"))
+            general = [read_items(lines, live) for live in (False, True)]
+        assert fast == general
+
+    def test_a_plain_gaze_line_skips_the_field_parser(self):
+        def parsed_fields(line):
+            """The lines the reader hands `_parse_fields`, `line` after
+            the header."""
+            calls = []
+            parse = sessions_module._parse_fields
+
+            def counted(text, line_no):
+                calls.append(line_no)
+                return parse(text, line_no)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sessions_module, "_parse_fields", counted)
+                read_items(["format_version=1 session_id=g0 duration=2.000", line], False)
+            return calls
+
+        plain = "stream=gaze_raw t=0.500 yaw=0.010000 pitch=-0.400000 conf=0.900000"
+        assert parsed_fields(plain) == [1]
+        assert parsed_fields(plain.replace("yaw=0.010000", "yaw=nan")) == [1, 2]
+
+
+@st.composite
+def derived_inputs(draw):
+    """(record, ticks, frames) for a derived session: labels covering
+    [0, duration), ticks mostly ascending on the millisecond grid, and
+    frames mostly of wire-precision values in [0, 1]; some break a rule
+    `save` checks, such as a NaN, a value outside [0, 1], a time outside
+    the session or one that repeats once rounded to the millisecond."""
+    ms = draw(st.integers(1, 3000))
+    duration = draw(st.sampled_from([ms / 1000] * 9 + [math.inf]))
+    cuts = draw(st.lists(st.integers(1, ms - 1), unique=True, max_size=3)) if ms > 1 else []
+    bounds = [0.0, *(c / 1000 for c in sorted(cuts)), duration]
+    levels = st.sampled_from(list(NeedLevelLabel))
+    labels = [LabelSpan(a, b, draw(levels)) for a, b in zip(bounds, bounds[1:])]
+    scale = draw(st.sampled_from([1000] * 4 + [10000]))
+    ks = draw(st.lists(st.integers(0, ms * scale // 1000 + 2), max_size=8))
+    if draw(st.integers(0, 4)):
+        ks = sorted(set(ks))
+    ticks = [k / scale for k in ks]
+    value = st.one_of(*[UNIT_VALUES] * 30, PAYLOAD_VALUES)
+    frames = np.array([[draw(value) for _ in range(3)] for _ in ticks]).reshape(-1, 3)
+    session_id = draw(st.sampled_from(["d00"] * 9 + ["bad id"]))
+    return SessionRecord(session_id, duration, {}, labels), ticks, frames
+
+
+class TestSaveDerived:
+    @given(inputs=derived_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_and_errors_match_save_of_the_record(self, tmp_path_factory, inputs):
+        record, ticks, frames = inputs
+        root = tmp_path_factory.getbasetemp()
+        outcomes = []
+        for path, write in [
+            (root / "save.session", lambda p: derived_record(record, ticks, frames).save(p)),
+            (root / "derived.session", lambda p: save_derived(p, record, ticks, frames)),
+        ]:
+            path.unlink(missing_ok=True)
+            try:
+                write(path)
+            except SessionFormatError as exc:
+                outcomes.append(("error", str(exc), path.exists()))
+            else:
+                outcomes.append(("bytes", path.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (3, 1, math.nan, "need_confirmatory at 0.3: need value nan outside [0, 1]"),
+            (0, 2, 1.5, "need_language at 0.0: need value 1.5 outside [0, 1]"),
+            (7, 0, -0.25, "need_mutual at 0.7: need value -0.25 outside [0, 1]"),
+        ],
+    )
+    def test_a_value_load_would_refuse_raises_saves_message(
+        self, tmp_path, row, column, value, message
+    ):
+        record, (ticks, frames) = ticks_session()
+        frames[row, column] = value
+        with pytest.raises(SessionFormatError) as err:
+            derived_record(record, ticks, frames).save(tmp_path / "a.session")
+        assert str(err.value) == message
+        with pytest.raises(SessionFormatError) as err:
+            save_derived(tmp_path / "b.session", record, ticks, frames)
+        assert str(err.value) == message
+        assert not (tmp_path / "b.session").exists()
+
+    def test_reads_back_as_its_frames(self, tmp_path):
+        record, (ticks, frames) = ticks_session()
+        save_derived(tmp_path / "t00.session", record, ticks, frames)
+        back = load(tmp_path / "t00.session")
+        assert back.labels == record.labels
+        back_ticks, back_frames = need_frames(back)
+        assert back_ticks == ticks
+        assert back_frames.tobytes() == frames.tobytes()
