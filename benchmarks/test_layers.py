@@ -20,6 +20,7 @@ seconds) before the timed cases start.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,10 @@ SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447de
 SUITE_SESSIONS = "3dcd00f5737f8a943464c2ec9fec18fc6cce38325b01a4d802d7aa9381b14696"
 # sha256 of the default forest's rf.model, as in test_forest_fit.py
 DEFAULT_RF_MODEL = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84dad63a05"
+# tracemalloc peak of loading the default rf.model over the file's size,
+# measured at 2.84x (numpy 2.4): the file's bytes, a 19-byte slot per line
+# and a block's temporaries, then the node arrays
+DEFAULT_LOAD_PEAK_MULTIPLE = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +198,13 @@ def test_load_default_forest(benchmark, suite, tmp_path):
     assert hashlib.sha256(data).hexdigest() == DEFAULT_RF_MODEL
     model = benchmark.pedantic(RFModel.load, args=(path,), rounds=10, iterations=1)
     assert ("\n".join(model.to_lines()) + "\n").encode("utf-8") == data
+    tracemalloc.start()
+    try:
+        RFModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DEFAULT_LOAD_PEAK_MULTIPLE * len(data)
 
 
 def test_live_decisions_one_session(benchmark, suite):

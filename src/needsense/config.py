@@ -20,6 +20,10 @@ from .streams import SessionFormatError, read_lines
 
 
 MAX_CADENCE_HZ = 1000.0
+# the fit keeps a row array and a draw buffer per tree, and a row holds
+# 3 * window_w features: upper bounds keep both sizes sane
+MAX_TREES = 10_000
+MAX_WINDOW_W = 10_000
 
 
 class ConfigError(SessionFormatError):
@@ -49,6 +53,8 @@ class Config:
             raise ConfigError(f"cadence_hz must be in (0, {MAX_CADENCE_HZ}]")
         if self.window_w < 1:
             raise ConfigError("window_w must be >= 1")
+        if self.window_w > MAX_WINDOW_W:
+            raise ConfigError(f"window_w must be <= {MAX_WINDOW_W}")
         for center in (self.gaze_yaw_center, self.gaze_pitch_center):
             if not (math.isfinite(center) and center > 0):
                 raise ConfigError("gaze center half-widths must be finite and > 0")
@@ -60,6 +66,8 @@ class Config:
             raise ConfigError("nb_alpha must be finite and > 0")
         if self.rf_n_trees < 1:
             raise ConfigError("rf_n_trees must be >= 1")
+        if self.rf_n_trees > MAX_TREES:
+            raise ConfigError(f"rf_n_trees must be <= {MAX_TREES}")
         if self.rf_max_depth < 0:
             raise ConfigError("rf_max_depth must be >= 0 (0 = unlimited)")
         if self.rf_min_samples_leaf < 1:

@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -359,17 +359,28 @@ def _line_error(line_no: int, message: str) -> ValueError:
 
 # The body grammar's widest fields: a count or an index takes 1 to _INT_WIDTH
 # digits, a threshold 1 to _THR_WIDTH bytes (the longest float repr, as in
-# -1.2345678901234567e-308).  The parser's buffer ends with _PAD zero bytes, so
-# the widest window fits at every position of the text.
+# -1.2345678901234567e-308).  The parser reads the text a word (8 bytes) at a
+# time, and its buffer ends with _PAD zero bytes, so a word read from any
+# position of the text, or from its end, lies inside the buffer.
 _INT_WIDTH = 9
 _THR_WIDTH = 24
-_PAD = _THR_WIDTH + 1
+_PAD = 8
 # body lines one _scan_lines call reads: bounds the parser's working set
 _SCAN_LINES = 1 << 13
-_DIGITS = np.zeros(256, dtype=bool)
-_DIGITS[np.frombuffer(b"0123456789", dtype=np.uint8)] = True
-_THR_BYTES = _DIGITS.copy()
-_THR_BYTES[np.frombuffer(b"+-.einfa", dtype=np.uint8)] = True
+_THR_BYTES = np.zeros(256, dtype=bool)
+_THR_BYTES[np.frombuffer(b"0123456789+-.einfa", dtype=np.uint8)] = True
+# _LOW[k] keeps the first k bytes of a little-endian word
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _word(text: bytes) -> int:
+    """Up to 8 bytes of text as the little-endian word that spells them."""
+    return int.from_bytes(text, "little")
+
+
+_TREE, _NODE, _LEAF = _word(b"tree "), _word(b"node "), _word(b"leaf ")
+_FEAT, _THR = _word(b" feat="), _word(b" thr=")
+_CLASS0, _CLASS1 = _word(b" class=0"), _word(b" class=1")
 
 
 def _read(path: str | Path, digest=None) -> np.ndarray:
@@ -383,36 +394,42 @@ def _read(path: str | Path, digest=None) -> np.ndarray:
     return buf[: size + _PAD]
 
 
-def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The `width` bytes of buf from each position in `at`, as rows.  A position
-    past the text reads from its end, the zero padding."""
-    return sliding_window_view(buf, width)[np.minimum(at, buf.size - _PAD)]
+def _word_view(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes of buf from each position as one little-endian word: an
+    unaligned view, so one gather reads a whole literal or number."""
+    return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
 
 
-def _spells(buf: np.ndarray, at: np.ndarray, literal: bytes) -> np.ndarray:
-    """Whether the bytes of buf from each position in `at` spell `literal`."""
-    return _windows(buf, at, len(literal)).view(f"S{len(literal)}")[:, 0] == literal
+def _at(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The word from each position in `at`.  A position past the text reads
+    the last word, which is the zero padding."""
+    return words[np.minimum(at, words.size - 1)]
 
 
-def _runs(buf: np.ndarray, at: np.ndarray, width: int, alphabet: np.ndarray):
-    """(window, size): the `width` + 1 bytes from each position in `at`, zeroed
-    from the first byte not in `alphabet` on, and that byte's index, the length
-    of the run before it.  A run longer than `width` has size 0."""
-    window = _windows(buf, at, width + 1)
-    size = np.argmin(alphabet[window], axis=1)
-    window *= np.arange(width + 1) < size[:, None]
-    return window, size
-
-
-def _integers(buf: np.ndarray, at: np.ndarray):
+def _integers(words: np.ndarray, at: np.ndarray):
     """(value, stop, ok) of the run of digits at each position in `at`: its
     value, the position after it, and whether it is a count in canonical form,
-    1 to _INT_WIDTH digits with no leading zero.  A run that is not ok reads 0."""
-    window, size = _runs(buf, at, _INT_WIDTH, _DIGITS)
-    ok = (size == 1) | ((size > 1) & (window[:, 0] != ord("0")))
-    text = window.view(f"S{_INT_WIDTH + 1}")[:, 0]
-    text[~ok] = b"0"
-    return text.astype(np.int64), at + size, ok
+    with no leading zero.  The bytes from each position are taken a column at
+    a time while every byte so far is a digit (Horner's rule), up to
+    _INT_WIDTH of them; each 8 columns are one word, read only while some run
+    goes on.  A longer run stops there, and its next digit then breaks the
+    literal or the line end that every field is followed by."""
+    size = np.zeros(len(at), dtype=np.intp)
+    value = np.zeros(len(at), dtype=np.int64)
+    run = np.ones(len(at), dtype=bool)
+    for j in range(_INT_WIDTH):
+        if j % 8 == 0:
+            digit = _at(words, at + j)[:, None].view(np.uint8) - np.uint8(ord("0"))
+        column = digit[:, j % 8]  # a byte below "0" wraps past 9
+        if j == 0:
+            leading_zero = column == 0
+        run &= column < 10
+        if not run.any():  # most runs are short: stop at the longest
+            break
+        size += run
+        value = np.where(run, value * 10 + column, value)
+    ok = (size == 1) | ((size > 1) & ~leading_zero)
+    return value, at + size, ok
 
 
 def _is_float(text: bytes) -> bool:
@@ -423,50 +440,125 @@ def _is_float(text: bytes) -> bool:
     return True
 
 
-def _floats(buf: np.ndarray, at: np.ndarray, stop: np.ndarray):
-    """(value, ok) of each field buf[at:stop]: ok where it is 1 to _THR_WIDTH
-    threshold bytes that float() reads.  The cast is float() itself, so a repr
-    reads back bit for bit.  A field that is not ok reads 0.0."""
-    window, size = _runs(buf, at, _THR_WIDTH, _THR_BYTES)
-    ok = (size > 0) & (at + size == stop)
-    text = window.view(f"S{_THR_WIDTH + 1}")[:, 0]
-    text[~ok] = b"0"
+def _cast(text: np.ndarray, size: np.ndarray):
+    """(value, ok) of texts given as rows of three words, zero past `size`
+    bytes: ok where they are 1 to _THR_WIDTH threshold bytes that float()
+    reads.  The cast is float() itself, so a repr reads back bit for bit."""
+    ok = (size > 0) & (size <= _THR_WIDTH)
+    past = np.arange(_THR_WIDTH) >= size[:, None]
+    ok &= (_THR_BYTES[text.view(np.uint8).reshape(-1, _THR_WIDTH)] | past).all(axis=1)
+    strings = text.view(f"S{_THR_WIDTH}")[:, 0]
+    strings[~ok] = b"0"
     try:
-        return text.astype(np.float64), ok
+        return strings.astype(np.float64), ok
     except ValueError:  # such as "1e" or "--1": find which, on this error path only
-        reads = np.array([_is_float(field) for field in text.tolist()], dtype=bool)
-        text[~reads] = b"0"
-        return text.astype(np.float64), ok & reads
+        reads = np.array([_is_float(field) for field in strings.tolist()], dtype=bool)
+        strings[~reads] = b"0"
+        return strings.astype(np.float64), ok & reads
 
 
-def _scan_lines(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+def _floats(words: np.ndarray, at: np.ndarray, stop: np.ndarray):
+    """(value, ok) of each field buf[at:stop], as `_cast` reads it.  A model
+    repeats few thresholds, so each distinct field is cast once: the fields,
+    as their three words and their length, are sorted by `lexsort`, and a
+    distinct one starts wherever a field differs from the one before it."""
+    size = stop - at
+    text = [
+        _at(words, at + 8 * j) & _LOW[np.clip(size - 8 * j, 0, 8)] for j in range(3)
+    ]
+    order = np.lexsort((*text, size))
+    columns = [column[order] for column in (*text, size)]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    distinct = np.stack([column[first] for column in columns[:3]], axis=1)
+    value, ok = _cast(distinct, columns[3][first])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return value[group], ok[group]
+
+
+def _scan_lines(words: np.ndarray, start: np.ndarray, stop: np.ndarray):
     """(ok, kind, number, feature, threshold, value) of the body lines
     buf[start:stop]: kind is 1 for "tree T", 2 for "node I feat=F thr=X" and
     "leaf I class=C", 0 for any other line, of which only a blank one is ok;
-    number is T or I, and value is C, or -1 at a split."""
-    ok = start == stop
-    tree = _spells(buf, start, b"tree ")
-    node = _spells(buf, start, b"node ")
-    leaf = _spells(buf, start, b"leaf ")
-    kind = np.where(tree, 1, 2 * (node | leaf))
-    number, at, number_ok = _integers(buf, start + 5)
-    ok |= tree & number_ok & (at == stop)
-    feature = np.full(len(start), -1, dtype=np.intp)
+    number is T or I, and value is C, or -1 at a split.  Every line takes one
+    gather for its keyword and one for its number; the literals and fields
+    after them are gathered only on the lines of the kind that has them."""
+    keyword = _at(words, start) & _LOW[5]
+    number, at, number_ok = _integers(words, start + 5)
+    tree = keyword == _TREE
+    ok = (start == stop) | (tree & number_ok & (at == stop))
+    kind = tree.astype(np.int8)
+    feature = np.full(len(start), -1, dtype=np.int32)
     threshold = np.zeros(len(start))
-    value = np.full(len(start), -1, dtype=np.intp)
-    i = np.flatnonzero(node)
-    feature[i], feat_stop, feat_ok = _integers(buf, at[i] + 6)
-    threshold[i], thr_ok = _floats(buf, feat_stop + 5, stop[i])
+    value = np.full(len(start), -1, dtype=np.int8)
+    i = np.flatnonzero(keyword == _NODE)
+    kind[i], at_i = 2, at[i]
+    feature[i], feat_stop, feat_ok = _integers(words, at_i + 6)
+    threshold[i], thr_ok = _floats(words, feat_stop + 5, stop[i])
     ok[i] = (
-        number_ok[i] & _spells(buf, at[i], b" feat=") & feat_ok
-        & _spells(buf, feat_stop, b" thr=") & thr_ok
+        number_ok[i] & ((_at(words, at_i) & _LOW[6]) == _FEAT) & feat_ok
+        & ((_at(words, feat_stop) & _LOW[5]) == _THR) & thr_ok
     )
-    i = np.flatnonzero(leaf)
-    value[i] = one = _spells(buf, at[i], b" class=1")
-    ok[i] = (
-        number_ok[i] & (one | _spells(buf, at[i], b" class=0")) & (stop[i] == at[i] + 8)
-    )
+    i = np.flatnonzero(keyword == _LEAF)
+    kind[i], at_i = 2, at[i]
+    word = _at(words, at_i)
+    value[i] = one = word == _CLASS1
+    ok[i] = number_ok[i] & (one | (word == _CLASS0)) & (stop[i] == at_i + 8)
     return ok, kind, number, feature, threshold, value
+
+
+_HEADER_KEYS = (
+    "n_trees", "max_depth", "min_samples_leaf", "features_per_split",
+    "bootstrap", "seed", "n_features",
+)
+# an integer as `save` writes one: ASCII digits, no sign, no leading zero.
+# Unlike a body field it has no width limit: a seed may take 10 digits or more
+_CANONICAL = re.compile("0|[1-9][0-9]*")
+
+
+def _header(line: bytes) -> tuple[ForestConfig, int]:
+    """(config, n_features) of the header line: each of its seven keys once,
+    in any order, split by any whitespace but a carriage return, and no other
+    key.  Every value is an integer in canonical form, of any length;
+    max_depth may also be none, bootstrap is 0 or 1, and features_per_split lies in
+    [1, n_features], so that the header round-trips."""
+    header = line.decode("utf-8")
+    if "\r" in header:  # a line break to a reader with universal newlines
+        raise ValueError("carriage return inside the line")
+    h: dict[str, int | None] = {}
+    for item in header.split():
+        key, eq, text = item.partition("=")
+        if key not in _HEADER_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        if key in h:
+            raise ValueError(f"duplicate key {key!r}")
+        if key == "max_depth" and text == "none":
+            h[key] = None
+        elif eq and _CANONICAL.fullmatch(text):
+            h[key] = int(text)
+        else:
+            raise ValueError(f"{key}={text!r} is not an integer in canonical form")
+    missing = [key for key in _HEADER_KEYS if key not in h]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    if h["bootstrap"] not in (0, 1):
+        raise ValueError("bootstrap must be 0 or 1")
+    if h["n_features"] < 1:
+        raise ValueError("n_features must be >= 1")
+    if not 1 <= h["features_per_split"] <= h["n_features"]:
+        raise ValueError("features_per_split must be in [1, n_features]")
+    config = ForestConfig(
+        n_trees=h["n_trees"],
+        max_depth=h["max_depth"],
+        min_samples_leaf=h["min_samples_leaf"],
+        features_per_split=h["features_per_split"],
+        bootstrap=bool(h["bootstrap"]),
+        seed=h["seed"],
+    )
+    return config, h["n_features"]
 
 
 def _scan(buf: np.ndarray):
@@ -476,10 +568,13 @@ def _scan(buf: np.ndarray):
     nodes holds the feature, threshold, value (-1 at a split), id and line
     number of each node line, in file order; roots[t] is the node at which
     tree t starts and tree_lines[t] the line of its `tree t`.  A line ends with
-    LF or CRLF, and the body grammar is exact (README); the first line that
-    breaks it fails.  The body is read _SCAN_LINES lines at a time into one
-    slot per line, so the working set beyond the buffer and the node arrays
-    stays bounded.
+    LF or CRLF, and the grammar is exact (README); the first line that breaks
+    it fails.  Each body line is classified by its keyword, and each of its
+    fields is read by one gather of 8-byte words from an unaligned view of the
+    buffer: integers by Horner's rule over their digit bytes (`_integers`),
+    thresholds by one float() cast per distinct text (`_floats`).  The body is read
+    _SCAN_LINES lines at a time into one slot per line, so the working set
+    beyond the buffer and the node arrays stays bounded.
     """
     text = buf[:-_PAD]
     index = _index_type(buf.size)
@@ -496,28 +591,18 @@ def _scan(buf: np.ndarray):
     if line(0) != b"format=needsense-rf version=1":
         raise _line_error(1, "not a random forest model file")
     try:
-        header = line(1).decode("utf-8")
-        if "\r" in header:  # a line break to a reader with universal newlines
-            raise ValueError("carriage return inside the line")
-        h = dict(p.split("=") for p in header.split())
-        config = ForestConfig(
-            n_trees=int(h["n_trees"]),
-            max_depth=None if h["max_depth"] == "none" else int(h["max_depth"]),
-            min_samples_leaf=int(h["min_samples_leaf"]),
-            features_per_split=int(h["features_per_split"]),
-            bootstrap=bool(int(h["bootstrap"])),
-            seed=int(h["seed"]),
-        )
-        n_features = int(h["n_features"])
-    except (KeyError, ValueError) as exc:
-        raise _line_error(2, f"bad model header: {exc!r}") from None
+        config, n_features = _header(line(1))
+    except ValueError as exc:
+        raise _line_error(2, f"bad model header: {exc}") from None
 
     start, stop = starts[2:], ends[2:]
-    dtypes = bool, np.int8, np.int64, np.intp, np.float64, np.intp
+    words = _word_view(buf)
+    # every count and index fits 32 bits: _INT_WIDTH digits
+    dtypes = bool, np.int8, np.int32, np.int32, np.float64, np.int8
     columns = [np.empty(len(start), dtype=dtype) for dtype in dtypes]
     for lo in range(0, len(start), _SCAN_LINES):
         block = slice(lo, lo + _SCAN_LINES)
-        for column, part in zip(columns, _scan_lines(buf, start[block], stop[block])):
+        for column, part in zip(columns, _scan_lines(words, start[block], stop[block])):
             column[block] = part
     ok, kind, number, feature, threshold, value = columns
     trees = np.flatnonzero(kind == 1)
@@ -573,9 +658,14 @@ class RFModel:
         self.feature, self.value, self.roots = indices
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.config, self.n_features = config, n_features
-        # a split's right child is the next node whose balance equals its own
+        # a split's right child is the next node whose balance equals its own;
+        # on the narrowest signed type that holds the balances, numpy's stable
+        # sort is a radix sort wherever that is 8 or 16 bits wide
         split = self.feature >= 0
         before = _balance(split)[:-1]
+        if before.size:
+            low, high = (np.min_scalar_type(b) for b in (before.min(), before.max()))
+            before = before.astype(np.result_type(low, high))
         order = np.argsort(before, kind="stable")
         follows = (before[order[1:]] == before[order[:-1]]) & split[order[:-1]]
         self.right = np.full(len(split), -1, dtype=np.intp)

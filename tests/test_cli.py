@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 import needsense
 from needsense import cli
 from needsense.cli import _decision_line, _run_stdin, build_parser, main
-from needsense.config import Config, ConfigError, config_from_items, load_config
+from needsense.config import (
+    MAX_TREES,
+    MAX_WINDOW_W,
+    Config,
+    ConfigError,
+    config_from_items,
+    load_config,
+)
 from needsense.forest import RFModel
 from needsense.gaze import GazeObservation
 from needsense.language import NBModel
@@ -128,6 +135,21 @@ class TestConfig:
         setattr(cfg, key, float(text))
         with pytest.raises(ConfigError, match="half-widths must be finite and > 0"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "key, bound", [("rf_n_trees", MAX_TREES), ("window_w", MAX_WINDOW_W)]
+    )
+    def test_tree_count_and_window_have_an_upper_bound(self, key, bound):
+        # checked through validate alone: a fit or run at the bound would
+        # allocate for every tree or every window column
+        cfg = Config()
+        setattr(cfg, key, bound)
+        cfg.validate()
+        setattr(cfg, key, bound + 1)
+        with pytest.raises(ConfigError, match=f"^{key} must be <= {bound}$"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"{key} must be <= {bound}"):
+            config_from_items({key: str(10 * bound)})
 
     def test_cadence_above_one_khz_rejected(self):
         # the tick grid is whole milliseconds: above 1 kHz ticks collide,
@@ -1401,7 +1423,8 @@ class TestMutatedInputs:
     a data error names the mutated file, or a line of standard input."""
 
     @pytest.mark.parametrize(
-        "target", ["models/nb.model", "models/manifest.txt", "needsense.cfg"]
+        "target",
+        ["models/nb.model", "models/rf.model", "models/manifest.txt", "needsense.cfg"],
     )
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

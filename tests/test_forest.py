@@ -416,6 +416,185 @@ class TestSerialization:
             RFModel.from_lines(lines)
 
 
+HEADER = (
+    "n_trees=1 max_depth=none min_samples_leaf=1 "
+    "features_per_split=1 bootstrap=0 seed=0 n_features=1"
+)
+
+
+def one_split_model(header: str) -> list[str]:
+    return [
+        "format=needsense-rf version=1",
+        header,
+        "tree 0",
+        "node 0 feat=0 thr=0.5",
+        "leaf 1 class=0",
+        "leaf 2 class=1",
+    ]
+
+
+class TestHeader:
+    @pytest.mark.parametrize(
+        "header, why",
+        [
+            # each was read, and saved back as another header or not at all
+            (HEADER.replace("bootstrap=0", "bootstrap=7"), "bootstrap must be 0 or 1"),
+            (HEADER + " seed=0", "duplicate key 'seed'"),
+            (HEADER + " color=red", "unknown key 'color'"),
+            (HEADER.replace("n_features=1", "n_features=6_0"), "n_features='6_0'"),
+            (HEADER.replace("seed=0", "seed=+0"), r"seed='\+0'"),
+            # blamed on the first split's line (feat out of range) before
+            (HEADER.replace("n_features=1", "n_features=-5"), "n_features='-5'"),
+            (HEADER.replace("n_features=1", "n_features=0"), "n_features must be >= 1"),
+            (HEADER.replace("n_features=1", "n_features=01"), "n_features='01'"),
+            (HEADER.replace(" seed=0", ""), "missing key 'seed'"),
+            (HEADER.replace("seed=0", "seed"), "seed=''"),
+            (HEADER.replace("seed=0", "seed=0=0"), "seed='0=0'"),
+            (HEADER.replace("max_depth=none", "max_depth=None"), "max_depth='None'"),
+            (HEADER.replace("max_depth=none", "max_depth=0"), "max_depth must be >= 1"),
+            (
+                HEADER.replace("features_per_split=1", "features_per_split=2"),
+                r"features_per_split must be in \[1, n_features\]",
+            ),
+            (
+                HEADER.replace("features_per_split=1", "features_per_split=0"),
+                r"features_per_split must be in \[1, n_features\]",
+            ),
+            ("", "missing key 'n_trees'"),
+        ],
+    )
+    def test_header_that_would_not_round_trip_is_rejected(self, header, why):
+        with pytest.raises(ValueError, match=f"^line 2: bad model header: .*{why}"):
+            RFModel.from_lines(one_split_model(header))
+
+    def test_any_order_and_whitespace_read_alike(self):
+        expected = RFModel.from_lines(one_split_model(HEADER))
+        shuffled = "\t seed=0  n_features=1\tbootstrap=0 features_per_split=1 " + (
+            "min_samples_leaf=1\x0bmax_depth=none   n_trees=1 "
+        )
+        model = RFModel.from_lines(one_split_model(shuffled))
+        assert model.config == expected.config
+        assert model.to_lines() == one_split_model(HEADER)
+
+    @given(
+        n_trees=st.integers(1, 3),
+        # beyond the body's 9-digit fields: a seed such as 2**32 - 1 takes 10
+        max_depth=st.one_of(st.none(), st.integers(1, 10**30)),
+        min_samples_leaf=st.integers(1, 10**30),
+        n_features=st.integers(1, 10**30),
+        split=st.floats(0, 1),
+        bootstrap=st.booleans(),
+        seed=st.integers(0, 10**30),
+        order=st.permutations(range(7)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_header_that_parses_is_saved_back_unchanged(
+        self, n_trees, max_depth, min_samples_leaf, n_features, split, bootstrap,
+        seed, order,
+    ):
+        features_per_split = max(1, round(split * n_features))
+        items = [
+            f"n_trees={n_trees}",
+            f"max_depth={'none' if max_depth is None else max_depth}",
+            f"min_samples_leaf={min_samples_leaf}",
+            f"features_per_split={features_per_split}",
+            f"bootstrap={int(bootstrap)}",
+            f"seed={seed}",
+            f"n_features={n_features}",
+        ]
+        header = " ".join(items[i] for i in order)
+        body = one_split_model(header)[2:]
+        trees = [
+            line.replace("tree 0", f"tree {t}") for t in range(n_trees) for line in body
+        ]
+        model = RFModel.from_lines(["format=needsense-rf version=1", header, *trees])
+        assert model.to_lines()[1] == " ".join(items)
+        assert model.config == ForestConfig(
+            n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap, seed
+        )
+
+    @pytest.mark.parametrize("seed", [2**31 - 1, 2**32 - 1, 2**64 - 1])
+    def test_a_wide_seed_is_loaded_back(self, tmp_path, seed):
+        model = RFModel.from_lines(one_split_model(HEADER))
+        model.config = replace(model.config, seed=seed)
+        path = tmp_path / "rf.model"
+        model.save(path)
+        loaded = RFModel.load(path)
+        assert loaded.config.seed == seed
+        assert loaded.to_lines() == model.to_lines()
+
+
+def right_children_reference(feature) -> list[int]:
+    """Each split's right child by a walk of the preorder: a node that follows
+    a leaf starts the right subtree of the latest split still waiting for one."""
+    right, waiting = [-1] * len(feature), []
+    for i, f in enumerate(feature):
+        if i and feature[i - 1] < 0 and waiting:
+            right[waiting.pop()] = i
+        if f >= 0:
+            waiting.append(i)
+    return right
+
+
+def model_of_preorder(split: np.ndarray, roots) -> RFModel:
+    feature = np.where(split, 0, -1)
+    return RFModel(feature, np.zeros(len(split)), np.where(split, -1, 1), roots,
+                   ForestConfig(n_trees=max(1, len(roots))), 1)
+
+
+def random_preorder(rng, n_trees: int, p_split: float, max_nodes: int):
+    """Split flags and roots of n_trees complete trees in preorder, each node
+    a split with probability p_split until a tree holds max_nodes nodes."""
+    split, roots = [], []
+    for _ in range(n_trees):
+        roots.append(len(split))
+        open_nodes, size = 1, 0
+        while open_nodes:
+            is_split = size < max_nodes and rng.random() < p_split
+            split.append(is_split)
+            open_nodes += 1 if is_split else -1
+            size += 1
+    return np.array(split, dtype=bool), roots
+
+
+class TestRightChildren:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.integers(1, 8),
+        p_split=st.floats(0, 0.95),
+        max_nodes=st.integers(0, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_walk_of_random_preorders(
+        self, seed, n_trees, p_split, max_nodes
+    ):
+        rng = np.random.default_rng(seed)
+        split, roots = random_preorder(rng, n_trees, p_split, max_nodes)
+        model = model_of_preorder(split, roots)
+        assert model.right.tolist() == right_children_reference(model.feature.tolist())
+
+    def test_balances_beyond_16_bits(self):
+        # 40,000 single-leaf trees reach a balance of -40,000 and a left chain
+        # 70,000 splits deep one of +70,000: neither fits 16 bits
+        n_leaves, depth = 40_000, 70_000
+        leaves = np.zeros(n_leaves, dtype=bool)
+        chain = np.zeros(2 * depth + 1, dtype=bool)
+        chain[:depth] = True
+        for split, roots in (
+            (leaves, list(range(n_leaves))),
+            (chain, [0]),
+            (np.concatenate([leaves, chain]), [*range(n_leaves), n_leaves]),
+        ):
+            model = model_of_preorder(split, roots)
+            expected = right_children_reference(model.feature.tolist())
+            assert model.right.tolist() == expected
+        # the chain's splits take the leaves after its deepest one, last first
+        last = n_leaves + 2 * depth
+        assert model.right[n_leaves : n_leaves + depth].tolist() == list(
+            range(last, last - depth, -1)
+        )
+
+
 class TestFitValidation:
     def test_empty_matrix(self):
         with pytest.raises(ValueError, match="empty"):
@@ -1287,6 +1466,110 @@ class TestWholeBufferParser:
         lines[i] = lines[i].replace(old, new, 1)
         with pytest.raises(ValueError, match=f"line {i + 1}: "):
             RFModel.from_lines(lines)
+
+
+WIDE_HEADER = HEADER.replace("n_features=1", "n_features=999999999")
+
+
+class TestFieldDecoding:
+    """The digit arithmetic reads every width the grammar allows, and a
+    threshold is cast once per distinct text without changing its value."""
+
+    @pytest.mark.parametrize(
+        "feat",
+        [0, 7, 10, 99, 1234567, 12345678, 99999999, 100000000, 123456789, 999999998],
+    )
+    def test_feat_of_every_canonical_width(self, feat):
+        lines = one_split_model(WIDE_HEADER)
+        lines[3] = f"node 0 feat={feat} thr=0.5"
+        assert RFModel.from_lines(lines).feature.tolist() == [feat, -1, -1]
+        assert reference_load(("\n".join(lines) + "\n").encode()).feature.tolist() == [
+            feat, -1, -1,
+        ]
+
+    @pytest.mark.parametrize(
+        "field",
+        [b"1234567890", b"12345678901", b"01", b"", b"5:", b"5/", b"5\xb0", b"5\xb9"],
+    )
+    def test_feat_too_wide_non_canonical_or_ending_in_a_near_digit(
+        self, tmp_path, field
+    ):
+        # ":" and "/" border the digits in ASCII; 0xb0 and 0xb9 are "0" and
+        # "9" with the high bit set
+        lines = [line.encode() for line in one_split_model(WIDE_HEADER)]
+        lines[3] = b"node 0 feat=" + field + b" thr=0.5"
+        path = tmp_path / "rf.model"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"{re.escape(str(path))}: line 4: unrecognized"
+        with pytest.raises(ValueError, match=message):
+            RFModel.load(path)
+
+    @pytest.mark.parametrize(
+        "thr, error",
+        [
+            ("1e-05", None),
+            ("+.5", None),
+            ("5.", None),
+            ("1" * 24, None),
+            ("inf", "line 4: thr is not finite"),
+            ("-nan", "line 4: thr is not finite"),
+            ("1e999", "line 4: thr is not finite"),
+            ("1_0", "line 4: unrecognized"),  # float() reads it; the grammar does not
+            ("\u0661", "line 4: unrecognized"),  # an Arabic-Indic digit one
+            (" 1", "line 4: unrecognized"),
+            ("1" * 25, "line 4: unrecognized"),
+            ("1e", "line 4: unrecognized"),
+            ("--1", "line 4: unrecognized"),
+            ("infinity", "line 4: unrecognized"),
+            ("", "line 4: unrecognized"),
+        ],
+    )
+    def test_threshold_text(self, thr, error):
+        lines = one_split_model(HEADER)
+        lines[3] = f"node 0 feat=0 thr={thr}"
+        if error is None:
+            assert RFModel.from_lines(lines).threshold[0] == float(thr)
+        else:
+            with pytest.raises(ValueError, match=f"^{error}"):
+                RFModel.from_lines(lines)
+
+    @pytest.mark.parametrize("first, second", [(24, 25), (25, 24)])
+    def test_texts_alike_but_for_length_are_cast_apart(self, first, second):
+        # 24 and 25 ones agree in the 24 bytes a threshold may take
+        lines = one_split_model(HEADER)
+        lines[2:] = [
+            "tree 0",
+            f"node 0 feat=0 thr={'1' * first}",
+            f"node 1 feat=0 thr={'1' * second}",
+            "leaf 2 class=0",
+            "leaf 3 class=1",
+            "leaf 4 class=1",
+        ]
+        with pytest.raises(ValueError, match=f"^line {4 if first == 25 else 5}: unrec"):
+            RFModel.from_lines(lines)
+
+    @pytest.mark.parametrize("node_id", ["12345678", "123456789"])
+    def test_wide_node_id_is_read_then_fails_the_preorder(self, node_id):
+        lines = one_split_model(WIDE_HEADER)
+        lines[4] = f"leaf {node_id} class=0"
+        with pytest.raises(ValueError, match="^line 5: node id out of preorder$"):
+            RFModel.from_lines(lines)
+
+    def test_each_threshold_reads_as_float_of_its_text(self):
+        # a few texts repeated over many lines, as a fitted model repeats them
+        rng = np.random.default_rng(1)
+        texts = [
+            "0.5", "-1.25", "0.30000000000000004", "1e-05", "7.0", "-0.0", "2.5e+300"
+        ]
+        text = re.sub(
+            "thr=\\S+",
+            lambda _: f"thr={texts[rng.integers(len(texts))]}",
+            synthetic_model_text(n_trees=20, depth=6),
+        )
+        model = RFModel.from_lines(text.splitlines())
+        expected = [float(t) for t in re.findall("thr=(\\S+)", text)]
+        got = model.threshold[model.feature >= 0]
+        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def synthetic_model_text(n_trees: int, depth: int, n_features: int = 60) -> str:
