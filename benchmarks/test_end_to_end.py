@@ -11,7 +11,8 @@ the decision lines `run` prints for session s00 with the models of a
 default `train`, both from the file and from standard input, and for s00
 played 10 times in a row on standard input.  One more default `train`
 runs as a process of its own, so that its peak RSS can be read apart from
-this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`.
+this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`, with
+its minor page faults as `train_minflt`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -111,21 +112,23 @@ def test_train_default(benchmark, ds0, tmp_path):
 
 
 # Runs `python <its arguments>` in a child and prints the child's ru_maxrss
-# (KiB) from os.wait4.  It runs in a fresh interpreter that imports only os
-# and sys, so the child's reading holds the few MB this launcher has at the
-# spawn, never the RSS of the process that runs the tests.
+# (KiB) and ru_minflt (minor page faults) from os.wait4.  It runs in a fresh
+# interpreter that imports only os and sys, so the child's reading holds the
+# few MB this launcher has at the spawn, never the RSS of the process that
+# runs the tests.
 MAXRSS_LAUNCHER = """\
 import os, sys
 pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
 _, status, usage = os.wait4(pid, 0)
-print(usage.ru_maxrss)
+print(usage.ru_maxrss, usage.ru_minflt)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
 def test_train_default_peak_rss(benchmark, ds0, tmp_path):
-    """A default `train` in a process of its own: its artifacts, and its own
-    peak RSS in `extra_info["train_maxrss_mb"]`."""
+    """A default `train` in a process of its own: its artifacts, its own
+    peak RSS in `extra_info["train_maxrss_mb"]` and its minor page faults in
+    `extra_info["train_minflt"]`."""
     models = tmp_path / "models"
     src = Path(needsense.__file__).resolve().parents[1]
     command = [
@@ -140,7 +143,9 @@ def test_train_default_peak_rss(benchmark, ds0, tmp_path):
         )
 
     proc = benchmark.pedantic(train, rounds=1, iterations=1)
-    benchmark.extra_info["train_maxrss_mb"] = int(proc.stdout.split()[-1]) / 1024
+    maxrss_kib, minflt = map(int, proc.stdout.split()[-2:])
+    benchmark.extra_info["train_maxrss_mb"] = maxrss_kib / 1024
+    benchmark.extra_info["train_minflt"] = minflt
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
     assert _sha256((models / "manifest.txt").read_bytes()) == DEFAULT_MANIFEST
 

@@ -150,11 +150,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     derived, ds1_names = _write_stage1(records, nb, cfg, out)
     try:
-        matrix = export_fusion_matrix(records, derived, cfg.window_w)
-        n_sessions = len(records)
-        # the fit reads only the matrix, so the sessions are freed before it
+        matrix = [export_fusion_matrix(records, derived, cfg.window_w)]
+        n_sessions, n_rows, dim = len(records), matrix[0].n_rows, matrix[0].dim
+        # the fit reads only the matrix, and that only until its tables are
+        # built: the sessions are freed before it and the matrix is handed
+        # over, so no name here holds it while the trees grow
         del records, derived
-        rf = train_rf(matrix, cfg.forest_config())
+        rf = train_rf(matrix.pop(), cfg.forest_config())
     except ValueError as exc:
         raise StageError(f"stage 2: {exc}")
     rf.save(out / RF_MODEL_NAME)
@@ -171,7 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(
         f"trained on {n_sessions} sessions: {NB_MODEL_NAME}, "
         f"{len(ds1_names)} derived sessions, {RF_MODEL_NAME} "
-        f"({matrix.n_rows} rows x {matrix.dim}); manifest at "
+        f"({n_rows} rows x {dim}); manifest at "
         f"{out / MANIFEST_NAME}"
     )
     return EXIT_OK

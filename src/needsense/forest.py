@@ -731,8 +731,12 @@ class RFModel:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "RFModel":
-        """Parse the lines of a model file, given with or without line ends."""
-        text = "".join(line.rstrip("\r\n") + "\n" for line in lines).encode("utf-8")
+        """Parse the lines of a model file, each given with or without its
+        LF.  A line is read as in a file of these lines: its LF, then one CR
+        before it, is taken off, as `load` does."""
+        text = "".join(
+            line if line.endswith("\n") else line + "\n" for line in lines
+        ).encode("utf-8")
         return cls(*_checked(*_scan(np.frombuffer(text + bytes(_PAD), dtype=np.uint8))))
 
     def save(self, path: str | Path) -> None:
@@ -888,9 +892,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     then partitions the split nodes' rows in place by their codes and pushes
     each node's two ranges as its children.
 
-    X is read only to build the rank and code tables, and no copy of it is
-    made when it is already a float64 array, so a caller that passes its own
-    matrix holds one copy of the rows through the fit.
+    X is read only to build the rank and code tables, and no name here holds
+    it after that, so a caller that hands over its only reference (as
+    `fusion.train_rf` does) frees the rows before the trees grow.  No copy is
+    made when X is already a float64 array.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -906,8 +911,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     labels = y.astype(np.intp)
     if labels.min() == labels.max():
         raise ValueError("training matrix must contain both classes")
-    m = config.resolve_features(X.shape[1])
+    d = X.shape[1]
+    m = config.resolve_features(d)
     values, ranks = _rank_table(X)
+    del X
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
     codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
     token = _FIT_BUFFERS.set(_Buffers())
@@ -918,4 +925,4 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
     resolved = replace(config, features_per_split=m)
     nodes = [node for tree in trees for node in tree]
-    return RFModel(*zip(*nodes), roots, resolved, X.shape[1])
+    return RFModel(*zip(*nodes), roots, resolved, d)

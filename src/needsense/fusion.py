@@ -126,8 +126,15 @@ def stage1_materialize(
 def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
     """Fit the forest on the matrix's rows in the order given, which
     `export_fusion_matrix` makes canonical, so the same sessions give the
-    same model in whatever order they are passed."""
-    return fit_forest(matrix.features, matrix.labels, config)
+    same model in whatever order they are passed.
+
+    The fit reads the features only to build its tables, and no name here
+    or in `fit_forest` holds them or the matrix after that, so a caller that
+    passes its only reference frees the rows before the trees grow."""
+    # the features reach the fit through a list it pops, not a name
+    labels, features = matrix.labels, [matrix.features]
+    del matrix
+    return fit_forest(features.pop(), labels, config)
 
 
 def predict_session(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needsense
-from needsense import cli
+from needsense import cli, forest
 from needsense.cli import _decision_line, _run_stdin, build_parser, main
 from needsense.config import (
     MAX_TREES,
@@ -391,6 +391,31 @@ class TestTrainCommand:
         # a session's messages and gaze frames keep no dict per instance
         assert not hasattr(TimestampedMessage(0.0, 1.0), "__dict__")
         assert not hasattr(GazeObservation(0.0, 0.0), "__dict__")
+
+    def test_matrix_is_freed_before_the_trees_grow(self, workspace, tmp_path):
+        # the fit reads the float features only to build its rank and code
+        # tables, and the trees grow from those
+        export, search = cli.export_fusion_matrix, forest._best_splits
+        exported = []
+        at_first_search = []
+
+        def export_recorded(*args):
+            matrix = export(*args)
+            exported.extend((weakref.ref(matrix), weakref.ref(matrix.features)))
+            return matrix
+
+        def search_checked(*args):
+            if not at_first_search:
+                at_first_search.extend(ref() for ref in exported)
+            return search(*args)
+
+        with mock.patch.object(cli, "export_fusion_matrix", export_recorded), \
+                mock.patch.object(forest, "_best_splits", search_checked):
+            assert main(
+                ["train", "--config", str(workspace["config"]),
+                 str(workspace["ds0"]), "--out", str(tmp_path / "m")]
+            ) == 0
+        assert len(exported) == 2 and at_first_search == [None, None]
 
     def test_empty_directory_is_a_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -1424,7 +1449,10 @@ class TestMutatedInputs:
 
     @pytest.mark.parametrize(
         "target",
-        ["models/nb.model", "models/rf.model", "models/manifest.txt", "needsense.cfg"],
+        [
+            "models/nb.model", "models/rf.model", "models/manifest.txt",
+            "needsense.cfg", "fz.session",
+        ],
     )
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

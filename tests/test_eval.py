@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needsense import evaluation, forest
 from needsense.config import Config
 from needsense.evaluation import (
     EvalReport,
@@ -349,6 +352,28 @@ class TestRunFullEval:
         ]
         for m in report.rows.values():
             assert m.tp + m.fp + m.fn + m.tn > 0
+
+    def test_fold_fit_frees_its_matrix_before_the_trees_grow(self, small_suite):
+        # as in `train`: the features are read only to build the fit's tables
+        export, search = evaluation.export_fusion_matrix, forest._best_splits
+        exported = []
+        at_first_search = []
+
+        def export_recorded(*args):
+            matrix = export(*args)
+            exported.append((weakref.ref(matrix), weakref.ref(matrix.features)))
+            return matrix
+
+        def search_checked(*args):
+            if not at_first_search:
+                # the first fold's training matrix, exported before its fit
+                at_first_search.extend(ref() for ref in exported[0])
+            return search(*args)
+
+        with mock.patch.object(evaluation, "export_fusion_matrix", export_recorded), \
+                mock.patch.object(forest, "_best_splits", search_checked):
+            self.run(small_suite)
+        assert at_first_search == [None, None]
 
     def test_deterministic(self, small_suite):
         assert self.run(small_suite).render() == self.run(small_suite).render()

@@ -1445,6 +1445,38 @@ class TestWholeBufferParser:
         assert_same_model(RFModel.load(path), reference_load(text))
 
     @pytest.mark.parametrize(
+        "end, error",
+        [
+            ("", None),
+            ("\r", None),
+            ("\n", None),
+            ("\r\n", None),
+            ("\r\r", "line 3: unrecognized model line: tree 0"),
+            ("\r\r\n", "line 3: unrecognized model line: tree 0"),
+        ],
+    )
+    def test_from_lines_takes_off_one_line_end_as_load_does(
+        self, tmp_path, end, error
+    ):
+        lines = small_forest_text(0).decode("utf-8").splitlines()
+        lines[2] += end  # `tree 0`
+        path = tmp_path / "rf.model"
+        path.write_bytes("".join(
+            line if line.endswith("\n") else line + "\n" for line in lines
+        ).encode("utf-8"))
+        if error is None:
+            expected = reference_load(small_forest_text(0))
+            assert_same_model(RFModel.from_lines(lines), expected)
+            assert_same_model(RFModel.load(path), expected)
+            return
+        with pytest.raises(ValueError) as from_lines:
+            RFModel.from_lines(lines)
+        with pytest.raises(ValueError) as load:
+            RFModel.load(path)
+        assert str(from_lines.value) == error
+        assert str(load.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize(
         "old, new",
         [
             ("node 0 feat=", "node 0  feat="),  # two spaces
