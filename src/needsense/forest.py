@@ -62,7 +62,6 @@ import math
 import os
 import re
 from collections.abc import Iterable
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -143,10 +142,6 @@ class _Buffers:
         if array is None or array.size < size or array.dtype != dtype:
             array = self._arrays[name] = np.empty(size, dtype)
         return array[:size].reshape(shape)
-
-
-# the `_Buffers` of the fit running in this thread, if any
-_FIT_BUFFERS: ContextVar[_Buffers | None] = ContextVar("_FIT_BUFFERS", default=None)
 
 
 # 32-bit halves of its generator's output that each tree's draw buffer holds
@@ -260,7 +255,7 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _best_splits(values, codes, rows, n, pos, features, min_leaf):
+def _best_splits(values, codes, rows, n, pos, features, min_leaf, buffers):
     """(feature, threshold, left positives, bound) of each node's best split
     over its candidate features; feature is -1 where none of them splits the
     node.  bound is 2 * rank + 2 of the split's lower value, so a row of the
@@ -275,10 +270,9 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf):
     consecutive ones within a slot are the candidate boundaries, and
     candidates ascend by node, then feature, then threshold; the first
     maximum of each node realizes the tie-breaking.  A block writes its
-    row-sized arrays into the running fit's `_Buffers`, or into fresh ones.
+    row-sized arrays into the fit's `buffers`.
     """
     (k, m), width = features.shape, values.shape[1]
-    buffers = _FIT_BUFFERS.get() or _Buffers()
     feature, threshold = np.full(k, -1), np.zeros(k)
     pos_left, bound = np.zeros(k, np.int64), np.zeros(k, np.int64)
     for start, stop in _blocks((n + width) * m):
@@ -761,7 +755,7 @@ def _leaf(n: int, pos: int) -> tuple[int, float, int]:
     return -1, 0.0, 1 if 2 * pos >= n else 0  # a tie goes to the positive class
 
 
-def _partition(codes, rows, n, feature, bound) -> np.ndarray:
+def _partition(codes, rows, n, feature, bound, buffers) -> np.ndarray:
     """Rewrite each split node's rows in place, those going left first and
     each side in its old order, which is how `rows[mask]` and `rows[~mask]`
     order them; returns how many go left at each node.
@@ -769,9 +763,9 @@ def _partition(codes, rows, n, feature, bound) -> np.ndarray:
     rows[i] is a view of node i's n[i] rows in its tree's row array, split on
     feature[i] at bound[i] (see `_best_splits`).  One go-left test reads the
     codes of every row of a block of nodes holding up to _SEARCH_CELLS rows;
-    then each node's range takes two slice assignments.
+    then each node's range takes two slice assignments, through the fit's
+    `buffers`.
     """
-    buffers = _FIT_BUFFERS.get() or _Buffers()
     index = _index_type(codes.size)
     # a split's lower value is below the node's highest, so its bound fits
     bound = bound.astype(codes.dtype)
@@ -814,6 +808,7 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
         stacks.append([(0, n, 0, np.count_nonzero(labels[rows]))])
     trees = [[] for _ in rngs]  # per tree: (feature, threshold, value) in preorder
     draws = _FeatureDraws(rngs, d, m) if m < d else None
+    buffers = _Buffers()  # freed on return, before the node arrays are built
     while True:
         step = []  # (tree, start, stop, depth, positives) of the nodes to search
         for ti, stack in enumerate(stacks):
@@ -834,7 +829,7 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
         else:
             sampled = np.broadcast_to(np.arange(d), (len(step), d))
         best = _best_splits(
-            values, codes, node_rows, node_n, node_pos, sampled, min_leaf
+            values, codes, node_rows, node_n, node_pos, sampled, min_leaf, buffers
         )
         widen = np.flatnonzero(best[0] < 0)
         if m < d and widen.size:
@@ -854,7 +849,7 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
             rest = np.argsort(kind, axis=1, kind="stable")[:, : varying.max()]
             widened = _best_splits(
                 values, codes, [node_rows[i] for i in widen],
-                node_n[widen], node_pos[widen], rest, min_leaf,
+                node_n[widen], node_pos[widen], rest, min_leaf, buffers,
             )
             for column, found in zip(best, widened):
                 column[widen] = found
@@ -864,7 +859,7 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
             # X[rows, feature] <= threshold, read from the codes
             n_left[split] = _partition(
                 codes, [node_rows[i] for i in split], node_n[split],
-                best[0][split], best[3][split],
+                best[0][split], best[3][split], buffers,
             )
         for (ti, start, stop, depth, pos), feature, threshold, pos_left, nl in zip(
             step, *(column.tolist() for column in (*best[:3], n_left))
@@ -917,11 +912,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     del X
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
     codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
-    token = _FIT_BUFFERS.set(_Buffers())
-    try:
-        trees = _grow(values, ranks, codes, labels, config, m)
-    finally:
-        _FIT_BUFFERS.reset(token)  # before the node arrays are built: no higher peak
+    trees = _grow(values, ranks, codes, labels, config, m)
     roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
     resolved = replace(config, features_per_split=m)
     nodes = [node for tree in trees for node in tree]

@@ -14,13 +14,14 @@ those arrays and fits the forest.  The frames become derived session
 records only where `train` writes them to disk.  Scoring a recorded
 session uses the same batch core: stage 1, then one forest call over all
 its windows (`predict_session`).  Input that arrives over time goes
-through the live shell instead (`live_pipeline`): three callbacks on a
-`Pipeline`, one per input stream holding that model's latest output and
-one per tick deciding over the last W held frames, so it keeps nothing
-but those frames and computes the same holds incrementally.  Because
-both paths quantize times to 3 decimals and need values to 6 before any
-windowing, the live shell driven over a recorded session reproduces the
-batch predictions bit for bit.
+through the live shell instead (`live_pipeline`): a `Pipeline` with a
+callback on each of its two input streams, holding that model's latest
+output, and its one tick schedule, deciding over the last W held frames
+at each tick, so it keeps nothing but those frames and computes the same
+holds incrementally.  Because both paths quantize times to 3 decimals
+and need values to 6 before any windowing, the live shell driven over a
+recorded session in `SessionRecord.all_messages` order
+(`live_decisions`) reproduces the batch predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -31,17 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import ForestConfig, RFModel, fit_forest
-from .gaze import GazeConfig, GazeNeedTracker
+from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
 from .sessions import SessionRecord, TrainingMatrix, frame_windows
-from .streams import (
-    LIVE_INPUTS,
-    Pipeline,
-    TimestampedMessage,
-    WiringError,
-    replay,
-    tick_times,
-)
+from .streams import LIVE_INPUTS, Pipeline, tick_times
 
 
 @dataclass(frozen=True)
@@ -170,23 +164,26 @@ def live_pipeline(
     0.0 before the first; each tick decides over the last `window` held
     frames, oldest first.  Scores are wire-rounded; vote fractions are
     never close enough to 0.5 for that to flip the label."""
+    if not cadence_hz > 0:
+        raise ValueError("cadence must be > 0")
     if window < 1:
-        raise WiringError("window must be >= 1")
+        raise ValueError("window must be >= 1")
     pipe = Pipeline()
     sink: list[FusedDecision] = []
     tracker = GazeNeedTracker(gaze_config)
     held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language
     frames: deque[tuple[float, float, float]] = deque(maxlen=window)
 
-    def on_gaze(msg: TimestampedMessage) -> None:
-        mutual, conf = tracker.update(msg.originating_time, msg.payload)
+    def on_gaze(t: float, obs: GazeObservation) -> None:
+        mutual, conf = tracker.update(t, obs)
         held[0] = round(mutual, 6)
         held[1] = round(conf, 6)
 
-    def on_utterance(msg: TimestampedMessage) -> None:
-        v = nb_model.predict_text(msg.payload)
+    def on_utterance(t: float, text: str) -> None:
+        v = nb_model.predict_text(text)
         if v is None:  # it tokenizes to nothing
-            pipe._count_drop("need_language")
+            drops = pipe.drop_counts
+            drops["need_language"] = drops.get("need_language", 0) + 1
         else:
             held[2] = round(v, 6)
 
@@ -203,8 +200,8 @@ def live_pipeline(
             )
         )
 
-    pipe.stream("gaze_raw").subscribe(on_gaze)
-    pipe.stream("utterance").subscribe(on_utterance)
+    pipe.streams["gaze_raw"].subscribe(on_gaze)
+    pipe.streams["utterance"].subscribe(on_utterance)
     pipe.add_ticker(cadence_hz, on_tick)
     return pipe, sink
 
@@ -222,8 +219,8 @@ def live_decisions(
     scores a file with `predict_session` instead; this drives the live
     path over a recording for the parity tests and the benchmarks."""
     pipe, sink = live_pipeline(nb_model, rf_model, gaze_config, cadence_hz, window)
-    messages = [
-        (name, msg) for name in LIVE_INPUTS for msg in record.messages(name)
-    ]
-    replay(pipe, messages, record.duration)
+    for name, msg in record.all_messages():
+        if name in LIVE_INPUTS:
+            pipe.emit(name, msg.originating_time, msg.payload)
+    pipe.finalize(record.duration)
     return sink

@@ -36,12 +36,14 @@ from .streams import (
     SessionFormatError,
     TimestampedMessage,
     read_lines,
-    time_ordered,
 )
 
 FORMAT_VERSION = 1
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
+
+# Canonical cross-stream order for tiebreaks at equal times.
+_STREAM_ORDER = {name: i for i, name in enumerate(STREAM_NAMES)}
 
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -105,8 +107,9 @@ class SessionRecord:
 
     def all_messages(self) -> list[tuple[str, TimestampedMessage]]:
         """Every message, globally ordered by (time, canonical stream)."""
-        return time_ordered(
-            (name, msg) for name, msgs in self.streams.items() for msg in msgs
+        return sorted(
+            ((name, msg) for name, msgs in self.streams.items() for msg in msgs),
+            key=lambda sm: (sm[1].originating_time, _STREAM_ORDER[sm[0]]),
         )
 
     def validate(self) -> None:

@@ -126,6 +126,19 @@ def _fixation(
     return mult[0] * th.yaw_center, mult[1] * th.pitch_center
 
 
+def _utterance_time(
+    start: float, end: float, offset: float, last: float | None
+) -> float:
+    """The time on the millisecond grid of an utterance at `offset` into
+    the segment [start, end), after one at `last`, if any."""
+    t = round(start + offset, 3)
+    if t >= end:
+        raise ValueError(f"utterance at offset {offset} rounds past its segment")
+    if last is not None and t <= last:
+        raise ValueError(f"utterances collide at t={t}")
+    return t
+
+
 def simulate(
     script: ScenarioScript,
     session_id: str,
@@ -141,28 +154,19 @@ def simulate(
     rng = np.random.default_rng(script.seed)
 
     bounds = [0.0]
+    utterances: list[TimestampedMessage] = []
     for seg in script.segments:
-        bounds.append(round(bounds[-1] + seg.duration, 3))
+        start = bounds[-1]
+        bounds.append(round(start + seg.duration, 3))
+        for offset, text in seg.utterances:
+            last = utterances[-1].originating_time if utterances else None
+            t = _utterance_time(start, bounds[-1], offset, last)
+            utterances.append(TimestampedMessage(t, text))
     duration = bounds[-1]
     labels = [
         LabelSpan(bounds[i], bounds[i + 1], seg.level)
         for i, seg in enumerate(script.segments)
     ]
-
-    utterances: list[TimestampedMessage] = []
-    for i, seg in enumerate(script.segments):
-        for offset, text in seg.utterances:
-            t = round(bounds[i] + offset, 3)
-            if t >= bounds[i + 1]:
-                raise ValueError(
-                    f"utterance at offset {offset} rounds past its segment"
-                )
-            utterances.append(TimestampedMessage(t, text))
-    for a, b in zip(utterances, utterances[1:]):
-        if b.originating_time <= a.originating_time:
-            raise ValueError(
-                f"utterances collide at t={a.originating_time}"
-            )
 
     frames: list[TimestampedMessage] = []
     seg_idx = 0
@@ -224,23 +228,42 @@ def save_script(script: ScenarioScript, path: str | Path) -> None:
 
 def parse_script(lines: Iterable[str]) -> ScenarioScript:
     """Parse a script file; errors carry the offending line number."""
-    line_no, fields, rows = _header(lines, "script", "script_version", SCRIPT_VERSION)
+    head, fields, rows = _header(lines, "script", "script_version", SCRIPT_VERSION)
     try:
         seed = int(fields.get("seed", "0"))
     except ValueError:
-        raise SessionFormatError(f"bad seed {fields.get('seed')!r}", line_no)
-    noise = _parse_float(fields, "noise", line_no) if "noise" in fields else 0.0
+        raise SessionFormatError(f"bad seed {fields.get('seed')!r}", head)
+    if seed < 0:
+        raise SessionFormatError("seed must be >= 0", head)
+    noise = _parse_float(fields, "noise", head) if "noise" in fields else 0.0
 
     segments: list[SegmentSpec] = []
     current: list | None = None  # line number, then the open segment's fields
+    # the open segment's start and the last utterance's time, on the grid
+    # `simulate` renders onto, so a value that rounding breaks names its line
+    start, last = 0.0, None
 
     def close_current() -> None:
-        if current is not None:
-            line_no, *spec, utterances = current
+        nonlocal start, last
+        if current is None:
+            return
+        line_no, *spec, utterances = current
+        try:
+            segments.append(SegmentSpec(*spec, tuple(u[1:] for u in utterances)))
+        except ValueError as exc:
+            raise SessionFormatError(str(exc), line_no)
+        end = round(start + spec[0], 3)
+        if not end > start:  # else `simulate` makes an empty label span
+            raise SessionFormatError(
+                f"segment duration {spec[0]} rounds to 0 on the millisecond grid",
+                line_no,
+            )
+        for line_no, offset, _ in utterances:
             try:
-                segments.append(SegmentSpec(*spec, tuple(utterances)))
+                last = _utterance_time(start, end, offset, last)
             except ValueError as exc:
                 raise SessionFormatError(str(exc), line_no)
+        start = end
 
     for line_no, line in rows:
         keyword, _, rest = line.strip().partition(" ")
@@ -261,7 +284,8 @@ def parse_script(lines: Iterable[str]) -> ScenarioScript:
                     "utterance before any segment", line_no
                 )
             text = _quoted_text(fields, line_no)
-            current[-1].append((_parse_float(fields, "offset", line_no), text))
+            offset = _parse_float(fields, "offset", line_no)
+            current[-1].append((line_no, offset, text))
         else:
             raise SessionFormatError(
                 f"unrecognized script line {keyword!r}", line_no
@@ -269,10 +293,10 @@ def parse_script(lines: Iterable[str]) -> ScenarioScript:
     close_current()
     if not segments:
         raise SessionFormatError("script has no segments")
-    try:
+    try:  # what is left to check is the header's noise
         return ScenarioScript(tuple(segments), noise=noise, seed=seed)
     except ValueError as exc:
-        raise SessionFormatError(str(exc))
+        raise SessionFormatError(str(exc), head)
 
 
 def load_script(path: str | Path) -> ScenarioScript:

@@ -17,12 +17,12 @@ values match what survives a save/load round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-# The streams a session file holds, in their order at equal times; wiring
-# any other name is an error.
+# The streams a session file holds, in their order at equal times.
 STREAM_NAMES = (
     "gaze_raw",
     "need_mutual",
@@ -80,14 +80,6 @@ def read_lines(
     raise error from None
 
 
-class StreamError(Exception):
-    """Base class for stream wiring and delivery errors."""
-
-
-class WiringError(StreamError):
-    """Unknown stream name or invalid operator parameters."""
-
-
 @dataclass(frozen=True, slots=True)
 class TimestampedMessage:
     """A payload stamped with the time its data originated, in seconds."""
@@ -98,45 +90,23 @@ class TimestampedMessage:
 
 class Stream:
     """A message stream with one producer that keeps no message.
-    Subscribers are invoked synchronously in subscription order."""
+    Subscribers get each message's (time, payload), synchronously and in
+    subscription order."""
 
     def __init__(self) -> None:
-        self._subscribers: list[Callable[[TimestampedMessage], None]] = []
+        self._subscribers: list[Callable[[float, Any], None]] = []
 
-    def subscribe(self, fn: Callable[[TimestampedMessage], None]) -> None:
+    def subscribe(self, fn: Callable[[float, Any], None]) -> None:
         self._subscribers.append(fn)
 
     def emit(self, t: float, payload: Any) -> None:
-        msg = TimestampedMessage(t, payload)
         for fn in self._subscribers:
-            fn(msg)
-
-
-class _Ticker:
-    """Fixed-cadence tick source.  Tick k fires at round(k/cadence, 3)."""
-
-    def __init__(self, cadence_hz: float, fn: Callable[[float], None]):
-        if not cadence_hz > 0:
-            raise WiringError("cadence must be > 0")
-        self.cadence = cadence_hz
-        self.fn = fn
-        self._k = 0
-
-    def next_time(self) -> float:
-        return round(self._k / self.cadence, 3)
-
-    def fire_until(self, limit: float, inclusive: bool) -> None:
-        while True:
-            t = self.next_time()
-            if t < limit or (inclusive and t == limit):
-                self._k += 1
-                self.fn(t)
-            else:
-                break
+            fn(t, payload)
 
 
 class Pipeline:
-    """A set of named streams plus the scheduler that drives them.
+    """The live shell's input streams, one per name in `LIVE_INPUTS`, and
+    its one tick schedule.
 
     Driving rule: before a message at time t is delivered, all pending
     ticks strictly before t fire; ticks at exactly t fire only once time
@@ -146,75 +116,40 @@ class Pipeline:
     """
 
     def __init__(self) -> None:
-        self.streams: dict[str, Stream] = {}
-        self._tickers: list[_Ticker] = []
-        # per-stream counters; no current operator records an error
+        self.streams = {name: Stream() for name in LIVE_INPUTS}
+        # per-stream counters, which perfbench's tracer reads at finalize;
+        # no current operator records an error
         self.error_counts: dict[str, int] = {}
         self.drop_counts: dict[str, int] = {}
-        self._finalized = False
-
-    def stream(self, name: str) -> Stream:
-        if name not in STREAM_NAMES:
-            raise WiringError(f"unknown stream name {name!r}")
-        if name not in self.streams:
-            self.streams[name] = Stream()
-        return self.streams[name]
+        self._next = math.inf  # the next tick's time; none until add_ticker
 
     def add_ticker(self, cadence_hz: float, fn: Callable[[float], None]) -> None:
-        self._tickers.append(_Ticker(cadence_hz, fn))
+        """Set the tick schedule: tick k calls fn at round(k / cadence_hz, 3)."""
+        self._cadence, self._on_tick = cadence_hz, fn
+        self._k, self._next = 0, 0.0
 
-    def advance_to(self, t: float) -> None:
-        for ticker in self._tickers:
-            ticker.fire_until(t, inclusive=False)
+    def _tick_until(self, t: float, inclusive: bool) -> None:
+        while self._next < t or (inclusive and self._next == t):
+            tick = self._next
+            self._k += 1
+            self._next = round(self._k / self._cadence, 3)
+            self._on_tick(tick)
 
     def emit(self, name: str, t: float, payload: Any) -> None:
-        if self._finalized:
-            raise StreamError("pipeline already finalized")
-        self.advance_to(t)
-        self.stream(name).emit(t, payload)
+        """Fire the ticks before t, then deliver the message on `name`."""
+        self._tick_until(t, inclusive=False)
+        self.streams[name].emit(t, payload)
 
     def finalize(self, t_end: float) -> None:
-        """Fire all remaining ticks up to and including t_end.  No
-        further emissions are accepted."""
-        for ticker in self._tickers:
-            ticker.fire_until(t_end, inclusive=True)
-        self._finalized = True
-
-    def _count_drop(self, name: str) -> None:
-        self.drop_counts[name] = self.drop_counts.get(name, 0) + 1
-
-
-# Canonical cross-stream order for tiebreaks at equal times.
-_STREAM_ORDER = {name: i for i, name in enumerate(STREAM_NAMES)}
-
-
-def time_ordered(
-    messages: Iterable[tuple[str, TimestampedMessage]],
-) -> list[tuple[str, TimestampedMessage]]:
-    """(stream, message) pairs in global originating-time order; ties
-    across streams break by the canonical stream order."""
-    return sorted(
-        messages, key=lambda sm: (sm[1].originating_time, _STREAM_ORDER[sm[0]])
-    )
-
-
-def replay(
-    pipe: Pipeline,
-    messages: Iterable[tuple[str, TimestampedMessage]],
-    duration: float,
-) -> None:
-    """Deliver recorded (stream, message) pairs in global originating-time
-    order (see `time_ordered`), then finalize at `duration`."""
-    for name, msg in time_ordered(messages):
-        pipe.emit(name, msg.originating_time, msg.payload)
-    pipe.finalize(duration)
+        """Fire all remaining ticks up to and including t_end."""
+        self._tick_until(t_end, inclusive=True)
 
 
 def tick_times(duration: float, cadence_hz: float) -> list[float]:
     """All tick times in [0, duration] at the given cadence, rounded to
     the millisecond wire precision.  Count is floor(duration*cadence)+1."""
     if not cadence_hz > 0:
-        raise WiringError("cadence must be > 0")
+        raise ValueError("cadence must be > 0")
     ticks = []
     k = 0
     while True:

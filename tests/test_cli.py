@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -262,7 +263,7 @@ class TestGenScripts:
         argv = ["simulate", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            f"error: {path}: noise must be in [0, pi]\n"
+            f"error: {path}: line 1: noise must be in [0, pi]\n"
         )
 
 
@@ -313,8 +314,8 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            f"error: {path}: utterance at offset 0.9996 rounds past its "
-            "segment\n"
+            f"error: {path}: line 3: utterance at offset 0.9996 rounds past "
+            "its segment\n"
         )
         assert not (out / "late.session").exists()
 
@@ -488,6 +489,39 @@ def test_import_leaves_out_the_modules_of_other_commands():
         check=True,
     )
     assert proc.stdout == "\n"
+
+
+def test_tracer_hooks_stay_live_over_a_stdin_run(workspace, tmp_path):
+    # perfbench/traced.py wraps the names it finds on the live path and
+    # lists those it does not; a change to these names shows here first
+    session = sorted(workspace["ds0"].glob("*.session"))[0]
+    spans = tmp_path / "spans.json"
+    src = str(Path(needsense.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    run = ["run", "-", "--models", str(workspace["models"])]
+    traced = [
+        sys.executable,
+        str(Path(__file__).parents[1] / "perfbench" / "traced.py"),
+        str(spans), "r0", *run,
+    ]
+    outputs = []
+    for argv in (traced, [sys.executable, "-m", "needsense", *run]):
+        with open(session, "rb") as stdin:
+            proc = subprocess.run(
+                argv, stdin=stdin, capture_output=True, env=env, timeout=120
+            )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
+    report = json.loads(spans.read_text(encoding="utf-8"))
+    assert report["missing"] == [
+        f"needsense.cli.{name}"
+        for name in ("_parse_fields", "_parse_payload", "live_decisions")
+    ]
+    names = {span[2] for span in report["spans"]}
+    assert {"streams.emit", "fusion.callback"} <= names
 
 
 # every character str.splitlines splits at besides \n and \r
@@ -1409,9 +1443,10 @@ def mutated(draw, data: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(workspace, tmp_path_factory):
-    """A copy of the trained models and the config, and a 3 s session.
-    Its header's duration is one digit, so no one-byte edit declares an
-    hours-long session, which `run` would spend ticking through."""
+    """A copy of the trained models and the config, a 3 s session and a
+    3 s script.  The session's duration and the script's segment durations
+    are one digit each, so no one-byte edit declares an hours-long session,
+    which `run` would spend ticking through and `simulate` rendering."""
     root = tmp_path_factory.mktemp("fuzz")
     shutil.copytree(workspace["models"], root / "models")
     shutil.copy(workspace["config"], root / "needsense.cfg")
@@ -1431,6 +1466,14 @@ def fuzz_inputs(workspace, tmp_path_factory):
     lines[0] = "format_version=1 session_id=fz duration=3"
     session = root / "fz.session"
     session.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (root / "fz.script").write_text(
+        "script_version=1 seed=3 noise=0.02\n"
+        "segment duration=2 label=Flow gaze=fix-task\n"
+        'utterance offset=0.5 text="this looks right"\n'
+        "segment duration=1 label=L3 gaze=alternate:0.5\n"
+        'utterance offset=0.25 text="can you help me"\n',
+        encoding="utf-8",
+    )
     return root, session
 
 
@@ -1451,7 +1494,7 @@ class TestMutatedInputs:
         "target",
         [
             "models/nb.model", "models/rf.model", "models/manifest.txt",
-            "needsense.cfg", "fz.session",
+            "needsense.cfg", "fz.session", "fz.script",
         ],
     )
     @settings(max_examples=40, deadline=None)
@@ -1465,6 +1508,8 @@ class TestMutatedInputs:
         if target == "needsense.cfg":  # `run` reads no config file
             argv = ["gen-scripts", "--config", str(path), "--count", "1",
                     "--out", str(root / "scripts")]
+        elif target == "fz.script":
+            argv = ["simulate", str(path), "--out", str(root / "simulated")]
         else:
             argv = ["run", str(session), "--models", str(root / "models")]
         try:

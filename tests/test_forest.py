@@ -808,11 +808,13 @@ class TestRankCountExactness:
             calls, previous = [], []
             search = forest._best_splits
 
-            def counted(values, codes, rows, n, pos, features, min_leaf):
+            def counted(values, codes, rows, n, pos, features, min_leaf, buffers):
                 widen = all(any(r is p for p in previous) for r in rows)
                 previous[:] = rows
                 calls.append((widen, [X[r] for r in rows]))
-                return search(values, codes, rows, n, pos, features, min_leaf)
+                return search(
+                    values, codes, rows, n, pos, features, min_leaf, buffers
+                )
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(forest, "_best_splits", counted)
@@ -857,8 +859,10 @@ class TestRankCountExactness:
             calls = []
             search = forest._best_splits
 
-            def recorded(values, codes, rows, n, pos, features, min_leaf):
-                found = search(values, codes, rows, n, pos, features, min_leaf)
+            def recorded(values, codes, rows, n, pos, features, min_leaf, buffers):
+                found = search(
+                    values, codes, rows, n, pos, features, min_leaf, buffers
+                )
                 calls.append((rows, features, found[0].copy()))
                 return found
 
@@ -954,7 +958,9 @@ def code_splits(X, y, nodes, min_leaf):
     n = np.array([len(rows) for rows in nodes])
     pos = np.array([np.count_nonzero(y[rows]) for rows in nodes])
     features = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
-    found = forest._best_splits(values, codes, nodes, n, pos, features, min_leaf)
+    found = forest._best_splits(
+        values, codes, nodes, n, pos, features, min_leaf, forest._Buffers()
+    )
     splits = []
     for rows, feature, threshold, pos_left, bound in zip(
         nodes, *(column.tolist() for column in found)

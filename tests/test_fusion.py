@@ -30,7 +30,7 @@ from needsense.sessions import (
     save_derived,
 )
 from needsense.simulate import benchmark_suite, simulate
-from needsense.streams import LIVE_INPUTS, TimestampedMessage, replay, tick_times
+from needsense.streams import LIVE_INPUTS, TimestampedMessage, tick_times
 
 LIGHT_FOREST = ForestConfig(
     n_trees=10, max_depth=6, min_samples_leaf=3, seed=5
@@ -334,15 +334,10 @@ class TestBatchLiveHoldParity:
         pipe, sink, _ = live_shell(
             cadence, nb_model=self.nb, gaze_config=GazeConfig()
         )
-        replay(
-            pipe,
-            [
-                (name, msg)
-                for name in LIVE_INPUTS
-                for msg in record.messages(name)
-            ],
-            record.duration,
-        )
+        for name, msg in record.all_messages():
+            if name in LIVE_INPUTS:
+                pipe.emit(name, msg.originating_time, msg.payload)
+        pipe.finalize(record.duration)
         live = held_frames(sink)
 
         batch = list(zip(ticks, map(tuple, frames.tolist())))

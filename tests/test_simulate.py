@@ -294,6 +294,62 @@ class TestScriptFiles:
         )
         assert "offset" in msg and "line 2" in msg
 
+    # values the millisecond grid breaks, which `simulate` would reject
+    # with no line
+
+    def test_negative_seed_names_the_header(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=-1",
+                "segment duration=5 label=Flow gaze=fix-task",
+            ]
+        )
+        assert msg == "line 1: seed must be >= 0"
+
+    def test_duration_rounding_to_nothing_names_its_segment(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=0",
+                "segment duration=0.0004 label=Flow gaze=fix-task",
+            ]
+        )
+        assert msg == (
+            "line 2: segment duration 0.0004 rounds to 0 on the millisecond grid"
+        )
+
+    def test_duration_rounding_to_nothing_after_a_segment(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=0",
+                "segment duration=5 label=Flow gaze=fix-task",
+                "segment duration=0.0004 label=L3 gaze=fix-robot",
+            ]
+        )
+        assert msg == (
+            "line 3: segment duration 0.0004 rounds to 0 on the millisecond grid"
+        )
+
+    def test_offsets_rounding_together_name_the_second(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=0",
+                "segment duration=5 label=Flow gaze=fix-task",
+                'utterance offset=1.0001 text="one"',
+                'utterance offset=1.0002 text="two"',
+            ]
+        )
+        assert msg == "line 4: utterances collide at t=1.0"
+
+    def test_offset_rounding_onto_the_segment_end_names_its_line(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=0",
+                "segment duration=5 label=Flow gaze=fix-task",
+                'utterance offset=4.9999 text="late"',
+            ]
+        )
+        assert msg == "line 3: utterance at offset 4.9999 rounds past its segment"
+
     def test_unrecognized_keyword(self):
         msg = self.parse_bad(
             ["script_version=1 seed=0", "chapter number=1"]

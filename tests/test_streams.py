@@ -1,5 +1,5 @@
-"""Stream substrate: ordering, replay, and the live shell's hold and
-window that run on it."""
+"""Stream substrate: delivery, tick schedule and recorded message order,
+and the live shell's hold and window that run on it."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needsense.gaze import GazeObservation
-from needsense.streams import (
-    Pipeline,
-    TimestampedMessage,
-    WiringError,
-    replay,
-    tick_times,
-)
+from needsense.sessions import SessionRecord
+from needsense.streams import Pipeline, TimestampedMessage, tick_times
 
 
 def held_language(sink) -> list[tuple[float, float]]:
@@ -43,17 +38,23 @@ class TestEmit:
     def test_subscribers_see_messages_in_order(self):
         pipe = Pipeline()
         seen = []
-        pipe.stream("need_mutual").subscribe(
-            lambda m: seen.append((m.originating_time, m.payload))
-        )
-        pipe.emit("need_mutual", 1.0, 0.4)
-        pipe.emit("need_mutual", 2.0, 0.5)
+        pipe.streams["gaze_raw"].subscribe(lambda t, p: seen.append((t, p)))
+        pipe.emit("gaze_raw", 1.0, 0.4)
+        pipe.emit("gaze_raw", 2.0, 0.5)
         assert seen == [(1.0, 0.4), (2.0, 0.5)]
 
-    def test_unknown_stream_rejected_at_wiring(self):
+    def test_ticks_before_a_message_fire_first_and_at_it_after(self):
         pipe = Pipeline()
-        with pytest.raises(WiringError):
-            pipe.stream("bogus")
+        events = []
+        pipe.streams["utterance"].subscribe(lambda t, p: events.append(("msg", t)))
+        pipe.add_ticker(10.0, lambda t: events.append(("tick", t)))
+        pipe.emit("utterance", 0.2, "hi")
+        pipe.emit("utterance", 0.25, "yo")
+        pipe.finalize(0.3)
+        assert events == [
+            ("tick", 0.0), ("tick", 0.1), ("msg", 0.2),
+            ("tick", 0.2), ("msg", 0.25), ("tick", 0.3),
+        ]
 
     def test_payloads_immutable(self):
         msg = TimestampedMessage(1.0, 0.4)
@@ -150,8 +151,13 @@ class TestSlidingWindow:
         assert out == []
 
     def test_bad_size_rejected(self, live_shell):
-        with pytest.raises(WiringError):
+        with pytest.raises(ValueError, match="window must be >= 1"):
             live_shell(window=0)
+
+    @pytest.mark.parametrize("cadence", [0.0, -1.0, float("nan")])
+    def test_bad_cadence_rejected(self, live_shell, cadence):
+        with pytest.raises(ValueError, match="cadence must be > 0"):
+            live_shell(cadence)
 
     @given(
         n=st.integers(min_value=0, max_value=60),
@@ -163,57 +169,49 @@ class TestSlidingWindow:
         assert len(out) == max(0, n - w + 1)
 
 
-class TestReplay:
+def recorded(messages) -> SessionRecord:
+    """A session holding (stream, message) pairs, each stream's in the
+    order given."""
+    streams = {}
+    for name, msg in messages:
+        streams.setdefault(name, []).append(msg)
+    return SessionRecord("r00", 5.0, streams)
+
+
+class TestRecordedOrder:
+    """`SessionRecord.all_messages`, the order the live shell is driven in
+    over a recording."""
+
     def test_global_time_order_with_stream_tiebreak(self):
-        pipe = Pipeline()
-        delivered = []
-        for name in ("gaze_raw", "utterance"):
-            pipe.stream(name).subscribe(
-                lambda m, name=name: delivered.append((name, m.originating_time))
-            )
-        messages = [
-            ("utterance", TimestampedMessage(1.0, "hi")),
-            ("gaze_raw", TimestampedMessage(0.5, "g1")),
-            ("gaze_raw", TimestampedMessage(1.0, "g2")),
-            ("utterance", TimestampedMessage(0.2, "yo")),
-        ]
-        replay(pipe, messages, 2.0)
-        assert delivered == [
+        record = recorded(
+            [
+                ("utterance", TimestampedMessage(1.0, "hi")),
+                ("gaze_raw", TimestampedMessage(0.5, "g1")),
+                ("gaze_raw", TimestampedMessage(1.0, "g2")),
+                ("utterance", TimestampedMessage(0.2, "yo")),
+            ]
+        )
+        assert [(name, m.originating_time) for name, m in record.all_messages()] == [
             ("utterance", 0.2),
             ("gaze_raw", 0.5),
             ("gaze_raw", 1.0),  # gaze_raw precedes utterance at equal times
             ("utterance", 1.0),
         ]
 
-    def test_replay_reemits_stored_messages_exactly(self, live_shell):
-        messages = [
-            (
-                "gaze_raw",
-                TimestampedMessage(round(k / 7, 3), GazeObservation(k / 10, 0.0)),
-            )
-            for k in range(10)
-        ]
-        pipe, _, _ = live_shell()
-        delivered = []
-        pipe.stream("gaze_raw").subscribe(delivered.append)
-        replay(pipe, list(messages), 3.0)
-        assert delivered == [m for _, m in messages]
-
     @given(ticks=st.sets(st.integers(min_value=0, max_value=40), max_size=15))
     @settings(max_examples=50, deadline=None)
-    def test_per_stream_delivery_equals_time_order(self, ticks):
-        messages = []
-        for k in sorted(ticks):
-            name = "need_mutual" if k % 2 else "need_language"
-            messages.append((name, TimestampedMessage(round(k / 10, 3), k)))
-        pipe = Pipeline()
-        seen = {"need_mutual": [], "need_language": []}
-        for name in seen:
-            pipe.stream(name).subscribe(
-                lambda m, name=name: seen[name].append(m.originating_time)
+    def test_per_stream_order_equals_time_order(self, ticks):
+        record = recorded(
+            (
+                "need_mutual" if k % 2 else "need_language",
+                TimestampedMessage(round(k / 10, 3), k),
             )
-        replay(pipe, messages, 5.0)
-        for name, times in seen.items():
+            for k in sorted(ticks, reverse=True)
+        )
+        seen = {}
+        for name, msg in record.all_messages():
+            seen.setdefault(name, []).append(msg.originating_time)
+        for times in seen.values():
             assert times == sorted(times)
 
 
@@ -227,7 +225,7 @@ class TestTickTimes:
             assert len(ticks) == int(duration * 10) + 1
 
     def test_bad_cadence(self):
-        with pytest.raises(WiringError):
+        with pytest.raises(ValueError, match="cadence must be > 0"):
             tick_times(1.0, 0.0)
 
     @given(
