@@ -12,7 +12,10 @@ default `train`, both from the file and from standard input, and for s00
 played 10 times in a row on standard input.  One more default `train`
 runs as a process of its own, so that its peak RSS can be read apart from
 this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`, with
-its minor page faults as `train_minflt`.
+its minor page faults as `train_minflt`.  `run` set-up, on a header with
+nothing to decide, runs as processes of their own too, so that their
+start-up shows: child wall and CPU seconds as `setup_wall_s` and
+`setup_cpu_s`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -26,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -111,18 +115,25 @@ def test_train_default(benchmark, ds0, tmp_path):
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
 
 
-# Runs `python <its arguments>` in a child and prints the child's ru_maxrss
-# (KiB) and ru_minflt (minor page faults) from os.wait4.  It runs in a fresh
-# interpreter that imports only os and sys, so the child's reading holds the
-# few MB this launcher has at the spawn, never the RSS of the process that
-# runs the tests.
-MAXRSS_LAUNCHER = """\
-import os, sys
+# Runs `python <its arguments>` in a child and prints, from os.wait4, the
+# child's ru_maxrss (KiB), ru_minflt (minor page faults) and CPU seconds
+# (ru_utime + ru_stime), then its wall seconds from spawn to reaping.  It
+# runs in a fresh interpreter that imports only os, sys and time, so the
+# child's reading holds the few MB this launcher has at the spawn, never the
+# RSS of the process that runs the tests.
+CHILD_LAUNCHER = """\
+import os, sys, time
+start = time.perf_counter()
 pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
 _, status, usage = os.wait4(pid, 0)
-print(usage.ru_maxrss, usage.ru_minflt)
+wall = time.perf_counter() - start
+print(usage.ru_maxrss, usage.ru_minflt, usage.ru_utime + usage.ru_stime, wall)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
+
+# the variables OpenBLAS reads its thread count from: importing needsense
+# sets one in this process, and a child started from a shell sets none
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_train_default_peak_rss(benchmark, ds0, tmp_path):
@@ -132,7 +143,7 @@ def test_train_default_peak_rss(benchmark, ds0, tmp_path):
     models = tmp_path / "models"
     src = Path(needsense.__file__).resolve().parents[1]
     command = [
-        sys.executable, "-c", MAXRSS_LAUNCHER,
+        sys.executable, "-c", CHILD_LAUNCHER,
         "-m", "needsense", "train", str(ds0), "--out", str(models),
     ]
 
@@ -143,7 +154,7 @@ def test_train_default_peak_rss(benchmark, ds0, tmp_path):
         )
 
     proc = benchmark.pedantic(train, rounds=1, iterations=1)
-    maxrss_kib, minflt = map(int, proc.stdout.split()[-2:])
+    maxrss_kib, minflt = map(int, proc.stdout.split()[-4:-2])
     benchmark.extra_info["train_maxrss_mb"] = maxrss_kib / 1024
     benchmark.extra_info["train_minflt"] = minflt
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
@@ -184,6 +195,43 @@ def test_eval_one_tree_10_folds(benchmark, ds0, tmp_path, capsys):
     # five rounds when timed, one under --benchmark-disable
     assert codes and all(code == 0 for code in codes)
     assert _sha256(out.encode("utf-8")) == ONE_TREE_EVAL_10_FOLDS
+
+
+def test_run_setup_fresh_process(benchmark, models, tmp_path):
+    """`run` set-up in a process of its own, as from a shell that sets no
+    thread count: a zero-duration header on standard input, so the child
+    loads the default models, decides nothing and prints nothing.  Over the
+    rounds, `extra_info` holds the child's median wall seconds
+    (`setup_wall_s`) and median CPU seconds, user plus system
+    (`setup_cpu_s`); CPU time shows start-up work that an idle second core
+    hides from the wall clock."""
+    header = tmp_path / "header.txt"
+    header.write_text(
+        "format_version=1 session_id=setup duration=0.000\n", encoding="utf-8"
+    )
+    src = Path(needsense.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(src)
+    command = [
+        sys.executable, "-c", CHILD_LAUNCHER,
+        "-m", "needsense", "run", "--models", str(models),
+    ]
+    walls, cpus = [], []
+
+    def setup():
+        with open(header, "rb") as stdin:
+            proc = subprocess.run(
+                command, env=env, stdin=stdin, capture_output=True, text=True,
+                check=True,
+            )
+        # the launcher's line alone: the child printed no decision
+        _, _, cpu, wall = proc.stdout.split()
+        cpus.append(float(cpu))
+        walls.append(float(wall))
+
+    benchmark.pedantic(setup, rounds=10, iterations=1)
+    benchmark.extra_info["setup_wall_s"] = statistics.median(walls)
+    benchmark.extra_info["setup_cpu_s"] = statistics.median(cpus)
 
 
 def test_run_default_s00(benchmark, ds0, models, capsys):

@@ -75,11 +75,13 @@ def gaze_holds(
     for msg in record.messages("gaze_raw"):
         m, c = tracker.update(msg.originating_time, msg.payload)
         times.append(msg.originating_time)
-        mutual.append(round(m, 6))
-        conf.append(round(c, 6))
-    return (
-        zero_order_hold(times, mutual, ticks),
-        zero_order_hold(times, conf, ticks),
+        mutual.append(m)
+        conf.append(c)
+    # rounding commutes with the hold, and a 10 Hz tick samples a third of
+    # the 30 Hz frames, so only the held values are rounded
+    return tuple(
+        np.array([round(v, 6) for v in zero_order_hold(times, raw, ticks).tolist()])
+        for raw in (mutual, conf)
     )
 
 

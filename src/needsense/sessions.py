@@ -481,7 +481,7 @@ class TrainingMatrix:
             self.features
         ):
             raise ValueError("features, labels and anchors must align")
-        if len(self.labels) and not set(np.unique(self.labels)) <= {0, 1}:
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
 
     @property

@@ -40,6 +40,10 @@ from .streams import TimestampedMessage, read_lines
 
 FRAME_HZ = 30.0
 
+# `simulate` builds a script's frames in memory, so a script renders at
+# most one hour (108,000 frames) and a runaway duration fails at its line
+MAX_SCRIPT_S = 3600.0
+
 SCRIPT_VERSION = 1
 
 # Fixation points as multiples of the center-box half-widths; three
@@ -256,6 +260,12 @@ def parse_script(lines: Iterable[str]) -> ScenarioScript:
         if not end > start:  # else `simulate` makes an empty label span
             raise SessionFormatError(
                 f"segment duration {spec[0]} rounds to 0 on the millisecond grid",
+                line_no,
+            )
+        if end > MAX_SCRIPT_S:
+            raise SessionFormatError(
+                f"script runs to {fmt_time(end)} s, past the "
+                f"{MAX_SCRIPT_S:.0f} s a script may render",
                 line_no,
             )
         for line_no, offset, _ in utterances:

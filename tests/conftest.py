@@ -1,12 +1,18 @@
-"""Stand-in models for the tests of the live shell."""
+"""Stand-in models for the tests of the live shell, and a fresh
+interpreter for the tests of what a process loads at start."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import needsense
 from needsense import fusion
 from needsense.gaze import GazeConfig
 
@@ -66,3 +72,29 @@ def live_shell():
         return pipe, sink, forest
 
     return build
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs `code` in a fresh interpreter that imports this checkout's
+    needsense and returns its stdout.  Keyword arguments set environment
+    variables, and a value of None unsets one."""
+    src = str(Path(needsense.__file__).parents[1])
+
+    def run(code, **env):
+        full = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        for name, value in env.items():
+            if value is None:
+                full.pop(name, None)
+            else:
+                full[name] = value
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=full, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

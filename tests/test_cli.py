@@ -472,7 +472,7 @@ def test_each_command_takes_only_the_flags_it_reads(command, options):
     assert sorted(taken) == sorted(["-h", "--help", *options])
 
 
-def test_import_leaves_out_the_modules_of_other_commands():
+def test_import_leaves_out_the_modules_of_other_commands(fresh_python):
     # `run` and `train` never compile the modules only `eval`, `simulate`
     # and `gen-scripts` use; a checkout without bytecode compiles each import
     code = (
@@ -480,15 +480,26 @@ def test_import_leaves_out_the_modules_of_other_commands():
         "print(*sorted(set(sys.modules) & "
         "{'needsense.evaluation', 'needsense.simulate'}))"
     )
-    src = str(Path(needsense.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        check=True,
-    )
-    assert proc.stdout == "\n"
+    assert fresh_python(code) == "\n"
+
+
+# the variables OpenBLAS reads its thread count from when numpy loads
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+    reason="counts threads in /proc, and OpenBLAS starts none on one CPU",
+)
+def test_import_starts_no_blas_worker(fresh_python):
+    # nothing calls BLAS, so a worker would only spin at every start
+    code = "import os, needsense.cli; print(len(os.listdir('/proc/self/task')))"
+    assert fresh_python(code, **dict.fromkeys(BLAS_THREADS)) == "1\n"
+
+
+def test_a_blas_thread_count_already_set_is_kept(fresh_python):
+    code = "import os, needsense.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
 def test_tracer_hooks_stay_live_over_a_stdin_run(workspace, tmp_path):

@@ -18,6 +18,7 @@ from needsense.sessions import (
     SessionFormatError,
     SessionReader,
     SessionRecord,
+    TrainingMatrix,
     binary_labels,
     export_fusion_matrix,
     export_language_corpus,
@@ -700,6 +701,26 @@ class TestFusionMatrixExport:
         assert matrix.features.dtype == np.float64
         assert matrix.features.min() >= 0.0
         assert matrix.features.max() <= 1.0
+
+    def test_labels_other_than_0_or_1_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            TrainingMatrix(np.zeros((2, 3)), np.array([0, 2]), [("a", 0.0)] * 2)
+
+    def test_export_leaves_numpy_ma_unloaded(self, fresh_python):
+        # `np.unique` loads numpy.ma, ~15 ms of a `train` or `eval` start
+        code = """
+import sys
+import numpy as np
+from needsense.sessions import export_fusion_matrix
+from needsense.simulate import benchmark_suite, simulate
+from needsense.streams import tick_times
+records = [simulate(s, f"s{i}") for i, s in enumerate(benchmark_suite(2))]
+ticks = [tick_times(r.duration, 10.0) for r in records]
+derived = [(t, np.zeros((len(t), 3))) for t in ticks]
+assert export_fusion_matrix(records, derived, 20).n_rows
+print("numpy.ma" in sys.modules)
+"""
+        assert fresh_python(code) == "False\n"
 
 
 

@@ -329,6 +329,43 @@ class TestScriptFiles:
             "line 3: segment duration 0.0004 rounds to 0 on the millisecond grid"
         )
 
+    # `simulate` holds every frame in memory: past an hour a script fails
+    # where it is read, not with a MemoryError while it renders
+
+    def test_runaway_duration_names_its_segment(self):
+        msg = self.parse_bad(
+            [
+                "script_version=1 seed=0",
+                "segment duration=5 label=Flow gaze=fix-task",
+                "segment duration=9999999 label=L3 gaze=fix-robot",
+            ]
+        )
+        assert msg == (
+            "line 3: script runs to 10000004.000 s, past the 3600 s a script "
+            "may render"
+        )
+
+    def test_running_total_is_bounded_at_one_hour(self, tmp_path):
+        segment = "segment duration=1200 label=Flow gaze=fix-task"
+        path = tmp_path / "long.script"
+        path.write_text(
+            "\n".join(["script_version=1 seed=0", *[segment] * 3]) + "\n",
+            encoding="utf-8",
+        )
+        assert load_script(path).duration == 3600.0
+        path.write_text(
+            path.read_text(encoding="utf-8")
+            + "segment duration=0.001 label=L3 gaze=fix-robot\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SessionFormatError) as err:
+            load_script(path)
+        assert err.value.line == 5
+        assert str(err.value) == (
+            f"{path}: line 5: script runs to 3600.001 s, past the 3600 s a "
+            "script may render"
+        )
+
     def test_offsets_rounding_together_name_the_second(self):
         msg = self.parse_bad(
             [
