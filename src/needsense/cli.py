@@ -290,26 +290,22 @@ def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
     streams only, in non-decreasing global time order.  Decisions are
     written and dropped as they are made, so memory stays flat however
     long the session runs."""
-    pipe, sink = live_pipeline(
-        nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
-    )
     written = 0
 
-    def flush() -> None:
+    def write(d: FusedDecision) -> None:
         nonlocal written
-        if sink:
-            out.write("".join(_decision_line(d) + "\n" for d in sink))
-            out.flush()  # a pipe reader sees each decision as its tick is reached
-            written += len(sink)
-            sink.clear()
+        out.write(_decision_line(d) + "\n")
+        out.flush()  # a pipe reader sees each decision as its tick is reached
+        written += 1
 
+    pipe = live_pipeline(
+        nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w, write
+    )
     reader = SessionReader(_utf8_lines(text_lines(stream)), live=True)
     for _, name, item in reader:
         if name != "label":
             pipe.emit(name, item.originating_time, item.payload)
-            flush()
     pipe.finalize(reader.duration)
-    flush()
     if not written:
         _warn_warmup(cfg)
     return EXIT_OK

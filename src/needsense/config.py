@@ -1,16 +1,17 @@
 """Flat key=value configuration shared by every command.
 
-One file, one key per line, every key optional and defaulted; unknown
-keys are rejected so typos fail loudly.  Command-line flags override
-file values.  A training manifest records every key in the same form.
-The zero sentinel on rf_max_depth and rf_features_per_split means
-"unlimited" and "automatic" respectively.
+One file, one key per line, every key optional; each `Config` field
+holds its key's default and accepted range.  Unknown keys are rejected
+so typos fail loudly.  Command-line flags override file values.  A
+training manifest records every key in the same form.  The zero sentinel
+on rf_max_depth and rf_features_per_split means "unlimited" and
+"automatic" respectively.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -30,52 +31,42 @@ class ConfigError(SessionFormatError):
     """Bad configuration file or values; carries its line number if known."""
 
 
+def _key(default, low=None, high=None, above=False):
+    """A config field: its default and the range `validate` holds it to,
+    [low, high], or (low, high] where `above` is set; None is no bound."""
+    return field(default=default, metadata=dict(low=low, high=high, above=above))
+
+
+def _check(name: str, value, low, high, above) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    if low is not None and not (value > low if above else value >= low):
+        raise ConfigError(f"{name} must be {'>' if above else '>='} {low}")
+    if high is not None and not value <= high:
+        raise ConfigError(f"{name} must be <= {high}")
+
+
 @dataclass
 class Config:
-    cadence_hz: float = 10.0
-    window_w: int = 20
-    gaze_yaw_center: float = 0.15
-    gaze_pitch_center: float = 0.15
-    gaze_debounce: int = 2
-    min_confidence: float = 0.5
-    nb_alpha: float = 1.0
-    nb_use_aggregates: bool = True
-    rf_n_trees: int = 100
-    rf_max_depth: int = 0  # 0: unlimited
-    rf_min_samples_leaf: int = 1
-    rf_features_per_split: int = 0  # 0: ceil(sqrt(3 * window_w))
-    rf_bootstrap: bool = True
-    seed: int = 0
+    # ticks fall on whole milliseconds, which stay distinct up to 1 kHz
+    cadence_hz: float = _key(10.0, 0, MAX_CADENCE_HZ, above=True)
+    window_w: int = _key(20, 1, MAX_WINDOW_W)
+    gaze_yaw_center: float = _key(0.15, 0, above=True)
+    gaze_pitch_center: float = _key(0.15, 0, above=True)
+    gaze_debounce: int = _key(2, 1)
+    min_confidence: float = _key(0.5, 0, 1)
+    nb_alpha: float = _key(1.0, 0, above=True)
+    nb_use_aggregates: bool = _key(True)
+    rf_n_trees: int = _key(100, 1, MAX_TREES)
+    rf_max_depth: int = _key(0, 0)  # 0: unlimited
+    rf_min_samples_leaf: int = _key(1, 1)
+    rf_features_per_split: int = _key(0, 0)  # 0: ceil(sqrt(3 * window_w))
+    rf_bootstrap: bool = _key(True)
+    seed: int = _key(0, 0)
 
     def validate(self) -> None:
-        # ticks fall on whole milliseconds, which stay distinct up to 1 kHz
-        if not 0 < self.cadence_hz <= MAX_CADENCE_HZ:
-            raise ConfigError(f"cadence_hz must be in (0, {MAX_CADENCE_HZ}]")
-        if self.window_w < 1:
-            raise ConfigError("window_w must be >= 1")
-        if self.window_w > MAX_WINDOW_W:
-            raise ConfigError(f"window_w must be <= {MAX_WINDOW_W}")
-        for center in (self.gaze_yaw_center, self.gaze_pitch_center):
-            if not (math.isfinite(center) and center > 0):
-                raise ConfigError("gaze center half-widths must be finite and > 0")
-        if self.gaze_debounce < 1:
-            raise ConfigError("gaze_debounce must be >= 1")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ConfigError("min_confidence must be in [0, 1]")
-        if not (math.isfinite(self.nb_alpha) and self.nb_alpha > 0):
-            raise ConfigError("nb_alpha must be finite and > 0")
-        if self.rf_n_trees < 1:
-            raise ConfigError("rf_n_trees must be >= 1")
-        if self.rf_n_trees > MAX_TREES:
-            raise ConfigError(f"rf_n_trees must be <= {MAX_TREES}")
-        if self.rf_max_depth < 0:
-            raise ConfigError("rf_max_depth must be >= 0 (0 = unlimited)")
-        if self.rf_min_samples_leaf < 1:
-            raise ConfigError("rf_min_samples_leaf must be >= 1")
-        if self.rf_features_per_split < 0:
-            raise ConfigError("rf_features_per_split must be >= 0 (0 = auto)")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for f in fields(self):
+            _check(f.name, getattr(self, f.name), **f.metadata)
 
     def thresholds(self) -> GazeThresholds:
         return GazeThresholds(

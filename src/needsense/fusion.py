@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,10 +158,11 @@ def live_pipeline(
     gaze_config: GazeConfig,
     cadence_hz: float,
     window: int,
-) -> tuple[Pipeline, list[FusedDecision]]:
+    on_decision: Callable[[FusedDecision], None],
+) -> Pipeline:
     """The live shell: raw gaze frames and utterances go into the
-    pipeline, and one decision per tick, once the window has filled, comes
-    out in the returned sink, which the caller empties as it reads it.
+    pipeline, and one decision per tick, once the window has filled, goes
+    to `on_decision` as the tick fires.
 
     Each input stream holds its model's latest values at wire precision,
     0.0 before the first; each tick decides over the last `window` held
@@ -171,7 +173,6 @@ def live_pipeline(
     if window < 1:
         raise ValueError("window must be >= 1")
     pipe = Pipeline()
-    sink: list[FusedDecision] = []
     tracker = GazeNeedTracker(gaze_config)
     held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language
     frames: deque[tuple[float, float, float]] = deque(maxlen=window)
@@ -196,7 +197,7 @@ def live_pipeline(
         labels, scores = rf_model.predict_batch(
             np.array(frames, dtype=np.float64).reshape(1, -1)
         )
-        sink.append(
+        on_decision(
             FusedDecision(
                 t, *frames[-1], round(float(scores[0]), 6), int(labels[0])
             )
@@ -205,7 +206,7 @@ def live_pipeline(
     pipe.streams["gaze_raw"].subscribe(on_gaze)
     pipe.streams["utterance"].subscribe(on_utterance)
     pipe.add_ticker(cadence_hz, on_tick)
-    return pipe, sink
+    return pipe
 
 
 def live_decisions(
@@ -220,9 +221,12 @@ def live_decisions(
     originating-time order and collect the per-tick decisions.  `run`
     scores a file with `predict_session` instead; this drives the live
     path over a recording for the parity tests and the benchmarks."""
-    pipe, sink = live_pipeline(nb_model, rf_model, gaze_config, cadence_hz, window)
+    decisions: list[FusedDecision] = []
+    pipe = live_pipeline(
+        nb_model, rf_model, gaze_config, cadence_hz, window, decisions.append
+    )
     for name, msg in record.all_messages():
         if name in LIVE_INPUTS:
             pipe.emit(name, msg.originating_time, msg.payload)
     pipe.finalize(record.duration)
-    return sink
+    return decisions

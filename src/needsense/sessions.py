@@ -40,6 +40,12 @@ from .streams import (
 
 FORMAT_VERSION = 1
 
+# A session lasts at most one hour: `run <file>` and `train` hold its
+# ticks in memory (36,000 rows of 3 * window_w features at 10 Hz) and
+# `simulate` its gaze frames (108,000), so a runaway duration fails at
+# the line that declares it
+MAX_SESSION_S = 3600.0
+
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
 
 # Canonical cross-stream order for tiebreaks at equal times.
@@ -166,7 +172,16 @@ def _checked_duration(session_id: str, duration: float) -> float:
         raise SessionFormatError("duration must be > 0")
     if not math.isfinite(duration):
         raise SessionFormatError("non-finite value for 'duration'")
+    _check_length(duration)
     return duration
+
+
+def _check_length(duration: float, line_no: int | None = None) -> None:
+    if duration > MAX_SESSION_S:
+        raise SessionFormatError(
+            f"duration must be <= {MAX_SESSION_S:.0f} s, not {fmt_time(duration)}",
+            line_no,
+        )
 
 
 def _validate_rounded_labels(labels: list[LabelSpan], duration: float) -> None:
@@ -329,6 +344,7 @@ class SessionReader:
         if not _SESSION_ID_RE.match(self.session_id):
             raise SessionFormatError(f"invalid session id {self.session_id!r}", line_no)
         self.duration = _parse_float(fields, "duration", line_no)
+        _check_length(self.duration, line_no)
         self.live = live
 
     def __iter__(self) -> Iterator[tuple[int, str, object]]:

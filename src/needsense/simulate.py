@@ -24,6 +24,7 @@ import numpy as np
 
 from .gaze import GazeObservation, GazeThresholds
 from .sessions import (
+    MAX_SESSION_S,
     LabelSpan,
     NeedLevelLabel,
     SessionFormatError,
@@ -39,10 +40,6 @@ from .sessions import (
 from .streams import TimestampedMessage, read_lines
 
 FRAME_HZ = 30.0
-
-# `simulate` builds a script's frames in memory, so a script renders at
-# most one hour (108,000 frames) and a runaway duration fails at its line
-MAX_SCRIPT_S = 3600.0
 
 SCRIPT_VERSION = 1
 
@@ -262,10 +259,10 @@ def parse_script(lines: Iterable[str]) -> ScenarioScript:
                 f"segment duration {spec[0]} rounds to 0 on the millisecond grid",
                 line_no,
             )
-        if end > MAX_SCRIPT_S:
+        if end > MAX_SESSION_S:  # a runaway duration fails at its line
             raise SessionFormatError(
                 f"script runs to {fmt_time(end)} s, past the "
-                f"{MAX_SCRIPT_S:.0f} s a script may render",
+                f"{MAX_SESSION_S:.0f} s a script may render",
                 line_no,
             )
         for line_no, offset, _ in utterances:

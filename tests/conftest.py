@@ -54,20 +54,22 @@ class EchoTracker:
 @pytest.fixture(scope="session")
 def live_shell():
     """Builds `live_pipeline` over a `RecordingModel` forest and returns
-    (pipe, sink, forest).  The gaze tracker is an `EchoTracker` unless a
-    `gaze_config` is given, and the text model an `EchoText` unless an
-    `nb_model` is given."""
+    (pipe, sink, forest), the sink a list of the decisions made so far.
+    The gaze tracker is an `EchoTracker` unless a `gaze_config` is given,
+    and the text model an `EchoText` unless an `nb_model` is given."""
 
     def build(cadence_hz=10.0, window=1, nb_model=None, gaze_config=None):
         forest = RecordingModel()
+        sink = []
         tracker = EchoTracker if gaze_config is None else fusion.GazeNeedTracker
         with mock.patch.object(fusion, "GazeNeedTracker", tracker):
-            pipe, sink = fusion.live_pipeline(
+            pipe = fusion.live_pipeline(
                 nb_model or EchoText(),
                 forest,
                 gaze_config or GazeConfig(),
                 cadence_hz,
                 window,
+                sink.append,
             )
         return pipe, sink, forest
 

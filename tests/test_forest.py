@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -488,11 +488,17 @@ class TestHeader:
         order=st.permutations(range(7)),
     )
     @settings(max_examples=100, deadline=None)
+    # above 2**53, split * n_features in floating point may round past n_features
+    @example(
+        n_trees=1, max_depth=None, min_samples_leaf=1,
+        n_features=16_155_014_862_186_351, split=1.0, bootstrap=False, seed=0,
+        order=list(range(7)),
+    )
     def test_a_header_that_parses_is_saved_back_unchanged(
         self, n_trees, max_depth, min_samples_leaf, n_features, split, bootstrap,
         seed, order,
     ):
-        features_per_split = max(1, round(split * n_features))
+        features_per_split = min(n_features, max(1, round(split * n_features)))
         items = [
             f"n_trees={n_trees}",
             f"max_depth={'none' if max_depth is None else max_depth}",

@@ -493,6 +493,25 @@ class TestValidation:
             return
         assert load(path) == record
 
+    @pytest.mark.parametrize("live", [False, True])
+    def test_a_session_lasts_at_most_an_hour(self, tmp_path, live):
+        # `save` rounds to the millisecond first, as the file holds it
+        for duration in (3600.0, 3600.0004):
+            record = make_record(duration=duration)
+            record.labels[-1] = LabelSpan(1.0, duration, NeedLevelLabel.L2)
+            record.save(tmp_path / "s00.session")
+            assert load(tmp_path / "s00.session").duration == 3600.0
+        record = make_record(duration=3600.001)
+        record.labels[-1] = LabelSpan(1.0, 3600.001, NeedLevelLabel.L2)
+        why = "duration must be <= 3600 s, not 3600.001"
+        with pytest.raises(SessionFormatError, match=f"^{why}$"):
+            record.save(tmp_path / "long.session")
+        path = tmp_path / "long.session"
+        path.write_text("\n".join(record.to_lines()) + "\n", encoding="utf-8")
+        with pytest.raises(SessionFormatError) as err:
+            load(path, live)
+        assert str(err.value) == f"{path}: line 1: {why}"
+
     def test_validate_rejects_bad_session_id(self):
         record = make_record(session_id="has space")
         with pytest.raises(SessionFormatError, match="session id"):
