@@ -4,8 +4,9 @@ Each case times one layer of `needsense simulate`, `needsense train` or
 `needsense run` on the canonical suite (`benchmark_suite(20, seed=0)`: 20
 sessions, 23,138 gaze frames, 7,339 training rows x 60): simulating the
 20 scripts, loading the 20 session files, the gaze tracker over every
-gaze frame, stage-1 materialize, writing the 20 derived sessions, the
-fusion-matrix export, batch prediction over every training row,
+gaze frame, training the text model on the suite's utterances and its
+posterior for each of them, stage-1 materialize, writing the 20 derived
+sessions, the fusion-matrix export, batch prediction over every training row,
 loading the saved forest, and the decisions of one session, both through
 the live shell and as `run` scores a file (stage 1 plus one batch
 prediction).  `testpaths` does not collect this directory, so run it
@@ -49,6 +50,10 @@ SUITE_GAZE_FRAMES = 23_138
 # sha256 of the repr of the list of every (mutual, confirmatory) the
 # tracker gives over the suite's gaze frames, session by session
 SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447decb74"
+SUITE_UTTERANCES = 165
+# sha256 of the repr of the list of the default text model's posterior for
+# each of the suite's utterances, session by session
+SUITE_NB_POSTERIORS = "c687dffa4f8de785204f4399acc9c9bf0a776c409662639d7779c8cf978771bf"
 # sha256 of the 20 suite sessions' bytes, one after another
 SUITE_SESSIONS = "3dcd00f5737f8a943464c2ec9fec18fc6cce38325b01a4d802d7aa9381b14696"
 # sha256 of the default forest's rf.model, as in test_forest_fit.py
@@ -139,6 +144,35 @@ def test_gaze_tracker_suite_frames(benchmark, session_paths):
     assert len(needs) == SUITE_GAZE_FRAMES
     digest = hashlib.sha256(repr(needs).encode("utf-8")).hexdigest()
     assert digest == SUITE_GAZE_NEEDS
+
+
+def test_nb_train_suite_utterances(benchmark, suite):
+    """The text model `needsense train` fits first, from the suite's
+    labeled utterances."""
+    cfg, records, nb, *_ = suite
+    corpus = export_language_corpus(records)
+    model = benchmark.pedantic(
+        train_from_utterances,
+        args=(corpus,),
+        kwargs={"alpha": cfg.nb_alpha, "use_aggregates": cfg.nb_use_aggregates},
+        rounds=5,
+        iterations=1,
+    )
+    assert len(corpus) == SUITE_UTTERANCES
+    assert model.to_lines() == nb.to_lines()
+
+
+def test_nb_predict_suite_utterances(benchmark, suite):
+    """`NBModel.predict_text` over every utterance of the suite, as stage 1
+    and the live shell call it."""
+    _, records, nb, *_ = suite
+    texts = [m.payload for r in records for m in r.messages("utterance")]
+    posteriors = benchmark.pedantic(
+        lambda: [nb.predict_text(text) for text in texts], rounds=5, iterations=1
+    )
+    assert len(posteriors) == SUITE_UTTERANCES
+    digest = hashlib.sha256(repr(posteriors).encode("utf-8")).hexdigest()
+    assert digest == SUITE_NB_POSTERIORS
 
 
 def test_stage1_materialize_20_sessions(benchmark, suite):

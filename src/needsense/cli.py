@@ -22,8 +22,8 @@ from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
 from .fusion import (
     FusedDecision,
+    decision_blocks,
     live_pipeline,
-    predict_session,
     stage1_materialize,
     train_rf,
 )
@@ -323,14 +323,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.session is None or args.session == "-":
         return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
     # a file is read as live input is but has arrived whole, so it is
-    # scored in one batch; the live shell's holds give the same decisions
+    # scored in batches; the live shell's holds give the same decisions
     # (acceptance criterion 6)
     record = load_session(args.session, live=True)
     derived = stage1_materialize(record, nb, cfg.gaze_config(), cfg.cadence_hz)
-    decisions = predict_session(derived, rf, cfg.window_w)
-    for d in decisions:
-        sys.stdout.write(_decision_line(d) + "\n")
-    if not decisions:
+    decided = False
+    for decisions in decision_blocks(derived, rf, cfg.window_w):
+        for d in decisions:
+            sys.stdout.write(_decision_line(d) + "\n")
+        decided = True
+    if not decided:
         _warn_warmup(cfg)
     return EXIT_OK
 

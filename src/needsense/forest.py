@@ -18,15 +18,24 @@ share a rank, as -0.0 and 0.0 share a run of a sorted column; which one the
 table keeps cannot move a midpoint, because x + 0.0 == x + -0.0 for every
 nonzero x.
 
+The counts read only a row's ranks and label, so the rows are grouped by
+them (`_groups`): the windows hold cues that seldom change, and the default
+suite's 7,339 rows make 3,768 groups.  Each tree counts how often its
+bootstrap drew each group, and a node holds its groups once each, weighted
+by those counts, as scikit-learn's trees take a bootstrap as sample weights
+(Louppe, arXiv:1407.7502).  The weights are integers well below 2**53, so
+their float sums are exact, and the counts are cast back to int64 before
+the running sums.
+
 The trees grow in lockstep and a step's nodes are searched together: one
-`bincount` over (node, feature, rank, label) counts a block of up to
-_SEARCH_CELLS cells, so numpy's call overhead is paid per block, not per
-node, and most nodes are small.  A cell's bin takes one gather from a table
-of 2 * rank + label (a byte per cell here) and one add of a 32-bit key;
-with keys this narrow, 1 << 18-cell blocks beat 1 << 17.  A block writes its
-row-sized arrays into buffers that last the whole fit (`_Buffers`), grown to
-the largest block searched: arrays allocated per block make the heap shrink
-and grow back at every block, ~100k minor page faults in a default fit.
+weighted `bincount` over (node, feature, rank, label) counts a block of up
+to _SEARCH_CELLS (group, feature) cells, so numpy's call overhead is paid
+per block, not per node, and most nodes are small.  A cell's bin takes one
+gather from a table of 2 * rank + label (a byte per cell here) and one add
+of a 32-bit key.  A block writes its cell-sized arrays into buffers that
+last the whole fit (`_Buffers`), grown to the largest block searched:
+arrays allocated per block make the heap shrink and grow back at every
+block, ~100k minor page faults in a default fit.
 
 Each searched node's feature subset is the one `Generator.choice` would draw
 from its tree's generator, in the same order, but `_FeatureDraws` finds the
@@ -42,18 +51,18 @@ and a node with none left that varies (as where bootstrap repeats one row
 with both labels) is a leaf at once.  Widening draws nothing from the
 tree's generator.
 
-A node is a [start, stop) range of its tree's row array, which lasts the
-whole fit (scikit-learn's splitter keeps its samples so; Louppe,
-arXiv:1407.7502).  A split node's rows are partitioned on the same codes: a
-row goes left where its code in the split feature is below 2 * rank + 2 of
-the split's lower value.  A valid threshold lies at or above that value and
-below the next one present at the node, so these are exactly the rows with
-X <= threshold, read by a gather from the codes (a byte per cell here)
-rather than a strided eight-byte gather from X.  After a step's searches,
-one such test covers every split node's rows (`_partition`), and each
-node's range is rewritten in place, lefts first and each side in its old
-order.  Class counts and the widening test do not depend on row order, and
-the order is the one a per-node `rows[mask]`, `rows[~mask]` gives.
+A node is a [start, stop) range of its tree's group array, which lasts the
+whole fit (scikit-learn's splitter keeps its samples so), with its weighted
+row count and positives; the stopping rules and the leaves read those.  A
+split node's groups are partitioned on the same codes: a group goes left
+where its code in the split feature is below 2 * rank + 2 of the split's
+lower value.  A valid threshold lies at or above that value and below the
+next one present at the node, so these are exactly the rows with X <=
+threshold, read by a gather from the codes (a byte per cell here) rather
+than a strided eight-byte gather from X.  After a step's searches, one such
+test covers every split node's groups (`_partition`), and each node's range
+and its weights are rewritten in place, lefts first and each side in its
+old order.  Class counts and the widening test do not depend on that order.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -95,7 +105,7 @@ class ForestConfig:
 
 
 # cells one `_best_splits` block may gather and count: bounds its working set
-_SEARCH_CELLS = 1 << 18
+_SEARCH_CELLS = 1 << 17
 
 
 def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,58 +265,69 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _best_splits(values, codes, rows, n, pos, features, min_leaf, buffers):
-    """(feature, threshold, left positives, bound) of each node's best split
-    over its candidate features; feature is -1 where none of them splits the
-    node.  bound is 2 * rank + 2 of the split's lower value, so a row of the
-    node goes left exactly where its code in the feature is below it.
+def _best_splits(values, codes, groups, weights, n, pos, features, min_leaf, buffers):
+    """(feature, threshold, left positives, bound, left count) of each node's
+    best split over its candidate features; feature is -1 where none of them
+    splits the node.  bound is 2 * rank + 2 of the split's lower value, so a
+    group of the node goes left exactly where its code in the feature is
+    below it.  The left positives and count are weighted.
 
-    codes[j, r] is 2 * rank + label of row r in feature j.  Node i holds rows[i]
-    (n[i] rows, pos[i] of them positive) and the features features[i] of a
-    (k, m) array, ascending among those that vary at the node.  Each (node,
-    feature) pair is a slot with `width` bins per class, one per rank, so one
-    bincount counts every (value, label) of every node of a block.  The
+    codes[j, g] is 2 * rank + label of group g in feature j.  Node i holds the
+    groups groups[i], drawn weights[i] times each (n[i] rows in all, pos[i] of
+    them positive), and the features features[i] of a (k, m) array, ascending
+    among those that vary at the node.  Each (node, feature) pair is a slot
+    with `width` bins per class, one per rank, so one bincount, weighted by
+    the draws, counts every (value, label) of every node of a block.  The
     occupied bins in slot order are the values present at each node,
     consecutive ones within a slot are the candidate boundaries, and
     candidates ascend by node, then feature, then threshold; the first
     maximum of each node realizes the tie-breaking.  A block writes its
-    row-sized arrays into the fit's `buffers`.
+    cell-sized arrays into the fit's `buffers`.
     """
     (k, m), width = features.shape, values.shape[1]
     feature, threshold = np.full(k, -1), np.zeros(k)
-    pos_left, bound = np.zeros(k, np.int64), np.zeros(k, np.int64)
-    for start, stop in _blocks((n + width) * m):
+    pos_left, bound, n_left = (np.zeros(k, np.int64) for _ in range(3))
+    sizes = np.fromiter(map(len, groups), np.intp, k)
+    for start, stop in _blocks((sizes + width) * m):
         node_n, node_pos = n[start:stop], pos[start:stop]
         block_features = features[start:stop]
         table = block_features.size * width
         index = _index_type(max(codes.size, 2 * table))
-        size = int(node_n.sum())
-        owner = np.repeat(np.arange(stop - start, dtype=index), node_n)
-        # the cell of row r and the f-th feature of its node i counts into bin
-        # ((i * m + f) * width + rank) * 2 + label; `key` holds each cell's
-        # flat index into codes until the codes are gathered.  Every index is
-        # in range, and mode="clip" writes into `out` unbuffered.
+        node_size = sizes[start:stop]
+        size = int(node_size.sum())
+        owner = np.repeat(np.arange(stop - start, dtype=index), node_size)
+        # the cell of group g and the f-th feature of its node i counts into
+        # bin ((i * m + f) * width + rank) * 2 + label; `key` holds each
+        # cell's flat index into codes until the codes are gathered.  Every
+        # index is in range, and mode="clip" writes into `out` unbuffered.
         key = buffers.get("key", (size, m), index)
         offsets = block_features.astype(index) * codes.shape[1]
         np.take(offsets, owner, axis=0, out=key, mode="clip")
-        row = np.concatenate(rows[start:stop], out=buffers.get("row", (size,), index))
-        key += row[:, None]
+        group = buffers.get("group", (size,), index)
+        np.concatenate(groups[start:stop], out=group)
+        key += group[:, None]
         code = buffers.get("code", (size, m), codes.dtype)
         codes.ravel().take(key, out=code, mode="clip")
         slot_bins = np.arange(0, 2 * table, 2 * width, dtype=index)
         np.take(slot_bins.reshape(-1, m), owner, axis=0, out=key, mode="clip")
         key += code
-        counts = np.bincount(key.ravel(), minlength=2 * table)
+        # each cell weighs as many rows as its tree drew of its group
+        weight = buffers.get("weight", (size, m), np.float64)
+        np.concatenate(weights[start:stop], out=weight[:, 0])
+        weight[:, 1:] = weight[:, :1]
+        counts = np.bincount(key.ravel(), weights=weight.ravel(), minlength=2 * table)
         positive = counts[1::2]
         total = counts[::2] + positive
-        present = np.flatnonzero(total)
+        present = np.flatnonzero(total > 0)
+        total = total[present].astype(np.int64)
+        positive = positive[present].astype(np.int64)
         slot_at, rank_at = np.divmod(present, width)
         # every slot holds all its node's rows, so the running totals restart
         # at each slot once the totals of the slots before it are taken off
         slot_n, slot_pos = np.repeat(node_n, m), np.repeat(node_pos, m)
         slot = slot_at[:-1]
-        nl = np.cumsum(total[present])[:-1] - (np.cumsum(slot_n) - slot_n)[slot]
-        pl = np.cumsum(positive[present])[:-1] - (np.cumsum(slot_pos) - slot_pos)[slot]
+        nl = np.cumsum(total)[:-1] - (np.cumsum(slot_n) - slot_n)[slot]
+        pl = np.cumsum(positive)[:-1] - (np.cumsum(slot_pos) - slot_pos)[slot]
         nr = slot_n[slot] - nl
         value = values.ravel()[block_features.ravel()[slot_at] * width + rank_at]
         lo, hi = value[:-1], value[1:]
@@ -336,10 +357,11 @@ def _best_splits(values, codes, rows, n, pos, features, min_leaf, buffers):
         feature[found] = block_features.ravel()[slot[hit]]
         threshold[found] = thr[valid[hit]]
         pos_left[found] = pl[hit]
+        n_left[found] = nl[hit]
         # a valid threshold has lo <= thr < hi, and no row of the node holds a
         # value between them, so thr splits the node's rows where rank lo does
         bound[found] = 2 * rank_at[valid[hit]] + 2
-    return feature, threshold, pos_left, bound
+    return feature, threshold, pos_left, bound, n_left
 
 
 def _balance(split: np.ndarray) -> np.ndarray:
@@ -640,6 +662,10 @@ def _checked(config, n_features, nodes, roots, tree_lines):
     return feature, threshold, value, roots, config, n_features
 
 
+# rows one forest call votes on at once: bounds its votes to n_trees times this
+SCORE_ROWS = 1 << 12
+
+
 class RFModel:
     """The forest as flat node arrays, each tree in preorder from roots[t]. Node i
     is a leaf voting value[i] when feature[i] == -1; otherwise X[row, feature[i]]
@@ -685,14 +711,19 @@ class RFModel:
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(labels, scores) for a batch; score is the fraction of trees
-        voting for the help class, label 1 when score >= 0.5."""
+        voting for the help class, label 1 when score >= 0.5.  The rows are
+        voted on SCORE_ROWS at a time, so the votes held at once stay
+        n_trees x SCORE_ROWS however long the batch."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"expected feature dimension {self.n_features}, "
                 f"got {X.shape[1] if X.ndim == 2 else X.shape}"
             )
-        scores = self.tree_votes(X).mean(axis=0)
+        scores = np.empty(len(X))
+        for start in range(0, len(X), SCORE_ROWS):
+            block = slice(start, start + SCORE_ROWS)
+            scores[block] = self.tree_votes(X[block]).mean(axis=0)
         return (scores >= 0.5).astype(np.int64), scores
 
     def _line_blocks(self):
@@ -751,91 +782,120 @@ class RFModel:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _leaf(n: int, pos: int) -> tuple[int, float, int]:
-    return -1, 0.0, 1 if 2 * pos >= n else 0  # a tie goes to the positive class
+def _leaf(tree, n: int, pos: int) -> None:
+    """Append a leaf of n rows, pos of them positive, to a tree's columns."""
+    features, thresholds, values = tree
+    features.append(-1)
+    thresholds.append(0.0)
+    values.append(1 if 2 * pos >= n else 0)  # a tie goes to the positive class
 
 
-def _partition(codes, rows, n, feature, bound, buffers) -> np.ndarray:
-    """Rewrite each split node's rows in place, those going left first and
-    each side in its old order, which is how `rows[mask]` and `rows[~mask]`
-    order them; returns how many go left at each node.
+def _groups(ranks: np.ndarray, labels: np.ndarray):
+    """(group, ranks, labels): the group of each row, and the rank row and
+    label of each group, one group per distinct (rank row, label).  Each row
+    is one void scalar for `np.unique`, far faster than its axis=0 form."""
+    keyed = np.column_stack((ranks, labels.astype(ranks.dtype)))
+    rows = keyed.view(np.dtype((np.void, keyed[0].nbytes))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return group, np.ascontiguousarray(keyed[first, :-1]), keyed[first, -1]
 
-    rows[i] is a view of node i's n[i] rows in its tree's row array, split on
-    feature[i] at bound[i] (see `_best_splits`).  One go-left test reads the
-    codes of every row of a block of nodes holding up to _SEARCH_CELLS rows;
-    then each node's range takes two slice assignments, through the fit's
-    `buffers`.
+
+def _partition(codes, groups, weights, feature, bound, buffers) -> np.ndarray:
+    """Rewrite each split node's groups and weights in place, those going
+    left first and each side in its old order; returns how many groups go
+    left at each node.
+
+    groups[i] and weights[i] are views of node i's range in its tree's group
+    and weight arrays, split on feature[i] at bound[i] (see `_best_splits`).
+    One go-left test reads the codes of every group of a block of nodes
+    holding up to _SEARCH_CELLS groups; then each node's ranges take two
+    slice assignments each, through the fit's `buffers`.
     """
     index = _index_type(codes.size)
     # a split's lower value is below the node's highest, so its bound fits
     bound = bound.astype(codes.dtype)
-    n_left = np.empty(len(rows), np.intp)
-    for start, stop in _blocks(n):
-        node_n = n[start:stop]
-        size = int(node_n.sum())
-        block = buffers.get("block", (size,), rows[0].dtype)
-        np.concatenate(rows[start:stop], out=block)
-        key = np.repeat((feature[start:stop] * codes.shape[1]).astype(index), node_n)
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    n_left = np.empty(len(groups), np.intp)
+    for start, stop in _blocks(sizes):
+        node_size = sizes[start:stop]
+        size = int(node_size.sum())
+        block = buffers.get("block", (size,), groups[0].dtype)
+        np.concatenate(groups[start:stop], out=block)
+        key = np.repeat((feature[start:stop] * codes.shape[1]).astype(index), node_size)
         key += block
-        left = codes.ravel().take(key) < np.repeat(bound[start:stop], node_n)
-        # a split node holds at least 2 rows, so no two of these starts are equal
-        starts = np.cumsum(node_n) - node_n
+        left = codes.ravel().take(key) < np.repeat(bound[start:stop], node_size)
+        # a split node holds at least 2 groups, so no two of these starts are equal
+        starts = np.cumsum(node_size) - node_size
         n_left[start:stop] = np.add.reduceat(left, starts)
-        lefts, rights = np.compress(left, block), np.compress(~left, block)
-        l0 = r0 = 0
-        for node_rows, size, nl in zip(
-            rows[start:stop], node_n.tolist(), n_left[start:stop].tolist()
-        ):
-            node_rows[:nl] = lefts[l0 : l0 + nl]
-            node_rows[nl:] = rights[r0 : r0 + size - nl]
-            l0, r0 = l0 + nl, r0 + size - nl
+        drawn = buffers.get("drawn", (size,), weights[0].dtype)
+        np.concatenate(weights[start:stop], out=drawn)
+        for ranges, moved in ((groups, block), (weights, drawn)):
+            lefts, rights = np.compress(left, moved), np.compress(~left, moved)
+            l0 = r0 = 0
+            for node, size, nl in zip(
+                ranges[start:stop], node_size.tolist(), n_left[start:stop].tolist()
+            ):
+                node[:nl] = lefts[l0 : l0 + nl]
+                node[nl:] = rights[r0 : r0 + size - nl]
+                l0, r0 = l0 + nl, r0 + size - nl
     return n_left
 
 
-def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
-    """Each tree's (feature, threshold, value) nodes in preorder, the trees
-    grown in lockstep (see `fit_forest`)."""
-    n, d = ranks.shape
+def _grow(values, ranks, codes, labels, group, config: ForestConfig, m: int) -> list:
+    """Each tree's (feature, threshold, value) node columns in preorder, the
+    trees grown in lockstep (see `fit_forest`).  ranks, codes and labels are
+    those of the groups, and group[r] is row r's group."""
+    n, (g, d) = len(group), ranks.shape
     max_depth = math.inf if config.max_depth is None else config.max_depth
     min_leaf = config.min_samples_leaf
     rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
-    # each tree's bootstrap rows, for the whole fit: a node is a range of its
-    # tree's row, which a split partitions in place
-    order = np.empty((len(rngs), n), dtype=np.min_scalar_type(n - 1))
-    stacks = []  # per tree: (start, stop, depth, positives) of the nodes to grow
-    for rows, rng in zip(order, rngs):
-        rows[:] = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        stacks.append([(0, n, 0, np.count_nonzero(labels[rows]))])
-    trees = [[] for _ in rngs]  # per tree: (feature, threshold, value) in preorder
+    # each tree's groups and how often its bootstrap drew each, for the whole
+    # fit: a node is a range of its tree's row of both, which a split
+    # partitions in place
+    order = np.empty((len(rngs), g), dtype=np.min_scalar_type(g - 1))
+    drawn = np.empty((len(rngs), g), dtype=np.min_scalar_type(n))
+    # per tree: (start, stop, rows, depth, positives) of the nodes to grow
+    stacks = []
+    for ti, rng in enumerate(rngs):
+        rows = group[rng.integers(0, n, size=n)] if config.bootstrap else group
+        counts = np.bincount(rows, minlength=g)
+        present = np.flatnonzero(counts)
+        order[ti, : present.size] = present
+        drawn[ti, : present.size] = counts[present]
+        stacks.append([(0, present.size, n, 0, np.count_nonzero(labels[rows]))])
+    # per tree: its nodes' feature, threshold and value columns in preorder
+    trees = [(array("q"), array("d"), array("q")) for _ in rngs]
     draws = _FeatureDraws(rngs, d, m) if m < d else None
     buffers = _Buffers()  # freed on return, before the node arrays are built
     while True:
-        step = []  # (tree, start, stop, depth, positives) of the nodes to search
+        step = []  # (tree, start, stop, rows, depth, positives) of the nodes to search
         for ti, stack in enumerate(stacks):
             while stack:
-                start, stop, depth, pos = stack.pop()
-                size = stop - start
+                start, stop, size, depth, pos = stack.pop()
                 if 0 < pos < size and size >= 2 * min_leaf and depth < max_depth:
-                    step.append((ti, start, stop, depth, pos))
+                    step.append((ti, start, stop, size, depth, pos))
                     break
-                trees[ti].append(_leaf(size, pos))
+                _leaf(trees[ti], size, pos)
         if not step:
             break
-        node_rows = [order[ti, start:stop] for ti, start, stop, _, _ in step]
-        node_n = np.array([stop - start for _, start, stop, _, _ in step])
+        node_groups = [order[ti, start:stop] for ti, start, stop, *_ in step]
+        node_weights = [drawn[ti, start:stop] for ti, start, stop, *_ in step]
+        node_n = np.array([size for *_, size, _, _ in step])
         node_pos = np.array([pos for *_, pos in step])
         if m < d:
             sampled = draws.sample(np.array([ti for ti, *_ in step]))
         else:
             sampled = np.broadcast_to(np.arange(d), (len(step), d))
         best = _best_splits(
-            values, codes, node_rows, node_n, node_pos, sampled, min_leaf, buffers
+            values, codes, node_groups, node_weights, node_n, node_pos, sampled,
+            min_leaf, buffers,
         )
         widen = np.flatnonzero(best[0] < 0)
         if m < d and widen.size:
-            # a feature varies at a node where two consecutive rows differ in it
-            node_ranks = ranks[np.concatenate([node_rows[i] for i in widen])]
-            first = np.cumsum(node_n[widen]) - node_n[widen]
+            # a feature varies at a node where two consecutive groups differ in it
+            node_ranks = ranks[np.concatenate([node_groups[i] for i in widen])]
+            sizes = np.array([len(node_groups[i]) for i in widen])
+            first = np.cumsum(sizes) - sizes
             differ = node_ranks[1:] != node_ranks[:-1]
             differ[first[1:] - 1] = False  # the pairs that span two nodes
             # 0: a varying feature not sampled, 1: a constant one, 2: a sampled one
@@ -848,29 +908,34 @@ def _grow(values, ranks, codes, labels, config: ForestConfig, m: int) -> list:
             # offer no candidate, up to the longest list of the step
             rest = np.argsort(kind, axis=1, kind="stable")[:, : varying.max()]
             widened = _best_splits(
-                values, codes, [node_rows[i] for i in widen],
-                node_n[widen], node_pos[widen], rest, min_leaf, buffers,
+                values, codes, [node_groups[i] for i in widen],
+                [node_weights[i] for i in widen], node_n[widen], node_pos[widen],
+                rest, min_leaf, buffers,
             )
             for column, found in zip(best, widened):
                 column[widen] = found
         split = np.flatnonzero(best[0] >= 0)
-        n_left = np.zeros(len(step), np.intp)
+        groups_left = np.zeros(len(step), np.intp)
         if split.size:
             # X[rows, feature] <= threshold, read from the codes
-            n_left[split] = _partition(
-                codes, [node_rows[i] for i in split], node_n[split],
-                best[0][split], best[3][split], buffers,
+            groups_left[split] = _partition(
+                codes, [node_groups[i] for i in split],
+                [node_weights[i] for i in split], best[0][split], best[3][split],
+                buffers,
             )
-        for (ti, start, stop, depth, pos), feature, threshold, pos_left, nl in zip(
-            step, *(column.tolist() for column in (*best[:3], n_left))
+        for (ti, start, stop, size, depth, pos), feature, threshold, pl, nl, gl in zip(
+            step, *(column.tolist() for column in (*best[:3], best[4], groups_left))
         ):
             if feature < 0:
-                trees[ti].append(_leaf(stop - start, pos))
+                _leaf(trees[ti], size, pos)
                 continue
-            trees[ti].append((feature, threshold, -1))
+            features, thresholds, leaf_values = trees[ti]
+            features.append(feature)
+            thresholds.append(threshold)
+            leaf_values.append(-1)
             # push right first so the left subtree is processed next (preorder)
-            stacks[ti].append((start + nl, stop, depth + 1, pos - pos_left))
-            stacks[ti].append((start, start + nl, depth + 1, pos_left))
+            stacks[ti].append((start + gl, stop, size - nl, depth + 1, pos - pl))
+            stacks[ti].append((start, start + gl, nl, depth + 1, pl))
     return trees
 
 
@@ -884,8 +949,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     stopping rules make leaves of the nodes popped before it), searches them
     all in one `_best_splits` call, widens those whose sampled features gave
     no split in one more, over their features that vary and were not sampled,
-    then partitions the split nodes' rows in place by their codes and pushes
-    each node's two ranges as its children.
+    then partitions the split nodes' groups in place by their codes and
+    pushes each node's two ranges as its children.
 
     X is read only to build the rank and code tables, and no name here holds
     it after that, so a caller that hands over its only reference (as
@@ -910,10 +975,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     m = config.resolve_features(d)
     values, ranks = _rank_table(X)
     del X
+    group, ranks, labels = _groups(ranks, labels)
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
     codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
-    trees = _grow(values, ranks, codes, labels, config, m)
-    roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
+    trees = _grow(values, ranks, codes, labels, group, config, m)
+    roots = np.cumsum([0] + [len(tree[0]) for tree in trees[:-1]]).tolist()
     resolved = replace(config, features_per_split=m)
-    nodes = [node for tree in trees for node in tree]
-    return RFModel(*zip(*nodes), roots, resolved, d)
+    columns = (np.concatenate(column) for column in zip(*trees))
+    return RFModel(*columns, roots, resolved, d)

@@ -12,13 +12,13 @@ tick grid, giving the tick times and a (T, 3) array of (mutual,
 confirmatory, language) frames; stage 2 exports windowed rows from
 those arrays and fits the forest.  The frames become derived session
 records only where `train` writes them to disk.  Scoring a recorded
-session uses the same batch core: stage 1, then one forest call over all
-its windows (`predict_session`).  Input that arrives over time goes
-through the live shell instead (`live_pipeline`): a `Pipeline` with a
-callback on each of its two input streams, holding that model's latest
-output, and its one tick schedule, deciding over the last W held frames
-at each tick, so it keeps nothing but those frames and computes the same
-holds incrementally.  Because both paths quantize times to 3 decimals
+session uses the same batch core: stage 1, then forest calls over its
+windows, SCORE_ROWS at a time (`predict_session`).  Input that arrives
+over time goes through the live shell instead (`live_pipeline`): a
+`Pipeline` with a callback on each of its two input streams, holding
+that model's latest output, and its one tick schedule, deciding over the
+last W held frames at each tick, so it keeps nothing but those frames
+and computes the same holds incrementally.  Because both paths quantize times to 3 decimals
 and need values to 6 before any windowing, the live shell driven over a
 recorded session in `SessionRecord.all_messages` order
 (`live_decisions`) reproduces the batch predictions bit for bit.
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .forest import ForestConfig, RFModel, fit_forest
+from .forest import SCORE_ROWS, ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
 from .sessions import SessionRecord, TrainingMatrix, frame_windows
@@ -134,22 +134,32 @@ def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
     return fit_forest(features.pop(), labels, config)
 
 
+def decision_blocks(
+    derived: tuple[list[float], np.ndarray], model: RFModel, window: int
+) -> Iterator[list[FusedDecision]]:
+    """`predict_session`'s decisions a block at a time, one forest call of
+    up to SCORE_ROWS windows each, so the windows copied at once stay
+    bounded however long the session, and a caller that writes each block
+    out holds no more decisions than that."""
+    times, frames = derived
+    for start in range(0, len(frames) - window + 1, SCORE_ROWS):
+        rows = frame_windows(frames[start : start + SCORE_ROWS + window - 1], window)
+        labels, scores = model.predict_batch(rows)
+        anchors = slice(start + window - 1, start + window - 1 + len(rows))
+        yield [
+            FusedDecision(t, *frame, round(float(score), 6), int(label))
+            for t, frame, score, label in zip(
+                times[anchors], frames[anchors].tolist(), scores, labels
+            )
+        ]
+
+
 def predict_session(
     derived: tuple[list[float], np.ndarray], model: RFModel, window: int
 ) -> list[FusedDecision]:
     """Batch predictions for every full window of a session's stage-1
     (ticks, frames), including the final grid point at the duration."""
-    times, frames = derived
-    rows = frame_windows(frames, window)
-    if not len(rows):
-        return []
-    labels, scores = model.predict_batch(rows)
-    return [
-        FusedDecision(t, *frame, round(float(score), 6), int(label))
-        for t, frame, score, label in zip(
-            times[window - 1:], frames[window - 1:].tolist(), scores, labels
-        )
-    ]
+    return [d for block in decision_blocks(derived, model, window) for d in block]
 
 
 def live_pipeline(

@@ -1591,7 +1591,7 @@ def mutated(draw, data: bytes) -> bytes:
 @pytest.fixture(scope="module")
 def fuzz_inputs(workspace, tmp_path_factory):
     """A copy of the trained models, the config and two of the sessions
-    (`ds0`), a 3 s session and a 3 s script.  The session's duration and
+    (`ds0`, for `train`), a 3 s session and a 3 s script.  The session's duration and
     the script's segment durations are one digit each, so no one-byte edit
     declares an hours-long session, which `run` would spend ticking through
     and `simulate` rendering."""
@@ -1652,6 +1652,7 @@ class TestMutatedInputs:
             pytest.param("needsense.cfg", "simulate", id="needsense.cfg-simulate"),
             pytest.param("needsense.cfg", "train", id="needsense.cfg-train"),
             pytest.param("fz.session", "run", id="fz.session"),
+            pytest.param("ds0/s00.session", "train", id="ds0.session-train"),
             pytest.param("fz.script", "simulate", id="fz.script"),
         ],
     )
@@ -1663,7 +1664,9 @@ class TestMutatedInputs:
         original = path.read_bytes()
         mutant = data.draw(mutated(original))
         path.write_bytes(mutant)
-        config = ["--config", str(path)] if target == "needsense.cfg" else []
+        # `train` fits the shallow forest of the fixture's config
+        fixture_config = target == "needsense.cfg" or command == "train"
+        config = ["--config", str(root / "needsense.cfg")] if fixture_config else []
         out = ["--out", str(root / "out")]
         argv = {
             "gen-scripts": ["gen-scripts", *config, "--count", "1", *out],

@@ -7,6 +7,7 @@ import io
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,25 @@ class TestPredict:
         model = self.manual_model([1], n_features=3)
         with pytest.raises(ValueError, match="dimension"):
             model.predict_batch([[0.0, 0.0]])
+
+    def test_a_long_batch_is_voted_on_in_bounded_blocks(self):
+        rng = np.random.default_rng(6)
+        X = rng.random((200, 3))
+        y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
+        model = fit_forest(X, y, ForestConfig(n_trees=5, max_depth=4, seed=1))
+        probe = rng.random((100_000, 3))
+        tracemalloc.start()
+        try:
+            labels, scores = model.predict_batch(probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the two results, about one block's votes: all the votes of
+        # one batch take 4 MB
+        assert peak - labels.nbytes - scores.nbytes < 1 << 20
+        votes = model.tree_votes(probe).mean(axis=0)
+        assert scores.tolist() == votes.tolist()
+        assert labels.tolist() == (votes >= 0.5).astype(int).tolist()
 
     def test_batch_equals_per_row(self):
         rng = np.random.default_rng(5)
@@ -813,13 +833,17 @@ class TestRankCountExactness:
         def searched(X, y, config):
             calls, previous = [], []
             search = forest._best_splits
+            rows_of = group_rows(X, y)
 
-            def counted(values, codes, rows, n, pos, features, min_leaf, buffers):
-                widen = all(any(r is p for p in previous) for r in rows)
-                previous[:] = rows
-                calls.append((widen, [X[r] for r in rows]))
+            def counted(
+                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+            ):
+                widen = all(any(g is p for p in previous) for g in groups)
+                previous[:] = groups
+                calls.append((widen, [X[rows_of[g]] for g in groups]))
                 return search(
-                    values, codes, rows, n, pos, features, min_leaf, buffers
+                    values, codes, groups, weights, n, pos, features, min_leaf,
+                    buffers,
                 )
 
             with pytest.MonkeyPatch.context() as patch:
@@ -861,15 +885,18 @@ class TestRankCountExactness:
 
     def test_widened_search_takes_the_features_that_vary_at_the_node(self):
         def searches(X, y, config):
-            """(rows, features, feature found) of each `_best_splits` call."""
+            """(groups, features, feature found) of each `_best_splits` call."""
             calls = []
             search = forest._best_splits
 
-            def recorded(values, codes, rows, n, pos, features, min_leaf, buffers):
+            def recorded(
+                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+            ):
                 found = search(
-                    values, codes, rows, n, pos, features, min_leaf, buffers
+                    values, codes, groups, weights, n, pos, features, min_leaf,
+                    buffers,
                 )
-                calls.append((rows, features, found[0].copy()))
+                calls.append((groups, features, found[0].copy()))
                 return found
 
             with pytest.MonkeyPatch.context() as patch:
@@ -884,40 +911,41 @@ class TestRankCountExactness:
         X[-8:] = X[-9]  # the last 9 rows are equal in every feature
         y = rng.integers(0, 2, size=40)
         y[-2:] = [0, 1]
+        rows_of = group_rows(X, y)
         widened = padded = identical = 0
         for seed in range(6):
             calls = searches(X, y, ForestConfig(n_trees=4, seed=seed))
             first_pass = [
-                i for i, (rows, _, _) in enumerate(calls)
+                i for i, (groups, *_) in enumerate(calls)
                 if i == 0 or not all(
-                    any(r is p for p in calls[i - 1][0]) for r in rows
+                    any(g is p for p in calls[i - 1][0]) for g in groups
                 )
             ]
             for i in first_pass:
-                rows, sampled, found = calls[i]
+                groups, sampled, found = calls[i]
                 # each node left without a split, with its varying features
                 # that were not sampled, ascending
                 expected = []
-                for node_rows, node_sampled, feature in zip(rows, sampled, found):
+                for node_groups, node_sampled, feature in zip(groups, sampled, found):
                     if feature >= 0:
                         continue
-                    node_X = X[node_rows]
+                    node_X = X[rows_of[node_groups]]
                     varies = [
                         f for f in range(X.shape[1])
                         if f not in node_sampled and len(set(node_X[:, f])) > 1
                     ]
                     identical += bool((node_X == node_X[0]).all())
                     if varies:
-                        expected.append((node_rows, varies))
+                        expected.append((node_groups, varies))
                 if not expected:
                     assert i + 1 == len(calls) or i + 1 in first_pass
                     continue
-                widen_rows, features, _ = calls[i + 1]
-                assert [id(r) for r in widen_rows] == [id(r) for r, _ in expected]
+                widen_groups, features, _ = calls[i + 1]
+                assert [id(g) for g in widen_groups] == [id(g) for g, _ in expected]
                 # padded to the longest list of the step
                 assert features.shape[1] == max(len(varies) for _, varies in expected)
-                for (node_rows, varies), node_features in zip(expected, features):
-                    node_X = X[node_rows]
+                for (node_groups, varies), node_features in zip(expected, features):
+                    node_X = X[rows_of[node_groups]]
                     assert node_features[: len(varies)].tolist() == varies
                     # the padding: features constant at the node
                     for f in node_features[len(varies):]:
@@ -925,6 +953,42 @@ class TestRankCountExactness:
                         padded += 1
                 widened += len(expected)
         assert widened and padded and identical
+
+    def test_each_search_sees_a_node_s_distinct_rows_and_labels_once(self):
+        # three distinct rows, each repeated 20 times with both labels
+        X = np.repeat([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]], 20, axis=0)
+        y = np.tile([0, 1, 1, 0], 15)
+        rows_of = group_rows(X, y)
+        assert len(rows_of) == 6
+        nodes = []
+        search = forest._best_splits
+
+        def recorded(
+            values, codes, groups, weights, n, pos, features, min_leaf, buffers
+        ):
+            for node in zip(groups, weights, n.tolist(), pos.tolist()):
+                pairs = [(tuple(X[r]), int(y[r])) for r in rows_of[node[0]]]
+                nodes.append((pairs, *node[1:]))
+            return search(
+                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+            )
+
+        config = ForestConfig(n_trees=5, features_per_split=1, seed=9)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest, "_best_splits", recorded)
+            model = fit_forest(X, y, config)
+        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+        # each (row, label) of a node once, weighted by how often it is there
+        for pairs, weights, n, pos in nodes:
+            assert len(set(pairs)) == len(pairs)
+            assert weights.min() >= 1 and weights.sum() == n
+            assert sum(w for (_, label), w in zip(pairs, weights) if label) == pos
+        # the first search takes every tree's root: the pairs its bootstrap
+        # drew, each as often as it drew it
+        for t, (pairs, weights, _, _) in enumerate(nodes[: config.n_trees]):
+            rows = np.random.default_rng([9, t]).integers(0, len(X), size=len(X))
+            drawn = Counter((tuple(X[r]), int(y[r])) for r in rows)
+            assert dict(zip(pairs, weights.tolist())) == drawn
 
     def test_column_of_200_values_matches_argsort_reference(self):
         # 2 * rank + label of a 200-value column does not fit in uint8
@@ -951,31 +1015,44 @@ class TestRankCountExactness:
         assert model.feature[0] == -1
 
 
+def group_rows(X, y):
+    """The first row of X in each of the (rank row, label) groups that
+    `fit_forest` searches, indexed by group."""
+    group, _, _ = forest._groups(forest._rank_table(X)[1], np.asarray(y))
+    return np.unique(group, return_index=True)[1]
+
+
 def code_splits(X, y, nodes, min_leaf):
     """Search the nodes (row arrays of X) over every feature with
-    `_best_splits`, on the codes `fit_forest` builds, and check that each
-    split's bound sends left exactly the rows that X <= threshold does.
-    Returns the (feature, threshold) of each split."""
+    `_best_splits`, on the groups and codes `fit_forest` builds, and check
+    that each split's bound sends left exactly the rows that X <= threshold
+    does.  Returns the (feature, threshold) of each split."""
     values, ranks = forest._rank_table(X)
+    group, ranks, labels = forest._groups(ranks, y)
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
-    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + y.astype(dtype)
-    rows_type = np.min_scalar_type(len(X) - 1)
-    nodes = [np.asarray(rows, dtype=rows_type) for rows in nodes]
+    codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
+    # each node's groups, and how often its rows hold each
+    drawn = [np.bincount(group[rows], minlength=len(labels)) for rows in nodes]
+    groups_type = np.min_scalar_type(len(labels) - 1)
+    groups = [np.flatnonzero(counts).astype(groups_type) for counts in drawn]
+    weights = [counts[counts > 0] for counts in drawn]
     n = np.array([len(rows) for rows in nodes])
     pos = np.array([np.count_nonzero(y[rows]) for rows in nodes])
     features = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
     found = forest._best_splits(
-        values, codes, nodes, n, pos, features, min_leaf, forest._Buffers()
+        values, codes, groups, weights, n, pos, features, min_leaf,
+        forest._Buffers(),
     )
     splits = []
-    for rows, feature, threshold, pos_left, bound in zip(
+    for rows, feature, threshold, pos_left, bound, n_left in zip(
         nodes, *(column.tolist() for column in found)
     ):
         if feature < 0:
             continue
         left = X[rows, feature] <= threshold
-        assert (codes[feature].take(rows) < bound).tolist() == left.tolist()
+        assert (codes[feature].take(group[rows]) < bound).tolist() == left.tolist()
         assert pos_left == np.count_nonzero(y[rows][left])
+        assert n_left == np.count_nonzero(left)
         splits.append((feature, threshold))
     return splits
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needsense import forest, fusion
 from needsense.forest import ForestConfig
 from needsense.fusion import (
     live_decisions,
@@ -436,6 +439,32 @@ class TestPredictSession:
             assert decision.t == ticks[i + 19]
             assert decision.label == int(labels[0])
             assert decision.score == round(float(scores[0]), 6)
+
+    def test_a_long_session_is_scored_in_bounded_blocks(self):
+        model = stage2_fit([step_session()])
+        _, derived = step_session(duration=2_000.0)  # 20,001 ticks
+        tracemalloc.start()
+        try:
+            decisions = predict_session(derived, model, 20)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(decisions) == 20_001 - 19
+        # beyond the decisions returned, about one block's windows and votes:
+        # the windows of one batch take 9.6 MB
+        assert peak - held < 4 << 20
+
+    @pytest.mark.parametrize("rows", [1, 7, 82])
+    def test_blocks_give_the_decisions_of_one_batch(self, rows, monkeypatch):
+        session = step_session()
+        model = stage2_fit([session])
+        monkeypatch.setattr(fusion, "SCORE_ROWS", 1 << 30)
+        monkeypatch.setattr(forest, "SCORE_ROWS", 1 << 30)
+        whole = predict_session(session[1], model, 20)
+        monkeypatch.setattr(fusion, "SCORE_ROWS", rows)
+        monkeypatch.setattr(forest, "SCORE_ROWS", rows)
+        assert predict_session(session[1], model, 20) == whole
+        assert len(whole) == 82
 
     def test_short_session_gives_no_decisions(self):
         _, derived = step_session(duration=1.0)

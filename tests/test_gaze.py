@@ -118,6 +118,12 @@ class TestClassifyDirection:
         with pytest.raises(ValueError):
             GazeThresholds(0.0, 0.15)
 
+    def test_each_half_width_must_be_positive(self):
+        for yaw, pitch in ((0.0, 0.15), (0.15, 0.0), (-0.1, 0.15), (0.15, -0.1)):
+            with pytest.raises(ValueError, match="must be > 0"):
+                GazeThresholds(yaw, pitch)
+        assert GazeThresholds(5e-324, 5e-324).pitch_center == 5e-324
+
 
 # points in each direction's sector: the yaws and pitches that read as
 # left/in the box/right and below/in the box/above

@@ -159,6 +159,28 @@ class TestSimulate:
             for m in record.messages("utterance")
         ] == [(0.5, "going well"), (2.25, "help me out")]
 
+    def test_utterance_at_a_segment_s_start(self):
+        script = ScenarioScript(
+            (
+                seg(2.0, "Flow", "fix-task", [(0.0, "going well")]),
+                seg(1.5, "L3", "fix-robot", [(0.0, "help me out")]),
+            )
+        )
+        record = simulate(script, "s00")
+        assert [
+            (m.originating_time, m.payload)
+            for m in record.messages("utterance")
+        ] == [(0.0, "going well"), (2.0, "help me out")]
+
+    def test_a_frame_on_a_segment_boundary_belongs_to_the_next_segment(self):
+        # at 30 Hz the frame at 1.0 s starts the second segment
+        script = ScenarioScript(
+            (seg(1.0, "Flow", "fix-task"), seg(1.0, "L3", "fix-robot")), noise=0.0
+        )
+        frames = simulate(script, "s00").messages("gaze_raw")
+        targets = {m.originating_time: gaze_target(m.payload, TH) for m in frames}
+        assert (targets[0.967], targets[1.0]) == (TASK, ROBOT)
+
     def test_same_seed_reproduces_bytes(self):
         script = ScenarioScript((seg(2.0),), noise=0.05, seed=4)
         a = simulate(script, "s00").to_lines()
@@ -426,6 +448,17 @@ class TestBenchmarkSuite:
         scripts = benchmark_suite(10, seed=0)
         assert len({script_to_lines(s)[1] for s in scripts}) > 1
         assert len({s.duration for s in scripts}) > 1
+
+    def test_no_utterance_in_a_segment_s_last_second(self):
+        # session 81 of seed 4 draws its last segment's second offset at
+        # 6.025 s, exactly 1 s before the segment's end, and leaves it out
+        scripts = benchmark_suite(82, seed=4)
+        last = scripts[81].segments[4]
+        assert (last.duration, len(last.utterances)) == (7.025, 1)
+        for script in scripts:
+            for segment in script.segments:
+                for offset, _ in segment.utterances:
+                    assert offset < segment.duration - 1.0
 
     def test_noise_parameter_propagates(self):
         for script in benchmark_suite(3, seed=0, noise=0.04):
