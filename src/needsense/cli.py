@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
@@ -82,7 +82,8 @@ def _load_sessions(directory: str):
     paths = sorted(Path(directory).glob("*.session"))
     if not paths:
         raise StageError(f"no .session files in {directory}")
-    return [load_session(p) for p in paths]
+    # `train` and `eval` label each utterance by the span covering it
+    return [load_session(p, labeled=True) for p in paths]
 
 
 def cmd_gen_scripts(args: argparse.Namespace) -> int:
@@ -107,10 +108,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         session_id = Path(path).stem
         try:
             record = simulate(script, session_id, thresholds=cfg.thresholds())
+            record.save(out / f"{session_id}.session")
         except ValueError as exc:  # a script that renders to invalid values
             exc.args = (f"{path}: {exc}",)
             raise
-        record.save(out / f"{session_id}.session")
     print(f"wrote {len(args.scripts)} sessions to {out}")
     return EXIT_OK
 
@@ -337,6 +338,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`.  Text that is no
+    integer gets the message `type=int` gives."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="needsense",
@@ -364,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[config, seed],
         help="write a deterministic benchmark scenario suite",
     )
-    p.add_argument("--count", type=int, default=20, help="number of scripts")
+    p.add_argument(
+        "--count", type=_int_at_least(1), default=20, help="number of scripts"
+    )
     p.add_argument(
         "--noise", type=float, default=0.02, help="gaze noise std-dev (radians)"
     )
@@ -393,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-validated per-model metrics",
     )
     p.add_argument("ds0", help="directory of recorded .session files")
-    p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
+    p.add_argument(
+        "--folds", type=_int_at_least(2), default=10, help="cross-validation folds"
+    )
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_eval)
 

@@ -88,8 +88,6 @@ def kfold(
 ) -> list[tuple[list[SessionRecord], list[SessionRecord]]]:
     """Session-level folds: a seeded shuffle split into k parts whose
     sizes differ by at most one; no session appears in two test sets."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     if len(sessions) < k:
         raise ValueError(f"need at least {k} sessions for {k}-fold CV")
     canon = sorted(sessions, key=lambda r: r.session_id)

@@ -39,7 +39,7 @@ from .sessions import SessionRecord, TrainingMatrix, frame_windows
 from .streams import LIVE_INPUTS, Pipeline, tick_times
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedDecision:
     """One output line of the running system: the three held model values
     at the tick, the forest score, and the binary decision."""
@@ -178,10 +178,6 @@ def live_pipeline(
     0.0 before the first; each tick decides over the last `window` held
     frames, oldest first.  Scores are wire-rounded; vote fractions are
     never close enough to 0.5 for that to flip the label."""
-    if not cadence_hz > 0:
-        raise ValueError("cadence must be > 0")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     pipe = Pipeline()
     tracker = GazeNeedTracker(gaze_config)
     held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language

@@ -211,8 +211,6 @@ def train_nb(
     with a positive count in some document, plus the aggregate keys when
     enabled.  Both classes must be present.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     doc_counts = [0, 0]
     token_counts: dict[str, list[int]] = {}
     for features, label in corpus:

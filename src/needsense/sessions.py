@@ -184,10 +184,13 @@ def _check_length(duration: float, line_no: int | None = None) -> None:
         )
 
 
-def _validate_rounded_labels(labels: list[LabelSpan], duration: float) -> None:
-    """`_validate_labels` of the spans as `to_lines` writes them."""
+def _validate_rounded_labels(
+    labels: list[LabelSpan], duration: float, lines: list[int] | None = None
+) -> None:
+    """`_validate_labels` of the spans and the duration as `to_lines`
+    writes them."""
     spans = [LabelSpan(round(s.start, 3), round(s.end, 3), s.level) for s in labels]
-    _validate_labels(spans, duration)
+    _validate_labels(spans, round(duration, 3), lines)
 
 
 def _message_line(name: str, msg: TimestampedMessage) -> str:
@@ -206,36 +209,34 @@ def _message_line(name: str, msg: TimestampedMessage) -> str:
 def _validate_labels(
     labels: list[LabelSpan],
     duration: float,
-    lines: dict[float, int] | None = None,
+    lines: list[int] | None = None,
 ) -> None:
-    lines = lines or {}
+    """The spans must tile [0, duration); an error names the line of the
+    span at fault, `lines[i]` being that of `labels[i]`, if given."""
     if not labels:
         raise SessionFormatError("session has no label spans")
-    spans = sorted(labels, key=lambda s: s.start)
-    for span in spans:
+    spans = sorted(
+        zip(labels, lines or [None] * len(labels)), key=lambda p: p[0].start
+    )
+    for span, line in spans:
         if not span.start < span.end:
             raise SessionFormatError(
-                f"label span start {span.start} not before end {span.end}",
-                lines.get(span.start),
+                f"label span start {span.start} not before end {span.end}", line
             )
-    if spans[0].start != 0.0:
+    first, line = spans[0]
+    if first.start != 0.0:
         raise SessionFormatError(
-            f"label coverage starts at {spans[0].start}, expected 0.0",
-            lines.get(spans[0].start),
+            f"label coverage starts at {first.start}, expected 0.0", line
         )
-    for prev, cur in zip(spans, spans[1:]):
+    for (prev, _), (cur, line) in zip(spans, spans[1:]):
         if cur.start < prev.end:
-            raise SessionFormatError(
-                f"label overlap at {fmt_time(cur.start)}", lines.get(cur.start)
-            )
+            raise SessionFormatError(f"label overlap at {fmt_time(cur.start)}", line)
         if cur.start > prev.end:
-            raise SessionFormatError(
-                f"label gap at {fmt_time(prev.end)}", lines.get(cur.start)
-            )
-    if spans[-1].end != duration:
+            raise SessionFormatError(f"label gap at {fmt_time(prev.end)}", line)
+    last, line = spans[-1]
+    if last.end != duration:
         raise SessionFormatError(
-            f"label coverage ends at {spans[-1].end}, expected {duration}",
-            lines.get(spans[-1].start),
+            f"label coverage ends at {last.end}, expected {duration}", line
         )
 
 
@@ -334,9 +335,13 @@ class SessionReader:
     Iterating yields (line number, stream name, `LabelSpan` or
     `TimestampedMessage`) per later line once it passes every check that
     needs no later line; `live` input also bars a stream the live shell
-    does not read and a message earlier than the one before it."""
+    does not read and a message earlier than the one before it, and
+    `labeled` input, whose utterances `train` and `eval` label, an
+    utterance at the duration, which no half-open label span covers."""
 
-    def __init__(self, lines: Iterable[str], live: bool = False):
+    def __init__(
+        self, lines: Iterable[str], live: bool = False, labeled: bool = False
+    ):
         line_no, fields, self._rows = _header(
             lines, "session", "format_version", FORMAT_VERSION
         )
@@ -346,6 +351,7 @@ class SessionReader:
         self.duration = _parse_float(fields, "duration", line_no)
         _check_length(self.duration, line_no)
         self.live = live
+        self.labeled = labeled
 
     def __iter__(self) -> Iterator[tuple[int, str, object]]:
         last_t: dict[str, float] = {}
@@ -383,24 +389,33 @@ class SessionReader:
                 )
             latest = t
             _check_time(name, t, self.duration, last_t, line_no)
+            if t == self.duration and name == "utterance" and self.labeled:
+                raise SessionFormatError(
+                    f"stream utterance: time {t} outside [0, {self.duration})",
+                    line_no,
+                )
             payload = _parse_payload(name, fields, line_no)
             yield line_no, name, TimestampedMessage(t, payload)
 
 
-def parse_session(lines: Iterable[str], live: bool = False) -> SessionRecord:
-    """Parse and validate a session, read as `live` input if asked (see
-    `SessionReader`); errors name the offending line."""
-    reader = SessionReader(lines, live)
+def parse_session(
+    lines: Iterable[str], live: bool = False, labeled: bool = False
+) -> SessionRecord:
+    """Parse and validate a session, read as `live` or `labeled` input if
+    asked (see `SessionReader`); errors name the offending line."""
+    reader = SessionReader(lines, live, labeled)
     streams: dict[str, list[TimestampedMessage]] = {}
     labels: list[LabelSpan] = []
-    label_lines: dict[float, int] = {}
+    label_lines: list[int] = []
     for line_no, name, item in reader:
         if name == "label":
             labels.append(item)
-            label_lines[item.start] = line_no
+            label_lines.append(line_no)
         else:
             streams.setdefault(name, []).append(item)
     _validate_labels(labels, reader.duration, label_lines)
+    # `train` writes the spans and the duration back to the millisecond
+    _validate_rounded_labels(labels, reader.duration, label_lines)
     return SessionRecord(reader.session_id, reader.duration, streams, labels)
 
 
@@ -454,9 +469,11 @@ def _quoted_text(fields: dict[str, str], line_no: int) -> str:
     return _unescape(raw[1:-1])
 
 
-def load(path: str | Path, live: bool = False) -> SessionRecord:
+def load(
+    path: str | Path, live: bool = False, labeled: bool = False
+) -> SessionRecord:
     """Read and parse a session file; every error names the file."""
-    return read_lines(path, lambda lines: parse_session(lines, live))
+    return read_lines(path, lambda lines: parse_session(lines, live, labeled))
 
 
 def binary_labels(record: SessionRecord, times) -> np.ndarray:
@@ -489,16 +506,6 @@ class TrainingMatrix:
     features: np.ndarray
     labels: np.ndarray
     anchors: list[tuple[str, float]]
-
-    def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if len(self.labels) != len(self.features) or len(self.anchors) != len(
-            self.features
-        ):
-            raise ValueError("features, labels and anchors must align")
-        if not ((self.labels == 0) | (self.labels == 1)).all():
-            raise ValueError("labels must be 0 or 1")
 
     @property
     def n_rows(self) -> int:
@@ -594,8 +601,6 @@ def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
     """Sliding windows over (T, 3) frames: row i concatenates frames i to
     i + window - 1, oldest first, so it is anchored at frame
     i + window - 1.  No rows until `window` frames exist (no padding)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if len(frames) < window:
         return np.empty((0, 3 * window), dtype=np.float64)
     return sliding_window_view(frames, (window, 3)).reshape(-1, 3 * window)
@@ -616,8 +621,6 @@ def export_fusion_matrix(
     sessions by id and each one's ticks ascending, whatever the order of
     `records`.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     blocks = [np.empty((0, window * 3), dtype=np.float64)]
     label_blocks = [np.empty(0, dtype=np.int64)]
     anchors: list[tuple[str, float]] = []

@@ -200,7 +200,6 @@ def simulate(
         streams=streams,
         labels=labels,
     )
-    record.validate()
     return record
 
 
@@ -367,8 +366,6 @@ def benchmark_suite(
     """Deterministic family of scripts whose gaze patterns and phrasing
     correlate with the L2/L3 spans, with enough ambiguity that no single
     model is sufficient.  Every session contains both classes."""
-    if n_sessions < 1:
-        raise ValueError("n_sessions must be >= 1")
     scripts = []
     for i in range(n_sessions):
         rng = np.random.default_rng([seed, i])

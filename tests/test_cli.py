@@ -42,6 +42,7 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionFormatError,
     SessionRecord,
+    fmt_time,
     load as load_session,
 )
 from needsense.fusion import predict_session, stage1_materialize
@@ -400,6 +401,27 @@ class TestSimulateCommand:
         )
         assert not (out / "late.session").exists()
 
+    def test_script_whose_frames_are_not_finite_names_the_file(
+        self, tmp_path, capsys
+    ):
+        # a look at the task lies three pitch half-widths below the robot,
+        # which overflows to -inf
+        script = tmp_path / "far.script"
+        script.write_text(
+            "script_version=1 seed=0 noise=0\n"
+            "segment duration=1 label=Flow gaze=fix-task\n",
+            encoding="utf-8",
+        )
+        config = tmp_path / "far.cfg"
+        config.write_text("gaze_pitch_center=1e308\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), str(script), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {script}: gaze_raw at 0.0: non-finite value for 'pitch'\n"
+        )
+        assert not (out / "far.session").exists()
+
 
 class TestTrainCommand:
     def test_artifacts_exist(self, workspace):
@@ -453,8 +475,8 @@ class TestTrainCommand:
         loaded = []
         fitted = []
 
-        def load_recorded(path):
-            record = load(path)
+        def load_recorded(path, **kwargs):
+            record = load(path, **kwargs)
             loaded.append(weakref.ref(record))
             return record
 
@@ -1217,6 +1239,23 @@ class TestExitCodes:
             main(["no-such-command"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "ds0", "--folds", "1"],
+             "argument --folds: must be >= 2"),
+            (["eval", "ds0", "--folds", "x"],
+             "argument --folds: invalid int value: 'x'"),
+            (["gen-scripts", "--count", "0", "--out", "o"],
+             "argument --count: must be >= 1"),
+        ],
+    )
+    def test_too_few_folds_or_scripts_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
     def test_bad_config_file_is_exit_three(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("rf_trees=10\n", encoding="utf-8")
@@ -1290,6 +1329,29 @@ class TestExitCodes:
         assert code == 3
         assert err == "error: cadence_hz must be <= 1000.0\n"
 
+    # the window and cadence ranges are checked in `Config` alone: a flag
+    # past them stops `train` and `eval` before any session is read
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "flag, why", [("--window", "window_w must be >= 1"),
+                      ("--cadence", "cadence_hz must be > 0")]
+    )
+    def test_window_or_cadence_flag_of_zero_is_exit_three(
+        self, workspace, tmp_path, capsys, command, flag, why, monkeypatch
+    ):
+        def no_read(directory):
+            raise AssertionError("sessions read")
+
+        monkeypatch.setattr(cli, "_load_sessions", no_read)
+        out = tmp_path / "out"
+        code = main(
+            [command, "--config", str(workspace["config"]), flag, "0",
+             str(workspace["ds0"]), "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {why}\n"
+        assert not out.exists()
+
     def test_corrupt_manifest_is_exit_three(self, workspace, tmp_path, capsys):
         import shutil
 
@@ -1348,6 +1410,40 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert captured.err == f"error: {manifest}: {message}\n"
+
+    # `run` takes its settings from the manifest, whose keys are held to
+    # the same ranges as a config file's, before any input is read
+    @pytest.mark.parametrize(
+        "key, value, why",
+        [
+            ("cadence_hz", "0.0", "must be > 0"),
+            ("window_w", "0", "must be >= 1"),
+            ("gaze_yaw_center", "0.0", "must be > 0"),
+            ("gaze_pitch_center", "-0.1", "must be > 0"),
+            ("gaze_debounce", "0", "must be >= 1"),
+        ],
+    )
+    def test_manifest_key_out_of_range_is_exit_three(
+        self, workspace, tmp_path, capsys, key, value, why
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        manifest = models / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        (line_no,) = [
+            i for i, line in enumerate(lines, start=1) if line.startswith(f"{key}=")
+        ]
+        edit = _resealed(
+            lambda ls: ([*ls[: line_no - 1], f"{key}={value}", *ls[line_no:]], None)
+        )
+        lines, _ = edit(lines)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(["run", str(session), "--models", str(models)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}: line {line_no}: {key} {why}\n"
 
     def test_edited_text_model_is_exit_four(self, workspace, tmp_path, capsys):
         import shutil
@@ -1482,6 +1578,63 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"error: {bad}: line 5: bad number for 'start': abc\n"
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("case", ["sub_ms_span", "zero_duration"])
+    def test_spans_that_round_to_nothing_name_their_line(
+        self, workspace, tmp_path, capsys, command, case
+    ):
+        # `train` writes each session's duration and spans back to the
+        # millisecond, where the first span ends where it starts
+        ds0 = tmp_path / "ds0"
+        shutil.copytree(workspace["ds0"], ds0)
+        bad = sorted(ds0.glob("*.session"))[0]
+        lines = bad.read_text(encoding="utf-8").splitlines()
+        first = re.sub(r"end=\S+", "end=0.0004", lines[1])
+        if case == "sub_ms_span":
+            lines[1:2] = [first, lines[1].replace("start=0.000", "start=0.0004")]
+        else:
+            lines = [re.sub(r"duration=\S+", "duration=0.0004", lines[0]), first]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m"
+        if command == "train":
+            argv = ["train", "--config", str(workspace["config"]), str(ds0),
+                    "--out", str(out)]
+        else:
+            argv = ["run", str(bad), "--models", str(workspace["models"])]
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {bad}: line 2: label span start 0.0 not before end 0.0\n"
+        )
+        assert not out.exists()
+
+    def test_utterance_at_the_duration_is_refused_for_training_only(
+        self, workspace, tmp_path, capsys
+    ):
+        # `train` and `eval` label an utterance by the half-open span that
+        # covers it, and none covers the duration; `run` labels nothing
+        ds0 = tmp_path / "ds0"
+        shutil.copytree(workspace["ds0"], ds0)
+        bad = sorted(ds0.glob("*.session"))[0]
+        lines = bad.read_text(encoding="utf-8").splitlines()
+        duration = float(re.search(r"duration=(\S+)", lines[0])[1])
+        lines.append(f'stream=utterance t={fmt_time(duration)} text="help me"')
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m"
+        for argv in (
+            ["train", "--config", str(workspace["config"]), str(ds0),
+             "--out", str(out)],
+            ["eval", "--config", str(workspace["config"]), str(ds0),
+             "--folds", "2"],
+        ):
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", (
+                f"error: {bad}: line {len(lines)}: stream utterance: time "
+                f"{duration} outside [0, {duration})\n"
+            ))
+        assert not out.exists()
+        assert main(["run", str(bad), "--models", str(workspace["models"])]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["train", "run"])
     def test_non_utf8_session_file_is_exit_three(

@@ -233,8 +233,6 @@ class TestKfold:
         )
 
     def test_errors(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            kfold(self.sessions(5), k=1)
         with pytest.raises(ValueError, match="at least"):
             kfold(self.sessions(3), k=4)
 

@@ -439,6 +439,8 @@ class TestPredictSession:
             assert decision.t == ticks[i + 19]
             assert decision.label == int(labels[0])
             assert decision.score == round(float(scores[0]), 6)
+        # one is made per tick, so it keeps no dict per instance
+        assert not hasattr(decisions[0], "__dict__")
 
     def test_a_long_session_is_scored_in_bounded_blocks(self):
         model = stage2_fit([step_session()])

@@ -146,13 +146,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="alpha"):
             train_from_utterances(SMALL, alpha=0.0)
 
-    def test_zero_alpha_is_refused_before_the_corpus_is_read(self):
-        # not as the smoothed likelihood of 0 it would give, nor as a
-        # corpus missing a class
-        for corpus in (SMALL, []):
-            with pytest.raises(ValueError, match="^alpha must be > 0$"):
-                train_from_utterances(corpus, alpha=0.0)
-
     @pytest.mark.parametrize("alpha", [math.inf, 1e308, math.nan, 5e-324])
     def test_alpha_whose_smoothing_leaves_no_likelihood_rejected(self, alpha):
         # alpha * vocabulary overflows, or alpha / total underflows, so a

@@ -18,7 +18,6 @@ from needsense.sessions import (
     SessionFormatError,
     SessionReader,
     SessionRecord,
-    TrainingMatrix,
     binary_labels,
     export_fusion_matrix,
     export_language_corpus,
@@ -720,10 +719,6 @@ class TestFusionMatrixExport:
         assert matrix.features.dtype == np.float64
         assert matrix.features.min() >= 0.0
         assert matrix.features.max() <= 1.0
-
-    def test_labels_other_than_0_or_1_rejected(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            TrainingMatrix(np.zeros((2, 3)), np.array([0, 2]), [("a", 0.0)] * 2)
 
     def test_export_leaves_numpy_ma_unloaded(self, fresh_python):
         # `np.unique` loads numpy.ma, ~15 ms of a `train` or `eval` start

@@ -435,8 +435,6 @@ class TestBenchmarkSuite:
 
     def test_session_count(self):
         assert len(benchmark_suite(20, seed=0)) == 20
-        with pytest.raises(ValueError):
-            benchmark_suite(0)
 
     def test_every_session_contains_both_classes(self):
         for i, script in enumerate(benchmark_suite(20, seed=0)):
