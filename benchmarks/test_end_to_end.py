@@ -9,7 +9,7 @@ writes, the 10-fold report `eval` prints at the default config and with
 one tree (`rf_n_trees=1`, which leaves little but the non-fit cost), and
 the decision lines `run` prints for session s00 with the models of a
 default `train`, both from the file and from standard input, and for s00
-played 10 times in a row on standard input.  One more default `train`
+played 10 times in a row, from a file and on standard input.  One more default `train`
 runs as a process of its own, so that its peak RSS can be read apart from
 this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`, with
 its minor page faults as `train_minflt`.  `run` set-up, on a header with
@@ -47,7 +47,7 @@ DEFAULT_EVAL_10_FOLDS = (
     "65b301e72341fc292f4657cd82fb2c7abd40a5ee9264da61cb3964acc2a4e079"
 )
 DEFAULT_RUN_S00 = "8f377cc14e9ce921d5d200c806ea729f9f71b98653ae6e69aa87cab572ec2294"
-# s00 played 10 times in a row on standard input: 3,938 decisions
+# s00 played 10 times in a row: 3,938 decisions
 DEFAULT_RUN_S00_10X = (
     "af8e3d74421124f4df1775d2a921cb765cf63c790c739810869560fb5eb02ed7"
 )
@@ -284,6 +284,18 @@ def repeated(record: SessionRecord, k: int) -> SessionRecord:
             for s in record.labels
         ],
     )
+
+
+def test_run_default_s00_10x_file(benchmark, ds0, models, tmp_path, capsys):
+    """A long session file: s00 ten times over, read line by line."""
+    path = tmp_path / "s00x10.session"
+    repeated(load_session(ds0 / "s00.session"), 10).save(path)
+    capsys.readouterr()
+    args = ["run", str(path), "--models", str(models)]
+    code = benchmark.pedantic(main, args=(args,), rounds=1, iterations=1)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == DEFAULT_RUN_S00_10X
 
 
 def test_run_default_s00_10x_stdin(benchmark, ds0, models, capsys, monkeypatch):

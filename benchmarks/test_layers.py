@@ -8,8 +8,8 @@ gaze frame, training the text model on the suite's utterances and its
 posterior for each of them, stage-1 materialize, writing the 20 derived
 sessions, the fusion-matrix export, batch prediction over every training row,
 loading the saved forest, and the decisions of one session, both through
-the live shell and as `run` scores a file (stage 1 plus one batch
-prediction).  `testpaths` does not collect this directory, so run it
+the live engine that `run` uses and through the batch reference (stage 1
+plus batch prediction).  `testpaths` does not collect this directory, so run it
 directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py
@@ -255,8 +255,9 @@ def test_live_decisions_one_session(benchmark, suite):
 
 
 def test_file_decisions_one_session(benchmark, suite):
-    """`run <file>`: stage 1 and one batch prediction over the whole
-    session, deciding as the live shell does."""
+    """Stage 1 and batch prediction over a whole session
+    (`predict_session`, the reference the live engine of `run` is checked
+    against), deciding as the live engine does."""
     cfg, records, nb, _, _, rf = suite
     record = records[0]
 

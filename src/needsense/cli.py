@@ -1,7 +1,7 @@
 """Command-line surface: simulate sessions, train the two stages,
 evaluate, and decide: `run` takes every setting from the training
-manifest of the models it runs, scores a session file in one batch and
-feeds standard input through the live decision pipeline.
+manifest of the models it runs and reads a session file or standard
+input line by line through one live decision engine.
 
 Exit codes: 0 success, 1 standard output closed early (a reader such as
 `head` stopped; no error line), 2 usage, 3 data error, 4 models or
@@ -20,13 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
-from .fusion import (
-    FusedDecision,
-    decision_blocks,
-    live_pipeline,
-    stage1_materialize,
-    train_rf,
-)
+from .fusion import FusedDecision, live_pipeline, stage1_materialize, train_rf
 from .language import CorpusError, NBModel, train_from_utterances
 from .sessions import (
     SessionFormatError,
@@ -265,18 +259,10 @@ def _decision_line(d: FusedDecision) -> str:
     )
 
 
-def _warn_warmup(cfg: Config) -> None:
-    print(
-        f"warning: session shorter than the fusion warm-up "
-        f"({cfg.window_w} ticks at {cfg.cadence_hz} Hz); no decisions",
-        file=sys.stderr,
-    )
-
-
 def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
     """`lines` as they come, up to the first holding a lone surrogate,
     which is an error naming its line: a byte that is not UTF-8, which
-    standard input's decoder escaped."""
+    the decoder escaped."""
     for line_no, line in enumerate(lines, start=1):
         try:
             line.encode("utf-8")
@@ -285,30 +271,41 @@ def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def _run_stdin(cfg: Config, nb: NBModel, rf: RFModel, stream, out) -> int:
-    """Causal line-by-line mode: each decision is printed using only the
-    input received so far, read as a session file is but with live input
-    streams only, in non-decreasing global time order.  Decisions are
-    written and dropped as they are made, so memory stays flat however
-    long the session runs."""
+def _run(
+    cfg: Config, nb: NBModel, rf: RFModel, stream, out, whole: bool = False
+) -> int:
+    """Decide over the session whose lines `stream` gives, read with live
+    input streams only, in non-decreasing global time order, so each
+    decision uses only the input read before it.  Decisions are written
+    and dropped as they are made, so memory stays flat however long the
+    session runs.  Input that has arrived `whole`, a file, is scored in
+    blocks, and once its last line is read its label spans must tile it."""
     written = 0
 
-    def write(d: FusedDecision) -> None:
+    def write(decisions: list[FusedDecision]) -> None:
         nonlocal written
-        out.write(_decision_line(d) + "\n")
-        out.flush()  # a pipe reader sees each decision as its tick is reached
-        written += 1
+        for d in decisions:
+            # a line at a time: the text layer passes a long write on whole,
+            # and a pipe closed during it loses the rest without an error
+            out.write(_decision_line(d) + "\n")
+        out.flush()  # a pipe reader sees each decision as its block is made
+        written += len(decisions)
 
-    pipe = live_pipeline(
-        nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w, write
+    pipe, score_rest = live_pipeline(
+        nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w, write, whole
     )
-    reader = SessionReader(_utf8_lines(text_lines(stream)), live=True)
+    reader = SessionReader(_utf8_lines(text_lines(stream)), live=True, whole=whole)
     for _, name, item in reader:
         if name != "label":
             pipe.emit(name, item.originating_time, item.payload)
     pipe.finalize(reader.duration)
+    score_rest()
     if not written:
-        _warn_warmup(cfg)
+        print(
+            f"warning: session shorter than the fusion warm-up "
+            f"({cfg.window_w} ticks at {cfg.cadence_hz} Hz); no decisions",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -322,20 +319,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     parsed = {NB_MODEL_NAME: nb_sha.hexdigest(), RF_MODEL_NAME: rf_sha.hexdigest()}
     cfg = _check_manifest(models, rf, parsed)
     if args.session is None or args.session == "-":
-        return _run_stdin(cfg, nb, rf, sys.stdin, sys.stdout)
-    # a file is read as live input is but has arrived whole, so it is
-    # scored in batches; the live shell's holds give the same decisions
-    # (acceptance criterion 6)
-    record = load_session(args.session, live=True)
-    derived = stage1_materialize(record, nb, cfg.gaze_config(), cfg.cadence_hz)
-    decided = False
-    for decisions in decision_blocks(derived, rf, cfg.window_w):
-        for d in decisions:
-            sys.stdout.write(_decision_line(d) + "\n")
-        decided = True
-    if not decided:
-        _warn_warmup(cfg)
-    return EXIT_OK
+        return _run(cfg, nb, rf, sys.stdin, sys.stdout)
+    # a file's lines are read as standard input's are, a byte that is not
+    # UTF-8 escaped as a lone surrogate
+    with open(
+        args.session, encoding="utf-8", errors="surrogateescape", newline="\n"
+    ) as lines:
+        try:
+            return _run(cfg, nb, rf, lines, sys.stdout, whole=True)
+        except ValueError as exc:  # a data error names the file
+            exc.args = (f"{args.session}: {exc}",)
+            raise
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:

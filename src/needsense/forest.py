@@ -71,7 +71,6 @@ import math
 import os
 import re
 from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -753,16 +752,6 @@ class RFModel:
 
     def to_lines(self) -> list[str]:
         return [line for lines in self._line_blocks() for line in lines]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "RFModel":
-        """Parse the lines of a model file, each given with or without its
-        LF.  A line is read as in a file of these lines: its LF, then one CR
-        before it, is taken off, as `load` does."""
-        text = "".join(
-            line if line.endswith("\n") else line + "\n" for line in lines
-        ).encode("utf-8")
-        return cls(*_checked(*_scan(np.frombuffer(text + bytes(_PAD), dtype=np.uint8))))
 
     def save(self, path: str | Path) -> None:
         """Write the lines of `to_lines` a tree at a time, so only one tree's

@@ -11,24 +11,24 @@ each raw recording in one batch pass and holds their outputs onto the
 tick grid, giving the tick times and a (T, 3) array of (mutual,
 confirmatory, language) frames; stage 2 exports windowed rows from
 those arrays and fits the forest.  The frames become derived session
-records only where `train` writes them to disk.  Scoring a recorded
-session uses the same batch core: stage 1, then forest calls over its
-windows, SCORE_ROWS at a time (`predict_session`).  Input that arrives
-over time goes through the live shell instead (`live_pipeline`): a
-`Pipeline` with a callback on each of its two input streams, holding
-that model's latest output, and its one tick schedule, deciding over the
-last W held frames at each tick, so it keeps nothing but those frames
-and computes the same holds incrementally.  Because both paths quantize times to 3 decimals
-and need values to 6 before any windowing, the live shell driven over a
-recorded session in `SessionRecord.all_messages` order
-(`live_decisions`) reproduces the batch predictions bit for bit.
+records only where `train` writes them to disk.  `predict_session`
+scores them, SCORE_ROWS windows per forest call: the batch reference.
+`run` decides through the live engine (`live_pipeline`), from a file as
+from standard input: a `Pipeline` with a callback on each of its two
+input streams, holding that model's latest output, and its one tick
+schedule, deciding over the last W held frames at each tick, so it keeps
+no more than the frames of the windows it has yet to score.  Because
+both paths quantize times to 3 decimals and need values to 6 before any
+windowing, the live engine driven over a recorded session in
+`SessionRecord.all_messages` order (`live_decisions`) reproduces the
+batch predictions bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -134,32 +134,35 @@ def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
     return fit_forest(features.pop(), labels, config)
 
 
-def decision_blocks(
-    derived: tuple[list[float], np.ndarray], model: RFModel, window: int
-) -> Iterator[list[FusedDecision]]:
-    """`predict_session`'s decisions a block at a time, one forest call of
-    up to SCORE_ROWS windows each, so the windows copied at once stay
-    bounded however long the session, and a caller that writes each block
-    out holds no more decisions than that."""
-    times, frames = derived
-    for start in range(0, len(frames) - window + 1, SCORE_ROWS):
-        rows = frame_windows(frames[start : start + SCORE_ROWS + window - 1], window)
-        labels, scores = model.predict_batch(rows)
-        anchors = slice(start + window - 1, start + window - 1 + len(rows))
-        yield [
-            FusedDecision(t, *frame, round(float(score), 6), int(label))
-            for t, frame, score, label in zip(
-                times[anchors], frames[anchors].tolist(), scores, labels
-            )
-        ]
+def _decide(
+    model: RFModel, ticks: list[float], frames: np.ndarray, window: int
+) -> list[FusedDecision]:
+    """The decisions of one forest call over every full window of (T, 3)
+    `frames`, the window ending at frame `window - 1 + i` made at
+    `ticks[i]`."""
+    labels, scores = model.predict_batch(frame_windows(frames, window))
+    return [
+        FusedDecision(t, *frame, round(score, 6), label)
+        for t, frame, score, label in zip(
+            ticks, frames[window - 1:].tolist(), scores.tolist(), labels.tolist()
+        )
+    ]
 
 
 def predict_session(
     derived: tuple[list[float], np.ndarray], model: RFModel, window: int
 ) -> list[FusedDecision]:
     """Batch predictions for every full window of a session's stage-1
-    (ticks, frames), including the final grid point at the duration."""
-    return [d for block in decision_blocks(derived, model, window) for d in block]
+    (ticks, frames), including the final grid point at the duration: the
+    reference the live engine is checked against.  One forest call takes
+    up to SCORE_ROWS windows, so the windows copied at once stay bounded
+    however long the session."""
+    times, frames = derived
+    decisions: list[FusedDecision] = []
+    for start in range(window - 1, len(frames), SCORE_ROWS):
+        block = frames[start - window + 1 : start + SCORE_ROWS]
+        decisions += _decide(model, times[start : start + SCORE_ROWS], block, window)
+    return decisions
 
 
 def live_pipeline(
@@ -168,11 +171,15 @@ def live_pipeline(
     gaze_config: GazeConfig,
     cadence_hz: float,
     window: int,
-    on_decision: Callable[[FusedDecision], None],
-) -> Pipeline:
-    """The live shell: raw gaze frames and utterances go into the
+    on_decisions: Callable[[list[FusedDecision]], None],
+    whole: bool = False,
+) -> tuple[Pipeline, Callable[[], None]]:
+    """The live engine: raw gaze frames and utterances go into the
     pipeline, and one decision per tick, once the window has filled, goes
-    to `on_decision` as the tick fires.
+    to `on_decisions`, in blocks of one forest call: one decision as its
+    tick fires, or SCORE_ROWS for input that has arrived `whole`.  The
+    function returned with the pipeline scores the windows still waiting
+    once `finalize` has fired the last tick.
 
     Each input stream holds its model's latest values at wire precision,
     0.0 before the first; each tick decides over the last `window` held
@@ -181,7 +188,10 @@ def live_pipeline(
     pipe = Pipeline()
     tracker = GazeNeedTracker(gaze_config)
     held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language
-    frames: deque[tuple[float, float, float]] = deque(maxlen=window)
+    rows = SCORE_ROWS if whole else 1
+    # the frames of the windows yet to be scored, and their ticks
+    frames: deque[tuple[float, float, float]] = deque(maxlen=window + rows - 1)
+    ticks: list[float] = []
 
     def on_gaze(t: float, obs: GazeObservation) -> None:
         mutual, conf = tracker.update(t, obs)
@@ -196,23 +206,24 @@ def live_pipeline(
         else:
             held[2] = round(v, 6)
 
+    def score_waiting() -> None:
+        if ticks:
+            recent = np.array(frames, dtype=np.float64)[-(len(ticks) + window - 1):]
+            decisions = _decide(rf_model, ticks, recent, window)
+            ticks.clear()
+            on_decisions(decisions)
+
     def on_tick(t: float) -> None:
         frames.append(tuple(held))
-        if len(frames) < window:
-            return
-        labels, scores = rf_model.predict_batch(
-            np.array(frames, dtype=np.float64).reshape(1, -1)
-        )
-        on_decision(
-            FusedDecision(
-                t, *frames[-1], round(float(scores[0]), 6), int(labels[0])
-            )
-        )
+        if len(frames) >= window:
+            ticks.append(t)
+            if len(ticks) == rows:
+                score_waiting()
 
     pipe.streams["gaze_raw"].subscribe(on_gaze)
     pipe.streams["utterance"].subscribe(on_utterance)
     pipe.add_ticker(cadence_hz, on_tick)
-    return pipe
+    return pipe, score_waiting
 
 
 def live_decisions(
@@ -223,13 +234,12 @@ def live_decisions(
     cadence_hz: float,
     window: int,
 ) -> list[FusedDecision]:
-    """Run the live shell over a raw session's messages in
-    originating-time order and collect the per-tick decisions.  `run`
-    scores a file with `predict_session` instead; this drives the live
-    path over a recording for the parity tests and the benchmarks."""
+    """Run the live engine tick by tick over a raw session's messages in
+    originating-time order and collect the per-tick decisions, for the
+    parity tests and the benchmarks."""
     decisions: list[FusedDecision] = []
-    pipe = live_pipeline(
-        nb_model, rf_model, gaze_config, cadence_hz, window, decisions.append
+    pipe, _ = live_pipeline(
+        nb_model, rf_model, gaze_config, cadence_hz, window, decisions.extend
     )
     for name, msg in record.all_messages():
         if name in LIVE_INPUTS:

@@ -87,10 +87,6 @@ class NBModel:
             sum(c[1] for c in self.token_counts.values()),
         )
 
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.token_counts)
-
     def prior(self, label: int) -> float:
         return self.doc_counts[label] / sum(self.doc_counts)
 

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaze import GazeObservation
 from .language import Utterance
@@ -40,10 +39,10 @@ from .streams import (
 
 FORMAT_VERSION = 1
 
-# A session lasts at most one hour: `run <file>` and `train` hold its
-# ticks in memory (36,000 rows of 3 * window_w features at 10 Hz) and
-# `simulate` its gaze frames (108,000), so a runaway duration fails at
-# the line that declares it
+# A session lasts at most one hour: `train` and `eval` hold its ticks in
+# memory (36,000 rows of 3 * window_w features at 10 Hz) and `simulate`
+# its gaze frames (108,000), so a runaway duration fails at the line that
+# declares it
 MAX_SESSION_S = 3600.0
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
@@ -337,10 +336,14 @@ class SessionReader:
     needs no later line; `live` input also bars a stream the live shell
     does not read and a message earlier than the one before it, and
     `labeled` input, whose utterances `train` and `eval` label, an
-    utterance at the duration, which no half-open label span covers."""
+    utterance at the duration, which no half-open label span covers.
+    Input that has arrived `whole` keeps its spans in `labels`, and once its
+    last line is read they must tile [0, duration), also as `train` writes
+    them back to the millisecond; an error names the span's line."""
 
     def __init__(
-        self, lines: Iterable[str], live: bool = False, labeled: bool = False
+        self, lines: Iterable[str], live: bool = False, labeled: bool = False,
+        whole: bool = False,
     ):
         line_no, fields, self._rows = _header(
             lines, "session", "format_version", FORMAT_VERSION
@@ -352,10 +355,13 @@ class SessionReader:
         _check_length(self.duration, line_no)
         self.live = live
         self.labeled = labeled
+        self.whole = whole
+        self.labels: list[LabelSpan] = []
 
     def __iter__(self) -> Iterator[tuple[int, str, object]]:
         last_t: dict[str, float] = {}
         latest = float("-inf")
+        label_lines: list[int] = []
         for line_no, line in self._rows:
             gaze = _plain_gaze(line)
             if gaze and (gaze[0] >= latest or not self.live):
@@ -372,7 +378,11 @@ class SessionReader:
                 start = _parse_float(fields, "start", line_no)
                 end = _parse_float(fields, "end", line_no)
                 level = _need_level(fields.get("level", ""), line_no)
-                yield line_no, name, LabelSpan(start, end, level)
+                span = LabelSpan(start, end, level)
+                if self.whole:
+                    self.labels.append(span)
+                    label_lines.append(line_no)
+                yield line_no, name, span
                 continue
             if name not in STREAM_NAMES:
                 raise SessionFormatError(f"unknown stream name {name!r}", line_no)
@@ -396,27 +406,20 @@ class SessionReader:
                 )
             payload = _parse_payload(name, fields, line_no)
             yield line_no, name, TimestampedMessage(t, payload)
+        if self.whole:
+            _validate_labels(self.labels, self.duration, label_lines)
+            _validate_rounded_labels(self.labels, self.duration, label_lines)
 
 
-def parse_session(
-    lines: Iterable[str], live: bool = False, labeled: bool = False
-) -> SessionRecord:
-    """Parse and validate a session, read as `live` or `labeled` input if
-    asked (see `SessionReader`); errors name the offending line."""
-    reader = SessionReader(lines, live, labeled)
+def parse_session(lines: Iterable[str], labeled: bool = False) -> SessionRecord:
+    """Parse and validate a session, read as `labeled` input if asked (see
+    `SessionReader`); errors name the offending line."""
+    reader = SessionReader(lines, labeled=labeled, whole=True)
     streams: dict[str, list[TimestampedMessage]] = {}
-    labels: list[LabelSpan] = []
-    label_lines: list[int] = []
-    for line_no, name, item in reader:
-        if name == "label":
-            labels.append(item)
-            label_lines.append(line_no)
-        else:
+    for _, name, item in reader:
+        if name != "label":
             streams.setdefault(name, []).append(item)
-    _validate_labels(labels, reader.duration, label_lines)
-    # `train` writes the spans and the duration back to the millisecond
-    _validate_rounded_labels(labels, reader.duration, label_lines)
-    return SessionRecord(reader.session_id, reader.duration, streams, labels)
+    return SessionRecord(reader.session_id, reader.duration, streams, reader.labels)
 
 
 def _need_level(text: str, line_no: int) -> NeedLevelLabel:
@@ -469,11 +472,9 @@ def _quoted_text(fields: dict[str, str], line_no: int) -> str:
     return _unescape(raw[1:-1])
 
 
-def load(
-    path: str | Path, live: bool = False, labeled: bool = False
-) -> SessionRecord:
+def load(path: str | Path, labeled: bool = False) -> SessionRecord:
     """Read and parse a session file; every error names the file."""
-    return read_lines(path, lambda lines: parse_session(lines, live, labeled))
+    return read_lines(path, lambda lines: parse_session(lines, labeled))
 
 
 def binary_labels(record: SessionRecord, times) -> np.ndarray:
@@ -600,10 +601,15 @@ def _check_needs(ticks: list[float], frames: np.ndarray, duration: float) -> Non
 def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
     """Sliding windows over (T, 3) frames: row i concatenates frames i to
     i + window - 1, oldest first, so it is anchored at frame
-    i + window - 1.  No rows until `window` frames exist (no padding)."""
-    if len(frames) < window:
-        return np.empty((0, 3 * window), dtype=np.float64)
-    return sliding_window_view(frames, (window, 3)).reshape(-1, 3 * window)
+    i + window - 1.  No rows until `window` frames exist (no padding).
+    The rows are a read-only view of the frames, one frame apart."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, not {window}")
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    shape = (max(len(frames) - window + 1, 0), 3 * window)
+    rows = np.ndarray(shape, np.float64, frames, strides=(3 * 8, 8))
+    rows.flags.writeable = False
+    return rows
 
 
 def export_fusion_matrix(

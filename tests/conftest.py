@@ -63,13 +63,13 @@ def live_shell():
         sink = []
         tracker = EchoTracker if gaze_config is None else fusion.GazeNeedTracker
         with mock.patch.object(fusion, "GazeNeedTracker", tracker):
-            pipe = fusion.live_pipeline(
+            pipe, _ = fusion.live_pipeline(
                 nb_model or EchoText(),
                 forest,
                 gaze_config or GazeConfig(),
                 cadence_hz,
                 window,
-                sink.append,
+                sink.extend,
             )
         return pipe, sink, forest
 

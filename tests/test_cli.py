@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needsense
-from needsense import cli, forest
-from needsense.cli import _decision_line, _run_stdin, build_parser, main
+from needsense import cli, forest, fusion
+from needsense.cli import _decision_line, _run, build_parser, main
 from needsense.config import (
     MAX_TREES,
     MAX_WINDOW_W,
@@ -605,7 +605,8 @@ def test_a_blas_thread_count_already_set_is_kept(fresh_python):
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
-def test_tracer_hooks_stay_live_over_a_stdin_run(workspace, tmp_path):
+@pytest.mark.parametrize("source", ["-", "file"])
+def test_tracer_hooks_stay_live_over_a_run(workspace, tmp_path, source):
     # perfbench/traced.py wraps the names it finds on the live path and
     # lists those it does not; a change to these names shows here first
     session = sorted(workspace["ds0"].glob("*.session"))[0]
@@ -614,7 +615,10 @@ def test_tracer_hooks_stay_live_over_a_stdin_run(workspace, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )}
-    run = ["run", "-", "--models", str(workspace["models"])]
+    run = [
+        "run", "-" if source == "-" else str(session),
+        "--models", str(workspace["models"]),
+    ]
     traced = [
         sys.executable,
         str(Path(__file__).parents[1] / "perfbench" / "traced.py"),
@@ -692,6 +696,19 @@ class DiscardingOut:
 
     def flush(self) -> None:
         pass
+
+
+def run_peak(monkeypatch, models: Path, session: str = "-", text: str = "") -> int:
+    """The tracemalloc peak of `run` of `session`, with `text` on standard
+    input and standard output discarded."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdout", DiscardingOut())
+    tracemalloc.start()
+    try:
+        assert main(["run", session, "--models", str(models)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRunCommand:
@@ -915,14 +932,7 @@ class TestRunCommand:
 
         def peak(k: int) -> int:
             text = "\n".join(repeated(record, k).to_lines()) + "\n"
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            monkeypatch.setattr("sys.stdout", DiscardingOut())
-            tracemalloc.start()
-            try:
-                assert main(["run", "-", "--models", str(workspace["models"])]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return run_peak(monkeypatch, workspace["models"], text=text)
 
         # garbage awaiting the cycle collector moves a peak by some kB; a
         # shell that kept its messages or decisions would add megabytes
@@ -940,18 +950,41 @@ class TestRunCommand:
                 r"duration=\S+", f"duration={duration + tail_s:.3f}", lines[0]
             )
             text = "\n".join([header, *lines[1:]]) + "\n"
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            monkeypatch.setattr("sys.stdout", DiscardingOut())
-            tracemalloc.start()
-            try:
-                assert main(["run", "-", "--models", str(workspace["models"])]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return run_peak(monkeypatch, workspace["models"], text=text)
 
         # a tail of 20 s holds 200 decisions and one of 200 s 2,000: kept
         # in a list, those would add hundreds of kB
         once, ten_times = peak(20.0), peak(200.0)
+        assert ten_times <= once + 64 * 1024, (once, ten_times)
+
+    def test_stdin_memory_stays_flat_over_label_lines(self, workspace, monkeypatch):
+        # standard input has no label rule, so it keeps no span it reads
+        header = "format_version=1 session_id=x duration=10.000"
+        span = "stream=label start=0.000 end=10.000 level=L0"
+
+        def peak(n: int) -> int:
+            text = "\n".join([header, *[span] * n]) + "\n"
+            return run_peak(monkeypatch, workspace["models"], text=text)
+
+        # kept, 9,000 more spans and their lines would add over 1 MB
+        once, ten_times = peak(1_000), peak(10_000)
+        assert ten_times <= once + 64 * 1024, (once, ten_times)
+
+    def test_file_memory_stays_flat_as_the_session_grows(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # blocks of 256 windows, so that both sessions span several
+        monkeypatch.setattr(fusion, "SCORE_ROWS", 256)
+        monkeypatch.setattr(forest, "SCORE_ROWS", 256)
+        record = load_session(sorted(workspace["ds0"].glob("*.session"))[0])
+
+        def peak(k: int) -> int:
+            path = tmp_path / f"x{k}.session"
+            repeated(record, k).save(path)
+            return run_peak(monkeypatch, workspace["models"], str(path))
+
+        # a file held whole, or its whole stage 1, would add megabytes
+        once, ten_times = peak(1), peak(10)
         assert ten_times <= once + 64 * 1024, (once, ten_times)
 
     @pytest.mark.parametrize("mode", ["file", "stdin", "train"])
@@ -1011,7 +1044,7 @@ class TestRunCommand:
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         lines = session.read_text(encoding="utf-8").splitlines(keepends=True)
         out = RecordingOut()
-        assert _run_stdin(cfg, nb, rf, checked(out, lines), out) == 0
+        assert _run(cfg, nb, rf, checked(out, lines), out) == 0
         assert out.unflushed == 0
         assert 1 < out.flushes <= out.written
 
@@ -1744,7 +1777,8 @@ def mutated(draw, data: bytes) -> bytes:
 @pytest.fixture(scope="module")
 def fuzz_inputs(workspace, tmp_path_factory):
     """A copy of the trained models, the config and two of the sessions
-    (`ds0`, for `train`), a 3 s session and a 3 s script.  The session's duration and
+    (`ds0`, for `train`), a 3 s session, the same with three label spans
+    (`fz3.session`) and a 3 s script.  The sessions' durations and
     the script's segment durations are one digit each, so no one-byte edit
     declares an hours-long session, which `run` would spend ticking through
     and `simulate` rendering."""
@@ -1770,6 +1804,12 @@ def fuzz_inputs(workspace, tmp_path_factory):
     lines[0] = "format_version=1 session_id=fz duration=3"
     session = root / "fz.session"
     session.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines[1:2] = [
+        "stream=label start=0.000 end=1.000 level=Flow",
+        "stream=label start=1.000 end=2.000 level=L2",
+        "stream=label start=2.000 end=3.000 level=L3",
+    ]
+    (root / "fz3.session").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (root / "fz.script").write_text(
         "script_version=1 seed=3 noise=0.02\n"
         "segment duration=2 label=Flow gaze=fix-task\n"
@@ -1781,13 +1821,35 @@ def fuzz_inputs(workspace, tmp_path_factory):
     return root, session
 
 
-def run_in_process(argv: list[str], stdin: str = "") -> tuple[int, str]:
-    err = io.StringIO()
+def run_captured(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)` in this process."""
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
-        io.StringIO()
+        out
     ), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_in_process(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    code, _, err = run_captured(argv, stdin)
+    return code, err
+
+
+def run_file_and_stdin(path: Path, models: Path):
+    """`run` of the session file at `path`, then of its bytes on standard
+    input, decoded as a C or POSIX locale decodes them: each as (exit code,
+    stdout, stderr), the file's stderr without its `<path>: ` prefix."""
+    code, out, err = run_captured(["run", str(path), "--models", str(models)])
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    return (
+        (code, out, err.replace(f"error: {path}: ", "error: ", 1)),
+        run_captured(["run", "-", "--models", str(models)], text),
+    )
+
+
+# what a file's label rule refuses: a span at fault, or no span at all
+LABEL_RULE_ERROR = re.compile(r"error: (line \d+: label |session has no label spans)")
 
 
 class TestMutatedInputs:
@@ -1841,6 +1903,37 @@ class TestMutatedInputs:
             assert list(text_lines([mutant.decode("utf-8")])) == list(
                 text_lines([original.decode("utf-8")])
             )
+
+    @pytest.mark.parametrize("name", ["fz.session", "fz3.session"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_file_runs_as_its_bytes_on_stdin(self, fuzz_inputs, name, data):
+        # differential: one input, the two ways `run` reads it, one verdict
+        root, _ = fuzz_inputs
+        path = root / "mutant" / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(data.draw(mutated((root / name).read_bytes())))
+        from_file, from_stdin = run_file_and_stdin(path, root / "models")
+        code, out, err = from_file
+        if code == 3 and from_stdin[0] == 0 and LABEL_RULE_ERROR.match(err):
+            return  # the one rule only a file keeps: its spans tile it
+        assert (code, err) == (from_stdin[0], from_stdin[2])
+        if code == 0:
+            assert out == from_stdin[1]
+
+    def test_a_file_names_its_first_fault_in_line_order(self, fuzz_inputs, tmp_path):
+        # a bad number on line 8 and a byte that is not UTF-8 on line 501
+        root, _ = fuzz_inputs
+        lines = (root / "ds0" / "s00.session").read_bytes().splitlines(keepends=True)
+        assert lines[7].startswith(b"stream=gaze_raw ") and len(lines) > 501
+        lines[7] = re.sub(rb"yaw=\S+", b"yaw=abc", lines[7])
+        lines[500] = lines[500].replace(b"stream=", b"stream=\xff", 1)
+        path = tmp_path / "s00.session"
+        path.write_bytes(b"".join(lines))
+        from_file, from_stdin = run_file_and_stdin(path, root / "models")
+        assert from_file == from_stdin == (
+            3, "", "error: line 8: bad number for 'yaw': abc\n"
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -5,10 +5,12 @@ from __future__ import annotations
 import functools
 import io
 import re
+import tempfile
 import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,23 @@ from needsense import forest
 from needsense.forest import ForestConfig, RFModel, fit_forest
 
 SINGLE_TREE = ForestConfig(n_trees=1, bootstrap=False, seed=0)
+
+
+def load_lines(lines) -> RFModel:
+    """`RFModel.load` of a file of `lines`, each ended by an LF unless it
+    has one, with the file's name taken off an error's message.  The file
+    is under a directory of its own, since Hypothesis tests take no
+    `tmp_path`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "rf.model"
+        path.write_text(
+            "".join(line if line.endswith("\n") else line + "\n" for line in lines),
+            encoding="utf-8",
+        )
+        try:
+            return RFModel.load(path)
+        except ValueError as exc:
+            raise ValueError(str(exc).removeprefix(f"{path}: ")) from None
 
 
 def fit_single(X, y, **overrides):
@@ -230,7 +249,7 @@ class TestPredict:
         ]
         for ti, c in enumerate(leaf_classes):
             lines += [f"tree {ti}", f"leaf 0 class={c}"]
-        return RFModel.from_lines(lines)
+        return load_lines(lines)
 
     def test_unanimous_vote(self):
         labels, scores = self.manual_model([1]).predict_batch([[0.0, 0.0]])
@@ -350,7 +369,7 @@ class TestWalk:
         expected = reference_votes(lines, probe)
         votes = model.tree_votes(probe)
         assert votes.tolist() == expected.tolist()
-        assert RFModel.from_lines(lines).tree_votes(probe).tolist() == votes.tolist()
+        assert load_lines(lines).tree_votes(probe).tolist() == votes.tolist()
         for i, row in enumerate(probe):
             alone = model.tree_votes(row[None, :])[:, 0]
             assert alone.tolist() == votes[:, i].tolist()
@@ -365,12 +384,12 @@ class TestSerialization:
 
     def test_round_trip_is_bit_identical(self):
         model, _ = self.trained()
-        back = RFModel.from_lines(model.to_lines())
+        back = load_lines(model.to_lines())
         assert back.to_lines() == model.to_lines()
 
     def test_round_trip_predicts_identically(self):
         model, probe = self.trained()
-        back = RFModel.from_lines(model.to_lines())
+        back = load_lines(model.to_lines())
         labels_a, scores_a = model.predict_batch(probe)
         labels_b, scores_b = back.predict_batch(probe)
         assert labels_a.tolist() == labels_b.tolist()
@@ -386,31 +405,31 @@ class TestSerialization:
 
     def test_header_preserves_config(self):
         model, _ = self.trained()
-        back = RFModel.from_lines(model.to_lines())
+        back = load_lines(model.to_lines())
         assert back.config == model.config
         assert back.n_features == 4
 
     def test_thresholds_survive_repr_round_trip(self):
         model = fit_single([[0.1], [0.2], [0.30000000000000004]], [0, 0, 1])
-        back = RFModel.from_lines(model.to_lines())
+        back = load_lines(model.to_lines())
         assert back.threshold[0] == model.threshold[0]
 
     def test_reject_bad_header(self):
         with pytest.raises(ValueError, match="not a random forest"):
-            RFModel.from_lines(["format=elsewhere version=1"])
+            load_lines(["format=elsewhere version=1"])
 
     def test_reject_truncated_tree(self):
         model, _ = self.trained()
         lines = model.to_lines()
         with pytest.raises(ValueError, match="truncated"):
-            RFModel.from_lines(lines[:-1])
+            load_lines(lines[:-1])
 
     def test_reject_tree_count_mismatch(self):
         model, _ = self.trained()
         lines = model.to_lines()
         first_tree_1 = lines.index("tree 1")
         with pytest.raises(ValueError, match="trees"):
-            RFModel.from_lines(lines[:first_tree_1])
+            load_lines(lines[:first_tree_1])
 
     def test_reject_dangling_leaf(self):
         lines = [
@@ -422,7 +441,7 @@ class TestSerialization:
             "leaf 1 class=0",
         ]
         with pytest.raises(ValueError, match="dangling"):
-            RFModel.from_lines(lines)
+            load_lines(lines)
 
     def test_reject_garbage_line(self):
         lines = [
@@ -433,7 +452,7 @@ class TestSerialization:
             "florp 0",
         ]
         with pytest.raises(ValueError, match="unrecognized"):
-            RFModel.from_lines(lines)
+            load_lines(lines)
 
 
 HEADER = (
@@ -485,14 +504,14 @@ class TestHeader:
     )
     def test_header_that_would_not_round_trip_is_rejected(self, header, why):
         with pytest.raises(ValueError, match=f"^line 2: bad model header: .*{why}"):
-            RFModel.from_lines(one_split_model(header))
+            load_lines(one_split_model(header))
 
     def test_any_order_and_whitespace_read_alike(self):
-        expected = RFModel.from_lines(one_split_model(HEADER))
+        expected = load_lines(one_split_model(HEADER))
         shuffled = "\t seed=0  n_features=1\tbootstrap=0 features_per_split=1 " + (
             "min_samples_leaf=1\x0bmax_depth=none   n_trees=1 "
         )
-        model = RFModel.from_lines(one_split_model(shuffled))
+        model = load_lines(one_split_model(shuffled))
         assert model.config == expected.config
         assert model.to_lines() == one_split_model(HEADER)
 
@@ -533,7 +552,7 @@ class TestHeader:
         trees = [
             line.replace("tree 0", f"tree {t}") for t in range(n_trees) for line in body
         ]
-        model = RFModel.from_lines(["format=needsense-rf version=1", header, *trees])
+        model = load_lines(["format=needsense-rf version=1", header, *trees])
         assert model.to_lines()[1] == " ".join(items)
         assert model.config == ForestConfig(
             n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap, seed
@@ -541,7 +560,7 @@ class TestHeader:
 
     @pytest.mark.parametrize("seed", [2**31 - 1, 2**32 - 1, 2**64 - 1])
     def test_a_wide_seed_is_loaded_back(self, tmp_path, seed):
-        model = RFModel.from_lines(one_split_model(HEADER))
+        model = load_lines(one_split_model(HEADER))
         model.config = replace(model.config, seed=seed)
         path = tmp_path / "rf.model"
         model.save(path)
@@ -643,7 +662,7 @@ class TestFitValidation:
             fit_forest(np.ones(3), np.array([0, 1, 1]), SINGLE_TREE)
 
     def test_infinite_feature_rejected(self):
-        # a -inf threshold would make a model that RFModel.from_lines refuses
+        # a -inf threshold would make a model that RFModel.load refuses
         X = np.array([[-np.inf], [1.0], [2.0], [3.0]])
         with pytest.raises(ValueError, match="finite"):
             fit_forest(X, np.array([1, 0, 0, 0]), SINGLE_TREE)
@@ -1544,9 +1563,7 @@ class TestWholeBufferParser:
             ("\r\r\n", "line 3: unrecognized model line: tree 0"),
         ],
     )
-    def test_from_lines_takes_off_one_line_end_as_load_does(
-        self, tmp_path, end, error
-    ):
+    def test_load_takes_off_one_line_end(self, tmp_path, end, error):
         lines = small_forest_text(0).decode("utf-8").splitlines()
         lines[2] += end  # `tree 0`
         path = tmp_path / "rf.model"
@@ -1555,14 +1572,10 @@ class TestWholeBufferParser:
         ).encode("utf-8"))
         if error is None:
             expected = reference_load(small_forest_text(0))
-            assert_same_model(RFModel.from_lines(lines), expected)
             assert_same_model(RFModel.load(path), expected)
             return
-        with pytest.raises(ValueError) as from_lines:
-            RFModel.from_lines(lines)
         with pytest.raises(ValueError) as load:
             RFModel.load(path)
-        assert str(from_lines.value) == error
         assert str(load.value) == f"{path}: {error}"
 
     @pytest.mark.parametrize(
@@ -1586,7 +1599,7 @@ class TestWholeBufferParser:
         i = next(i for i, line in enumerate(lines) if old in line)
         lines[i] = lines[i].replace(old, new, 1)
         with pytest.raises(ValueError, match=f"line {i + 1}: "):
-            RFModel.from_lines(lines)
+            load_lines(lines)
 
 
 WIDE_HEADER = HEADER.replace("n_features=1", "n_features=999999999")
@@ -1603,7 +1616,7 @@ class TestFieldDecoding:
     def test_feat_of_every_canonical_width(self, feat):
         lines = one_split_model(WIDE_HEADER)
         lines[3] = f"node 0 feat={feat} thr=0.5"
-        assert RFModel.from_lines(lines).feature.tolist() == [feat, -1, -1]
+        assert load_lines(lines).feature.tolist() == [feat, -1, -1]
         assert reference_load(("\n".join(lines) + "\n").encode()).feature.tolist() == [
             feat, -1, -1,
         ]
@@ -1649,10 +1662,10 @@ class TestFieldDecoding:
         lines = one_split_model(HEADER)
         lines[3] = f"node 0 feat=0 thr={thr}"
         if error is None:
-            assert RFModel.from_lines(lines).threshold[0] == float(thr)
+            assert load_lines(lines).threshold[0] == float(thr)
         else:
             with pytest.raises(ValueError, match=f"^{error}"):
-                RFModel.from_lines(lines)
+                load_lines(lines)
 
     @pytest.mark.parametrize("first, second", [(24, 25), (25, 24)])
     def test_texts_alike_but_for_length_are_cast_apart(self, first, second):
@@ -1667,14 +1680,14 @@ class TestFieldDecoding:
             "leaf 4 class=1",
         ]
         with pytest.raises(ValueError, match=f"^line {4 if first == 25 else 5}: unrec"):
-            RFModel.from_lines(lines)
+            load_lines(lines)
 
     @pytest.mark.parametrize("node_id", ["12345678", "123456789"])
     def test_wide_node_id_is_read_then_fails_the_preorder(self, node_id):
         lines = one_split_model(WIDE_HEADER)
         lines[4] = f"leaf {node_id} class=0"
         with pytest.raises(ValueError, match="^line 5: node id out of preorder$"):
-            RFModel.from_lines(lines)
+            load_lines(lines)
 
     def test_each_threshold_reads_as_float_of_its_text(self):
         # a few texts repeated over many lines, as a fitted model repeats them
@@ -1687,7 +1700,7 @@ class TestFieldDecoding:
             lambda _: f"thr={texts[rng.integers(len(texts))]}",
             synthetic_model_text(n_trees=20, depth=6),
         )
-        model = RFModel.from_lines(text.splitlines())
+        model = load_lines(text.splitlines())
         expected = [float(t) for t in re.findall("thr=(\\S+)", text)]
         got = model.threshold[model.feature >= 0]
         assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
