@@ -1,7 +1,10 @@
 """Command-line surface: simulate sessions, train the two stages,
 evaluate, and decide: `run` takes every setting from the training
 manifest of the models it runs and reads a session file or standard
-input line by line through one live decision engine.
+input line by line through one live decision engine.  Every text input
+but `rf.model`, which is parsed from its bytes, passes through
+`streams.text_lines`, so a data error names the input's first faulty
+line in line order, after a file's path.
 
 Exit codes: 0 success, 1 standard output closed early (a reader such as
 `head` stopped; no error line), 2 usage, 3 data error, 4 models or
@@ -16,7 +19,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
@@ -259,23 +262,11 @@ def _decision_line(d: FusedDecision) -> str:
     )
 
 
-def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
-    """`lines` as they come, up to the first holding a lone surrogate,
-    which is an error naming its line: a byte that is not UTF-8, which
-    the decoder escaped."""
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SessionFormatError("not UTF-8 text", line_no) from None
-        yield line
-
-
 def _run(
-    cfg: Config, nb: NBModel, rf: RFModel, stream, out, whole: bool = False
+    cfg: Config, nb: NBModel, rf: RFModel, lines, out, whole: bool = False
 ) -> int:
-    """Decide over the session whose lines `stream` gives, read with live
-    input streams only, in non-decreasing global time order, so each
+    """Decide over the session whose `text_lines` are `lines`, read with
+    live input streams only, in non-decreasing global time order, so each
     decision uses only the input read before it.  Decisions are written
     and dropped as they are made, so memory stays flat however long the
     session runs.  Input that has arrived `whole`, a file, is scored in
@@ -294,7 +285,7 @@ def _run(
     pipe, score_rest = live_pipeline(
         nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w, write, whole
     )
-    reader = SessionReader(_utf8_lines(text_lines(stream)), live=True, whole=whole)
+    reader = SessionReader(lines, live=True, whole=whole)
     for _, name, item in reader:
         if name != "label":
             pipe.emit(name, item.originating_time, item.payload)
@@ -319,17 +310,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     parsed = {NB_MODEL_NAME: nb_sha.hexdigest(), RF_MODEL_NAME: rf_sha.hexdigest()}
     cfg = _check_manifest(models, rf, parsed)
     if args.session is None or args.session == "-":
-        return _run(cfg, nb, rf, sys.stdin, sys.stdout)
-    # a file's lines are read as standard input's are, a byte that is not
-    # UTF-8 escaped as a lone surrogate
-    with open(
-        args.session, encoding="utf-8", errors="surrogateescape", newline="\n"
-    ) as lines:
-        try:
-            return _run(cfg, nb, rf, lines, sys.stdout, whole=True)
-        except ValueError as exc:  # a data error names the file
-            exc.args = (f"{args.session}: {exc}",)
-            raise
+        return _run(cfg, nb, rf, text_lines(sys.stdin), sys.stdout)
+    return read_lines(
+        args.session,
+        lambda lines: _run(cfg, nb, rf, lines, sys.stdout, whole=True),
+    )
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:

@@ -6,14 +6,16 @@ and need values 6; the canonical form orders messages globally by
 (time, stream), which keeps files diffable, byte-reproducible, and
 directly replayable in time order.
 
-A file's lines and those of a live session on standard input pass
-through one incremental reader (`SessionReader`).
+A file's lines, read a line at a time by `streams.read_lines`, and
+those of a live session on standard input pass through one incremental
+reader (`SessionReader`), so either names its first faulty line in line
+order.
 
 Two stores share this format: raw recordings (gaze observations and
 utterances) and derived recordings (per-tick model outputs).  In memory
 the first training stage hands the second plain (ticks, frames) arrays;
-`save_derived` writes them as the derived recording `train` keeps, and
-`need_frames` reads one back.
+`save_derived` writes them as the derived recording `train` keeps, one
+need stream per column.
 """
 
 from __future__ import annotations
@@ -531,29 +533,6 @@ def export_language_corpus(
             for m, y in zip(msgs, labels.tolist())
         )
     return rows
-
-
-def need_frames(record: SessionRecord) -> tuple[list[float], np.ndarray]:
-    """The tick times of a derived session read from disk and its (T, 3)
-    array of (mutual, confirmatory, language) values, checking that all
-    three need streams exist and share one tick grid.  The inverse of
-    `save_derived`."""
-    for name in NEED_STREAMS:
-        if name not in record.streams:
-            raise SessionFormatError(
-                f"session {record.session_id} missing stream {name!r}"
-            )
-    times = [m.originating_time for m in record.messages(NEED_STREAMS[0])]
-    series = []
-    for name in NEED_STREAMS:
-        msgs = record.messages(name)
-        if [m.originating_time for m in msgs] != times:
-            raise SessionFormatError(
-                f"session {record.session_id}: stream {name!r} not on the "
-                "common tick grid"
-            )
-        series.append([m.payload for m in msgs])
-    return times, np.array(series, dtype=np.float64).T
 
 
 def save_derived(

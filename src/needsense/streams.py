@@ -6,9 +6,12 @@ are processed.  This is what makes the live shell, callbacks on a
 `Pipeline`'s input streams and ticks (see `fusion`), reproduce the batch
 computation over a recorded session exactly: both see the same
 originating times regardless of processing latency.  Streams keep no
-message, so a live run's memory does not grow with its length.  A
-session file and a live session on standard input are read through one
-line reader.
+message, so a live run's memory does not grow with its length.
+
+Every text input but `rf.model`, a file any command reads or a live
+session on standard input, is read a line at a time through one line
+reader (`text_lines`), so a data error is named at the input's first
+faulty line in line order.
 
 Time resolution is one millisecond; producers are expected to round
 originating times to 3 decimal places (the wire precision) so in-memory
@@ -43,41 +46,51 @@ class SessionFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def _split(text: str) -> list[str]:
-    # the one newline rule: "\n", "\r\n" or "\r" and nothing else, so text
-    # keeps the U+2028, form feeds and the like str.splitlines splits at
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def text_lines(chunks: Iterable[str]) -> Iterator[str]:
     """The lines of text arriving in chunks of whole lines, as a text
-    stream's lines or a whole file do, each line as soon as its chunk."""
+    stream read with `newline="\n"` gives them, each line as soon as its
+    chunk.  The one newline rule: "\n", "\r\n" or "\r" and nothing else,
+    so a line keeps the U+2028, form feeds and the like str.splitlines
+    splits at.  A line holding a lone surrogate, a byte that is not UTF-8
+    which the decoder escaped, is an error naming its line."""
+    line_no = 0
     for chunk in chunks:
-        lines = _split(chunk)
+        lines = chunk.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if not lines[-1]:
             lines.pop()  # nothing follows the chunk's last line end
-        yield from lines
+        for line in lines:
+            line_no += 1
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SessionFormatError("not UTF-8 text", line_no) from None
+            yield line
 
 
 def read_lines(
     path: str | Path, parse: Callable[[Iterator[str]], Any], digest=None
 ) -> Any:
-    """`parse` of the `text_lines` of a UTF-8 file, read once; a hashlib
-    `digest`, if given, is updated with its bytes.  A byte that is not
-    UTF-8 is an error naming its line, and every `ValueError` gets the path
-    prefixed, keeping its type and `line`."""
-    data = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(data)
+    """`parse` of the `text_lines` of a UTF-8 file, read a line at a time
+    as standard input is, a byte that is not UTF-8 escaped as a lone
+    surrogate; a hashlib `digest`, if given, is updated with the bytes
+    read.  Every `ValueError` gets the path prefixed, keeping its type and
+    `line`."""
     try:
-        return parse(text_lines([data.decode("utf-8")]))
-    except UnicodeDecodeError as exc:
-        line = len(_split(data[: exc.start].decode("utf-8")))
-        error = SessionFormatError("not UTF-8 text", line)
+        with open(
+            path, encoding="utf-8", errors="surrogateescape", newline="\n"
+        ) as f:
+            return parse(text_lines(f if digest is None else _hashed(f, digest)))
     except ValueError as exc:
-        error = exc
-    error.args = (f"{path}: {error}",)
-    raise error from None
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _hashed(lines: Iterable[str], digest) -> Iterator[str]:
+    """`lines` as they come, `digest` updated with the bytes each was
+    decoded from."""
+    for line in lines:
+        digest.update(line.encode("utf-8", "surrogateescape"))
+        yield line
 
 
 @dataclass(frozen=True, slots=True)

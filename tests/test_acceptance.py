@@ -45,8 +45,8 @@ from needsense.sessions import (
     export_language_corpus,
     fmt_time,
     fmt_value,
+    NEED_STREAMS,
     load as load_session,
-    need_frames,
 )
 from needsense.simulate import (
     ScenarioScript,
@@ -430,8 +430,12 @@ def test_criterion_6_live_replay_equals_batch_prediction(
             ) == 0
             stdin_lines = capsys.readouterr().out.splitlines()
 
-            derived = need_frames(
-                load_session(ws["models"] / "ds1" / session_path.name)
+            back = load_session(ws["models"] / "ds1" / session_path.name)
+            derived = (
+                [m.originating_time for m in back.messages(NEED_STREAMS[0])],
+                np.array(
+                    [[m.payload for m in back.messages(n)] for n in NEED_STREAMS]
+                ).T,
             )
             batch_lines = [
                 f"t={fmt_time(d.t)} mutual={fmt_value(d.mutual)} "

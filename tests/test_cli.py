@@ -243,6 +243,8 @@ class TestConfig:
             (b"seed=abc\n", 1, "bad value for 'seed': 'abc'"),
             (b"seed=1\nwindow_w=0\n", 2, "window_w must be >= 1"),
             (b"seed=1\nseed\xff=2\n", 2, "not UTF-8 text"),
+            # a file's first fault in line order, before a later line's byte
+            (b"seed=abc\nseed\xff=2\n", 1, "bad value for 'seed': 'abc'"),
         ],
     )
     def test_file_errors_name_the_path_and_the_line(
@@ -377,7 +379,12 @@ class TestSimulateCommand:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 2: bad number for 'duration': abc\n"
+        # the first fault in line order wins over a later line's byte
         path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 2: bad number for 'duration': abc\n"
+        path.write_bytes(path.read_bytes().replace(b"=abc", b"=1"))
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 3: not UTF-8 text\n"
@@ -1044,7 +1051,7 @@ class TestRunCommand:
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         lines = session.read_text(encoding="utf-8").splitlines(keepends=True)
         out = RecordingOut()
-        assert _run(cfg, nb, rf, checked(out, lines), out) == 0
+        assert _run(cfg, nb, rf, text_lines(checked(out, lines)), out) == 0
         assert out.unflushed == 0
         assert 1 < out.flushes <= out.written
 
@@ -1851,6 +1858,54 @@ def run_file_and_stdin(path: Path, models: Path):
 # what a file's label rule refuses: a span at fault, or no span at all
 LABEL_RULE_ERROR = re.compile(r"error: (line \d+: label |session has no label spans)")
 
+# what only one reader mode refuses: live input, which `run` reads, a need
+# stream or a message out of global time order; labeled input, which
+# `train` reads, an utterance at the duration
+LIVE_ONLY = re.compile(r"line \d+: (stream '\w+' is not a live input|message at .* order)")
+LABELED_ONLY = re.compile(r"line \d+: stream utterance: time \S+ outside ")
+
+
+def train_and_run(path: Path, root: Path) -> tuple[str | None, str | None]:
+    """What `train` of the directory holding the session file at `path`,
+    and nothing else, and `run` of that file make of reading it: None where
+    the command read it, else its error after the `error: <path>: ` that
+    names the file.  A failed training stage counts as read."""
+    verdicts = []
+    for argv in (
+        ["train", "--config", str(root / "needsense.cfg"), str(path.parent),
+         "--out", str(root / "out")],
+        ["run", str(path), "--models", str(root / "models")],
+    ):
+        try:
+            code, err = run_in_process(argv)
+        finally:
+            shutil.rmtree(root / "out", ignore_errors=True)
+        if code == 0 or err.startswith("error: stage "):
+            verdicts.append(None)
+        else:
+            assert code == 3 and err.startswith(f"error: {path}: "), err
+            verdicts.append(err.removeprefix(f"error: {path}: "))
+    return verdicts[0], verdicts[1]
+
+
+def fault_line(verdict: str | None) -> float:
+    """The line a verdict names; a file read, or an error found once its
+    last line is read, lies past every line."""
+    match = re.match(r"line (\d+): ", verdict or "")
+    return int(match.group(1)) if match else math.inf
+
+
+def two_fault_s00(root: Path, directory: Path) -> Path:
+    """The fixture's s00 in `directory`, with a bad number on line 8 and a
+    byte that is not UTF-8 on line 501."""
+    lines = (root / "ds0" / "s00.session").read_bytes().splitlines(keepends=True)
+    assert lines[7].startswith(b"stream=gaze_raw ") and len(lines) > 501
+    lines[7] = re.sub(rb"yaw=\S+", b"yaw=abc", lines[7])
+    lines[500] = lines[500].replace(b"stream=", b"stream=\xff", 1)
+    path = directory / "s00.session"
+    path.write_bytes(b"".join(lines))
+    return path
+
 
 class TestMutatedInputs:
     """Every mutated input ends in exit 0, 3 or 4 without a traceback, and
@@ -1922,18 +1977,72 @@ class TestMutatedInputs:
             assert out == from_stdin[1]
 
     def test_a_file_names_its_first_fault_in_line_order(self, fuzz_inputs, tmp_path):
-        # a bad number on line 8 and a byte that is not UTF-8 on line 501
         root, _ = fuzz_inputs
-        lines = (root / "ds0" / "s00.session").read_bytes().splitlines(keepends=True)
-        assert lines[7].startswith(b"stream=gaze_raw ") and len(lines) > 501
-        lines[7] = re.sub(rb"yaw=\S+", b"yaw=abc", lines[7])
-        lines[500] = lines[500].replace(b"stream=", b"stream=\xff", 1)
-        path = tmp_path / "s00.session"
-        path.write_bytes(b"".join(lines))
+        path = two_fault_s00(root, tmp_path)
+        fault = "line 8: bad number for 'yaw': abc\n"
         from_file, from_stdin = run_file_and_stdin(path, root / "models")
-        assert from_file == from_stdin == (
-            3, "", "error: line 8: bad number for 'yaw': abc\n"
+        assert from_file == from_stdin == (3, "", f"error: {fault}")
+        # the plain case of the differential pair `train` against `run <file>`
+        assert train_and_run(path, root) == (fault, fault)
+        code, err = run_in_process(
+            ["eval", "--config", str(root / "needsense.cfg"), str(tmp_path)]
         )
+        assert (code, err) == (3, f"error: {path}: {fault}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_train_reads_a_file_as_run_does(self, fuzz_inputs, data):
+        # differential: one input, `train` and `run <file>`, one reading
+        # but for the rules of their reader modes
+        root, _ = fuzz_inputs
+        path = root / "train" / "fz3.session"  # the only file of its directory
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(data.draw(mutated((root / "fz3.session").read_bytes())))
+        train, run = train_and_run(path, root)
+        if train != run:
+            # the reader that stops first stops at a rule of its mode alone
+            assert (
+                fault_line(run) <= fault_line(train) and LIVE_ONLY.match(run)
+            ) or (
+                fault_line(train) <= fault_line(run) and LABELED_ONLY.match(train)
+            ), (train, run)
+
+    @pytest.mark.parametrize("case", ["need-stream", "global-order", "utterance-at-end"])
+    def test_train_and_run_differ_only_by_their_reader_modes(
+        self, fuzz_inputs, tmp_path, case
+    ):
+        root, _ = fuzz_inputs
+        lines = (root / "fz3.session").read_text(encoding="utf-8").splitlines()
+        utterance = next(
+            i for i, line in enumerate(lines) if line.startswith("stream=utterance ")
+        )
+        if case == "need-stream":
+            # after the header and the three label spans
+            lines.insert(4, "stream=need_mutual t=0.000 v=0.500")
+            expected = (None, "line 5: stream 'need_mutual' is not a live input\n")
+        elif case == "global-order":
+            # each stream's times still rise, but not every message's: the
+            # utterance at 1.5 s moves to just after the gaze frame at 2 s
+            moved = lines.pop(utterance)
+            later = 1 + next(
+                i for i, line in enumerate(lines) if "stream=gaze_raw t=2.000 " in line
+            )
+            lines.insert(later, moved)
+            expected = (
+                None,
+                f"line {later + 1}: message at t=1.5 arrives after t=2.0; live "
+                "input must be in global time order\n",
+            )
+        else:
+            # no half-open label span covers an utterance at the duration
+            lines.append(lines.pop(utterance).replace("t=1.500", "t=3.000"))
+            expected = (
+                f"line {len(lines)}: stream utterance: time 3.0 outside [0, 3.0)\n",
+                None,
+            )
+        path = tmp_path / "fz3.session"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert train_and_run(path, root) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -20,15 +20,14 @@ from needsense.fusion import (
 from needsense.gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from needsense.language import Utterance, train_from_utterances
 from needsense.sessions import (
+    NEED_STREAMS,
     LabelSpan,
     NeedLevelLabel,
-    SessionFormatError,
     SessionRecord,
     export_fusion_matrix,
     export_language_corpus,
     frame_windows,
     load as load_session,
-    need_frames,
     parse_session,
     save_derived,
 )
@@ -267,9 +266,13 @@ class TestStage1:
         save_derived(path, record, ticks, frames)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert parse_session(lines).to_lines() == lines
-        back_ticks, back_frames = need_frames(load_session(path))
-        assert back_ticks == ticks
-        assert back_frames.tobytes() == frames.tobytes()
+        back = load_session(path)
+        for k, name in enumerate(NEED_STREAMS):
+            msgs = back.messages(name)
+            assert [m.originating_time for m in msgs] == ticks
+            assert np.array([m.payload for m in msgs]).tobytes() == (
+                frames[:, k].tobytes()
+            )
 
 
 # "???" and "..." tokenize to nothing, so they carry no language value
@@ -395,34 +398,17 @@ class TestStage2:
 
 
 class TestSessionFrames:
-    """`need_frames` reads a derived session back from its records."""
+    """A derived session reads back as its need streams, one per column of
+    its frames."""
 
-    @pytest.fixture
-    def step_derived(self, tmp_path):
-        """The step session's derived session, as `train` writes and reads it."""
+    def test_reconstructs_tick_triples(self, tmp_path):
         record, (ticks, frames) = step_session()
-        path = tmp_path / "d00.session"
-        save_derived(path, record, ticks, frames)
-        return load_session(path)
-
-    def test_reconstructs_tick_triples(self, step_derived):
-        times, frames = need_frames(step_derived)
-        assert frames.shape == (101, 3)
-        assert times[50] == 5.0
-        assert frames[50, 0] == 1.0
-        assert frames[49, 0] == 0.0
-
-    def test_missing_stream_rejected(self, step_derived):
-        record = step_derived
-        record.streams.pop("need_confirmatory")
-        with pytest.raises(SessionFormatError, match="need_confirmatory"):
-            need_frames(record)
-
-    def test_off_grid_rejected(self, step_derived):
-        record = step_derived
-        record.streams["need_language"] = record.streams["need_language"][:-1]
-        with pytest.raises(SessionFormatError, match="grid"):
-            need_frames(record)
+        save_derived(tmp_path / "d00.session", record, ticks, frames)
+        mutual = load_session(tmp_path / "d00.session").messages("need_mutual")
+        assert len(mutual) == 101
+        assert mutual[50].originating_time == 5.0
+        assert mutual[50].payload == 1.0
+        assert mutual[49].payload == 0.0
 
 
 class TestPredictSession:

@@ -1,7 +1,10 @@
-"""Stream substrate: delivery, tick schedule and recorded message order,
-and the live shell's hold and window that run on it."""
+"""Stream substrate: the line reader every text input passes through,
+delivery, tick schedule and recorded message order, and the live shell's
+hold and window that run on it."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,41 @@ from hypothesis import strategies as st
 
 from needsense.gaze import GazeObservation
 from needsense.sessions import SessionRecord
-from needsense.streams import Pipeline, TimestampedMessage, tick_times
+from needsense.streams import (
+    Pipeline,
+    SessionFormatError,
+    TimestampedMessage,
+    read_lines,
+    text_lines,
+    tick_times,
+)
+
+
+class TestReadLines:
+    @pytest.mark.parametrize(
+        "data, lines",
+        [
+            pytest.param(b"a\nb\n", ["a", "b"], id="LF"),
+            pytest.param(b"a\r\nb\r\n", ["a", "b"], id="CRLF"),
+            pytest.param(b"a\rb\n", ["a", "b"], id="lone-CR"),
+            pytest.param(b"a\n\n\r\n\nb\n", ["a", "", "", "", "b"], id="blank"),
+            pytest.param(b"a\nb", ["a", "b"], id="no-final-line-end"),
+            pytest.param("a\u2028b\n".encode(), ["a\u2028b"], id="U+2028"),
+        ],
+    )
+    def test_digest_holds_the_bytes_read(self, tmp_path, data, lines):
+        # not the lines parsed, which lose each line end's spelling
+        path = tmp_path / "a.txt"
+        path.write_bytes(data)
+        digest = hashlib.sha256()
+        assert read_lines(path, list, digest) == lines
+        assert digest.digest() == hashlib.sha256(data).digest()
+
+    def test_each_line_comes_before_the_next_is_checked(self):
+        lines = text_lines(["a\n", "b\udcff\n"])
+        assert next(lines) == "a"
+        with pytest.raises(SessionFormatError, match="line 2: not UTF-8 text"):
+            next(lines)
 
 
 def held_language(sink) -> list[tuple[float, float]]:
