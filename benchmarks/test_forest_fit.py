@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import resource
 
+import numpy as np
 import pytest
 
 from needsense.config import Config
@@ -24,6 +25,7 @@ from needsense.forest import fit_forest
 from needsense.fusion import stage1_materialize
 from needsense.language import train_from_utterances
 from needsense.sessions import (
+    binary_labels,
     export_fusion_matrix,
     export_language_corpus,
     load as load_session,
@@ -58,8 +60,14 @@ def suite_matrix(tmp_path_factory):
         for r in records
     ]
     matrix = export_fusion_matrix(records, ds1, cfg.window_w)
-    # the export's own (session, time) order, the canonical one
-    assert all(a < b for a, b in zip(matrix.anchors, matrix.anchors[1:]))
+    # the export's own order, the canonical one: sessions by id, each
+    # labeled at its ticks from the window's last frame on, short of the end
+    by_id = sorted(zip(records, ds1), key=lambda p: p[0].session_id)
+    labels = [
+        binary_labels(r, [t for t in ticks[cfg.window_w - 1:] if t < r.duration])
+        for r, (ticks, _) in by_id
+    ]
+    assert np.array_equal(matrix.labels, np.concatenate(labels))
     return matrix.features, matrix.labels
 
 

@@ -8,7 +8,7 @@ gaze frame, training the text model on the suite's utterances and its
 posterior for each of them, stage-1 materialize, writing the 20 derived
 sessions, the fusion-matrix export, batch prediction over every training row,
 loading the saved forest, and the decisions of one session, both through
-the live engine that `run` uses and through the batch reference (stage 1
+`run`'s reader and live engine and through the batch reference (stage 1
 plus batch prediction).  `testpaths` does not collect this directory, so run it
 directly:
 
@@ -21,18 +21,15 @@ seconds) before the timed cases start.
 from __future__ import annotations
 
 import hashlib
+import io
 import tracemalloc
 
 import pytest
 
+from needsense.cli import _decision_line, _run
 from needsense.config import Config
 from needsense.forest import RFModel
-from needsense.fusion import (
-    live_decisions,
-    predict_session,
-    stage1_materialize,
-    train_rf,
-)
+from needsense.fusion import predict_session, stage1_materialize, train_rf
 from needsense.gaze import GazeNeedTracker
 from needsense.language import train_from_utterances
 from needsense.sessions import (
@@ -42,7 +39,7 @@ from needsense.sessions import (
     save_derived,
 )
 from needsense.simulate import benchmark_suite, simulate
-from needsense.streams import tick_times
+from needsense.streams import read_lines, tick_times
 from test_end_to_end import DEFAULT_DS1
 
 SUITE_ROWS = 7_339
@@ -241,23 +238,32 @@ def test_load_default_forest(benchmark, suite, tmp_path):
     assert peak <= DEFAULT_LOAD_PEAK_MULTIPLE * len(data)
 
 
-def test_live_decisions_one_session(benchmark, suite):
-    cfg, records, nb, _, _, rf = suite
-    record = records[0]
-    decisions = benchmark.pedantic(
-        live_decisions,
-        args=(record, nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w),
-        rounds=5,
-        iterations=1,
+def run_lines(cfg, nb, rf, lines) -> list[str]:
+    """The decision lines `run <file>` writes for a session's lines."""
+    out = io.StringIO()
+    assert _run(cfg, nb, rf, lines, out, whole=True) == 0
+    return out.getvalue().splitlines()
+
+
+def test_run_one_session(benchmark, suite, session_paths):
+    """`run` of one session file once the models are loaded: its lines
+    through the reader and the live engine."""
+    cfg, records, nb, ds1, _, rf = suite
+    lines = read_lines(session_paths[0], list)
+    decided = benchmark.pedantic(
+        run_lines, args=(cfg, nb, rf, lines), rounds=5, iterations=1
     )
-    ticks = tick_times(record.duration, cfg.cadence_hz)
-    assert [d.t for d in decisions] == ticks[cfg.window_w - 1:]
+    ticks = tick_times(records[0].duration, cfg.cadence_hz)
+    assert len(decided) == len(ticks) - cfg.window_w + 1
+    assert decided == [
+        _decision_line(d) for d in predict_session(ds1[0], rf, cfg.window_w)
+    ]
 
 
-def test_file_decisions_one_session(benchmark, suite):
+def test_file_decisions_one_session(benchmark, suite, session_paths):
     """Stage 1 and batch prediction over a whole session
-    (`predict_session`, the reference the live engine of `run` is checked
-    against), deciding as the live engine does."""
+    (`predict_session`, the reference `run` is checked against), deciding
+    as `run` does."""
     cfg, records, nb, _, _, rf = suite
     record = records[0]
 
@@ -268,6 +274,6 @@ def test_file_decisions_one_session(benchmark, suite):
         return predict_session(derived, rf, cfg.window_w)
 
     decisions = benchmark.pedantic(decide, rounds=5, iterations=1)
-    assert decisions == live_decisions(
-        record, nb, rf, cfg.gaze_config(), cfg.cadence_hz, cfg.window_w
+    assert [_decision_line(d) for d in decisions] == run_lines(
+        cfg, nb, rf, read_lines(session_paths[0], list)
     )

@@ -12,16 +12,15 @@ tick grid, giving the tick times and a (T, 3) array of (mutual,
 confirmatory, language) frames; stage 2 exports windowed rows from
 those arrays and fits the forest.  The frames become derived session
 records only where `train` writes them to disk.  `predict_session`
-scores them, SCORE_ROWS windows per forest call: the batch reference.
+scores them in one forest call: the batch reference.
 `run` decides through the live engine (`live_pipeline`), from a file as
 from standard input: a `Pipeline` with a callback on each of its two
 input streams, holding that model's latest output, and its one tick
 schedule, deciding over the last W held frames at each tick, so it keeps
 no more than the frames of the windows it has yet to score.  Because
 both paths quantize times to 3 decimals and need values to 6 before any
-windowing, the live engine driven over a recorded session in
-`SessionRecord.all_messages` order (`live_decisions`) reproduces the
-batch predictions bit for bit.
+windowing, `run` over a recorded session's lines reproduces the batch
+predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .forest import SCORE_ROWS, ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
 from .sessions import SessionRecord, TrainingMatrix, frame_windows
-from .streams import LIVE_INPUTS, Pipeline, tick_times
+from .streams import Pipeline, tick_times
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,14 +52,11 @@ class FusedDecision:
 
 
 def zero_order_hold(
-    times: list[float],
-    values: list[float],
-    ticks: list[float],
-    initial: float = 0.0,
+    times: list[float], values: list[float], ticks: list[float]
 ) -> np.ndarray:
-    """At each tick, the latest value with time <= tick, else `initial`.
+    """At each tick, the latest value with time <= tick, else 0.0.
     Batch counterpart of the live hold; times and ticks must ascend."""
-    held = np.array([initial, *values], dtype=np.float64)
+    held = np.array([0.0, *values], dtype=np.float64)
     return held[np.searchsorted(times, ticks, side="right")]
 
 
@@ -94,8 +90,8 @@ def derived_session(
 ) -> np.ndarray:
     """Stage 1 for one raw session whose gaze holds on `ticks` are given:
     the (T, 3) frames of mutual, confirmatory and language need, the
-    language posterior held onto the same ticks.  Utterances that
-    tokenize to nothing contribute nothing."""
+    language posterior held onto the same ticks.  An utterance that
+    tokenizes to nothing contributes nothing."""
     lang_t: list[float] = []
     lang_v: list[float] = []
     for msg in record.messages("utterance"):
@@ -154,15 +150,10 @@ def predict_session(
 ) -> list[FusedDecision]:
     """Batch predictions for every full window of a session's stage-1
     (ticks, frames), including the final grid point at the duration: the
-    reference the live engine is checked against.  One forest call takes
-    up to SCORE_ROWS windows, so the windows copied at once stay bounded
-    however long the session."""
-    times, frames = derived
-    decisions: list[FusedDecision] = []
-    for start in range(window - 1, len(frames), SCORE_ROWS):
-        block = frames[start - window + 1 : start + SCORE_ROWS]
-        decisions += _decide(model, times[start : start + SCORE_ROWS], block, window)
-    return decisions
+    reference `run` is checked against.  The windows are a view of the
+    frames, and the forest votes on SCORE_ROWS of them at a time."""
+    ticks, frames = derived
+    return _decide(model, ticks[window - 1:], frames, window)
 
 
 def live_pipeline(
@@ -224,25 +215,3 @@ def live_pipeline(
     pipe.streams["utterance"].subscribe(on_utterance)
     pipe.add_ticker(cadence_hz, on_tick)
     return pipe, score_waiting
-
-
-def live_decisions(
-    record: SessionRecord,
-    nb_model: NBModel,
-    rf_model: RFModel,
-    gaze_config: GazeConfig,
-    cadence_hz: float,
-    window: int,
-) -> list[FusedDecision]:
-    """Run the live engine tick by tick over a raw session's messages in
-    originating-time order and collect the per-tick decisions, for the
-    parity tests and the benchmarks."""
-    decisions: list[FusedDecision] = []
-    pipe, _ = live_pipeline(
-        nb_model, rf_model, gaze_config, cadence_hz, window, decisions.extend
-    )
-    for name, msg in record.all_messages():
-        if name in LIVE_INPUTS:
-            pipe.emit(name, msg.originating_time, msg.payload)
-    pipe.finalize(record.duration)
-    return decisions

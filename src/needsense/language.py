@@ -1,4 +1,4 @@
-"""Utterance classification: does what the user just said signal a need
+"""Classifying utterances: does what the user just said signal a need
 for help?
 
 Features are bag-of-words counts plus two aggregate counts, one over
@@ -37,14 +37,6 @@ QWORD = "QWORD"
 NEG = "NEG"
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
-
-
-@dataclass(frozen=True)
-class Utterance:
-    """A transcribed utterance; t is the transcript finalization time."""
-
-    text: str
-    t: float
 
 
 def tokenize(text: str) -> list[str]:
@@ -245,15 +237,15 @@ def train_nb(
 
 
 def train_from_utterances(
-    rows: list[tuple[Utterance, int]],
+    rows: list[tuple[str, int]],
     alpha: float = 1.0,
     use_aggregates: bool = True,
 ) -> NBModel:
-    """Tokenize and featurize labeled utterances, dropping any that
-    tokenize to nothing, then fit."""
+    """Tokenize and featurize (text, binary label) rows, dropping any
+    text that tokenizes to nothing, then fit."""
     corpus = []
-    for utt, label in rows:
-        tokens = tokenize(utt.text)
+    for text, label in rows:
+        tokens = tokenize(text)
         if tokens:
             corpus.append((extract_features(tokens, use_aggregates), label))
     return train_nb(corpus, alpha=alpha, use_aggregates=use_aggregates)

@@ -9,13 +9,15 @@ directly replayable in time order.
 A file's lines, read a line at a time by `streams.read_lines`, and
 those of a live session on standard input pass through one incremental
 reader (`SessionReader`), so either names its first faulty line in line
-order.
+order, and a fault within one stream reads alike from every command.
 
 Two stores share this format: raw recordings (gaze observations and
 utterances) and derived recordings (per-tick model outputs).  In memory
 the first training stage hands the second plain (ticks, frames) arrays;
 `save_derived` writes them as the derived recording `train` keeps, one
-need stream per column.
+need stream per column.  The training data are plain rows: (text, label)
+per utterance for the text model, and windowed features with their
+labels for the forest.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .gaze import GazeObservation
-from .language import Utterance
 from .streams import (
     LIVE_INPUTS,
     STREAM_NAMES,
@@ -335,10 +336,13 @@ class SessionReader:
     """Session-format lines read one at a time, the header on construction.
     Iterating yields (line number, stream name, `LabelSpan` or
     `TimestampedMessage`) per later line once it passes every check that
-    needs no later line; `live` input also bars a stream the live shell
-    does not read and a message earlier than the one before it, and
-    `labeled` input, whose utterances `train` and `eval` label, an
-    utterance at the duration, which no half-open label span covers.
+    needs no later line; `live` input, which `run` reads, also bars a
+    stream the live shell does not read and a message earlier than the one
+    before it, and `labeled` input, whose utterances `train` and `eval`
+    label, an utterance at the duration, which no half-open label span
+    covers.  A message's time is checked against its own stream before a
+    mode's rule on it, so a fault within one stream reads alike in every
+    mode.
     Input that has arrived `whole` keeps its spans in `labels`, and once its
     last line is read they must tile [0, duration), also as `train` writes
     them back to the millisecond; an error names the span's line."""
@@ -366,33 +370,32 @@ class SessionReader:
         label_lines: list[int] = []
         for line_no, line in self._rows:
             gaze = _plain_gaze(line)
-            if gaze and (gaze[0] >= latest or not self.live):
-                t, obs = gaze
-                latest = t
-                _check_time("gaze_raw", t, self.duration, last_t, line_no)
-                yield line_no, "gaze_raw", TimestampedMessage(t, obs)
-                continue
-            fields = _parse_fields(line, line_no)
-            name = fields.get("stream")
-            if name is None:
-                raise SessionFormatError("missing stream field", line_no)
-            if name == "label":
-                start = _parse_float(fields, "start", line_no)
-                end = _parse_float(fields, "end", line_no)
-                level = _need_level(fields.get("level", ""), line_no)
-                span = LabelSpan(start, end, level)
-                if self.whole:
-                    self.labels.append(span)
-                    label_lines.append(line_no)
-                yield line_no, name, span
-                continue
-            if name not in STREAM_NAMES:
-                raise SessionFormatError(f"unknown stream name {name!r}", line_no)
-            if self.live and name not in LIVE_INPUTS:
-                raise SessionFormatError(
-                    f"stream {name!r} is not a live input", line_no
-                )
-            t = _parse_float(fields, "t", line_no)
+            if gaze:
+                name = "gaze_raw"
+                t, payload = gaze
+            else:
+                fields = _parse_fields(line, line_no)
+                name = fields.get("stream")
+                if name is None:
+                    raise SessionFormatError("missing stream field", line_no)
+                if name == "label":
+                    start = _parse_float(fields, "start", line_no)
+                    end = _parse_float(fields, "end", line_no)
+                    level = _need_level(fields.get("level", ""), line_no)
+                    span = LabelSpan(start, end, level)
+                    if self.whole:
+                        self.labels.append(span)
+                        label_lines.append(line_no)
+                    yield line_no, name, span
+                    continue
+                if name not in STREAM_NAMES:
+                    raise SessionFormatError(f"unknown stream name {name!r}", line_no)
+                if self.live and name not in LIVE_INPUTS:
+                    raise SessionFormatError(
+                        f"stream {name!r} is not a live input", line_no
+                    )
+                t = _parse_float(fields, "t", line_no)
+            _check_time(name, t, self.duration, last_t, line_no)
             if self.live and t < latest:
                 raise SessionFormatError(
                     f"message at t={t} arrives after t={latest}; live input "
@@ -400,13 +403,13 @@ class SessionReader:
                     line_no,
                 )
             latest = t
-            _check_time(name, t, self.duration, last_t, line_no)
             if t == self.duration and name == "utterance" and self.labeled:
                 raise SessionFormatError(
                     f"stream utterance: time {t} outside [0, {self.duration})",
                     line_no,
                 )
-            payload = _parse_payload(name, fields, line_no)
+            if not gaze:
+                payload = _parse_payload(name, fields, line_no)
             yield line_no, name, TimestampedMessage(t, payload)
         if self.whole:
             _validate_labels(self.labels, self.duration, label_lines)
@@ -501,14 +504,13 @@ def binary_labels(record: SessionRecord, times) -> np.ndarray:
 
 @dataclass
 class TrainingMatrix:
-    """Windowed feature rows with binary labels and the anchor of each row,
-    a (session_id, anchor time) pair.  `export_fusion_matrix` emits the rows
-    in canonical order, sessions by id and ticks ascending, and the forest
-    is fitted on them in that order."""
+    """Windowed feature rows and their binary labels.
+    `export_fusion_matrix` emits the rows in canonical order, sessions by
+    id and ticks ascending, and the forest is fitted on them in that
+    order."""
 
     features: np.ndarray
     labels: np.ndarray
-    anchors: list[tuple[str, float]]
 
     @property
     def n_rows(self) -> int:
@@ -519,19 +521,14 @@ class TrainingMatrix:
         return self.features.shape[1]
 
 
-def export_language_corpus(
-    records: list[SessionRecord],
-) -> list[tuple[Utterance, int]]:
-    """One labeled row per utterance, labeled by the need level at the
-    utterance's finalization time."""
+def export_language_corpus(records: list[SessionRecord]) -> list[tuple[str, int]]:
+    """One (text, binary label) row per utterance, labeled by the need
+    level at the utterance's finalization time."""
     rows = []
     for record in sorted(records, key=lambda r: r.session_id):
         msgs = record.messages("utterance")
         labels = binary_labels(record, [m.originating_time for m in msgs])
-        rows.extend(
-            (Utterance(m.payload, m.originating_time), y)
-            for m, y in zip(msgs, labels.tolist())
-        )
+        rows.extend(zip((m.payload for m in msgs), labels.tolist()))
     return rows
 
 
@@ -608,18 +605,12 @@ def export_fusion_matrix(
     """
     blocks = [np.empty((0, window * 3), dtype=np.float64)]
     label_blocks = [np.empty(0, dtype=np.int64)]
-    anchors: list[tuple[str, float]] = []
     ordered = sorted(
         zip(records, derived, strict=True), key=lambda p: p[0].session_id
     )
     for record, (ticks, frames) in ordered:
         kept = [t for t in ticks[window - 1:] if t < record.duration]
-        # the ticks ascend, so the kept anchors are the first rows
+        # the ticks ascend, so the windows ending at kept ticks are the first rows
         blocks.append(frame_windows(frames, window)[: len(kept)])
         label_blocks.append(binary_labels(record, kept))
-        anchors.extend((record.session_id, t) for t in kept)
-    return TrainingMatrix(
-        features=np.concatenate(blocks),
-        labels=np.concatenate(label_blocks),
-        anchors=anchors,
-    )
+    return TrainingMatrix(np.concatenate(blocks), np.concatenate(label_blocks))

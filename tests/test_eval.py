@@ -159,10 +159,6 @@ class TestZeroOrderHold:
         out = zero_order_hold([0.95, 1.05], [0.8, 0.9], [0.9, 1.0, 1.1])
         assert out.tolist() == [0.0, 0.8, 0.9]
 
-    def test_initial_override(self):
-        out = zero_order_hold([], [], [0.0, 0.1], initial=0.3)
-        assert out.tolist() == [0.3, 0.3]
-
     def test_tick_equal_to_time_sees_value(self):
         assert zero_order_hold([1.0], [0.7], [1.0]).tolist() == [0.7]
 
@@ -179,10 +175,10 @@ class TestZeroOrderHold:
         times = [t for t, _ in dedup]
         values = [v for _, v in dedup]
         ticks = sorted(round(k / 10, 3) for k in tick_ids)
-        out = zero_order_hold(times, values, ticks, initial=-1.0)
+        out = zero_order_hold(times, values, ticks)
         for t, held in zip(ticks, out):
             i = bisect_right(times, t) - 1
-            assert held == (values[i] if i >= 0 else -1.0)
+            assert held == (values[i] if i >= 0 else 0.0)
 
 
 class TestKfold:

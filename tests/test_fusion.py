@@ -1,7 +1,8 @@
-"""Fusion wiring: frames, windows, two-stage training, live/batch parity."""
+"""Fusion wiring: frames, windows, two-stage training, run/batch parity."""
 
 from __future__ import annotations
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -9,21 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needsense import forest, fusion
+from needsense import forest
+from needsense.cli import _decision_line, _run
+from needsense.config import Config
 from needsense.forest import ForestConfig
-from needsense.fusion import (
-    live_decisions,
-    predict_session,
-    stage1_materialize,
-    train_rf,
-)
+from needsense.fusion import predict_session, stage1_materialize, train_rf
 from needsense.gaze import GazeConfig, GazeNeedTracker, GazeObservation
-from needsense.language import Utterance, train_from_utterances
+from needsense.language import train_from_utterances
 from needsense.sessions import (
     NEED_STREAMS,
     LabelSpan,
     NeedLevelLabel,
     SessionRecord,
+    binary_labels,
     export_fusion_matrix,
     export_language_corpus,
     frame_windows,
@@ -156,12 +155,7 @@ class TestWireGaze:
 
 class TestWireLanguage:
     def model(self):
-        return train_from_utterances(
-            [
-                (Utterance("help me", 0.0), 1),
-                (Utterance("looks good", 1.0), 0),
-            ]
-        )
+        return train_from_utterances([("help me", 1), ("looks good", 0)])
 
     def test_posterior_emitted_at_utterance_time(self, live_shell):
         model = self.model()
@@ -321,11 +315,7 @@ def raw_sessions(draw):
 
 class TestBatchLiveHoldParity:
     nb = train_from_utterances(
-        [
-            (Utterance("can you help me", 0.0), 1),
-            (Utterance("what goes here", 1.0), 1),
-            (Utterance("this looks right", 2.0), 0),
-        ]
+        [("can you help me", 1), ("what goes here", 1), ("this looks right", 0)]
     )
 
     @given(session=raw_sessions())
@@ -389,8 +379,14 @@ class TestStage2:
         )
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        assert a.anchors == b.anchors
-        assert a.anchors == sorted(a.anchors)
+        # sessions by id, each labeled at its ticks from the window's last
+        # frame on, short of the duration
+        expected = []
+        for record, _ in sessions:
+            ticks = tick_times(record.duration, 10.0)[19:]
+            kept = [t for t in ticks if t < record.duration]
+            expected += binary_labels(record, kept).tolist()
+        assert a.labels.tolist() == expected
         assert (
             train_rf(a, LIGHT_FOREST).to_lines()
             == train_rf(b, LIGHT_FOREST).to_lines()
@@ -446,10 +442,8 @@ class TestPredictSession:
     def test_blocks_give_the_decisions_of_one_batch(self, rows, monkeypatch):
         session = step_session()
         model = stage2_fit([session])
-        monkeypatch.setattr(fusion, "SCORE_ROWS", 1 << 30)
         monkeypatch.setattr(forest, "SCORE_ROWS", 1 << 30)
         whole = predict_session(session[1], model, 20)
-        monkeypatch.setattr(fusion, "SCORE_ROWS", rows)
         monkeypatch.setattr(forest, "SCORE_ROWS", rows)
         assert predict_session(session[1], model, 20) == whole
         assert len(whole) == 82
@@ -462,16 +456,23 @@ class TestPredictSession:
 
 class TestLiveBatchParity:
     def test_live_pipeline_equals_batch_recomputation(self):
+        # `run`'s path, the reader and the live engine over a session's
+        # lines, from a file (`whole`) and from standard input
+        cfg = Config()
         scripts = benchmark_suite(2, seed=5)
         records = [
             simulate(s, f"p{i:02d}") for i, s in enumerate(scripts)
         ]
         nb = train_from_utterances(export_language_corpus(records))
         derived = [
-            stage1_materialize(r, nb, GazeConfig(), 10.0) for r in records
+            stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
+            for r in records
         ]
         rf = stage2_fit(list(zip(records, derived)))
         for raw, ds1 in zip(records, derived):
-            live = live_decisions(raw, nb, rf, GazeConfig(), 10.0, 20)
-            batch = predict_session(ds1, rf, 20)
-            assert live == batch
+            batch = [_decision_line(d) for d in predict_session(ds1, rf, 20)]
+            assert len(batch) > 1
+            for whole in (False, True):
+                out = io.StringIO()
+                assert _run(cfg, nb, rf, raw.to_lines(), out, whole) == 0
+                assert out.getvalue().splitlines() == batch

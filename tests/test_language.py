@@ -18,7 +18,6 @@ from needsense.language import (
     QWORD,
     CorpusError,
     NBModel,
-    Utterance,
     extract_features,
     tokenize,
     train_from_utterances,
@@ -26,16 +25,12 @@ from needsense.language import (
 )
 
 
-def corpus_of(*pairs):
-    return [(Utterance(text, float(i)), label) for i, (text, label) in enumerate(pairs)]
-
-
-SMALL = corpus_of(
+SMALL = [
     ("help me", 1),
     ("looks good", 0),
     ("what goes here", 1),
     ("this is fun", 0),
-)
+]
 
 
 class TestTokenize:
@@ -118,21 +113,21 @@ class TestTrain:
         assert model.prior(0) == 0.5
         assert model.prior(1) == 0.5
         lopsided = train_from_utterances(
-            corpus_of(("help", 1), ("fine", 0), ("good", 0), ("nice", 0))
+            [("help", 1), ("fine", 0), ("good", 0), ("nice", 0)]
         )
         assert lopsided.prior(1) == 0.25
 
     def test_token_counts_accumulate_multiplicity(self):
-        model = train_from_utterances(corpus_of(("go go go", 0), ("go help", 1)))
+        model = train_from_utterances([("go go go", 0), ("go help", 1)])
         assert model.token_counts["go"] == (3, 1)
 
     def test_missing_help_class_rejected(self):
         with pytest.raises(CorpusError, match="no help-class"):
-            train_from_utterances(corpus_of(("fine", 0), ("good", 0)))
+            train_from_utterances([("fine", 0), ("good", 0)])
 
     def test_missing_no_help_class_rejected(self):
         with pytest.raises(CorpusError, match="no no-help-class"):
-            train_from_utterances(corpus_of(("help", 1)))
+            train_from_utterances([("help", 1)])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError, match="no usable"):
@@ -140,7 +135,7 @@ class TestTrain:
 
     def test_unusable_utterances_dropped_before_fit(self):
         with pytest.raises(CorpusError, match="no help-class"):
-            train_from_utterances(corpus_of(("??", 1), ("fine", 0)))
+            train_from_utterances([("??", 1), ("fine", 0)])
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -354,12 +349,11 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     def test_posterior_in_unit_interval(self, docs, probe):
         rows = [
-            (Utterance(" ".join(words), float(i)), label)
-            for i, (words, label) in enumerate(docs)
+            (" ".join(words), label) for words, label in docs
         ]
         # ensure both classes exist
-        rows.append((Utterance("seed positive", 90.0), 1))
-        rows.append((Utterance("seed negative", 91.0), 0))
+        rows.append(("seed positive", 1))
+        rows.append(("seed negative", 0))
         model = train_from_utterances(rows)
         v = model.predict_text(" ".join(probe))
         assert 0.0 <= v <= 1.0
@@ -375,11 +369,10 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_serialization_round_trip(self, docs):
         rows = [
-            (Utterance(" ".join(words), float(i)), label)
-            for i, (words, label) in enumerate(docs)
+            (" ".join(words), label) for words, label in docs
         ]
-        rows.append((Utterance("seed positive", 90.0), 1))
-        rows.append((Utterance("seed negative", 91.0), 0))
+        rows.append(("seed positive", 1))
+        rows.append(("seed negative", 0))
         model = train_from_utterances(rows)
         back = NBModel.from_lines(model.to_lines())
         assert back.to_lines() == model.to_lines()

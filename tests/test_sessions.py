@@ -24,6 +24,7 @@ from needsense.sessions import (
     export_language_corpus,
     fmt_time,
     fmt_value,
+    frame_windows,
     load,
     parse_session,
     save_derived,
@@ -91,6 +92,13 @@ def derived_record(record, ticks, frames):
         },
         labels=list(record.labels),
     )
+
+
+def row_ticks(record, window):
+    """The ticks a session's training rows end at: the 10 Hz grid from the
+    window's last frame on, short of the duration."""
+    ticks = tick_times(record.duration, 10.0)[window - 1:]
+    return [t for t in ticks if t < record.duration]
 
 
 def export(sessions, window):
@@ -629,7 +637,7 @@ class TestLanguageCorpusExport:
             TimestampedMessage(1.5, "please help"),
         ]
         corpus = export_language_corpus([record])
-        assert [(u.text, y) for u, y in corpus] == [
+        assert corpus == [
             ("going fine", 0),
             ("please help", 1),
         ]
@@ -639,7 +647,7 @@ class TestLanguageCorpusExport:
         a.streams["utterance"] = [TimestampedMessage(0.3, "from a")]
         b.streams["utterance"] = [TimestampedMessage(0.2, "from b")]
         corpus = export_language_corpus([b, a])
-        assert [u.text for u, _ in corpus] == ["from a", "from b"]
+        assert [text for text, _ in corpus] == ["from a", "from b"]
 
     def test_no_utterances(self):
         record = make_record()
@@ -652,14 +660,15 @@ class TestFusionMatrixExport:
         matrix = export([ticks_session()], window=20)
         assert matrix.n_rows == 81
         assert matrix.dim == 60
-        assert len(matrix.anchors) == 81
+        assert len(matrix.labels) == 81
 
     def test_rows_match_python_slices(self):
         record, (ticks, frames) = ticks_session()
         matrix = export([(record, (ticks, frames))], window=20)
         series = frames.tolist()
-        for i, (sid, anchor_t) in enumerate(matrix.anchors):
-            assert sid == record.session_id
+        anchors = row_ticks(record, 20)
+        assert matrix.n_rows == len(anchors)
+        for i, anchor_t in enumerate(anchors):
             assert anchor_t == ticks[i + 19]
             expected = []
             for k in range(i, i + 20):
@@ -673,17 +682,27 @@ class TestFusionMatrixExport:
             assert matrix.labels[i] == level.binary
 
     def test_final_grid_point_contributes_no_row(self):
-        matrix = export([ticks_session()], window=20)
-        assert all(t < 10.0 for _, t in matrix.anchors)
-        assert matrix.anchors[-1] == ("t00", 9.9)
-        assert matrix.anchors[0] == ("t00", 1.9)
+        record, (ticks, frames) = ticks_session()
+        matrix = export([(record, (ticks, frames))], window=20)
+        # the rows end at the ticks from 1.9 s to 9.9 s, none at the duration
+        assert (ticks[19], ticks[-2], ticks[-1]) == (1.9, 9.9, 10.0)
+        windows = frame_windows(frames, 20)
+        assert matrix.features.tolist() == windows[:-1].tolist()
 
     def test_sessions_concatenated_in_id_order(self):
-        a, b = ticks_session("a0"), ticks_session("b0")
+        # b0 is shorter, so its labels turn at another tick than a0's
+        a, b = ticks_session("a0"), ticks_session("b0", duration=8.0)
         matrix = export([b, a], window=20)
-        assert matrix.n_rows == 162
-        assert [sid for sid, _ in matrix.anchors[:81]] == ["a0"] * 81
-        assert [sid for sid, _ in matrix.anchors[81:]] == ["b0"] * 81
+        assert matrix.n_rows == 81 + 61
+        assert matrix.labels.tolist() == [
+            label
+            for record, _ in (a, b)
+            for label in binary_labels(record, row_ticks(record, 20)).tolist()
+        ]
+        assert matrix.features.tolist() == [
+            *export([a], window=20).features.tolist(),
+            *export([b], window=20).features.tolist(),
+        ]
 
     def test_window_one(self):
         matrix = export([ticks_session()], window=1)
