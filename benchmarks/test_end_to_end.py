@@ -9,10 +9,11 @@ writes, the 10-fold report `eval` prints at the default config and with
 one tree (`rf_n_trees=1`, which leaves little but the non-fit cost), and
 the decision lines `run` prints for session s00 with the models of a
 default `train`, both from the file and from standard input, and for s00
-played 10 times in a row, from a file and on standard input.  One more default `train`
-runs as a process of its own, so that its peak RSS can be read apart from
-this one's: pytest-benchmark's JSON reports it as `train_maxrss_mb`, with
-its minor page faults as `train_minflt`.  `run` set-up, on a header with
+played 10 times in a row, from a file and on standard input.  One more default `train`,
+and the default `eval`, run as processes of their own, so that their peak
+RSS can be read apart from this one's: pytest-benchmark's JSON reports
+them as `train_maxrss_mb` and `eval_maxrss_mb`, with their minor page
+faults as `train_minflt` and `eval_minflt`.  `run` set-up, on a header with
 nothing to decide, runs as processes of their own too, so that their
 start-up shows: child wall and CPU seconds as `setup_wall_s` and
 `setup_cpu_s`.
@@ -170,14 +171,29 @@ def test_train_default_derived_sessions_and_manifest(models):
     assert _sha256((models / "manifest.txt").read_bytes()) == DEFAULT_MANIFEST
 
 
-def test_eval_default_10_folds(benchmark, ds0, capsys):
-    capsys.readouterr()
-    code = benchmark.pedantic(
-        main, args=(["eval", str(ds0), "--folds", "10"],), rounds=1, iterations=1
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert _sha256(out.encode("utf-8")) == DEFAULT_EVAL_10_FOLDS
+def test_eval_default_10_folds(benchmark, ds0):
+    """A default 10-fold `eval` in a process of its own: its report, its own
+    peak RSS in `extra_info["eval_maxrss_mb"]` and its minor page faults in
+    `extra_info["eval_minflt"]`."""
+    src = Path(needsense.__file__).resolve().parents[1]
+    command = [
+        sys.executable, "-c", CHILD_LAUNCHER,
+        "-m", "needsense", "eval", str(ds0), "--folds", "10",
+    ]
+
+    def run_eval():
+        return subprocess.run(
+            command, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+
+    proc = benchmark.pedantic(run_eval, rounds=1, iterations=1)
+    # the report, then the launcher's line once the child has exited
+    report, usage = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    maxrss_kib, minflt = map(int, usage.split()[:2])
+    benchmark.extra_info["eval_maxrss_mb"] = maxrss_kib / 1024
+    benchmark.extra_info["eval_minflt"] = minflt
+    assert _sha256(f"{report}\n".encode("utf-8")) == DEFAULT_EVAL_10_FOLDS
 
 
 def test_eval_one_tree_10_folds(benchmark, ds0, tmp_path, capsys):

@@ -23,19 +23,26 @@ from typing import Callable, Iterable
 
 from .config import Config, add_item, config_from_items, load_config
 from .forest import RFModel
-from .fusion import FusedDecision, live_pipeline, stage1_materialize, train_rf
+from .fusion import (
+    FusedDecision,
+    HeldSession,
+    derived_session,
+    gaze_holds,
+    live_pipeline,
+    train_rf,
+)
 from .language import CorpusError, NBModel, train_from_utterances
 from .sessions import (
     SessionFormatError,
     SessionReader,
+    SessionRecord,
     export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
-    load as load_session,
     save_derived,
 )
-from .streams import read_lines, text_lines
+from .streams import read_lines, text_lines, tick_times
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -75,12 +82,37 @@ def _active_config(args: argparse.Namespace) -> Config:
     return cfg
 
 
-def _load_sessions(directory: str):
+def _read_sessions(directory: str, cfg: Config) -> list[HeldSession]:
+    """Each raw session in `directory`, read a line at a time as `load`
+    reads it, with stage 1's gaze half done as it is read: each gaze frame
+    goes through the gaze models as its line is read and is then dropped,
+    so only the holds on the tick grid are kept."""
     paths = sorted(Path(directory).glob("*.session"))
     if not paths:
         raise StageError(f"no .session files in {directory}")
+    return [read_lines(p, lambda lines: _held_session(lines, cfg)) for p in paths]
+
+
+def _held_session(lines: Iterable[str], cfg: Config) -> HeldSession:
     # `train` and `eval` label each utterance by the span covering it
-    return [load_session(p, labeled=True) for p in paths]
+    reader = SessionReader(lines, labeled=True, whole=True)
+    utterances = []
+
+    def gaze_frames():
+        for _, name, item in reader:
+            if name == "gaze_raw":
+                yield item
+            elif name == "utterance":
+                utterances.append(item)
+            # a need stream is checked by the reader and dropped
+
+    ticks = tick_times(reader.duration, cfg.cadence_hz)
+    gaze = gaze_holds(gaze_frames(), cfg.gaze_config(), ticks)
+    record = SessionRecord(
+        reader.session_id, reader.duration, {"utterance": utterances},
+        reader.labels,
+    )
+    return HeldSession(record, ticks, gaze)
 
 
 def cmd_gen_scripts(args: argparse.Namespace) -> int:
@@ -113,25 +145,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_stage1(records, nb: NBModel, cfg: Config, out: Path):
+def _write_stage1(sessions: list[HeldSession], nb: NBModel, out: Path):
     """Stage 1 of each raw session, written under `out` as a derived
     session: the (ticks, frames) of each and the names of the files."""
     derived = []
     ds1_names = []
-    for record in records:
-        ticks, frames = stage1_materialize(
-            record, nb, cfg.gaze_config(), cfg.cadence_hz
-        )
-        name = f"ds1/{record.session_id}.session"
-        save_derived(out / name, record, ticks, frames)
-        derived.append((ticks, frames))
+    for held in sessions:
+        frames = derived_session(held.record, held.ticks, held.gaze, nb)
+        name = f"ds1/{held.record.session_id}.session"
+        save_derived(out / name, held.record, held.ticks, frames)
+        derived.append((held.ticks, frames))
         ds1_names.append(name)
     return derived, ds1_names
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _active_config(args)
-    records = _load_sessions(args.ds0)
+    sessions = _read_sessions(args.ds0, cfg)
+    records = [held.record for held in sessions]
     out = Path(args.out)
     ds1_dir = out / "ds1"
     ds1_dir.mkdir(parents=True, exist_ok=True)
@@ -146,14 +177,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise StageError(f"stage 1: {exc}")
     nb.save(out / NB_MODEL_NAME)
 
-    derived, ds1_names = _write_stage1(records, nb, cfg, out)
+    derived, ds1_names = _write_stage1(sessions, nb, out)
     try:
         matrix = [export_fusion_matrix(records, derived, cfg.window_w)]
         n_sessions, n_rows, dim = len(records), matrix[0].n_rows, matrix[0].dim
         # the fit reads only the matrix, and that only until its tables are
         # built: the sessions are freed before it and the matrix is handed
         # over, so no name here holds it while the trees grow
-        del records, derived
+        del sessions, records, derived
         rf = train_rf(matrix.pop(), cfg.forest_config())
     except ValueError as exc:
         raise StageError(f"stage 2: {exc}")
@@ -180,8 +211,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import run_full_eval
     cfg = _active_config(args)
-    records = _load_sessions(args.ds0)
-    text = run_full_eval(records, cfg, args.folds).render()
+    sessions = _read_sessions(args.ds0, cfg)
+    text = run_full_eval(sessions, cfg, args.folds).render()
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

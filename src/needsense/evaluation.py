@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .fusion import derived_session, gaze_holds, train_rf
+from .fusion import HeldSession, derived_session, train_rf
 from .language import train_from_utterances
 from .sessions import (
     SessionRecord,
@@ -25,7 +25,6 @@ from .sessions import (
     export_fusion_matrix,
     export_language_corpus,
 )
-from .streams import tick_times
 
 
 @dataclass(frozen=True)
@@ -158,30 +157,30 @@ class EvalReport:
 
 
 def run_full_eval(
-    sessions: list[SessionRecord], cfg: Config, folds: int = 10
+    sessions: list[HeldSession], cfg: Config, folds: int = 10
 ) -> EvalReport:
     """The full protocol under one config: gaze models scored over every
     session, language and fusion scored by session-level cross validation
     with per-fold retraining.  Each model is scored on the ticks before the
     session's duration, the fused model only on the rows `train` exports,
-    one per such tick with a full window, so its counts cover fewer ticks."""
-    canon = sorted(sessions, key=lambda r: r.session_id)
+    one per such tick with a full window, so its counts cover fewer ticks.
+    The sessions' gaze holds are those of `cfg`'s gaze config and cadence."""
     totals = {
         key: np.zeros(4, dtype=np.int64)
         for key in ("mutual", "confirmatory", "language", "fused")
     }
-    # per session: the ticks, the labels of those before the duration, and
-    # the gaze holds, which need no training and so are scored here
+    # per session: the labels of the ticks before the duration, against
+    # which the gaze holds, which need no training, are scored here
     per_session = {}
-    for rec in canon:
-        ticks = tick_times(rec.duration, cfg.cadence_hz)
-        truth = binary_labels(rec, [t for t in ticks if t < rec.duration])
-        holds = gaze_holds(rec, cfg.gaze_config(), ticks)
-        per_session[rec.session_id] = ticks, truth, holds
-        for key, hold in zip(("mutual", "confirmatory"), holds):
+    for held in sessions:
+        rec = held.record
+        truth = binary_labels(rec, [t for t in held.ticks if t < rec.duration])
+        per_session[rec.session_id] = held, truth
+        for key, hold in zip(("mutual", "confirmatory"), held.gaze):
             totals[key] += confusion_counts(hold[: len(truth)] >= 0.5, truth)
 
-    for train, test in kfold(canon, folds, cfg.seed):
+    records = [held.record for held in sessions]
+    for train, test in kfold(records, folds, cfg.seed):
         nb = train_from_utterances(
             export_language_corpus(train),
             alpha=cfg.nb_alpha,
@@ -189,8 +188,8 @@ def run_full_eval(
         )
 
         def stage1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
-            ticks, _, holds = per_session[rec.session_id]
-            return ticks, derived_session(rec, ticks, holds, nb)
+            held = per_session[rec.session_id][0]
+            return held.ticks, derived_session(rec, held.ticks, held.gaze, nb)
 
         rf = train_rf(
             export_fusion_matrix(

@@ -7,12 +7,15 @@ vector, and a random forest maps the vector to the final binary help
 decision.
 
 Training is two-stage: stage 1 runs the gaze and language models over
-each raw recording in one batch pass and holds their outputs onto the
-tick grid, giving the tick times and a (T, 3) array of (mutual,
-confirmatory, language) frames; stage 2 exports windowed rows from
-those arrays and fits the forest.  The frames become derived session
-records only where `train` writes them to disk.  `predict_session`
-scores them in one forest call: the batch reference.
+each raw recording and holds their outputs onto the tick grid, giving
+the tick times and a (T, 3) array of (mutual, confirmatory, language)
+frames; stage 2 exports windowed rows from those arrays and fits the
+forest.  The gaze half needs no training, so `train` and `eval` run it
+as a recording is read (`gaze_holds` over its frames as they are
+parsed), keep only its holds (`HeldSession`), and add the language
+column once the text model is trained (`derived_session`).  The frames
+become derived session records only where `train` writes them to disk.
+`predict_session` scores them in one forest call: the batch reference.
 `run` decides through the live engine (`live_pipeline`), from a file as
 from standard input: a `Pipeline` with a callback on each of its two
 input streams, holding that model's latest output, and its one tick
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .forest import SCORE_ROWS, ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
 from .sessions import SessionRecord, TrainingMatrix, frame_windows
-from .streams import Pipeline, tick_times
+from .streams import Pipeline, TimestampedMessage, tick_times
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,26 +63,40 @@ def zero_order_hold(
     return held[np.searchsorted(times, ticks, side="right")]
 
 
+@dataclass
+class HeldSession:
+    """A raw session as stage 1 reads it once its gaze frames have been
+    through the gaze models: the record without them (id, duration, label
+    spans and utterances), its tick grid, and the mutual and confirmatory
+    holds on that grid (`gaze_holds`)."""
+
+    record: SessionRecord
+    ticks: list[float]
+    gaze: tuple[np.ndarray, np.ndarray]
+
+
 def gaze_holds(
-    record: SessionRecord, config: GazeConfig, ticks: list[float]
+    messages: Iterable[TimestampedMessage], config: GazeConfig, ticks: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mutual and confirmatory need at wire precision, from the gaze
-    models run over a raw session's frames and held onto `ticks`."""
+    models run over a raw session's frames, in time order, and held onto
+    `ticks`: at each tick, the output for the latest frame with time <=
+    tick, else 0.0.  Each frame is read once, as `messages` yields it, and
+    none is kept."""
     tracker = GazeNeedTracker(config)
-    times: list[float] = []
-    mutual: list[float] = []
-    conf: list[float] = []
-    for msg in record.messages("gaze_raw"):
-        m, c = tracker.update(msg.originating_time, msg.payload)
-        times.append(msg.originating_time)
-        mutual.append(m)
-        conf.append(c)
+    held = (0.0, 0.0)
+    per_tick: list[tuple[float, float]] = []
+    for msg in messages:
+        t = msg.originating_time
+        while len(per_tick) < len(ticks) and ticks[len(per_tick)] < t:
+            per_tick.append(held)
+        held = tracker.update(t, msg.payload)
+    per_tick.extend([held] * (len(ticks) - len(per_tick)))
     # rounding commutes with the hold, and a 10 Hz tick samples a third of
     # the 30 Hz frames, so only the held values are rounded
-    return tuple(
-        np.array([round(v, 6) for v in zero_order_hold(times, raw, ticks).tolist()])
-        for raw in (mutual, conf)
-    )
+    mutual = np.array([round(m, 6) for m, _ in per_tick], dtype=np.float64)
+    conf = np.array([round(c, 6) for _, c in per_tick], dtype=np.float64)
+    return mutual, conf
 
 
 def derived_session(
@@ -111,9 +128,8 @@ def stage1_materialize(
     """Stage 1 of training: the tick grid of one raw session and the
     gaze and language models' outputs held onto it, as (T, 3) frames."""
     ticks = tick_times(record.duration, cadence_hz)
-    return ticks, derived_session(
-        record, ticks, gaze_holds(record, gaze_config, ticks), nb_model
-    )
+    gaze = gaze_holds(record.messages("gaze_raw"), gaze_config, ticks)
+    return ticks, derived_session(record, ticks, gaze, nb_model)
 
 
 def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:

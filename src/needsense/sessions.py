@@ -12,8 +12,10 @@ reader (`SessionReader`), so either names its first faulty line in line
 order, and a fault within one stream reads alike from every command.
 
 Two stores share this format: raw recordings (gaze observations and
-utterances) and derived recordings (per-tick model outputs).  In memory
-the first training stage hands the second plain (ticks, frames) arrays;
+utterances) and derived recordings (per-tick model outputs).  `train`
+and `eval` hand each raw recording's gaze frames to the gaze models as
+the reader yields them and keep none.  In memory the first training
+stage hands the second plain (ticks, frames) arrays;
 `save_derived` writes them as the derived recording `train` keeps, one
 need stream per column.  The training data are plain rows: (text, label)
 per utterance for the text model, and windowed features with their
@@ -43,9 +45,9 @@ from .streams import (
 FORMAT_VERSION = 1
 
 # A session lasts at most one hour: `train` and `eval` hold its ticks in
-# memory (36,000 rows of 3 * window_w features at 10 Hz) and `simulate`
-# its gaze frames (108,000), so a runaway duration fails at the line that
-# declares it
+# memory (36,000 rows of 3 * window_w features at 10 Hz), though no longer
+# its gaze frames, and `simulate` holds its gaze frames (108,000), so a
+# runaway duration fails at the line that declares it
 MAX_SESSION_S = 3600.0
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")

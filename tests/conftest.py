@@ -1,5 +1,6 @@
-"""Stand-in models for the tests of the live shell, and a fresh
-interpreter for the tests of what a process loads at start."""
+"""Stand-in models for the tests of the live shell, sessions as `train`
+and `eval` read them, and a fresh interpreter for the tests of what a
+process loads at start."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 import needsense
 from needsense import fusion
 from needsense.gaze import GazeConfig
+from needsense.streams import tick_times
 
 
 class RecordingModel:
@@ -72,6 +74,26 @@ def live_shell():
                 sink.extend,
             )
         return pipe, sink, forest
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def held_sessions():
+    """Makes the sessions `run_full_eval` takes from in-memory records, as
+    `train` and `eval` read them from files: each record with its tick grid
+    at the config's cadence and its gaze holds under the config's gaze
+    settings."""
+
+    def build(records, cfg):
+        sessions = []
+        for record in records:
+            ticks = tick_times(record.duration, cfg.cadence_hz)
+            gaze = fusion.gaze_holds(
+                record.messages("gaze_raw"), cfg.gaze_config(), ticks
+            )
+            sessions.append(fusion.HeldSession(record, ticks, gaze))
+        return sessions
 
     return build
 

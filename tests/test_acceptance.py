@@ -352,18 +352,15 @@ def test_criterion_4_forest_stump_memorization_determinism(tmp_path):
         assert c.elapsed < 10.0
 
 
-def test_criterion_5_fusion_beats_every_single_model():
+def test_criterion_5_fusion_beats_every_single_model(held_sessions):
     with _criterion(5, "10-fold fused F1 beats best single model by 0.05") as c:
         scripts = benchmark_suite(20, seed=11, noise=0.02)
         sessions = [simulate(s, f"s{i:02d}") for i, s in enumerate(scripts)]
         assert len(sessions) >= 20
-        report = run_full_eval(
-            sessions,
-            Config(
-                rf_n_trees=30, rf_max_depth=8, rf_min_samples_leaf=5, seed=11
-            ),
-            folds=10,
+        cfg = Config(
+            rf_n_trees=30, rf_max_depth=8, rf_min_samples_leaf=5, seed=11
         )
+        report = run_full_eval(held_sessions(sessions, cfg), cfg, folds=10)
         parts = {
             key: report.rows[key].f1
             for key in ("mutual", "confirmatory", "language")

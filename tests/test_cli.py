@@ -479,30 +479,68 @@ class TestTrainCommand:
 
     def test_sessions_are_freed_before_the_fit(self, workspace, tmp_path):
         # the forest fit is train's largest stage, and it reads only the matrix
-        load, train_rf = cli.load_session, cli.train_rf
+        read, train_rf = cli._read_sessions, cli.train_rf
         loaded = []
         fitted = []
 
-        def load_recorded(path, **kwargs):
-            record = load(path, **kwargs)
-            loaded.append(weakref.ref(record))
-            return record
+        def read_recorded(directory, cfg):
+            sessions = read(directory, cfg)
+            for held in sessions:
+                loaded.extend(
+                    weakref.ref(obj) for obj in (held, held.record, *held.gaze)
+                )
+            return sessions
 
         def train_checked(matrix, config):
             assert loaded and all(ref() is None for ref in loaded)
             fitted.append(matrix.n_rows)
             return train_rf(matrix, config)
 
-        with mock.patch.object(cli, "load_session", load_recorded), \
+        with mock.patch.object(cli, "_read_sessions", read_recorded), \
                 mock.patch.object(cli, "train_rf", train_checked):
             assert main(
                 ["train", "--config", str(workspace["config"]),
                  str(workspace["ds0"]), "--out", str(tmp_path / "m")]
             ) == 0
-        assert len(loaded) == 4 and fitted
+        assert len(loaded) == 4 * 4 and fitted
         # a session's messages and gaze frames keep no dict per instance
         assert not hasattr(TimestampedMessage(0.0, 1.0), "__dict__")
         assert not hasattr(GazeObservation(0.0, 0.0), "__dict__")
+
+    def test_reader_keeps_no_gaze_frame(self, workspace, tmp_path):
+        # s00 against a copy with ten gaze lines for each original one, the
+        # new times between the old ones to the millisecond, at the same
+        # duration and so the same ticks: the loader's tracemalloc peak is
+        # the same within 16 KiB, where keeping the extra frames, about
+        # 10,000 at 136 B each as messages, would add over 1 MB
+        record = load_session(sorted(workspace["ds0"].glob("*.session"))[0])
+        gaze = record.messages("gaze_raw")
+        dense = []
+        for msg, after in zip(gaze, gaze[1:]):
+            start = round(msg.originating_time * 1000)
+            gap = round(after.originating_time * 1000) - start
+            dense.extend(
+                TimestampedMessage((start + gap * j // 10) / 1000, msg.payload)
+                for j in range(10)
+            )
+        dense.append(gaze[-1])
+        plain_dir, dense_dir = tmp_path / "plain", tmp_path / "dense"
+        plain_dir.mkdir()
+        dense_dir.mkdir()
+        record.save(plain_dir / "s00.session")
+        record.streams["gaze_raw"] = dense
+        record.save(dense_dir / "s00.session")
+
+        def peak(directory: Path) -> int:
+            tracemalloc.start()
+            try:
+                cli._read_sessions(str(directory), Config())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(plain_dir)  # the first read compiles and caches what it uses
+        assert abs(peak(dense_dir) - peak(plain_dir)) <= 16 * 1024
 
     def test_matrix_is_freed_before_the_trees_grow(self, workspace, tmp_path):
         # the fit reads the float features only to build its rank and code
@@ -642,9 +680,14 @@ def test_tracer_hooks_stay_live_over_a_run(workspace, tmp_path, source):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] and outputs[0]
     report = json.loads(spans.read_text(encoding="utf-8"))
+    # `train` and `eval` read sessions through `_read_sessions`, so the
+    # loader and stage-1 names the tracer wraps on `cli` are gone too
     assert report["missing"] == [
         f"needsense.cli.{name}"
-        for name in ("_parse_fields", "_parse_payload", "live_decisions")
+        for name in (
+            "load_session", "_parse_fields", "_parse_payload",
+            "stage1_materialize", "live_decisions",
+        )
     ]
     names = {span[2] for span in report["spans"]}
     assert {"streams.emit", "fusion.callback"} <= names
@@ -1411,10 +1454,10 @@ class TestExitCodes:
     def test_window_or_cadence_flag_of_zero_is_exit_three(
         self, workspace, tmp_path, capsys, command, flag, why, monkeypatch
     ):
-        def no_read(directory):
+        def no_read(directory, cfg):
             raise AssertionError("sessions read")
 
-        monkeypatch.setattr(cli, "_load_sessions", no_read)
+        monkeypatch.setattr(cli, "_read_sessions", no_read)
         out = tmp_path / "out"
         code = main(
             [command, "--config", str(workspace["config"]), flag, "0",

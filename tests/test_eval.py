@@ -336,8 +336,12 @@ def ticks_before_duration(record: SessionRecord) -> list[float]:
 
 
 class TestRunFullEval:
-    def run(self, sessions, folds=3):
-        return run_full_eval(sessions, LIGHT_CONFIG, folds)
+    @pytest.fixture(autouse=True)
+    def _held(self, held_sessions):
+        self.held = held_sessions
+
+    def run(self, records, folds=3):
+        return run_full_eval(self.held(records, LIGHT_CONFIG), LIGHT_CONFIG, folds)
 
     def test_report_rows(self, small_suite):
         report = self.run(small_suite)
