@@ -9,19 +9,25 @@ does not collect this directory, so run it directly:
 
 Each round takes a few seconds; pass `--benchmark-disable` to run the
 fit once as a plain test.  `extra_info` holds each fit's minor page faults
-(`fit_minflt`) and CPU seconds (`fit_cpu_s`), averaged over its rounds.
+(`fit_minflt`) and CPU seconds (`fit_cpu_s`), averaged over its rounds, and
+the lockstep steps it took (`fit_steps`), the `_best_splits` calls it made
+(`fit_searches`) and the nodes they searched (`fit_nodes_searched`) per
+fit.  One more fit at the default config is untimed: it reads the fit's
+tracemalloc peak.
 """
 
 from __future__ import annotations
 
 import hashlib
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from needsense.config import Config
-from needsense.forest import fit_forest
+from needsense import forest
+from needsense.forest import ForestConfig, fit_forest
 from needsense.fusion import stage1_materialize
 from needsense.language import train_from_utterances
 from needsense.sessions import (
@@ -38,6 +44,15 @@ DEFAULT_FIT_SHA256 = "d4e22da88dd6da98befcffe93307b39d52cc46d48b291d674d449f84da
 # the same at seed 7, as `needsense train --seed 7` fits
 SEED_7_FIT_NODES = 55_368
 SEED_7_FIT_SHA256 = "002f183a9e67369264b9f1a1881798c33f496ad2df5fea7791d355566b944eaa"
+# lockstep steps, `_best_splits` calls and nodes those calls search, of the
+# default fit at seed 0: any change to the draw order or to the widening
+# moves them
+DEFAULT_FIT_STEPS = 372
+DEFAULT_FIT_SEARCHES = 719
+DEFAULT_FIT_NODES_SEARCHED = 36_474
+# bound on the tracemalloc peak of the default fit at seed 0, X held by the
+# caller: 8 MiB
+DEFAULT_FIT_PEAK_BYTES = 8 << 20
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +86,28 @@ def suite_matrix(tmp_path_factory):
     return matrix.features, matrix.labels
 
 
-def measured_fit(benchmark, X, y, config, rounds):
+def measured_fit(benchmark, X, y, config, rounds, monkeypatch):
     """The model of `benchmark.pedantic` over `fit_forest`, with the fit's
     minor page faults and CPU seconds per call in `extra_info`, so that
-    allocation churn shows beside the time."""
-    usage = {"calls": 0, "minflt": 0, "cpu_s": 0.0}
+    allocation churn shows beside the time, and its lockstep steps,
+    `_best_splits` calls and nodes searched per call."""
+    usage = dict.fromkeys(("calls", "minflt", "cpu_s", "steps", "searches", "nodes"), 0)
+    draws, search = forest._FeatureDraws, forest._best_splits
+
+    class StepCounted(draws):
+        # a step samples the features of its nodes once
+        def sample(self, trees):
+            usage["steps"] += 1
+            return super().sample(trees)
+
+    def counted(*args):
+        # the features to search: one row per node
+        usage["searches"] += 1
+        usage["nodes"] += len(args[-3])
+        return search(*args)
+
+    monkeypatch.setattr(forest, "_FeatureDraws", StepCounted)
+    monkeypatch.setattr(forest, "_best_splits", counted)
 
     def fit():
         before = resource.getrusage(resource.RUSAGE_SELF)
@@ -91,6 +123,9 @@ def measured_fit(benchmark, X, y, config, rounds):
     model = benchmark.pedantic(fit, rounds=rounds, iterations=1)
     benchmark.extra_info["fit_minflt"] = usage["minflt"] / usage["calls"]
     benchmark.extra_info["fit_cpu_s"] = usage["cpu_s"] / usage["calls"]
+    benchmark.extra_info["fit_steps"] = usage["steps"] / usage["calls"]
+    benchmark.extra_info["fit_searches"] = usage["searches"] / usage["calls"]
+    benchmark.extra_info["fit_nodes_searched"] = usage["nodes"] / usage["calls"]
     return model
 
 
@@ -99,16 +134,38 @@ def model_sha256(model) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_fit_default_forest(benchmark, suite_matrix):
+def test_fit_default_forest(benchmark, suite_matrix, monkeypatch):
     X, y = suite_matrix
     assert X.shape == (7339, 60)
-    model = measured_fit(benchmark, X, y, Config().forest_config(), rounds=3)
+    model = measured_fit(
+        benchmark, X, y, Config().forest_config(), rounds=3, monkeypatch=monkeypatch
+    )
     assert len(model.feature) == DEFAULT_FIT_NODES
     assert model_sha256(model) == DEFAULT_FIT_SHA256
+    assert benchmark.extra_info["fit_steps"] == DEFAULT_FIT_STEPS
+    assert benchmark.extra_info["fit_searches"] == DEFAULT_FIT_SEARCHES
+    assert benchmark.extra_info["fit_nodes_searched"] == DEFAULT_FIT_NODES_SEARCHED
 
 
-def test_fit_default_forest_seed_7(benchmark, suite_matrix):
+def test_fit_default_forest_seed_7(benchmark, suite_matrix, monkeypatch):
     X, y = suite_matrix
-    model = measured_fit(benchmark, X, y, Config(seed=7).forest_config(), rounds=1)
+    model = measured_fit(
+        benchmark, X, y, Config(seed=7).forest_config(), rounds=1,
+        monkeypatch=monkeypatch,
+    )
     assert len(model.feature) == SEED_7_FIT_NODES
     assert model_sha256(model) == SEED_7_FIT_SHA256
+
+
+def test_fit_default_forest_peak(suite_matrix):
+    X, y = suite_matrix
+    # a small fit first, so that what numpy imports or caches on first use
+    # is not counted
+    fit_forest(X[:200], y[:200], ForestConfig(n_trees=2))
+    tracemalloc.start()
+    try:
+        fit_forest(X, y, Config().forest_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DEFAULT_FIT_PEAK_BYTES, f"{peak / 2**20:.2f} MiB"

@@ -9,14 +9,13 @@ and the text serialization round-trips models bit for bit.
 The split search counts instead of sorting.  `fit_forest` stores each
 column's distinct values once, sorted, and each cell's rank among them.  For
 a node, the class counts of every (feature, rank) give the values present,
-and running sums over them give the left-side counts at every boundary
-between consecutive present values.  This is exact, not an approximation by
-bins: the ranks are the column's own values, so the boundaries, midpoints,
-counts and Gini expressions (same integer dtypes, same float operations) are
-those a sort of the node's column would give.  Values that compare equal
-share a rank, as -0.0 and 0.0 share a run of a sorted column; which one the
-table keeps cannot move a midpoint, because x + 0.0 == x + -0.0 for every
-nonzero x.
+and running sums over them the left-side counts at every boundary between
+consecutive present values.  This is exact, not an approximation by bins:
+the ranks are the column's own values, so the boundaries, midpoints, counts
+and Gini expressions (same integer dtypes, same float operations) are those
+a sort of the node's column would give.  Values that compare equal share a
+rank, as -0.0 and 0.0 share a run of a sorted column; which one the table
+keeps cannot move a midpoint, as x + 0.0 == x + -0.0 for every nonzero x.
 
 The counts read only a row's ranks and label, so the rows are grouped by
 them (`_groups`): the windows hold cues that seldom change, and the default
@@ -32,37 +31,27 @@ weighted `bincount` over (node, feature, rank, label) counts a block of up
 to _SEARCH_CELLS (group, feature) cells, so numpy's call overhead is paid
 per block, not per node, and most nodes are small.  A cell's bin takes one
 gather from a table of 2 * rank + label (a byte per cell here) and one add
-of a 32-bit key.  A block writes its cell-sized arrays into buffers that
-last the whole fit (`_Buffers`), grown to the largest block searched:
-arrays allocated per block make the heap shrink and grow back at every
-block, ~100k minor page faults in a default fit.
+of a 32-bit key, into buffers that last the whole fit (`_Buffers`).  Each
+searched node's feature subset is the one `Generator.choice` would draw
+from its tree's generator, found for a whole step at once (`_FeatureDraws`).
 
-Each searched node's feature subset is the one `Generator.choice` would draw
-from its tree's generator, in the same order, but `_FeatureDraws` finds the
-subsets of all the trees of a step at once, from each tree's own buffer of
-32-bit halves of its generator's output, rather than by a call per node.
+When the sampled feature subset offers no usable split the search widens,
+drawing nothing, to the other features that vary at the node: a node is a
+leaf only when it is pure, hits a stopping rule, or has no distinguishing
+feature, so an unlimited-depth forest memorizes any consistently labeled
+training set.  A constant feature offers no split, and a node where none
+varies (one row drawn with both labels) is a leaf at once.
 
-When the sampled feature subset offers no usable split the search widens
-to the other features that vary at the node, so a node only becomes a leaf
-when it is pure, hits a stopping rule, or has no distinguishing feature at
-all: an unlimited-depth forest memorizes any consistently labeled training
-set.  A constant feature offers no split, so leaving it out changes no tree,
-and a node with none left that varies (as where bootstrap repeats one row
-with both labels) is a leaf at once.  Widening draws nothing from the
-tree's generator.
-
-A node is a [start, stop) range of its tree's group array, which lasts the
-whole fit (scikit-learn's splitter keeps its samples so), with its weighted
-row count and positives; the stopping rules and the leaves read those.  A
-split node's groups are partitioned on the same codes: a group goes left
-where its code in the split feature is below 2 * rank + 2 of the split's
-lower value.  A valid threshold lies at or above that value and below the
-next one present at the node, so these are exactly the rows with X <=
-threshold, read by a gather from the codes (a byte per cell here) rather
-than a strided eight-byte gather from X.  After a step's searches, one such
-test covers every split node's groups (`_partition`), and each node's range
-and its weights are rewritten in place, lefts first and each side in its
-old order.  Class counts and the widening test do not depend on that order.
+A node is a [start, stop) range of its tree's row of the group and weight
+arrays, which last the whole fit (scikit-learn's splitter keeps its samples
+so).  A split sends left the groups whose code in its feature is below 2 *
+rank + 2 of its lower value: exactly the rows with X <= threshold, as a
+valid threshold lies at or above that value and below the next one present
+at the node.  A step's nodes are arrays, not Python objects: a block of
+them is gathered from its flat offsets by one `take`, and `_partition`
+writes it back by one scatter, lefts first and each side in its old order.
+Each tree's stack is a row of one array, a node that needs no search is a
+leaf when made, and the nodes are laid out in preorder at the end.
 """
 
 from __future__ import annotations
@@ -70,7 +59,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -105,6 +93,8 @@ class ForestConfig:
 
 # cells one `_best_splits` block may gather and count: bounds its working set
 _SEARCH_CELLS = 1 << 17
+# stack slots per tree at the start of a fit, doubled whenever a tree needs more
+_STACK_SLOTS = 8
 
 
 def _rank_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,56 +254,65 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _best_splits(values, codes, groups, weights, n, pos, features, min_leaf, buffers):
-    """(feature, threshold, left positives, bound, left count) of each node's
-    best split over its candidate features; feature is -1 where none of them
-    splits the node.  bound is 2 * rank + 2 of the split's lower value, so a
-    group of the node goes left exactly where its code in the feature is
-    below it.  The left positives and count are weighted.
+def _gathered(order, drawn, offset, size, buffers):
+    """(owner, at, group, count) of each place of the nodes' ranges, none
+    empty, in turn: its node, its flat position (offset[i] up to offset[i] +
+    size[i]), and the group and draws there, read by one `take` each."""
+    at = buffers.get("at", (int(size.sum()),), _index_type(order.size))
+    at.fill(1)  # steps of 1, and a jump to its offset where each range starts
+    at[np.cumsum(size) - size] = offset - np.append(0, offset[:-1] + size[:-1] - 1)
+    np.cumsum(at, dtype=at.dtype, out=at)
+    group = order.take(at, out=buffers.get("group", at.shape, order.dtype), mode="clip")
+    count = drawn.take(at, out=buffers.get("count", at.shape, drawn.dtype), mode="clip")
+    return np.repeat(np.arange(len(size), dtype=at.dtype), size), at, group, count
+
+
+def _best_splits(
+    values, codes, order, drawn, offset, size, n, pos, features, min_leaf, buffers
+):
+    """(feature, threshold, left positives, bound, left count), weighted, of
+    each node's best split over its candidate features; feature is -1 where
+    none of them splits the node.  bound is 2 * rank + 2 of the split's lower
+    value: a group of the node goes left where its code is below it.
 
     codes[j, g] is 2 * rank + label of group g in feature j.  Node i holds the
-    groups groups[i], drawn weights[i] times each (n[i] rows in all, pos[i] of
-    them positive), and the features features[i] of a (k, m) array, ascending
-    among those that vary at the node.  Each (node, feature) pair is a slot
-    with `width` bins per class, one per rank, so one bincount, weighted by
-    the draws, counts every (value, label) of every node of a block.  The
-    occupied bins in slot order are the values present at each node,
-    consecutive ones within a slot are the candidate boundaries, and
-    candidates ascend by node, then feature, then threshold; the first
-    maximum of each node realizes the tie-breaking.  A block writes its
-    cell-sized arrays into the fit's `buffers`.
+    size[i] groups from flat position offset[i] of `order`, each drawn as
+    often as `drawn` there says (n[i] rows, pos[i] positive), and searches
+    features[i], ascending among those that vary at it.  Each (node, feature)
+    pair is a slot with `width` bins per class, one per rank, so one
+    bincount, weighted by the draws, counts every (value, label) of every
+    node of a block.  The occupied bins in slot order are the values present
+    at each node, consecutive ones within a slot are the candidate
+    boundaries, and candidates ascend by node, then feature, then threshold;
+    the first maximum of each node realizes the tie-breaking.
     """
     (k, m), width = features.shape, values.shape[1]
     feature, threshold = np.full(k, -1), np.zeros(k)
     pos_left, bound, n_left = (np.zeros(k, np.int64) for _ in range(3))
-    sizes = np.fromiter(map(len, groups), np.intp, k)
-    for start, stop in _blocks((sizes + width) * m):
+    for start, stop in _blocks((size + width) * m):
         node_n, node_pos = n[start:stop], pos[start:stop]
         block_features = features[start:stop]
         table = block_features.size * width
         index = _index_type(max(codes.size, 2 * table))
-        node_size = sizes[start:stop]
-        size = int(node_size.sum())
-        owner = np.repeat(np.arange(stop - start, dtype=index), node_size)
+        owner, _, group, count = _gathered(
+            order, drawn, offset[start:stop], size[start:stop], buffers
+        )
         # the cell of group g and the f-th feature of its node i counts into
         # bin ((i * m + f) * width + rank) * 2 + label; `key` holds each
         # cell's flat index into codes until the codes are gathered.  Every
         # index is in range, and mode="clip" writes into `out` unbuffered.
-        key = buffers.get("key", (size, m), index)
+        key = buffers.get("key", (group.size, m), index)
         offsets = block_features.astype(index) * codes.shape[1]
         np.take(offsets, owner, axis=0, out=key, mode="clip")
-        group = buffers.get("group", (size,), index)
-        np.concatenate(groups[start:stop], out=group)
         key += group[:, None]
-        code = buffers.get("code", (size, m), codes.dtype)
+        code = buffers.get("code", key.shape, codes.dtype)
         codes.ravel().take(key, out=code, mode="clip")
         slot_bins = np.arange(0, 2 * table, 2 * width, dtype=index)
         np.take(slot_bins.reshape(-1, m), owner, axis=0, out=key, mode="clip")
         key += code
         # each cell weighs as many rows as its tree drew of its group
-        weight = buffers.get("weight", (size, m), np.float64)
-        np.concatenate(weights[start:stop], out=weight[:, 0])
-        weight[:, 1:] = weight[:, :1]
+        weight = buffers.get("weight", key.shape, np.float64)
+        weight[...] = count[:, None]
         counts = np.bincount(key.ravel(), weights=weight.ravel(), minlength=2 * table)
         positive = counts[1::2]
         total = counts[::2] + positive
@@ -584,12 +583,9 @@ def _scan(buf: np.ndarray):
     number of each node line, in file order; roots[t] is the node at which
     tree t starts and tree_lines[t] the line of its `tree t`.  A line ends with
     LF or CRLF, and the grammar is exact (README); the first line that breaks
-    it fails.  Each body line is classified by its keyword, and each of its
-    fields is read by one gather of 8-byte words from an unaligned view of the
-    buffer: integers by Horner's rule over their digit bytes (`_integers`),
-    thresholds by one float() cast per distinct text (`_floats`).  The body is read
-    _SCAN_LINES lines at a time into one slot per line, so the working set
-    beyond the buffer and the node arrays stays bounded.
+    it fails.  The body is read by `_scan_lines`, _SCAN_LINES lines at a time
+    into one slot per line, so the working set beyond the buffer and the node
+    arrays stays bounded.
     """
     text = buf[:-_PAD]
     index = _index_type(buf.size)
@@ -771,14 +767,6 @@ class RFModel:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _leaf(tree, n: int, pos: int) -> None:
-    """Append a leaf of n rows, pos of them positive, to a tree's columns."""
-    features, thresholds, values = tree
-    features.append(-1)
-    thresholds.append(0.0)
-    values.append(1 if 2 * pos >= n else 0)  # a tie goes to the positive class
-
-
 def _groups(ranks: np.ndarray, labels: np.ndarray):
     """(group, ranks, labels): the group of each row, and the rank row and
     label of each group, one group per distinct (rank row, label).  Each row
@@ -789,102 +777,107 @@ def _groups(ranks: np.ndarray, labels: np.ndarray):
     return group, np.ascontiguousarray(keyed[first, :-1]), keyed[first, -1]
 
 
-def _partition(codes, groups, weights, feature, bound, buffers) -> np.ndarray:
-    """Rewrite each split node's groups and weights in place, those going
-    left first and each side in its old order; returns how many groups go
-    left at each node.
-
-    groups[i] and weights[i] are views of node i's range in its tree's group
-    and weight arrays, split on feature[i] at bound[i] (see `_best_splits`).
-    One go-left test reads the codes of every group of a block of nodes
-    holding up to _SEARCH_CELLS groups; then each node's ranges take two
-    slice assignments each, through the fit's `buffers`.
-    """
-    index = _index_type(codes.size)
+def _partition(codes, order, drawn, offset, size, feature, bound, buffers):
+    """Rewrite the range of `order` and `drawn` of each node, split on
+    feature[i] at bound[i] (see `_best_splits`), lefts first and each side in
+    its old order; returns how many groups go left at each node.  A block of
+    nodes takes one go-left test and one scatter back per array."""
+    index = _index_type(max(codes.size, order.size))
     # a split's lower value is below the node's highest, so its bound fits
     bound = bound.astype(codes.dtype)
-    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
-    n_left = np.empty(len(groups), np.intp)
-    for start, stop in _blocks(sizes):
-        node_size = sizes[start:stop]
-        size = int(node_size.sum())
-        block = buffers.get("block", (size,), groups[0].dtype)
-        np.concatenate(groups[start:stop], out=block)
-        key = np.repeat((feature[start:stop] * codes.shape[1]).astype(index), node_size)
-        key += block
-        left = codes.ravel().take(key) < np.repeat(bound[start:stop], node_size)
+    n_left = np.empty(len(size), np.intp)
+    # a group weighs as 8 search cells: a block's arrays take about 20 bytes a
+    # group, and stay within those of a search block, about 13 bytes a cell
+    for start, stop in _blocks(8 * size):
+        sizes, offsets = size[start:stop], offset[start:stop]
+        owner, at, group, count = _gathered(order, drawn, offsets, sizes, buffers)
+        key, shift = (buffers.get(name, at.shape, index) for name in ("key", "shift"))
+        spans = (feature[start:stop] * codes.shape[1]).astype(index)
+        np.take(spans, owner, out=key, mode="clip")
+        key += group
+        code, low = (buffers.get(k, at.shape, codes.dtype) for k in ("code", "low"))
+        codes.take(key, out=code, mode="clip")
+        np.take(bound[start:stop], owner, out=low, mode="clip")
+        left = np.less(code, low, out=buffers.get("left", at.shape, bool))
         # a split node holds at least 2 groups, so no two of these starts are equal
-        starts = np.cumsum(node_size) - node_size
-        n_left[start:stop] = np.add.reduceat(left, starts)
-        drawn = buffers.get("drawn", (size,), weights[0].dtype)
-        np.concatenate(weights[start:stop], out=drawn)
-        for ranges, moved in ((groups, block), (weights, drawn)):
-            lefts, rights = np.compress(left, moved), np.compress(~left, moved)
-            l0 = r0 = 0
-            for node, size, nl in zip(
-                ranges[start:stop], node_size.tolist(), n_left[start:stop].tolist()
-            ):
-                node[:nl] = lefts[l0 : l0 + nl]
-                node[nl:] = rights[r0 : r0 + size - nl]
-                l0, r0 = l0 + nl, r0 + size - nl
+        nl = n_left[start:stop] = np.add.reduceat(left, np.cumsum(sizes) - sizes)
+        # a left group moves to its node's offset plus the lefts before it
+        # there, a right one past the node's lefts plus the rights before it
+        lefts = np.cumsum(left, dtype=index, out=key)  # the lefts up to each group
+        ends = np.cumsum(nl)  # the lefts up to each node's last group
+        at -= lefts
+        at += np.take(ends.astype(index), owner, out=shift, mode="clip")
+        shifted = (offsets - ends + nl - 1).astype(index)
+        lefts += np.take(shifted, owner, out=shift, mode="clip")
+        np.copyto(at, lefts, where=left)
+        order.ravel()[at] = group
+        drawn.ravel()[at] = count
     return n_left
 
 
-def _grow(values, ranks, codes, labels, group, config: ForestConfig, m: int) -> list:
-    """Each tree's (feature, threshold, value) node columns in preorder, the
-    trees grown in lockstep (see `fit_forest`).  ranks, codes and labels are
-    those of the groups, and group[r] is row r's group."""
-    n, (g, d) = len(group), ranks.shape
+def _grow(values, ranks, codes, labels, group, config: ForestConfig, m: int):
+    """Grow the trees in lockstep: a step pops each unfinished tree's next
+    node to search, searches them in one `_best_splits` call, widens those
+    with no split in one more, partitions the split nodes and pushes the
+    children that need a search.  Returns (value, depth, split, feature,
+    threshold): each node's leaf value and depth by id, roots first, then
+    each split's id, feature and threshold; the k-th split's children are
+    n_trees + 2k and the next id.  ranks, codes and labels are the groups'."""
+    n, (g, d), n_trees = len(group), ranks.shape, config.n_trees
     max_depth = math.inf if config.max_depth is None else config.max_depth
     min_leaf = config.min_samples_leaf
-    rngs = [np.random.default_rng([config.seed, ti]) for ti in range(config.n_trees)]
+    rngs = [np.random.default_rng([config.seed, ti]) for ti in range(n_trees)]
     # each tree's groups and how often its bootstrap drew each, for the whole
-    # fit: a node is a range of its tree's row of both, which a split
-    # partitions in place
-    order = np.empty((len(rngs), g), dtype=np.min_scalar_type(g - 1))
-    drawn = np.empty((len(rngs), g), dtype=np.min_scalar_type(n))
-    # per tree: (start, stop, rows, depth, positives) of the nodes to grow
-    stacks = []
+    # fit: a node is a range of its tree's row of both, partitioned in place
+    order = np.empty((n_trees, g), dtype=np.min_scalar_type(g - 1))
+    drawn = np.empty((n_trees, g), dtype=np.min_scalar_type(n))
+    # (id, tree, start, stop, rows, depth, positives) of the nodes made, by id
+    made = np.zeros((n_trees, 7), np.int64)
     for ti, rng in enumerate(rngs):
         rows = group[rng.integers(0, n, size=n)] if config.bootstrap else group
         counts = np.bincount(rows, minlength=g)
         present = np.flatnonzero(counts)
         order[ti, : present.size] = present
         drawn[ti, : present.size] = counts[present]
-        stacks.append([(0, present.size, n, 0, np.count_nonzero(labels[rows]))])
-    # per tree: its nodes' feature, threshold and value columns in preorder
-    trees = [(array("q"), array("d"), array("q")) for _ in rngs]
+        made[ti] = ti, ti, 0, present.size, n, 0, np.count_nonzero(labels[rows])
+    # each tree's nodes to search, as records of `made` in its row, below its top
+    stack, top = np.empty((n_trees, _STACK_SLOTS, 7), np.int64), np.zeros(n_trees, int)
+    sides, count, value, depth = (made,), n_trees, [], []
+    splits = [(np.zeros(0, np.int64),) * 3]  # each step's (ids, features, thresholds)
     draws = _FeatureDraws(rngs, d, m) if m < d else None
-    buffers = _Buffers()  # freed on return, before the node arrays are built
+    buffers = _Buffers()  # freed on return, before the preorder is laid out
     while True:
-        step = []  # (tree, start, stop, rows, depth, positives) of the nodes to search
-        for ti, stack in enumerate(stacks):
-            while stack:
-                start, stop, size, depth, pos = stack.pop()
-                if 0 < pos < size and size >= 2 * min_leaf and depth < max_depth:
-                    step.append((ti, start, stop, size, depth, pos))
-                    break
-                _leaf(trees[ti], size, pos)
-        if not step:
+        # a node is a leaf once made unless it needs a search; a right child
+        # is pushed before its sibling, so each tree searches in preorder
+        value.append((2 * made[:, 6] >= made[:, 4]).astype(np.int8))  # a tie: class 1
+        depth.append(made[:, 5].astype(_index_type(n)))
+        for side in sides:
+            _, _, _, _, rows, at_depth, pos = side.T
+            side = side[(0 < pos) & (pos < rows) & (rows >= 2 * min_leaf)
+                        & (at_depth < max_depth)]
+            tree = side[:, 1]
+            if tree.size and top[tree].max() == stack.shape[1]:
+                stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
+            stack[tree, top[tree]] = side
+            top[tree] += 1
+        live = np.flatnonzero(top)
+        if not live.size:
             break
-        node_groups = [order[ti, start:stop] for ti, start, stop, *_ in step]
-        node_weights = [drawn[ti, start:stop] for ti, start, stop, *_ in step]
-        node_n = np.array([size for *_, size, _, _ in step])
-        node_pos = np.array([pos for *_, pos in step])
-        if m < d:
-            sampled = draws.sample(np.array([ti for ti, *_ in step]))
-        else:
-            sampled = np.broadcast_to(np.arange(d), (len(step), d))
+        top[live] -= 1
+        step = stack[live, top[live]]
+        _, tree, start, stop, rows, _, pos = step.T
+        offset, size = tree * g + start, stop - start
+        sampled = draws.sample(live) if m < d else np.tile(np.arange(d), (live.size, 1))
         best = _best_splits(
-            values, codes, node_groups, node_weights, node_n, node_pos, sampled,
-            min_leaf, buffers,
+            values, codes, order, drawn, offset, size, rows, pos, sampled, min_leaf,
+            buffers,
         )
         widen = np.flatnonzero(best[0] < 0)
         if m < d and widen.size:
             # a feature varies at a node where two consecutive groups differ in it
-            node_ranks = ranks[np.concatenate([node_groups[i] for i in widen])]
-            sizes = np.array([len(node_groups[i]) for i in widen])
-            first = np.cumsum(sizes) - sizes
+            *_, groups, _ = _gathered(order, drawn, offset[widen], size[widen], buffers)
+            node_ranks = ranks[groups]
+            first = np.cumsum(size[widen]) - size[widen]
             differ = node_ranks[1:] != node_ranks[:-1]
             differ[first[1:] - 1] = False  # the pairs that span two nodes
             # 0: a varying feature not sampled, 1: a constant one, 2: a sampled one
@@ -897,54 +890,63 @@ def _grow(values, ranks, codes, labels, group, config: ForestConfig, m: int) -> 
             # offer no candidate, up to the longest list of the step
             rest = np.argsort(kind, axis=1, kind="stable")[:, : varying.max()]
             widened = _best_splits(
-                values, codes, [node_groups[i] for i in widen],
-                [node_weights[i] for i in widen], node_n[widen], node_pos[widen],
-                rest, min_leaf, buffers,
+                values, codes, order, drawn, offset[widen], size[widen], rows[widen],
+                pos[widen], rest, min_leaf, buffers,
             )
             for column, found in zip(best, widened):
                 column[widen] = found
-        split = np.flatnonzero(best[0] >= 0)
-        groups_left = np.zeros(len(step), np.intp)
-        if split.size:
-            # X[rows, feature] <= threshold, read from the codes
-            groups_left[split] = _partition(
-                codes, [node_groups[i] for i in split],
-                [node_weights[i] for i in split], best[0][split], best[3][split],
-                buffers,
-            )
-        for (ti, start, stop, size, depth, pos), feature, threshold, pl, nl, gl in zip(
-            step, *(column.tolist() for column in (*best[:3], best[4], groups_left))
-        ):
-            if feature < 0:
-                _leaf(trees[ti], size, pos)
-                continue
-            features, thresholds, leaf_values = trees[ti]
-            features.append(feature)
-            thresholds.append(threshold)
-            leaf_values.append(-1)
-            # push right first so the left subtree is processed next (preorder)
-            stacks[ti].append((start + gl, stop, size - nl, depth + 1, pos - pl))
-            stacks[ti].append((start, start + gl, nl, depth + 1, pl))
-    return trees
+        cut = np.flatnonzero(best[0] >= 0)
+        ids, tree, start, stop, rows, at_depth, pos = step[cut].T
+        found, thr, pl, bound, nl = (column[cut] for column in best)
+        splits.append((ids.copy(), found, thr))  # a row of `step` keeps all of it
+        # X[rows, feature] <= threshold, read from the codes
+        mid = start + _partition(
+            codes, order, drawn, offset[cut], size[cut], found, bound, buffers
+        )
+        left = count + 2 * np.arange(cut.size)
+        count += 2 * cut.size
+        made = np.transpose(
+            [(left, tree, start, mid, nl, at_depth + 1, pl),
+             (left + 1, tree, mid, stop, rows - nl, at_depth + 1, pos - pl)],
+            (2, 0, 1),
+        ).reshape(-1, 7)
+        sides = made[1::2], made[::2]
+    return (*map(np.concatenate, (value, depth, *zip(*splits))),)
+
+
+def _preorder(n_trees: int, value, depth, split, feature, threshold):
+    """(feature, threshold, value, roots) of the nodes `_grow` made, in
+    preorder: subtree sizes bottom-up by depth, then positions top-down."""
+    index = _index_type(len(value))
+    by_depth = np.argsort(depth[split], kind="stable")
+    split, left = split[by_depth], (n_trees + 2 * by_depth).astype(index)
+    bounds = np.cumsum(np.bincount(depth[split]))[:-1]
+    levels = list(zip(np.split(split, bounds), np.split(left, bounds)))
+    size = np.ones(len(value), index)
+    for parent, child in reversed(levels):
+        size[parent] += size[child] + size[child + 1]
+    position = np.empty(len(value), index)
+    position[:n_trees] = np.cumsum(size[:n_trees]) - size[:n_trees]
+    for parent, child in levels:
+        position[child] = position[parent] + 1
+        position[child + 1] = position[child] + size[child]
+    columns = np.full(len(value), -1), np.zeros(len(value)), np.empty_like(value)
+    columns[2][position] = value
+    for column, at_split in zip(columns, (feature[by_depth], threshold[by_depth], -1)):
+        column[position[split]] = at_split
+    return (*columns, position[:n_trees])
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     """Train on raw arrays; rows are taken in the given (canonical) order.
 
-    The trees grow in lockstep.  Each keeps its own generator, stack and
+    The trees grow in lockstep, each with its own generator, stack and
     preorder, so its draws are those of growing it alone: its bootstrap
-    first, then one feature subset per node it searches, in preorder.  A step
-    takes from every unfinished tree its next node that needs a search (the
-    stopping rules make leaves of the nodes popped before it), searches them
-    all in one `_best_splits` call, widens those whose sampled features gave
-    no split in one more, over their features that vary and were not sampled,
-    then partitions the split nodes' groups in place by their codes and
-    pushes each node's two ranges as its children.
-
-    X is read only to build the rank and code tables, and no name here holds
-    it after that, so a caller that hands over its only reference (as
-    `fusion.train_rf` does) frees the rows before the trees grow.  No copy is
-    made when X is already a float64 array.
+    first, then one feature subset per node it searches, in preorder (see
+    `_grow`).  X is read only to build the rank and code tables, and no name
+    here holds it after that, so a caller that hands over its only reference
+    (as `fusion.train_rf` does) frees the rows before the trees grow.  No
+    copy is made when X is already a float64 array.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -967,8 +969,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     group, ranks, labels = _groups(ranks, labels)
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
     codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
-    trees = _grow(values, ranks, codes, labels, group, config, m)
-    roots = np.cumsum([0] + [len(tree[0]) for tree in trees[:-1]]).tolist()
+    nodes = _grow(values, ranks, codes, labels, group, config, m)
     resolved = replace(config, features_per_split=m)
-    columns = (np.concatenate(column) for column in zip(*trees))
-    return RFModel(*columns, roots, resolved, d)
+    return RFModel(*_preorder(config.n_trees, *nodes), resolved, d)

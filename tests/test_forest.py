@@ -855,14 +855,16 @@ class TestRankCountExactness:
             rows_of = group_rows(X, y)
 
             def counted(
-                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+                values, codes, order, drawn, offset, size, n, pos, features,
+                min_leaf, buffers,
             ):
-                widen = all(any(g is p for p in previous) for g in groups)
-                previous[:] = groups
+                nodes, groups, _ = searched_nodes(order, drawn, offset, size)
+                widen = all(node in previous for node in nodes)
+                previous[:] = nodes
                 calls.append((widen, [X[rows_of[g]] for g in groups]))
                 return search(
-                    values, codes, groups, weights, n, pos, features, min_leaf,
-                    buffers,
+                    values, codes, order, drawn, offset, size, n, pos, features,
+                    min_leaf, buffers,
                 )
 
             with pytest.MonkeyPatch.context() as patch:
@@ -904,18 +906,21 @@ class TestRankCountExactness:
 
     def test_widened_search_takes_the_features_that_vary_at_the_node(self):
         def searches(X, y, config):
-            """(groups, features, feature found) of each `_best_splits` call."""
+            """((tree, start, stop) of each node, groups of each node, features,
+            feature found) of each `_best_splits` call."""
             calls = []
             search = forest._best_splits
 
             def recorded(
-                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+                values, codes, order, drawn, offset, size, n, pos, features,
+                min_leaf, buffers,
             ):
+                nodes, groups, _ = searched_nodes(order, drawn, offset, size)
                 found = search(
-                    values, codes, groups, weights, n, pos, features, min_leaf,
-                    buffers,
+                    values, codes, order, drawn, offset, size, n, pos, features,
+                    min_leaf, buffers,
                 )
-                calls.append((groups, features, found[0].copy()))
+                calls.append((nodes, groups, features, found[0].copy()))
                 return found
 
             with pytest.MonkeyPatch.context() as patch:
@@ -935,17 +940,17 @@ class TestRankCountExactness:
         for seed in range(6):
             calls = searches(X, y, ForestConfig(n_trees=4, seed=seed))
             first_pass = [
-                i for i, (groups, *_) in enumerate(calls)
-                if i == 0 or not all(
-                    any(g is p for p in calls[i - 1][0]) for g in groups
-                )
+                i for i, (nodes, *_) in enumerate(calls)
+                if i == 0 or not all(node in calls[i - 1][0] for node in nodes)
             ]
             for i in first_pass:
-                groups, sampled, found = calls[i]
+                nodes, groups, sampled, found = calls[i]
                 # each node left without a split, with its varying features
                 # that were not sampled, ascending
                 expected = []
-                for node_groups, node_sampled, feature in zip(groups, sampled, found):
+                for node, node_groups, node_sampled, feature in zip(
+                    nodes, groups, sampled, found
+                ):
                     if feature >= 0:
                         continue
                     node_X = X[rows_of[node_groups]]
@@ -955,15 +960,15 @@ class TestRankCountExactness:
                     ]
                     identical += bool((node_X == node_X[0]).all())
                     if varies:
-                        expected.append((node_groups, varies))
+                        expected.append((node, node_groups, varies))
                 if not expected:
                     assert i + 1 == len(calls) or i + 1 in first_pass
                     continue
-                widen_groups, features, _ = calls[i + 1]
-                assert [id(g) for g in widen_groups] == [id(g) for g, _ in expected]
+                widen_nodes, _, features, _ = calls[i + 1]
+                assert widen_nodes == [node for node, *_ in expected]
                 # padded to the longest list of the step
-                assert features.shape[1] == max(len(varies) for _, varies in expected)
-                for (node_groups, varies), node_features in zip(expected, features):
+                assert features.shape[1] == max(len(varies) for *_, varies in expected)
+                for (_, node_groups, varies), node_features in zip(expected, features):
                     node_X = X[rows_of[node_groups]]
                     assert node_features[: len(varies)].tolist() == varies
                     # the padding: features constant at the node
@@ -983,13 +988,16 @@ class TestRankCountExactness:
         search = forest._best_splits
 
         def recorded(
-            values, codes, groups, weights, n, pos, features, min_leaf, buffers
+            values, codes, order, drawn, offset, size, n, pos, features, min_leaf,
+            buffers,
         ):
+            _, groups, weights = searched_nodes(order, drawn, offset, size)
             for node in zip(groups, weights, n.tolist(), pos.tolist()):
                 pairs = [(tuple(X[r]), int(y[r])) for r in rows_of[node[0]]]
                 nodes.append((pairs, *node[1:]))
             return search(
-                values, codes, groups, weights, n, pos, features, min_leaf, buffers
+                values, codes, order, drawn, offset, size, n, pos, features,
+                min_leaf, buffers,
             )
 
         config = ForestConfig(n_trees=5, features_per_split=1, seed=9)
@@ -1041,6 +1049,17 @@ def group_rows(X, y):
     return np.unique(group, return_index=True)[1]
 
 
+def searched_nodes(order, drawn, offset, size):
+    """((tree, start, stop), groups, weights) of the nodes that a
+    `_best_splits` call is given: each node's range of its tree's row of
+    `order` and `drawn`, and copies of what they hold there."""
+    tree, start = np.divmod(offset, order.shape[1])
+    ranges = list(zip(tree.tolist(), start.tolist(), (start + size).tolist()))
+    groups = [order[t, lo:hi].copy() for t, lo, hi in ranges]
+    weights = [drawn[t, lo:hi].copy() for t, lo, hi in ranges]
+    return ranges, groups, weights
+
+
 def code_splits(X, y, nodes, min_leaf):
     """Search the nodes (row arrays of X) over every feature with
     `_best_splits`, on the groups and codes `fit_forest` builds, and check
@@ -1050,16 +1069,21 @@ def code_splits(X, y, nodes, min_leaf):
     group, ranks, labels = forest._groups(ranks, y)
     dtype = np.min_scalar_type(2 * values.shape[1] - 1)
     codes = 2 * np.ascontiguousarray(ranks.T, dtype=dtype) + labels.astype(dtype)
-    # each node's groups, and how often its rows hold each
-    drawn = [np.bincount(group[rows], minlength=len(labels)) for rows in nodes]
-    groups_type = np.min_scalar_type(len(labels) - 1)
-    groups = [np.flatnonzero(counts).astype(groups_type) for counts in drawn]
-    weights = [counts[counts > 0] for counts in drawn]
+    # each node's groups, and how often its rows hold each, at the start of a
+    # row of its own in `order` and `drawn`, as a tree's root is
+    counts = [np.bincount(group[rows], minlength=len(labels)) for rows in nodes]
+    order = np.zeros((len(nodes), len(labels)), np.min_scalar_type(len(labels) - 1))
+    drawn = np.zeros((len(nodes), len(labels)), np.min_scalar_type(len(X)))
+    size = np.array([np.count_nonzero(c) for c in counts])
+    for i, c in enumerate(counts):
+        order[i, : size[i]] = np.flatnonzero(c)
+        drawn[i, : size[i]] = c[c > 0]
+    offset = np.arange(len(nodes)) * len(labels)
     n = np.array([len(rows) for rows in nodes])
     pos = np.array([np.count_nonzero(y[rows]) for rows in nodes])
     features = np.broadcast_to(np.arange(X.shape[1]), (len(nodes), X.shape[1]))
     found = forest._best_splits(
-        values, codes, groups, weights, n, pos, features, min_leaf,
+        values, codes, order, drawn, offset, size, n, pos, features, min_leaf,
         forest._Buffers(),
     )
     splits = []
@@ -1203,6 +1227,32 @@ class TestLockstepExactness:
         assert model.feature[model.roots].tolist() == [1, 2]
         assert model.threshold[model.roots].tolist() == [3.5, 2.5]
         assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+
+    def test_stack_grows_past_its_first_slots(self):
+        # parity of 10 bits: no feature alone tells the labels apart, so every
+        # node short of a single row splits, and the tree is complete; its
+        # left-most path leaves a right child waiting at each level
+        bits = 10
+        X = (np.arange(2**bits)[:, None] >> np.arange(bits) & 1).astype(float)
+        y = X.sum(axis=1).astype(int) % 2
+        config = ForestConfig(n_trees=2, bootstrap=False, seed=6)
+        model = fit_forest(X, y, config)
+        assert model.to_lines() == argsort_fit_forest(X, y, config).to_lines()
+        assert (model.feature >= 0).sum() == 2 * (2**bits - 1)
+        assert [most_waiting(model, root) for root in model.roots] == [bits] * 2
+        assert bits > forest._STACK_SLOTS
+
+
+def most_waiting(model: RFModel, root: int) -> int:
+    """The most nodes that growing the tree at root holds on its stack at
+    once, if each of its split nodes, and none of its leaves, was searched:
+    right child pushed first, so that the left one is grown next."""
+    stack, most = [root], 1
+    while stack:
+        node = stack.pop()
+        stack += [c for c in (model.right[node], node + 1) if model.feature[c] >= 0]
+        most = max(most, len(stack))
+    return most
 
 
 class CountingGenerator:
