@@ -27,7 +27,7 @@ from .fusion import (
     FusedDecision,
     HeldSession,
     derived_session,
-    gaze_holds,
+    held_session,
     live_pipeline,
     train_rf,
 )
@@ -42,7 +42,7 @@ from .sessions import (
     fmt_value,
     save_derived,
 )
-from .streams import read_lines, text_lines, tick_times
+from .streams import read_lines, text_lines
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -97,6 +97,11 @@ def _held_session(lines: Iterable[str], cfg: Config) -> HeldSession:
     # `train` and `eval` label each utterance by the span covering it
     reader = SessionReader(lines, labeled=True, whole=True)
     utterances = []
+    # the reader fills its `labels` as it reads
+    record = SessionRecord(
+        reader.session_id, reader.duration, {"utterance": utterances},
+        reader.labels,
+    )
 
     def gaze_frames():
         for _, name, item in reader:
@@ -106,13 +111,7 @@ def _held_session(lines: Iterable[str], cfg: Config) -> HeldSession:
                 utterances.append(item)
             # a need stream is checked by the reader and dropped
 
-    ticks = tick_times(reader.duration, cfg.cadence_hz)
-    gaze = gaze_holds(gaze_frames(), cfg.gaze_config(), ticks)
-    record = SessionRecord(
-        reader.session_id, reader.duration, {"utterance": utterances},
-        reader.labels,
-    )
-    return HeldSession(record, ticks, gaze)
+    return held_session(record, gaze_frames(), cfg.gaze_config(), cfg.cadence_hz)
 
 
 def cmd_gen_scripts(args: argparse.Namespace) -> int:
@@ -151,7 +150,7 @@ def _write_stage1(sessions: list[HeldSession], nb: NBModel, out: Path):
     derived = []
     ds1_names = []
     for held in sessions:
-        frames = derived_session(held.record, held.ticks, held.gaze, nb)
+        frames = derived_session(held, nb)
         name = f"ds1/{held.record.session_id}.session"
         save_derived(out / name, held.record, held.ticks, frames)
         derived.append((held.ticks, frames))

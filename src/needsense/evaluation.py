@@ -189,7 +189,7 @@ def run_full_eval(
 
         def stage1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
             held = per_session[rec.session_id][0]
-            return held.ticks, derived_session(rec, held.ticks, held.gaze, nb)
+            return held.ticks, derived_session(held, nb)
 
         rf = train_rf(
             export_fusion_matrix(

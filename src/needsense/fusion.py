@@ -6,24 +6,23 @@ confirmatory, language) values is concatenated into one 3W feature
 vector, and a random forest maps the vector to the final binary help
 decision.
 
-Training is two-stage: stage 1 runs the gaze and language models over
-each raw recording and holds their outputs onto the tick grid, giving
-the tick times and a (T, 3) array of (mutual, confirmatory, language)
-frames; stage 2 exports windowed rows from those arrays and fits the
-forest.  The gaze half needs no training, so `train` and `eval` run it
-as a recording is read (`gaze_holds` over its frames as they are
-parsed), keep only its holds (`HeldSession`), and add the language
-column once the text model is trained (`derived_session`).  The frames
-become derived session records only where `train` writes them to disk.
-`predict_session` scores them in one forest call: the batch reference.
-`run` decides through the live engine (`live_pipeline`), from a file as
-from standard input: a `Pipeline` with a callback on each of its two
-input streams, holding that model's latest output, and its one tick
-schedule, deciding over the last W held frames at each tick, so it keeps
-no more than the frames of the windows it has yet to score.  Because
-both paths quantize times to 3 decimals and need values to 6 before any
-windowing, `run` over a recorded session's lines reproduces the batch
-predictions bit for bit.
+One engine, `streams.Pipeline`, fires the ticks and holds the inputs for
+every command: `hold_gaze` and `hold_language` subscribe the gaze and
+text models to its input streams, each setting that model's latest
+output, and a tick takes the held values at wire precision.  Training is
+two-stage: stage 1 gives each raw recording's tick times and a (T, 3)
+array of (mutual, confirmatory, language) frames; stage 2 exports
+windowed rows from those arrays and fits the forest.  The gaze half needs
+no training, so `train` and `eval` run it on a pipeline as a recording is
+read (`held_session`), keep only its holds (`HeldSession`), and hold the
+language column on a second pipeline once the text model is trained
+(`derived_session`): one pipeline per stream, since a file need only be
+in time order within each stream.  `predict_session` scores the frames in
+one forest call: the batch reference.  `run` decides through one pipeline
+over both streams (`live_pipeline`), whose input is in global time order,
+deciding over the last W held frames at each tick, so it keeps no more
+than the frames of the windows it has yet to score and reproduces the
+batch predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .forest import SCORE_ROWS, ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
 from .sessions import SessionRecord, TrainingMatrix, frame_windows
-from .streams import Pipeline, TimestampedMessage, tick_times
+from .streams import Pipeline, TimestampedMessage
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,69 +53,87 @@ class FusedDecision:
     label: int
 
 
-def zero_order_hold(
-    times: list[float], values: list[float], ticks: list[float]
-) -> np.ndarray:
-    """At each tick, the latest value with time <= tick, else 0.0.
-    Batch counterpart of the live hold; times and ticks must ascend."""
-    held = np.array([0.0, *values], dtype=np.float64)
-    return held[np.searchsorted(times, ticks, side="right")]
-
-
 @dataclass
 class HeldSession:
-    """A raw session as stage 1 reads it once its gaze frames have been
-    through the gaze models: the record without them (id, duration, label
-    spans and utterances), its tick grid, and the mutual and confirmatory
-    holds on that grid (`gaze_holds`)."""
+    """A raw session once its gaze frames have been through the gaze models
+    (`held_session`): the record without them, the ticks of its grid at
+    `cadence_hz`, and the mutual and confirmatory holds at those ticks."""
 
     record: SessionRecord
+    cadence_hz: float
     ticks: list[float]
     gaze: tuple[np.ndarray, np.ndarray]
 
 
-def gaze_holds(
-    messages: Iterable[TimestampedMessage], config: GazeConfig, ticks: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mutual and confirmatory need at wire precision, from the gaze
-    models run over a raw session's frames, in time order, and held onto
-    `ticks`: at each tick, the output for the latest frame with time <=
-    tick, else 0.0.  Each frame is read once, as `messages` yields it, and
-    none is kept."""
+def hold_gaze(pipe: Pipeline, held: list[float], config: GazeConfig) -> None:
+    """Subscribe the gaze models to `pipe`'s gaze stream: each frame sets
+    held[0] and held[1] to the mutual and confirmatory need it gives."""
     tracker = GazeNeedTracker(config)
-    held = (0.0, 0.0)
-    per_tick: list[tuple[float, float]] = []
-    for msg in messages:
-        t = msg.originating_time
-        while len(per_tick) < len(ticks) and ticks[len(per_tick)] < t:
-            per_tick.append(held)
-        held = tracker.update(t, msg.payload)
-    per_tick.extend([held] * (len(ticks) - len(per_tick)))
-    # rounding commutes with the hold, and a 10 Hz tick samples a third of
-    # the 30 Hz frames, so only the held values are rounded
-    mutual = np.array([round(m, 6) for m, _ in per_tick], dtype=np.float64)
-    conf = np.array([round(c, 6) for _, c in per_tick], dtype=np.float64)
-    return mutual, conf
+
+    def on_gaze(t: float, obs: GazeObservation) -> None:
+        held[0], held[1] = tracker.update(t, obs)
+
+    pipe.streams["gaze_raw"].subscribe(on_gaze)
 
 
-def derived_session(
+def hold_language(pipe: Pipeline, held: list[float], nb_model: NBModel) -> None:
+    """Subscribe the text model to `pipe`'s utterance stream: each
+    utterance sets held[2] to its posterior, or, if it tokenizes to
+    nothing, counts as a drop on need_language."""
+    drops = pipe.drop_counts  # not the pipe, which holds this callback
+
+    def on_utterance(t: float, text: str) -> None:
+        v = nb_model.predict_text(text)
+        if v is None:
+            drops["need_language"] = drops.get("need_language", 0) + 1
+        else:
+            held[2] = v
+
+    pipe.streams["utterance"].subscribe(on_utterance)
+
+
+def held_session(
     record: SessionRecord,
-    ticks: list[float],
-    gaze: tuple[np.ndarray, np.ndarray],
-    nb_model: NBModel,
-) -> np.ndarray:
-    """Stage 1 for one raw session whose gaze holds on `ticks` are given:
-    the (T, 3) frames of mutual, confirmatory and language need, the
-    language posterior held onto the same ticks.  An utterance that
-    tokenizes to nothing contributes nothing."""
-    lang_t: list[float] = []
-    lang_v: list[float] = []
-    for msg in record.messages("utterance"):
-        v = nb_model.predict_text(msg.payload)
-        if v is not None:
-            lang_t.append(msg.originating_time)
-            lang_v.append(round(v, 6))
-    return np.column_stack((*gaze, zero_order_hold(lang_t, lang_v, ticks)))
+    frames: Iterable[TimestampedMessage],
+    gaze_config: GazeConfig,
+    cadence_hz: float,
+) -> HeldSession:
+    """Stage 1's gaze half for raw session `record`: its gaze `frames`, in
+    time order, through the gaze models on their own `Pipeline`, each read
+    once as `frames` yields it and none kept, and the holds of each tick."""
+    pipe, held = Pipeline(), [0.0, 0.0, 0.0]
+    hold_gaze(pipe, held, gaze_config)
+    ticks, mutual, conf = [], [], []
+
+    def on_tick(t: float) -> None:
+        ticks.append(t)
+        # rounding commutes with the hold, and a 10 Hz tick takes a third
+        # of the 30 Hz frames, so only the values a tick takes are rounded
+        mutual.append(round(held[0], 6))
+        conf.append(round(held[1], 6))
+
+    pipe.add_ticker(cadence_hz, on_tick)
+    for msg in frames:
+        pipe.emit("gaze_raw", msg.originating_time, msg.payload)
+    pipe.finalize(record.duration)
+    return HeldSession(
+        record, cadence_hz, ticks, (np.array(mutual), np.array(conf))
+    )
+
+
+def derived_session(held: HeldSession, nb_model: NBModel) -> np.ndarray:
+    """Stage 1 for one raw session whose gaze holds are given: the (T, 3)
+    frames of mutual, confirmatory and language need, the record's
+    utterances through the text model on their own `Pipeline` with the
+    same ticks.  An utterance that tokenizes to nothing holds nothing."""
+    pipe, values = Pipeline(), [0.0, 0.0, 0.0]
+    hold_language(pipe, values, nb_model)
+    language = []
+    pipe.add_ticker(held.cadence_hz, lambda t: language.append(round(values[2], 6)))
+    for msg in held.record.messages("utterance"):
+        pipe.emit("utterance", msg.originating_time, msg.payload)
+    pipe.finalize(held.record.duration)
+    return np.column_stack((*held.gaze, language))
 
 
 def stage1_materialize(
@@ -127,9 +144,10 @@ def stage1_materialize(
 ) -> tuple[list[float], np.ndarray]:
     """Stage 1 of training: the tick grid of one raw session and the
     gaze and language models' outputs held onto it, as (T, 3) frames."""
-    ticks = tick_times(record.duration, cadence_hz)
-    gaze = gaze_holds(record.messages("gaze_raw"), gaze_config, ticks)
-    return ticks, derived_session(record, ticks, gaze, nb_model)
+    held = held_session(
+        record, record.messages("gaze_raw"), gaze_config, cadence_hz
+    )
+    return held.ticks, derived_session(held, nb_model)
 
 
 def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:
@@ -188,30 +206,17 @@ def live_pipeline(
     function returned with the pipeline scores the windows still waiting
     once `finalize` has fired the last tick.
 
-    Each input stream holds its model's latest values at wire precision,
-    0.0 before the first; each tick decides over the last `window` held
-    frames, oldest first.  Scores are wire-rounded; vote fractions are
-    never close enough to 0.5 for that to flip the label."""
-    pipe = Pipeline()
-    tracker = GazeNeedTracker(gaze_config)
-    held = [0.0, 0.0, 0.0]  # mutual, confirmatory, language
+    Each input stream holds its model's latest output (`hold_gaze`,
+    `hold_language`), 0.0 before the first; each tick decides over the
+    last `window` held frames, oldest first.  Frames and scores are
+    wire-rounded; no vote fraction is close enough to 0.5 to flip a label."""
+    pipe, held = Pipeline(), [0.0, 0.0, 0.0]  # mutual, confirmatory, language
+    hold_gaze(pipe, held, gaze_config)
+    hold_language(pipe, held, nb_model)
     rows = SCORE_ROWS if whole else 1
     # the frames of the windows yet to be scored, and their ticks
     frames: deque[tuple[float, float, float]] = deque(maxlen=window + rows - 1)
     ticks: list[float] = []
-
-    def on_gaze(t: float, obs: GazeObservation) -> None:
-        mutual, conf = tracker.update(t, obs)
-        held[0] = round(mutual, 6)
-        held[1] = round(conf, 6)
-
-    def on_utterance(t: float, text: str) -> None:
-        v = nb_model.predict_text(text)
-        if v is None:  # it tokenizes to nothing
-            drops = pipe.drop_counts
-            drops["need_language"] = drops.get("need_language", 0) + 1
-        else:
-            held[2] = round(v, 6)
 
     def score_waiting() -> None:
         if ticks:
@@ -221,13 +226,11 @@ def live_pipeline(
             on_decisions(decisions)
 
     def on_tick(t: float) -> None:
-        frames.append(tuple(held))
+        frames.append((round(held[0], 6), round(held[1], 6), round(held[2], 6)))
         if len(frames) >= window:
             ticks.append(t)
             if len(ticks) == rows:
                 score_waiting()
 
-    pipe.streams["gaze_raw"].subscribe(on_gaze)
-    pipe.streams["utterance"].subscribe(on_utterance)
     pipe.add_ticker(cadence_hz, on_tick)
     return pipe, score_waiting

@@ -2,11 +2,12 @@
 
 Every message carries the time its data originated at the source, and the
 scheduler orders deliveries and ticks by those times, never by when they
-are processed.  This is what makes the live shell, callbacks on a
-`Pipeline`'s input streams and ticks (see `fusion`), reproduce the batch
-computation over a recorded session exactly: both see the same
-originating times regardless of processing latency.  Streams keep no
-message, so a live run's memory does not grow with its length.
+are processed.  `Pipeline` is the one tick clock and hold: `run` drives
+one over both input streams, and `train` and `eval` one per stream of a
+recorded session (see `fusion`), so batch and live see the same
+originating times regardless of processing latency and hold the same
+values.  Streams keep no message, so a run's memory does not grow with
+its length.
 
 Every text input but `rf.model`, a file any command reads or a live
 session on standard input, is read a line at a time through one line
@@ -118,8 +119,8 @@ class Stream:
 
 
 class Pipeline:
-    """The live shell's input streams, one per name in `LIVE_INPUTS`, and
-    its one tick schedule.
+    """The engine that fires ticks and holds inputs for every command: an
+    input stream per name in `LIVE_INPUTS`, and one tick schedule.
 
     Driving rule: before a message at time t is delivered, all pending
     ticks strictly before t fire; ticks at exactly t fire only once time
@@ -160,13 +161,9 @@ class Pipeline:
 
 def tick_times(duration: float, cadence_hz: float) -> list[float]:
     """All tick times in [0, duration] at the given cadence, rounded to
-    the millisecond wire precision.  Count is floor(duration*cadence)+1."""
-    ticks = []
-    k = 0
-    while True:
-        t = round(k / cadence_hz, 3)
-        if t > duration:
-            break
-        ticks.append(t)
-        k += 1
+    the millisecond wire precision: the ticks of a `Pipeline` with no
+    input finalized at `duration`.  Count is floor(duration*cadence)+1."""
+    pipe, ticks = Pipeline(), []
+    pipe.add_ticker(cadence_hz, ticks.append)
+    pipe.finalize(duration)
     return ticks

@@ -16,7 +16,6 @@ import pytest
 import needsense
 from needsense import fusion
 from needsense.gaze import GazeConfig
-from needsense.streams import tick_times
 
 
 class RecordingModel:
@@ -86,14 +85,13 @@ def held_sessions():
     settings."""
 
     def build(records, cfg):
-        sessions = []
-        for record in records:
-            ticks = tick_times(record.duration, cfg.cadence_hz)
-            gaze = fusion.gaze_holds(
-                record.messages("gaze_raw"), cfg.gaze_config(), ticks
+        return [
+            fusion.held_session(
+                record, record.messages("gaze_raw"), cfg.gaze_config(),
+                cfg.cadence_hz,
             )
-            sessions.append(fusion.HeldSession(record, ticks, gaze))
-        return sessions
+            for record in records
+        ]
 
     return build
 

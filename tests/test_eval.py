@@ -23,7 +23,8 @@ from needsense.evaluation import (
     run_full_eval,
 )
 from needsense.forest import RFModel
-from needsense.fusion import zero_order_hold
+from needsense.fusion import derived_session, held_session
+from needsense.gaze import GazeConfig
 from needsense.sessions import (
     LabelSpan,
     NeedLevelLabel,
@@ -36,7 +37,9 @@ from needsense.simulate import (
     benchmark_suite,
     simulate,
 )
-from needsense.streams import tick_times
+from needsense.streams import TimestampedMessage, tick_times
+
+from conftest import EchoText
 
 LIGHT_CONFIG = Config(
     rf_n_trees=10, rf_max_depth=6, rf_min_samples_leaf=3, seed=1
@@ -154,31 +157,50 @@ class TestConfusionCounts:
         assert confusion_counts(pred, truth) == tuple(expected)
 
 
+def language_hold(utterances, duration):
+    """The language column `derived_session` holds at each 10 Hz tick for
+    (time, text) utterances, each text's posterior the number it spells."""
+    record = SessionRecord(
+        "z00", duration,
+        {"utterance": [TimestampedMessage(t, text) for t, text in utterances]},
+    )
+    held = held_session(record, [], GazeConfig(), 10.0)
+    return dict(zip(held.ticks, derived_session(held, EchoText())[:, 2].tolist()))
+
+
 class TestZeroOrderHold:
+    """The batch language hold: `derived_session` on its own pipeline."""
+
     def test_example(self):
-        out = zero_order_hold([0.95, 1.05], [0.8, 0.9], [0.9, 1.0, 1.1])
-        assert out.tolist() == [0.0, 0.8, 0.9]
+        out = language_hold([(0.95, "0.8"), (1.05, "0.9")], 1.1)
+        assert [out[t] for t in (0.9, 1.0, 1.1)] == [0.0, 0.8, 0.9]
 
     def test_tick_equal_to_time_sees_value(self):
-        assert zero_order_hold([1.0], [0.7], [1.0]).tolist() == [0.7]
+        out = language_hold([(1.0, "0.7")], 1.0)
+        assert out[1.0] == 0.7 and out[0.9] == 0.0
+
+    def test_before_the_first_utterance_and_past_a_dropped_one(self):
+        out = language_hold([(0.5, "???"), (0.75, "0.25")], 1.0)
+        assert [out[t] for t in (0.0, 0.5, 0.7, 0.8, 1.0)] == [
+            0.0, 0.0, 0.0, 0.25, 0.25
+        ]
 
     @given(
         events=st.lists(
             st.tuples(st.integers(0, 50), st.floats(0, 1, allow_nan=False)),
             max_size=20,
         ),
-        tick_ids=st.sets(st.integers(0, 50), max_size=20),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_bisect_oracle(self, events, tick_ids):
+    def test_matches_bisect_oracle(self, events):
         dedup = sorted({round(k / 10, 3): v for k, v in events}.items())
         times = [t for t, _ in dedup]
         values = [v for _, v in dedup]
-        ticks = sorted(round(k / 10, 3) for k in tick_ids)
-        out = zero_order_hold(times, values, ticks)
-        for t, held in zip(ticks, out):
+        out = language_hold([(t, repr(v)) for t, v in dedup], 5.0)
+        assert list(out) == tick_times(5.0, 10.0)
+        for t, held in out.items():
             i = bisect_right(times, t) - 1
-            assert held == (values[i] if i >= 0 else 0.0)
+            assert held == (round(values[i], 6) if i >= 0 else 0.0)
 
 
 class TestKfold:
