@@ -3,7 +3,8 @@
 Each case times one layer of `needsense simulate`, `needsense train` or
 `needsense run` on the canonical suite (`benchmark_suite(20, seed=0)`: 20
 sessions, 23,138 gaze frames, 7,339 training rows x 60): simulating the
-20 scripts, loading the 20 session files, the gaze tracker over every
+20 scripts, loading the 20 session files, reading them as `train` and
+`eval` do (the reader and the gaze models), the gaze tracker over every
 gaze frame, training the text model on the suite's utterances and its
 posterior for each of them, stage-1 materialize, writing the 20 derived
 sessions, the fusion-matrix export, batch prediction over every training row,
@@ -26,7 +27,7 @@ import tracemalloc
 
 import pytest
 
-from needsense.cli import _decision_line, _run
+from needsense.cli import _decision_line, _read_sessions, _run
 from needsense.config import Config
 from needsense.forest import RFModel
 from needsense.fusion import predict_session, stage1_materialize, train_rf
@@ -48,6 +49,10 @@ SUITE_GAZE_FRAMES = 23_138
 # tracker gives over the suite's gaze frames, session by session
 SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447decb74"
 SUITE_UTTERANCES = 165
+SUITE_TICKS = 7_719
+# sha256 of the repr of, per session `_read_sessions` keeps: id, duration,
+# label spans, utterances, ticks, and the mutual and confirmatory holds
+SUITE_HELD_SESSIONS = "22397889e48360beff28d9ae749e9d931fbeaf22765fa7f8bd9074606378c772"
 # sha256 of the repr of the list of the default text model's posterior for
 # each of the suite's utterances, session by session
 SUITE_NB_POSTERIORS = "c687dffa4f8de785204f4399acc9c9bf0a776c409662639d7779c8cf978771bf"
@@ -119,6 +124,34 @@ def test_parse_suite_sessions(benchmark, session_paths):
     for path, record in zip(session_paths, records, strict=True):
         data = ("\n".join(record.to_lines()) + "\n").encode("utf-8")
         assert data == path.read_bytes(), path.name
+
+
+def test_read_sessions_suite(benchmark, session_paths):
+    """`train` and `eval`'s read of the suite: each file's lines through the
+    reader, and the gaze frames through the gaze models on a pipeline as
+    they are read, keeping each session's holds."""
+    directory = str(session_paths[0].parent)
+    sessions = benchmark.pedantic(
+        _read_sessions, args=(directory, Config()), rounds=5, iterations=1
+    )
+    parts = [
+        (
+            held.record.session_id,
+            held.record.duration,
+            [(s.start, s.end, s.level.value) for s in held.record.labels],
+            [
+                (m.originating_time, m.payload)
+                for m in held.record.messages("utterance")
+            ],
+            held.ticks,
+            held.gaze[0].tolist(),
+            held.gaze[1].tolist(),
+        )
+        for held in sessions
+    ]
+    assert sum(len(held.ticks) for held in sessions) == SUITE_TICKS
+    digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+    assert digest == SUITE_HELD_SESSIONS
 
 
 def test_gaze_tracker_suite_frames(benchmark, session_paths):

@@ -1,7 +1,9 @@
 """Command-line surface: simulate sessions, train the two stages,
 evaluate, and decide: `run` takes every setting from the training
 manifest of the models it runs and reads a session file or standard
-input line by line through one live decision engine.  Every text input
+input line by line through one live decision engine.  `train` and `eval`
+read each raw session line by line too, its gaze frames going through the
+same engine as each is read (`fusion.held_session`).  Every text input
 but `rf.model`, which is parsed from its bytes, passes through
 `streams.text_lines`, so a data error names the input's first faulty
 line in line order, after a file's path.
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -55,6 +58,11 @@ NB_MODEL_NAME = "nb.model"
 RF_MODEL_NAME = "rf.model"
 # the last manifest line: the sha256 of the lines before it
 MANIFEST_SEAL = "manifest_sha256"
+# the most float64 cells, rows x 3 * window_w, of the training matrix `train`
+# and `eval` build: beyond about 45 MB, their peak grows about 16 B a cell
+# (the 20-session suite at 100 Hz: 4.6M cells, 118 MB; with window_w=76:
+# 17.2M cells, 323 MB), and the config bounds each key, not their product
+MAX_MATRIX_CELLS = 1 << 24
 
 
 class MismatchError(Exception):
@@ -86,11 +94,25 @@ def _read_sessions(directory: str, cfg: Config) -> list[HeldSession]:
     """Each raw session in `directory`, read a line at a time as `load`
     reads it, with stage 1's gaze half done as it is read: each gaze frame
     goes through the gaze models as its line is read and is then dropped,
-    so only the holds on the tick grid are kept."""
+    so only the holds on the tick grid are kept.  Sessions whose training
+    matrix would exceed `MAX_MATRIX_CELLS` are refused before it is built."""
     paths = sorted(Path(directory).glob("*.session"))
     if not paths:
         raise StageError(f"no .session files in {directory}")
-    return [read_lines(p, lambda lines: _held_session(lines, cfg)) for p in paths]
+    sessions = [read_lines(p, lambda lines: _held_session(lines, cfg)) for p in paths]
+    # `export_fusion_matrix`'s rows: the ticks before the duration, less warm-up
+    rows = sum(
+        max(bisect_left(held.ticks, held.record.duration) - cfg.window_w + 1, 0)
+        for held in sessions
+    )
+    dim = 3 * cfg.window_w
+    if rows * dim > MAX_MATRIX_CELLS:
+        raise StageError(
+            f"the training matrix would hold {rows * dim:,} cells ({rows:,} "
+            f"rows x {dim}), above the bound of {MAX_MATRIX_CELLS:,}: lower "
+            f"cadence_hz={cfg.cadence_hz} or window_w={cfg.window_w}"
+        )
+    return sessions
 
 
 def _held_session(lines: Iterable[str], cfg: Config) -> HeldSession:

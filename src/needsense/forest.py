@@ -688,19 +688,21 @@ class RFModel:
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         """Per-tree votes, shape (n_trees, n_rows): all (tree, row) pairs
-        descend from their roots a level per step until they reach a leaf."""
+        descend from their roots a level per step until they reach a leaf.
+        Each cell is read from X where it lies, so a strided view, such as
+        `frame_windows` gives, is never copied."""
         X = np.asarray(X, dtype=np.float64)
-        (n, d), flat, block = X.shape, X.ravel(), self._BLOCK
+        n, block = len(X), self._BLOCK
         votes = np.empty(len(self.roots) * n, dtype=np.int64)
         for start in range(0, votes.size, block):
             pair = np.arange(start, min(start + block, votes.size))
-            # pair p is tree p // n with row p % n, which starts at flat[cell]
-            node, cell = self.roots[pair // n], pair % n * d
+            # pair p is tree p // n with row p % n
+            node, row = self.roots[pair // n], pair % n
             while node.size:
                 leaf = self.feature[node] < 0
                 votes[pair[leaf]] = self.value[node[leaf]]
-                node, pair, cell = node[~leaf], pair[~leaf], cell[~leaf]
-                go_left = flat[cell + self.feature[node]] <= self.threshold[node]
+                node, pair, row = node[~leaf], pair[~leaf], row[~leaf]
+                go_left = X[row, self.feature[node]] <= self.threshold[node]
                 node = np.where(go_left, node + 1, self.right[node])
         return votes.reshape(len(self.roots), n)
 

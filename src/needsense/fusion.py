@@ -92,6 +92,14 @@ def hold_language(pipe: Pipeline, held: list[float], nb_model: NBModel) -> None:
     pipe.streams["utterance"].subscribe(on_utterance)
 
 
+def _wire(values: list[float]) -> np.ndarray:
+    """The values a pipeline's ticks took, rounded to the wire's 6 places:
+    rounding commutes with the hold, and most ticks take a value an earlier
+    tick took, so each distinct value is rounded once."""
+    rounded = {v: round(v, 6) for v in set(values)}
+    return np.array([rounded[v] for v in values], dtype=np.float64)
+
+
 def held_session(
     record: SessionRecord,
     frames: Iterable[TimestampedMessage],
@@ -107,18 +115,14 @@ def held_session(
 
     def on_tick(t: float) -> None:
         ticks.append(t)
-        # rounding commutes with the hold, and a 10 Hz tick takes a third
-        # of the 30 Hz frames, so only the values a tick takes are rounded
-        mutual.append(round(held[0], 6))
-        conf.append(round(held[1], 6))
+        mutual.append(held[0])
+        conf.append(held[1])
 
     pipe.add_ticker(cadence_hz, on_tick)
     for msg in frames:
         pipe.emit("gaze_raw", msg.originating_time, msg.payload)
     pipe.finalize(record.duration)
-    return HeldSession(
-        record, cadence_hz, ticks, (np.array(mutual), np.array(conf))
-    )
+    return HeldSession(record, cadence_hz, ticks, (_wire(mutual), _wire(conf)))
 
 
 def derived_session(held: HeldSession, nb_model: NBModel) -> np.ndarray:
@@ -129,11 +133,11 @@ def derived_session(held: HeldSession, nb_model: NBModel) -> np.ndarray:
     pipe, values = Pipeline(), [0.0, 0.0, 0.0]
     hold_language(pipe, values, nb_model)
     language = []
-    pipe.add_ticker(held.cadence_hz, lambda t: language.append(round(values[2], 6)))
+    pipe.add_ticker(held.cadence_hz, lambda t: language.append(values[2]))
     for msg in held.record.messages("utterance"):
         pipe.emit("utterance", msg.originating_time, msg.payload)
     pipe.finalize(held.record.duration)
-    return np.column_stack((*held.gaze, language))
+    return np.column_stack((*held.gaze, _wire(language)))
 
 
 def stage1_materialize(

@@ -47,7 +47,7 @@ from needsense.sessions import (
     load as load_session,
 )
 from needsense.fusion import predict_session, stage1_materialize
-from needsense.simulate import load_script
+from needsense.simulate import benchmark_suite, load_script, simulate
 from needsense.streams import TimestampedMessage, text_lines
 
 LIGHT_CONFIG = "\n".join(
@@ -542,6 +542,23 @@ class TestTrainCommand:
         peak(plain_dir)  # the first read compiles and caches what it uses
         assert abs(peak(dense_dir) - peak(plain_dir)) <= 16 * 1024
 
+    def test_a_fault_is_named_before_any_tick_fires(self, tmp_path):
+        # an hour at 1 kHz is 3.6M ticks, and the label on line 2 is bad: the
+        # reader names it before the grid is built, so little is allocated
+        (tmp_path / "s00.session").write_text(
+            "format_version=1 session_id=s00 duration=3600.000\n"
+            "stream=label start=0.000 end=3600.000 level=L9\n",
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(SessionFormatError, match="line 2: unknown need"):
+                cli._read_sessions(str(tmp_path), Config(cadence_hz=1000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_matrix_is_freed_before_the_trees_grow(self, workspace, tmp_path):
         # the fit reads the float features only to build its rank and code
         # tables, and the trees grow from those
@@ -573,6 +590,69 @@ class TestTrainCommand:
         code = main(["train", str(empty), "--out", str(tmp_path / "m")])
         assert code == 3
         assert "no .session files" in capsys.readouterr().err
+
+
+MATRIX_BOUND_ERROR = re.compile(
+    r"error: the training matrix would hold ([\d,]+) cells \(([\d,]+) rows x "
+    r"(\d+)\), above the bound of ([\d,]+): lower cadence_hz=(\S+) or "
+    r"window_w=(\d+)\n"
+)
+
+
+class TestMatrixBound:
+    """`train` and `eval` refuse a training matrix above `MAX_MATRIX_CELLS`
+    once the sessions are read, before anything is built from them."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_legal_keys_past_the_bound_are_exit_3(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # each key is legal, but their product asks for gigabytes of cells
+        out = ["--out", str(tmp_path / "m")] if command == "train" else []
+        tracemalloc.start()
+        try:
+            code = main(
+                [command, "--config", str(workspace["config"]),
+                 str(workspace["ds0"]), "--cadence", "1000", "--window",
+                 "10000", *out]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        match = MATRIX_BOUND_ERROR.fullmatch(capsys.readouterr().err)
+        assert match, "no bound line"
+        cells, rows, dim, bound, cadence, window = match.groups()
+        assert int(cells.replace(",", "")) == int(rows.replace(",", "")) * 30_000
+        assert (dim, cadence, window) == ("30000", "1000.0", "10000")
+        assert int(bound.replace(",", "")) == cli.MAX_MATRIX_CELLS
+        # the tick grids of four 1 kHz sessions, not the matrix
+        assert peak < 32 << 20
+        assert not (tmp_path / "m").exists()
+
+    def test_the_bound_is_inclusive(self, workspace, tmp_path, monkeypatch):
+        cells = 3 * 20 * sum(
+            len([t for t in held.ticks[19:] if t < held.record.duration])
+            for held in cli._read_sessions(str(workspace["ds0"]), Config())
+        )
+        argv = ["train", "--config", str(workspace["config"]),
+                str(workspace["ds0"]), "--out", str(tmp_path / "m")]
+        monkeypatch.setattr(cli, "MAX_MATRIX_CELLS", cells - 1)
+        assert main(argv) == 3
+        monkeypatch.setattr(cli, "MAX_MATRIX_CELLS", cells)
+        assert main(argv) == 0
+
+    def test_the_suite_trains_at_10_and_100_hz(self, workspace, tmp_path):
+        ds0 = tmp_path / "ds0"
+        ds0.mkdir()
+        for i, script in enumerate(benchmark_suite(20, seed=0)):
+            record = simulate(script, f"s{i:02d}", thresholds=Config().thresholds())
+            record.save(ds0 / f"s{i:02d}.session")
+        for cadence in ("10", "100"):
+            assert main(
+                ["train", "--config", str(workspace["config"]), str(ds0),
+                 "--cadence", cadence, "--out", str(tmp_path / cadence)]
+            ) == 0
 
 
 class TestEvalCommand:

@@ -187,13 +187,18 @@ class TestZeroOrderHold:
 
     @given(
         events=st.lists(
-            st.tuples(st.integers(0, 50), st.floats(0, 1, allow_nan=False)),
+            st.tuples(
+                st.one_of(st.integers(0, 50).map(lambda k: 100 * k),
+                          st.integers(0, 5000)),
+                st.floats(0, 1, allow_nan=False),
+            ),
             max_size=20,
         ),
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_bisect_oracle(self, events):
-        dedup = sorted({round(k / 10, 3): v for k, v in events}.items())
+        # utterance times in whole milliseconds, on ticks and between them
+        dedup = sorted({round(ms / 1000, 3): v for ms, v in events}.items())
         times = [t for t, _ in dedup]
         values = [v for _, v in dedup]
         out = language_hold([(t, repr(v)) for t, v in dedup], 5.0)

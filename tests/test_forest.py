@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from needsense import forest
 from needsense.forest import ForestConfig, RFModel, fit_forest
+from needsense.sessions import frame_windows
 
 SINGLE_TREE = ForestConfig(n_trees=1, bootstrap=False, seed=0)
 
@@ -288,6 +289,27 @@ class TestPredict:
         votes = model.tree_votes(probe).mean(axis=0)
         assert scores.tolist() == votes.tolist()
         assert labels.tolist() == (votes >= 0.5).astype(int).tolist()
+
+    def test_a_window_view_is_voted_on_without_a_copy(self):
+        # `run` scores `frame_windows` views: at W = 1,000 a block of rows
+        # copied out of the frames would take 3,000 times their bytes
+        rng = np.random.default_rng(8)
+        window = 1_000
+        fit_rows = np.array(frame_windows(rng.random((window + 59, 3)), window))
+        y = (fit_rows[:, ::7].sum(axis=1) > fit_rows[:, ::7].sum(axis=1).mean())
+        model = fit_forest(
+            fit_rows, y.astype(int), ForestConfig(n_trees=5, max_depth=6, seed=3)
+        )
+        frames = rng.random((2 * window, 3))
+        view = frame_windows(frames, window)
+        tracemalloc.start()
+        try:
+            votes = model.tree_votes(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes + (1 << 20)  # the copy: 24 MB
+        assert votes.tolist() == model.tree_votes(np.array(view)).tolist()
 
     def test_batch_equals_per_row(self):
         rng = np.random.default_rng(5)

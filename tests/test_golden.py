@@ -79,3 +79,27 @@ def test_eval_report_hash(golden, capsys):
     assert code == 0
     assert out.startswith("Model ")
     assert _sha256(out.encode("utf-8")) == GOLDEN_EVAL_4_FOLDS
+
+
+def test_streams_in_order_each_train_alike_however_interleaved(golden, tmp_path):
+    # a file need only be in time order within each stream: the sessions
+    # regrouped as header and labels, then every utterance, then every gaze
+    # frame, train to the same bytes, as each stream is held on its own clock
+    order = ("stream=label", "stream=utterance", "stream=gaze_raw")
+    ds0 = tmp_path / "ds0"
+    ds0.mkdir()
+    for path in sorted(golden["ds0"].glob("*.session")):
+        head, *rest = path.read_text(encoding="utf-8").splitlines()
+        rest.sort(key=lambda line: order.index(line.split()[0]))
+        regrouped = "\n".join([head, *rest]) + "\n"
+        assert regrouped != path.read_text(encoding="utf-8")
+        (ds0 / path.name).write_text(regrouped, encoding="utf-8")
+    models = tmp_path / "models"
+    assert main(
+        ["train", "--config", str(golden["config"]), str(ds0), "--out", str(models)]
+    ) == 0
+    names = [p.relative_to(models) for p in sorted(models.rglob("*")) if p.is_file()]
+    assert len(names) == 4 + 3
+    for name in names:
+        assert (models / name).read_bytes() == (golden["models"] / name).read_bytes()
+    assert _sha256((models / "rf.model").read_bytes()) == GOLDEN_RF_MODEL
