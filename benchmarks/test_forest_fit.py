@@ -28,11 +28,10 @@ import pytest
 from needsense.config import Config
 from needsense import forest
 from needsense.forest import ForestConfig, fit_forest
-from needsense.fusion import stage1_materialize
+from needsense.fusion import derived_session, export_fusion_matrix, held_session
 from needsense.language import train_from_utterances
 from needsense.sessions import (
     binary_labels,
-    export_fusion_matrix,
     export_language_corpus,
     load as load_session,
 )
@@ -70,11 +69,12 @@ def suite_matrix(tmp_path_factory):
         alpha=cfg.nb_alpha,
         use_aggregates=cfg.nb_use_aggregates,
     )
-    ds1 = [
-        stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
+    held = [
+        held_session(r, r.messages("gaze_raw"), cfg.gaze_config(), cfg.cadence_hz)
         for r in records
     ]
-    matrix = export_fusion_matrix(records, ds1, cfg.window_w)
+    ds1 = [derived_session(h, nb) for h in held]
+    matrix = export_fusion_matrix(held, [frames for _, frames in ds1], cfg.window_w)
     # the export's own order, the canonical one: sessions by id, each
     # labeled at its ticks from the window's last frame on, short of the end
     by_id = sorted(zip(records, ds1), key=lambda p: p[0].session_id)

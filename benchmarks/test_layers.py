@@ -30,11 +30,17 @@ import pytest
 from needsense.cli import _decision_line, _read_sessions, _run
 from needsense.config import Config
 from needsense.forest import RFModel
-from needsense.fusion import predict_session, stage1_materialize, train_rf
+from needsense.fusion import (
+    derived_session,
+    export_fusion_matrix,
+    held_session,
+    predict_session,
+    stage1_materialize,
+    train_rf,
+)
 from needsense.gaze import GazeNeedTracker
 from needsense.language import train_from_utterances
 from needsense.sessions import (
-    export_fusion_matrix,
     export_language_corpus,
     load as load_session,
     save_derived,
@@ -51,8 +57,9 @@ SUITE_GAZE_NEEDS = "54b5956415e5362b4a6357df31c35d266d855f8cb595e94563b7b32447de
 SUITE_UTTERANCES = 165
 SUITE_TICKS = 7_719
 # sha256 of the repr of, per session `_read_sessions` keeps: id, duration,
-# label spans, utterances, ticks, and the mutual and confirmatory holds
-SUITE_HELD_SESSIONS = "22397889e48360beff28d9ae749e9d931fbeaf22765fa7f8bd9074606378c772"
+# label spans, utterances, the binary labels of the ticks before the
+# duration, and the mutual and confirmatory holds
+SUITE_HELD_SESSIONS = "54ed2a4e087ac745e5e26b59734fda5cd910804c2a339eaa6f3cc0cd9f77e247"
 # sha256 of the repr of the list of the default text model's posterior for
 # each of the suite's utterances, session by session
 SUITE_NB_POSTERIORS = "c687dffa4f8de785204f4399acc9c9bf0a776c409662639d7779c8cf978771bf"
@@ -79,6 +86,14 @@ def session_paths(tmp_path_factory):
     return paths
 
 
+def held_sessions(cfg, records):
+    """Stage 1's gaze half of each raw session, with its tick labels."""
+    return [
+        held_session(r, r.messages("gaze_raw"), cfg.gaze_config(), cfg.cadence_hz)
+        for r in records
+    ]
+
+
 @pytest.fixture(scope="module")
 def suite(session_paths):
     """Raw sessions, the text model, their stage-1 (ticks, frames) and
@@ -90,11 +105,9 @@ def suite(session_paths):
         alpha=cfg.nb_alpha,
         use_aggregates=cfg.nb_use_aggregates,
     )
-    ds1 = [
-        stage1_materialize(r, nb, cfg.gaze_config(), cfg.cadence_hz)
-        for r in records
-    ]
-    matrix = export_fusion_matrix(records, ds1, cfg.window_w)
+    held = held_sessions(cfg, records)
+    ds1 = [derived_session(h, nb) for h in held]
+    matrix = export_fusion_matrix(held, [frames for _, frames in ds1], cfg.window_w)
     rf = train_rf(matrix, cfg.forest_config())
     return cfg, records, nb, ds1, matrix, rf
 
@@ -143,13 +156,13 @@ def test_read_sessions_suite(benchmark, session_paths):
                 (m.originating_time, m.payload)
                 for m in held.record.messages("utterance")
             ],
-            held.ticks,
+            held.labels.tolist(),
             held.gaze[0].tolist(),
             held.gaze[1].tolist(),
         )
         for held in sessions
     ]
-    assert sum(len(held.ticks) for held in sessions) == SUITE_TICKS
+    assert sum(len(held.gaze[0]) for held in sessions) == SUITE_TICKS
     digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
     assert digest == SUITE_HELD_SESSIONS
 
@@ -239,7 +252,7 @@ def test_export_fusion_matrix(benchmark, suite):
     cfg, records, _, ds1, _, _ = suite
     matrix = benchmark.pedantic(
         export_fusion_matrix,
-        args=(records, ds1, cfg.window_w),
+        args=(held_sessions(cfg, records), [f for _, f in ds1], cfg.window_w),
         rounds=5,
         iterations=1,
     )

@@ -3,8 +3,9 @@ evaluate, and decide: `run` takes every setting from the training
 manifest of the models it runs and reads a session file or standard
 input line by line through one live decision engine.  `train` and `eval`
 read each raw session line by line too, its gaze frames going through the
-same engine as each is read (`fusion.held_session`).  Every text input
-but `rf.model`, which is parsed from its bytes, passes through
+same engine as each is read (`fusion.held_session`), until the sessions
+read would make a training matrix past `MAX_MATRIX_CELLS`.  Every text
+input but `rf.model`, which is parsed from its bytes, passes through
 `streams.text_lines`, so a data error names the input's first faulty
 line in line order, after a file's path.
 
@@ -19,7 +20,6 @@ import argparse
 import hashlib
 import os
 import sys
-from bisect import bisect_left
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -30,6 +30,7 @@ from .fusion import (
     FusedDecision,
     HeldSession,
     derived_session,
+    export_fusion_matrix,
     held_session,
     live_pipeline,
     train_rf,
@@ -39,7 +40,6 @@ from .sessions import (
     SessionFormatError,
     SessionReader,
     SessionRecord,
-    export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
@@ -94,24 +94,25 @@ def _read_sessions(directory: str, cfg: Config) -> list[HeldSession]:
     """Each raw session in `directory`, read a line at a time as `load`
     reads it, with stage 1's gaze half done as it is read: each gaze frame
     goes through the gaze models as its line is read and is then dropped,
-    so only the holds on the tick grid are kept.  Sessions whose training
-    matrix would exceed `MAX_MATRIX_CELLS` are refused before it is built."""
+    so only the holds and labels on the tick grid are kept.  Past the
+    first that would make the training matrix exceed `MAX_MATRIX_CELLS`,
+    no session is read."""
     paths = sorted(Path(directory).glob("*.session"))
     if not paths:
         raise StageError(f"no .session files in {directory}")
-    sessions = [read_lines(p, lambda lines: _held_session(lines, cfg)) for p in paths]
-    # `export_fusion_matrix`'s rows: the ticks before the duration, less warm-up
-    rows = sum(
-        max(bisect_left(held.ticks, held.record.duration) - cfg.window_w + 1, 0)
-        for held in sessions
-    )
-    dim = 3 * cfg.window_w
-    if rows * dim > MAX_MATRIX_CELLS:
-        raise StageError(
-            f"the training matrix would hold {rows * dim:,} cells ({rows:,} "
-            f"rows x {dim}), above the bound of {MAX_MATRIX_CELLS:,}: lower "
-            f"cadence_hz={cfg.cadence_hz} or window_w={cfg.window_w}"
-        )
+    sessions, rows, dim = [], 0, 3 * cfg.window_w
+    for path in paths:
+        held = read_lines(path, lambda lines: _held_session(lines, cfg))
+        sessions.append(held)
+        # `export_fusion_matrix`'s rows: the labeled ticks, less warm-up
+        rows += max(len(held.labels) - cfg.window_w + 1, 0)
+        if rows * dim > MAX_MATRIX_CELLS:
+            raise StageError(
+                f"the training matrix would hold at least {rows * dim:,} cells "
+                f"({rows:,} rows x {dim}), above the bound of "
+                f"{MAX_MATRIX_CELLS:,}: lower cadence_hz={cfg.cadence_hz} or "
+                f"window_w={cfg.window_w}"
+            )
     return sessions
 
 
@@ -168,29 +169,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _write_stage1(sessions: list[HeldSession], nb: NBModel, out: Path):
     """Stage 1 of each raw session, written under `out` as a derived
-    session: the (ticks, frames) of each and the names of the files."""
-    derived = []
-    ds1_names = []
+    session: the frames of each and the names of the files."""
+    frames, ds1_names = [], []
     for held in sessions:
-        frames = derived_session(held, nb)
+        ticks, session_frames = derived_session(held, nb)
         name = f"ds1/{held.record.session_id}.session"
-        save_derived(out / name, held.record, held.ticks, frames)
-        derived.append((held.ticks, frames))
+        save_derived(out / name, held.record, ticks, session_frames)
+        frames.append(session_frames)
         ds1_names.append(name)
-    return derived, ds1_names
+    return frames, ds1_names
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _active_config(args)
     sessions = _read_sessions(args.ds0, cfg)
-    records = [held.record for held in sessions]
     out = Path(args.out)
     ds1_dir = out / "ds1"
     ds1_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         nb = train_from_utterances(
-            export_language_corpus(records),
+            export_language_corpus([held.record for held in sessions]),
             alpha=cfg.nb_alpha,
             use_aggregates=cfg.nb_use_aggregates,
         )
@@ -198,14 +197,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise StageError(f"stage 1: {exc}")
     nb.save(out / NB_MODEL_NAME)
 
-    derived, ds1_names = _write_stage1(sessions, nb, out)
+    frames, ds1_names = _write_stage1(sessions, nb, out)
     try:
-        matrix = [export_fusion_matrix(records, derived, cfg.window_w)]
-        n_sessions, n_rows, dim = len(records), matrix[0].n_rows, matrix[0].dim
+        matrix = [export_fusion_matrix(sessions, frames, cfg.window_w)]
+        n_sessions, n_rows, dim = len(sessions), matrix[0].n_rows, matrix[0].dim
         # the fit reads only the matrix, and that only until its tables are
         # built: the sessions are freed before it and the matrix is handed
         # over, so no name here holds it while the trees grow
-        del sessions, records, derived
+        del sessions, frames
         rf = train_rf(matrix.pop(), cfg.forest_config())
     except ValueError as exc:
         raise StageError(f"stage 2: {exc}")

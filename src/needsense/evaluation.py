@@ -17,14 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .fusion import HeldSession, derived_session, train_rf
+from .fusion import HeldSession, derived_session, export_fusion_matrix, train_rf
 from .language import train_from_utterances
-from .sessions import (
-    SessionRecord,
-    binary_labels,
-    export_fusion_matrix,
-    export_language_corpus,
-)
+from .sessions import SessionRecord, export_language_corpus
 
 
 @dataclass(frozen=True)
@@ -169,43 +164,38 @@ def run_full_eval(
         key: np.zeros(4, dtype=np.int64)
         for key in ("mutual", "confirmatory", "language", "fused")
     }
-    # per session: the labels of the ticks before the duration, against
-    # which the gaze holds, which need no training, are scored here
-    per_session = {}
+    # the gaze holds need no training, so they are scored here, each
+    # against the labels of the ticks before the duration
     for held in sessions:
-        rec = held.record
-        truth = binary_labels(rec, [t for t in held.ticks if t < rec.duration])
-        per_session[rec.session_id] = held, truth
+        labels = held.labels
         for key, hold in zip(("mutual", "confirmatory"), held.gaze):
-            totals[key] += confusion_counts(hold[: len(truth)] >= 0.5, truth)
+            totals[key] += confusion_counts(hold[: len(labels)] >= 0.5, labels)
 
-    records = [held.record for held in sessions]
-    for train, test in kfold(records, folds, cfg.seed):
+    by_id = {held.record.session_id: held for held in sessions}
+    for train, test in kfold([held.record for held in sessions], folds, cfg.seed):
         nb = train_from_utterances(
             export_language_corpus(train),
             alpha=cfg.nb_alpha,
             use_aggregates=cfg.nb_use_aggregates,
         )
-
-        def stage1(rec: SessionRecord) -> tuple[list[float], np.ndarray]:
-            held = per_session[rec.session_id][0]
-            return held.ticks, derived_session(held, nb)
-
+        train_held = [by_id[rec.session_id] for rec in train]
         rf = train_rf(
             export_fusion_matrix(
-                train, [stage1(rec) for rec in train], cfg.window_w
+                train_held,
+                [derived_session(held, nb)[1] for held in train_held],
+                cfg.window_w,
             ),
             cfg.forest_config(),
         )
-        derived = [stage1(rec) for rec in test]
-        for rec, (_, frames) in zip(test, derived):
-            truth = per_session[rec.session_id][1]
+        test_held = [by_id[rec.session_id] for rec in test]
+        frames = [derived_session(held, nb)[1] for held in test_held]
+        for held, session_frames in zip(test_held, frames):
             totals["language"] += confusion_counts(
-                frames[: len(truth), 2] >= 0.5, truth
+                session_frames[: len(held.labels), 2] >= 0.5, held.labels
             )
         # the fused model is scored on the rows `train` would make of the
         # test sessions, in one forest call
-        rows = export_fusion_matrix(test, derived, cfg.window_w)
+        rows = export_fusion_matrix(test_held, frames, cfg.window_w)
         totals["fused"] += confusion_counts(
             rf.predict_batch(rows.features)[0], rows.labels
         )

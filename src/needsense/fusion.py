@@ -14,8 +14,9 @@ two-stage: stage 1 gives each raw recording's tick times and a (T, 3)
 array of (mutual, confirmatory, language) frames; stage 2 exports
 windowed rows from those arrays and fits the forest.  The gaze half needs
 no training, so `train` and `eval` run it on a pipeline as a recording is
-read (`held_session`), keep only its holds (`HeldSession`), and hold the
-language column on a second pipeline once the text model is trained
+read (`held_session`), keep only its holds and the labels of its ticks,
+the one place those are decided (`HeldSession`), and hold the language
+column on a second pipeline once the text model is trained
 (`derived_session`): one pipeline per stream, since a file need only be
 in time order within each stream.  `predict_session` scores the frames in
 one forest call: the batch reference.  `run` decides through one pipeline
@@ -36,7 +37,7 @@ import numpy as np
 from .forest import SCORE_ROWS, ForestConfig, RFModel, fit_forest
 from .gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from .language import NBModel
-from .sessions import SessionRecord, TrainingMatrix, frame_windows
+from .sessions import SessionRecord, TrainingMatrix, binary_labels, frame_windows
 from .streams import Pipeline, TimestampedMessage
 
 
@@ -56,12 +57,13 @@ class FusedDecision:
 @dataclass
 class HeldSession:
     """A raw session once its gaze frames have been through the gaze models
-    (`held_session`): the record without them, the ticks of its grid at
-    `cadence_hz`, and the mutual and confirmatory holds at those ticks."""
+    (`held_session`): the record without them, its tick cadence, the
+    binary label of each tick before the duration (int8), and the mutual
+    and confirmatory holds at every tick, the one at the duration too."""
 
     record: SessionRecord
     cadence_hz: float
-    ticks: list[float]
+    labels: np.ndarray
     gaze: tuple[np.ndarray, np.ndarray]
 
 
@@ -108,7 +110,8 @@ def held_session(
 ) -> HeldSession:
     """Stage 1's gaze half for raw session `record`: its gaze `frames`, in
     time order, through the gaze models on their own `Pipeline`, each read
-    once as `frames` yields it and none kept, and the holds of each tick."""
+    once as `frames` yields it and none kept, the holds of each tick, and
+    the labels of those before the duration, which training rows end at."""
     pipe, held = Pipeline(), [0.0, 0.0, 0.0]
     hold_gaze(pipe, held, gaze_config)
     ticks, mutual, conf = [], [], []
@@ -122,22 +125,32 @@ def held_session(
     for msg in frames:
         pipe.emit("gaze_raw", msg.originating_time, msg.payload)
     pipe.finalize(record.duration)
-    return HeldSession(record, cadence_hz, ticks, (_wire(mutual), _wire(conf)))
+    gaze, times = (_wire(mutual), _wire(conf)), np.array(ticks)
+    ticks.clear()  # the tick floats are freed before the labels are found
+    labels = binary_labels(record, times[times < record.duration]).astype(np.int8)
+    return HeldSession(record, cadence_hz, labels, gaze)
 
 
-def derived_session(held: HeldSession, nb_model: NBModel) -> np.ndarray:
-    """Stage 1 for one raw session whose gaze holds are given: the (T, 3)
-    frames of mutual, confirmatory and language need, the record's
-    utterances through the text model on their own `Pipeline` with the
-    same ticks.  An utterance that tokenizes to nothing holds nothing."""
+def derived_session(
+    held: HeldSession, nb_model: NBModel
+) -> tuple[list[float], np.ndarray]:
+    """Stage 1 for one raw session whose gaze holds are given: the ticks and
+    the (T, 3) frames of mutual, confirmatory and language need, the record's
+    utterances through the text model on their own `Pipeline` with the same
+    ticks.  An utterance that tokenizes to nothing holds nothing."""
     pipe, values = Pipeline(), [0.0, 0.0, 0.0]
     hold_language(pipe, values, nb_model)
-    language = []
-    pipe.add_ticker(held.cadence_hz, lambda t: language.append(values[2]))
+    ticks, language = [], []
+
+    def on_tick(t: float) -> None:
+        ticks.append(t)
+        language.append(values[2])
+
+    pipe.add_ticker(held.cadence_hz, on_tick)
     for msg in held.record.messages("utterance"):
         pipe.emit("utterance", msg.originating_time, msg.payload)
     pipe.finalize(held.record.duration)
-    return np.column_stack((*held.gaze, _wire(language)))
+    return ticks, np.column_stack((*held.gaze, _wire(language)))
 
 
 def stage1_materialize(
@@ -148,10 +161,35 @@ def stage1_materialize(
 ) -> tuple[list[float], np.ndarray]:
     """Stage 1 of training: the tick grid of one raw session and the
     gaze and language models' outputs held onto it, as (T, 3) frames."""
-    held = held_session(
-        record, record.messages("gaze_raw"), gaze_config, cadence_hz
+    return derived_session(
+        held_session(record, record.messages("gaze_raw"), gaze_config, cadence_hz),
+        nb_model,
     )
-    return held.ticks, derived_session(held, nb_model)
+
+
+def export_fusion_matrix(
+    sessions: list[HeldSession], frames: list[np.ndarray], window: int
+) -> TrainingMatrix:
+    """Sliding-window rows over the stage-1 (T, 3) frames of each raw
+    session, `frames[i]` belonging to `sessions[i]`.
+
+    Each row concatenates `window` consecutive (mutual, confirmatory,
+    language) frames oldest first and carries the label `held_session`
+    gave its newest tick.  Warm-up ticks and the unlabeled final grid
+    point (at exactly the session duration) contribute no rows.  Rows come
+    in canonical order, sessions by id and each one's ticks ascending,
+    whatever the order of `sessions`.
+    """
+    blocks = [np.empty((0, window * 3), dtype=np.float64)]
+    label_blocks = [np.empty(0, dtype=np.int8)]
+    ordered = sorted(
+        zip(sessions, frames, strict=True), key=lambda p: p[0].record.session_id
+    )
+    for held, session_frames in ordered:
+        labels = held.labels[window - 1:]  # the first windows end at these
+        blocks.append(frame_windows(session_frames, window)[: len(labels)])
+        label_blocks.append(labels)
+    return TrainingMatrix(np.concatenate(blocks), np.concatenate(label_blocks))
 
 
 def train_rf(matrix: TrainingMatrix, config: ForestConfig) -> RFModel:

@@ -15,11 +15,11 @@ Two stores share this format: raw recordings (gaze observations and
 utterances) and derived recordings (per-tick model outputs).  `train`
 and `eval` hand each raw recording's gaze frames to the gaze models as
 the reader yields them and keep none.  In memory the first training
-stage hands the second plain (ticks, frames) arrays;
-`save_derived` writes them as the derived recording `train` keeps, one
-need stream per column.  The training data are plain rows: (text, label)
-per utterance for the text model, and windowed features with their
-labels for the forest.
+stage gives plain (ticks, frames) arrays; `save_derived` writes them as
+the derived recording `train` keeps, one need stream per column.  The
+text model's training data are plain rows, (text, label) per utterance
+(`export_language_corpus`); `fusion` cuts the forest's windowed rows
+(`TrainingMatrix`) from the frames.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .streams import (
 
 FORMAT_VERSION = 1
 
-# A session lasts at most one hour: `train` and `eval` hold its ticks in
-# memory (36,000 rows of 3 * window_w features at 10 Hz), though no longer
-# its gaze frames, and `simulate` holds its gaze frames (108,000), so a
-# runaway duration fails at the line that declares it
+# A session lasts at most one hour: `train` and `eval` hold two gaze holds
+# and a label per tick (36,000 ticks at 10 Hz, each a row of 3 * window_w
+# features once exported), and `simulate` holds its gaze frames (108,000),
+# so a runaway duration fails at the line that declares it
 MAX_SESSION_S = 3600.0
 
 NEED_STREAMS = ("need_mutual", "need_confirmatory", "need_language")
@@ -506,10 +506,9 @@ def binary_labels(record: SessionRecord, times) -> np.ndarray:
 
 @dataclass
 class TrainingMatrix:
-    """Windowed feature rows and their binary labels.
-    `export_fusion_matrix` emits the rows in canonical order, sessions by
-    id and ticks ascending, and the forest is fitted on them in that
-    order."""
+    """Windowed feature rows and their binary labels, in canonical order,
+    sessions by id and ticks ascending, as `fusion` exports them; the
+    forest is fitted on them in that order."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -588,31 +587,3 @@ def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
     rows = np.ndarray(shape, np.float64, frames, strides=(3 * 8, 8))
     rows.flags.writeable = False
     return rows
-
-
-def export_fusion_matrix(
-    records: list[SessionRecord],
-    derived: list[tuple[list[float], np.ndarray]],
-    window: int,
-) -> TrainingMatrix:
-    """Sliding-window rows over the stage-1 (ticks, frames) of each raw
-    session, `derived[i]` belonging to `records[i]`.
-
-    Each row concatenates `window` consecutive (mutual, confirmatory,
-    language) frames oldest first and is labeled at the newest tick.
-    Warm-up ticks and the unlabeled final grid point (at exactly the
-    session duration) contribute no rows.  Rows come in canonical order,
-    sessions by id and each one's ticks ascending, whatever the order of
-    `records`.
-    """
-    blocks = [np.empty((0, window * 3), dtype=np.float64)]
-    label_blocks = [np.empty(0, dtype=np.int64)]
-    ordered = sorted(
-        zip(records, derived, strict=True), key=lambda p: p[0].session_id
-    )
-    for record, (ticks, frames) in ordered:
-        kept = [t for t in ticks[window - 1:] if t < record.duration]
-        # the ticks ascend, so the windows ending at kept ticks are the first rows
-        blocks.append(frame_windows(frames, window)[: len(kept)])
-        label_blocks.append(binary_labels(record, kept))
-    return TrainingMatrix(np.concatenate(blocks), np.concatenate(label_blocks))

@@ -26,7 +26,12 @@ from needsense.evaluation import (
     run_full_eval,
 )
 from needsense.forest import ForestConfig, RFModel, fit_forest
-from needsense.fusion import predict_session, stage1_materialize
+from needsense.fusion import (
+    derived_session,
+    export_fusion_matrix,
+    held_session,
+    predict_session,
+)
 from needsense.gaze import GazeConfig, GazeNeedTracker
 from needsense.language import (
     NEG,
@@ -40,7 +45,6 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionRecord,
     binary_labels,
-    export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
@@ -255,8 +259,11 @@ def test_criterion_3_window_export_exactness():
 
         # system path: batch stage 1, then the exporter
         nb = train_from_utterances(export_language_corpus([record]))
-        derived = stage1_materialize(record, nb, GazeConfig(), 10.0)
-        matrix = export_fusion_matrix([record], [derived], 20)
+        session = held_session(
+            record, record.messages("gaze_raw"), GazeConfig(), 10.0
+        )
+        _, frames = derived_session(session, nb)
+        matrix = export_fusion_matrix([session], [frames], 20)
         assert matrix.n_rows == 81
         assert matrix.dim == 60
 

@@ -542,6 +542,22 @@ class TestTrainCommand:
         peak(plain_dir)  # the first read compiles and caches what it uses
         assert abs(peak(dense_dir) - peak(plain_dir)) <= 16 * 1024
 
+    def test_reader_keeps_under_32_bytes_a_tick(self, workspace):
+        # per tick, two float64 gaze holds and an int8 label: 17 B, where a
+        # list of Python float ticks alone would add 32 B more
+        cli._read_sessions(str(workspace["ds0"]), Config())  # compiles, caches
+        tracemalloc.start()
+        try:
+            sessions = cli._read_sessions(
+                str(workspace["ds0"]), Config(cadence_hz=1000.0)
+            )
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ticks = sum(len(held.gaze[0]) for held in sessions)
+        assert ticks > 100_000
+        assert kept < 32 * ticks
+
     def test_a_fault_is_named_before_any_tick_fires(self, tmp_path):
         # an hour at 1 kHz is 3.6M ticks, and the label on line 2 is bad: the
         # reader names it before the grid is built, so little is allocated
@@ -593,15 +609,16 @@ class TestTrainCommand:
 
 
 MATRIX_BOUND_ERROR = re.compile(
-    r"error: the training matrix would hold ([\d,]+) cells \(([\d,]+) rows x "
-    r"(\d+)\), above the bound of ([\d,]+): lower cadence_hz=(\S+) or "
-    r"window_w=(\d+)\n"
+    r"error: the training matrix would hold at least ([\d,]+) cells "
+    r"\(([\d,]+) rows x (\d+)\), above the bound of ([\d,]+): lower "
+    r"cadence_hz=(\S+) or window_w=(\d+)\n"
 )
 
 
 class TestMatrixBound:
     """`train` and `eval` refuse a training matrix above `MAX_MATRIX_CELLS`
-    once the sessions are read, before anything is built from them."""
+    as the sessions are read, once those read so far pass it, before
+    anything is built from them."""
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_legal_keys_past_the_bound_are_exit_3(
@@ -626,13 +643,33 @@ class TestMatrixBound:
         assert int(cells.replace(",", "")) == int(rows.replace(",", "")) * 30_000
         assert (dim, cadence, window) == ("30000", "1000.0", "10000")
         assert int(bound.replace(",", "")) == cli.MAX_MATRIX_CELLS
-        # the tick grids of four 1 kHz sessions, not the matrix
+        # the tick grid of the first 1 kHz session, not the matrix
         assert peak < 32 << 20
         assert not (tmp_path / "m").exists()
 
+    def test_sessions_past_the_bound_are_not_read(
+        self, workspace, tmp_path, capsys
+    ):
+        # the first session alone passes the bound, so a malformed file
+        # sorted after it is never opened
+        ds0 = tmp_path / "ds0"
+        shutil.copytree(workspace["ds0"], ds0)
+        (ds0 / "z99.session").write_text(
+            "format_version=1 session_id=z99 duration=oops\n", encoding="utf-8"
+        )
+        code = main(
+            ["train", "--config", str(workspace["config"]), str(ds0),
+             "--cadence", "1000", "--window", "10000",
+             "--out", str(tmp_path / "m")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert MATRIX_BOUND_ERROR.fullmatch(err), err
+        assert "z99" not in err and "line 1" not in err
+
     def test_the_bound_is_inclusive(self, workspace, tmp_path, monkeypatch):
         cells = 3 * 20 * sum(
-            len([t for t in held.ticks[19:] if t < held.record.duration])
+            len(held.labels[19:])
             for held in cli._read_sessions(str(workspace["ds0"]), Config())
         )
         argv = ["train", "--config", str(workspace["config"]),
@@ -731,25 +768,29 @@ def test_a_blas_thread_count_already_set_is_kept(fresh_python):
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
+TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's needsense first on the path."""
+    src = str(Path(needsense.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
 @pytest.mark.parametrize("source", ["-", "file"])
 def test_tracer_hooks_stay_live_over_a_run(workspace, tmp_path, source):
     # perfbench/traced.py wraps the names it finds on the live path and
     # lists those it does not; a change to these names shows here first
     session = sorted(workspace["ds0"].glob("*.session"))[0]
     spans = tmp_path / "spans.json"
-    src = str(Path(needsense.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
+    env = checkout_env()
     run = [
         "run", "-" if source == "-" else str(session),
         "--models", str(workspace["models"]),
     ]
-    traced = [
-        sys.executable,
-        str(Path(__file__).parents[1] / "perfbench" / "traced.py"),
-        str(spans), "r0", *run,
-    ]
+    traced = [sys.executable, str(TRACED), str(spans), "r0", *run]
     outputs = []
     for argv in (traced, [sys.executable, "-m", "needsense", *run]):
         with open(session, "rb") as stdin:
@@ -771,6 +812,37 @@ def test_tracer_hooks_stay_live_over_a_run(workspace, tmp_path, source):
     ]
     names = {span[2] for span in report["spans"]}
     assert {"streams.emit", "fusion.callback"} <= names
+
+
+def test_tracer_hooks_stay_live_over_a_train(workspace, tmp_path):
+    # perfbench's train workload counts the rows of the matrix that
+    # `cli.export_fusion_matrix` returns, and times the export and the fit
+    spans = tmp_path / "spans.json"
+    train = ["train", "--config", str(workspace["config"]), str(workspace["ds0"])]
+    rows = []
+    for out, argv in (
+        ("traced", [sys.executable, str(TRACED), str(spans), "t0", *train]),
+        ("plain", [sys.executable, "-m", "needsense", *train]),
+    ):
+        proc = subprocess.run(
+            [*argv, "--out", str(tmp_path / out)], capture_output=True,
+            text=True, env=checkout_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows.append(int(re.search(r"\((\d+) rows x ", proc.stdout).group(1)))
+    artifacts = [
+        {
+            path.relative_to(tmp_path / out): path.read_bytes()
+            for path in sorted((tmp_path / out).rglob("*")) if path.is_file()
+        }
+        for out in ("traced", "plain")
+    ]
+    assert artifacts[0] == artifacts[1] and artifacts[0]
+    assert rows[0] == rows[1]
+    report = json.loads(spans.read_text(encoding="utf-8"))
+    assert report["counts"]["sessions.export_rows"] == rows[0]
+    names = {span[2] for span in report["spans"]}
+    assert {"sessions.export", "fusion.train", "forest.fit"} <= names
 
 
 def test_perfbench_finds_what_it_imports_and_wraps(monkeypatch):

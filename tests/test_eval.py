@@ -163,9 +163,12 @@ def language_hold(utterances, duration):
     record = SessionRecord(
         "z00", duration,
         {"utterance": [TimestampedMessage(t, text) for t, text in utterances]},
+        # `held_session` labels every tick before the duration
+        [LabelSpan(0.0, duration, NeedLevelLabel.FLOW)],
     )
     held = held_session(record, [], GazeConfig(), 10.0)
-    return dict(zip(held.ticks, derived_session(held, EchoText())[:, 2].tolist()))
+    ticks, frames = derived_session(held, EchoText())
+    return dict(zip(ticks, frames[:, 2].tolist()))
 
 
 class TestZeroOrderHold:

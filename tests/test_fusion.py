@@ -14,7 +14,13 @@ from needsense import forest
 from needsense.cli import _decision_line, _run
 from needsense.config import Config
 from needsense.forest import ForestConfig
-from needsense.fusion import predict_session, stage1_materialize, train_rf
+from needsense.fusion import (
+    export_fusion_matrix,
+    held_session,
+    predict_session,
+    stage1_materialize,
+    train_rf,
+)
 from needsense.gaze import GazeConfig, GazeNeedTracker, GazeObservation
 from needsense.language import train_from_utterances
 from needsense.sessions import (
@@ -23,7 +29,6 @@ from needsense.sessions import (
     NeedLevelLabel,
     SessionRecord,
     binary_labels,
-    export_fusion_matrix,
     export_language_corpus,
     frame_windows,
     load as load_session,
@@ -38,16 +43,19 @@ LIGHT_FOREST = ForestConfig(
 )
 
 
+def export(sessions):
+    """`export_fusion_matrix` at W=20 over (record, (ticks, frames)) pairs
+    on the 10 Hz grid, each record's tick labels from `held_session`."""
+    return export_fusion_matrix(
+        [held_session(record, [], GazeConfig(), 10.0) for record, _ in sessions],
+        [frames for _, (_, frames) in sessions],
+        20,
+    )
+
+
 def stage2_fit(sessions):
     """Stage 2 as `needsense train` runs it: export, then fit."""
-    return train_rf(
-        export_fusion_matrix(
-            [record for record, _ in sessions],
-            [derived for _, derived in sessions],
-            20,
-        ),
-        LIGHT_FOREST,
-    )
+    return train_rf(export(sessions), LIGHT_FOREST)
 
 
 def step_session(session_id="d00", duration=10.0):
@@ -345,7 +353,7 @@ class TestStage2:
     def test_separable_construction_reaches_full_training_accuracy(self):
         session = step_session()
         model = stage2_fit([session])
-        matrix = export_fusion_matrix([session[0]], [session[1]], 20)
+        matrix = export([session])
         labels, _ = model.predict_batch(matrix.features)
         assert labels.tolist() == matrix.labels.tolist()
 
@@ -369,14 +377,7 @@ class TestStage2:
         rng = np.random.default_rng(0)
         shuffled = [sessions[i] for i in rng.permutation(len(sessions))]
         assert shuffled[0][0].session_id != "d00"
-        a, b = (
-            export_fusion_matrix(
-                [record for record, _ in pairs],
-                [derived for _, derived in pairs],
-                20,
-            )
-            for pairs in (sessions, shuffled)
-        )
+        a, b = (export(pairs) for pairs in (sessions, shuffled))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         # sessions by id, each labeled at its ticks from the window's last

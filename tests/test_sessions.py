@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import needsense.sessions as sessions_module
-from needsense.gaze import GazeObservation
+from needsense.fusion import export_fusion_matrix, held_session
+from needsense.gaze import GazeConfig, GazeObservation
 from needsense.sessions import (
     NEED_STREAMS,
     LabelSpan,
@@ -20,7 +21,6 @@ from needsense.sessions import (
     SessionReader,
     SessionRecord,
     binary_labels,
-    export_fusion_matrix,
     export_language_corpus,
     fmt_time,
     fmt_value,
@@ -101,11 +101,18 @@ def row_ticks(record, window):
     return [t for t in ticks if t < record.duration]
 
 
+def held(record):
+    """The `HeldSession` of a raw session with no gaze frames at 10 Hz: its
+    gaze holds are zero, and its labels those of every tick before the
+    duration."""
+    return held_session(record, [], GazeConfig(), 10.0)
+
+
 def export(sessions, window):
     """`export_fusion_matrix` over (record, (ticks, frames)) pairs."""
     return export_fusion_matrix(
-        [record for record, _ in sessions],
-        [derived for _, derived in sessions],
+        [held(record) for record, _ in sessions],
+        [frames for _, (_, frames) in sessions],
         window,
     )
 
@@ -715,9 +722,9 @@ class TestFusionMatrixExport:
         assert matrix.dim == 60
 
     def test_records_and_frames_must_line_up(self):
-        record, derived = ticks_session()
+        record, (_, frames) = ticks_session()
         with pytest.raises(ValueError):
-            export_fusion_matrix([record], [derived, derived], window=20)
+            export_fusion_matrix([held(record)], [frames, frames], window=20)
 
     def test_dtype_and_bounds(self):
         matrix = export([ticks_session()], window=20)
@@ -730,13 +737,13 @@ class TestFusionMatrixExport:
         code = """
 import sys
 import numpy as np
-from needsense.sessions import export_fusion_matrix
+from needsense.fusion import export_fusion_matrix, held_session
+from needsense.gaze import GazeConfig
 from needsense.simulate import benchmark_suite, simulate
-from needsense.streams import tick_times
 records = [simulate(s, f"s{i}") for i, s in enumerate(benchmark_suite(2))]
-ticks = [tick_times(r.duration, 10.0) for r in records]
-derived = [(t, np.zeros((len(t), 3))) for t in ticks]
-assert export_fusion_matrix(records, derived, 20).n_rows
+held = [held_session(r, [], GazeConfig(), 10.0) for r in records]
+frames = [np.zeros((len(h.gaze[0]), 3)) for h in held]
+assert export_fusion_matrix(held, frames, 20).n_rows
 print("numpy.ma" in sys.modules)
 """
         assert fresh_python(code) == "False\n"
