@@ -16,7 +16,8 @@ them as `train_maxrss_mb` and `eval_maxrss_mb`, with their minor page
 faults as `train_minflt` and `eval_minflt`.  `run` set-up, on a header with
 nothing to decide, runs as processes of their own too, so that their
 start-up shows: child wall and CPU seconds as `setup_wall_s` and
-`setup_cpu_s`.
+`setup_cpu_s`, peak RSS and minor page faults as `setup_maxrss_mb` and
+`setup_minflt`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -220,7 +221,9 @@ def test_run_setup_fresh_process(benchmark, models, tmp_path):
     rounds, `extra_info` holds the child's median wall seconds
     (`setup_wall_s`) and median CPU seconds, user plus system
     (`setup_cpu_s`); CPU time shows start-up work that an idle second core
-    hides from the wall clock."""
+    hides from the wall clock.  It also holds the child's median peak RSS
+    (`setup_maxrss_mb`) and minor page faults (`setup_minflt`), so memory
+    that start-up keeps for the life of the process shows too."""
     header = tmp_path / "header.txt"
     header.write_text(
         "format_version=1 session_id=setup duration=0.000\n", encoding="utf-8"
@@ -232,7 +235,7 @@ def test_run_setup_fresh_process(benchmark, models, tmp_path):
         sys.executable, "-c", CHILD_LAUNCHER,
         "-m", "needsense", "run", "--models", str(models),
     ]
-    walls, cpus = [], []
+    walls, cpus, maxrss_kib, minflts = [], [], [], []
 
     def setup():
         with open(header, "rb") as stdin:
@@ -241,13 +244,17 @@ def test_run_setup_fresh_process(benchmark, models, tmp_path):
                 check=True,
             )
         # the launcher's line alone: the child printed no decision
-        _, _, cpu, wall = proc.stdout.split()
+        maxrss, minflt, cpu, wall = proc.stdout.split()
+        maxrss_kib.append(int(maxrss))
+        minflts.append(int(minflt))
         cpus.append(float(cpu))
         walls.append(float(wall))
 
     benchmark.pedantic(setup, rounds=10, iterations=1)
     benchmark.extra_info["setup_wall_s"] = statistics.median(walls)
     benchmark.extra_info["setup_cpu_s"] = statistics.median(cpus)
+    benchmark.extra_info["setup_maxrss_mb"] = statistics.median(maxrss_kib) / 1024
+    benchmark.extra_info["setup_minflt"] = statistics.median(minflts)
 
 
 def test_run_default_s00(benchmark, ds0, models, capsys):

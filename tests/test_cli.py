@@ -768,6 +768,37 @@ def test_a_blas_thread_count_already_set_is_kept(fresh_python):
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
+def test_the_process_entry_freezes_what_it_imports(fresh_python):
+    # the installed script imports needsense.__main__ as this does; the
+    # collector is back on and the imports sit in the permanent generation
+    code = (
+        "import gc, needsense.__main__; "
+        "print(gc.isenabled(), gc.get_freeze_count() > 10_000)"
+    )
+    assert fresh_python(code) == "True True\n"
+
+
+def test_importing_the_package_leaves_the_collector_alone(fresh_python):
+    code = "import gc, needsense.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    assert fresh_python(code) == "True 0\n"
+
+
+def test_the_installed_script_calls_what_python_m_calls(fresh_python):
+    # so both launchers get the entry's collector policy
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as file:
+        entry = tomllib.load(file)["project"]["scripts"]["needsense"]
+    module, _, name = entry.partition(":")
+    assert module == "needsense.__main__"
+    code = (
+        "import importlib, runpy, needsense.cli; "
+        f"main = getattr(importlib.import_module({module!r}), {name!r}); "
+        "ran = runpy.run_module('needsense', run_name='not_main'); "
+        "print(main is ran['main'] is needsense.cli.main)"
+    )
+    assert fresh_python(code) == "True\n"
+
+
 TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"
 
 
