@@ -17,7 +17,9 @@ faults as `train_minflt` and `eval_minflt`.  `run` set-up, on a header with
 nothing to decide, runs as processes of their own too, so that their
 start-up shows: child wall and CPU seconds as `setup_wall_s` and
 `setup_cpu_s`, peak RSS and minor page faults as `setup_maxrss_mb` and
-`setup_minflt`.
+`setup_minflt`.  A `train` that the matrix bound refuses, one hour at
+1 kHz, runs as a process of its own as well: its wall and CPU seconds
+and peak RSS are `refuse_wall_s`, `refuse_cpu_s` and `refuse_maxrss_mb`.
 `testpaths` does not collect this directory, so run it directly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_end_to_end.py
@@ -161,6 +163,45 @@ def test_train_default_peak_rss(benchmark, ds0, tmp_path):
     benchmark.extra_info["train_minflt"] = minflt
     assert _sha256((models / "rf.model").read_bytes()) == DEFAULT_RF_MODEL
     assert _sha256((models / "manifest.txt").read_bytes()) == DEFAULT_MANIFEST
+
+
+def test_train_refuses_an_oversized_session(benchmark, tmp_path):
+    """`train` of one one-hour session of 60 gaze lines at 1 kHz and
+    window_w=7, in a process of its own: 3,599,994 rows of 21 cells, which
+    the matrix bound refuses from the session's header with exit 3.  It
+    records the child's wall and CPU seconds and peak RSS in `extra_info`
+    as `refuse_wall_s`, `refuse_cpu_s` and `refuse_maxrss_mb`."""
+    ds0 = tmp_path / "ds0"
+    ds0.mkdir()
+    gaze = "".join(
+        f"stream=gaze_raw t={60 * i}.000 yaw=0.000000 pitch=0.000000 "
+        "conf=0.900000\n"
+        for i in range(60)
+    )
+    (ds0 / "h00.session").write_text(
+        "format_version=1 session_id=h00 duration=3600.000\n"
+        f"stream=label start=0.000 end=3600.000 level=L3\n{gaze}",
+        encoding="utf-8",
+    )
+    src = Path(needsense.__file__).resolve().parents[1]
+    command = [
+        sys.executable, "-c", CHILD_LAUNCHER, "-m", "needsense", "train",
+        str(ds0), "--cadence", "1000", "--window", "7",
+        "--out", str(tmp_path / "m"),
+    ]
+
+    def train():
+        return subprocess.run(
+            command, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True,
+        )
+
+    proc = benchmark.pedantic(train, rounds=1, iterations=1)
+    assert proc.returncode == 3, proc.stderr
+    maxrss_kib, _, cpu, wall = proc.stdout.split()
+    benchmark.extra_info["refuse_wall_s"] = float(wall)
+    benchmark.extra_info["refuse_cpu_s"] = float(cpu)
+    benchmark.extra_info["refuse_maxrss_mb"] = int(maxrss_kib) / 1024
 
 
 def test_train_default_derived_sessions_and_manifest(models):

@@ -3,11 +3,11 @@ evaluate, and decide: `run` takes every setting from the training
 manifest of the models it runs and reads a session file or standard
 input line by line through one live decision engine.  `train` and `eval`
 read each raw session line by line too, its gaze frames going through the
-same engine as each is read (`fusion.held_session`), until the sessions
-read would make a training matrix past `MAX_MATRIX_CELLS`.  Every text
-input but `rf.model`, which is parsed from its bytes, passes through
-`streams.text_lines`, so a data error names the input's first faulty
-line in line order, after a file's path.
+same engine as each is read (`fusion.held_session`), until a session's
+header shows that the sessions read would make a training matrix past
+`MAX_MATRIX_CELLS`.  Every text input but `rf.model`, which is parsed
+from its bytes, passes through `streams.text_lines`, so a data error
+names the input's first faulty line in line order, after a file's path.
 
 Exit codes: 0 success, 1 standard output closed early (a reader such as
 `head` stopped; no error line), 2 usage, 3 data error, 4 models or
@@ -45,7 +45,7 @@ from .sessions import (
     fmt_value,
     save_derived,
 )
-from .streams import read_lines, text_lines
+from .streams import read_lines, text_lines, ticks_before
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -94,18 +94,21 @@ def _read_sessions(directory: str, cfg: Config) -> list[HeldSession]:
     """Each raw session in `directory`, read a line at a time as `load`
     reads it, with stage 1's gaze half done as it is read: each gaze frame
     goes through the gaze models as its line is read and is then dropped,
-    so only the holds and labels on the tick grid are kept.  Past the
-    first that would make the training matrix exceed `MAX_MATRIX_CELLS`,
-    no session is read."""
+    so only the holds and labels on the tick grid are kept.  Each session's
+    rows are counted from its header, and at the first whose rows would
+    make the training matrix exceed `MAX_MATRIX_CELLS` no more is read."""
     paths = sorted(Path(directory).glob("*.session"))
     if not paths:
         raise StageError(f"no .session files in {directory}")
-    sessions, rows, dim = [], 0, 3 * cfg.window_w
-    for path in paths:
-        held = read_lines(path, lambda lines: _held_session(lines, cfg))
-        sessions.append(held)
+    rows, dim = 0, 3 * cfg.window_w
+
+    def read(lines: Iterable[str]) -> HeldSession:
+        nonlocal rows
+        # `train` and `eval` label each utterance by the span covering it
+        reader = SessionReader(lines, labeled=True, whole=True)
         # `export_fusion_matrix`'s rows: the labeled ticks, less warm-up
-        rows += max(len(held.labels) - cfg.window_w + 1, 0)
+        ticks = ticks_before(reader.duration, cfg.cadence_hz)
+        rows += max(ticks - cfg.window_w + 1, 0)
         if rows * dim > MAX_MATRIX_CELLS:
             raise StageError(
                 f"the training matrix would hold at least {rows * dim:,} cells "
@@ -113,12 +116,12 @@ def _read_sessions(directory: str, cfg: Config) -> list[HeldSession]:
                 f"{MAX_MATRIX_CELLS:,}: lower cadence_hz={cfg.cadence_hz} or "
                 f"window_w={cfg.window_w}"
             )
-    return sessions
+        return _held_session(reader, cfg)
+
+    return [read_lines(path, read) for path in paths]
 
 
-def _held_session(lines: Iterable[str], cfg: Config) -> HeldSession:
-    # `train` and `eval` label each utterance by the span covering it
-    reader = SessionReader(lines, labeled=True, whole=True)
+def _held_session(reader: SessionReader, cfg: Config) -> HeldSession:
     utterances = []
     # the reader fills its `labels` as it reads
     record = SessionRecord(

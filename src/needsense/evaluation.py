@@ -40,8 +40,6 @@ class MetricsReport:
 
 
 def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
-    if min(tp, fp, fn, tn) < 0:
-        raise ValueError("confusion counts must be non-negative")
     precision_undefined = (tp + fp) == 0
     precision = 0.0 if precision_undefined else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
@@ -63,14 +61,8 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
 def confusion_counts(pred, truth) -> tuple[int, int, int, int]:
     """(tp, fp, fn, tn) of 0/1 predictions against the 0/1 labels of the
     same ticks, the two aligned position by position."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if len(pred) != len(truth):
-        raise ValueError(f"{len(pred)} predictions against {len(truth)} labels")
-    if not (np.isin(pred, (0, 1)).all() and np.isin(truth, (0, 1)).all()):
-        raise ValueError("predictions and labels must be 0 or 1")
-    pred = pred.astype(bool)
-    truth = truth.astype(bool)
+    pred = np.asarray(pred, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
     tp = int(np.count_nonzero(pred & truth))
     fp = int(np.count_nonzero(pred)) - tp
     fn = int(np.count_nonzero(truth)) - tp

@@ -81,8 +81,6 @@ class ForestConfig:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     def resolve_features(self, n_features: int) -> int:
         m = self.features_per_split
@@ -708,15 +706,10 @@ class RFModel:
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(labels, scores) for a batch; score is the fraction of trees
-        voting for the help class, label 1 when score >= 0.5.  The rows are
-        voted on SCORE_ROWS at a time, so the votes held at once stay
-        n_trees x SCORE_ROWS however long the batch."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected feature dimension {self.n_features}, "
-                f"got {X.shape[1] if X.ndim == 2 else X.shape}"
-            )
+        voting for the help class, label 1 when score >= 0.5.  Each row has
+        the `n_features` the forest was fitted on.  The rows are voted on
+        SCORE_ROWS at a time, so the votes held at once stay n_trees x
+        SCORE_ROWS however long the batch."""
         scores = np.empty(len(X))
         for start in range(0, len(X), SCORE_ROWS):
             block = slice(start, start + SCORE_ROWS)
@@ -940,7 +933,9 @@ def _preorder(n_trees: int, value, depth, split, feature, threshold):
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
-    """Train on raw arrays; rows are taken in the given (canonical) order.
+    """Train on a finite (rows, d) matrix and the 0/1 label of each row, as
+    `fusion.export_fusion_matrix` gives them; rows are taken in the given
+    (canonical) order.
 
     The trees grow in lockstep, each with its own generator, stack and
     preorder, so its draws are those of growing it alone: its bootstrap
@@ -951,17 +946,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> RFModel:
     copy is made when X is already a float64 array.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-        raise ValueError("X must be 2-D and aligned with y")
     if len(X) == 0:
         raise ValueError("cannot train on an empty matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    # checked before the cast, which would truncate a label such as 0.7
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    labels = y.astype(np.intp)
+    labels = np.asarray(y).astype(np.intp)
     if labels.min() == labels.max():
         raise ValueError("training matrix must contain both classes")
     d = X.shape[1]

@@ -124,12 +124,14 @@ class SessionRecord:
 
     def validate(self) -> None:
         """Refuse what `load` would refuse of the lines `to_lines` writes,
-        whose times are rounded to whole milliseconds."""
-        duration = _checked_duration(self.session_id, self.duration)
+        whose times are rounded to whole milliseconds, for a record of
+        named streams (`STREAM_NAMES`), as `simulate` makes."""
+        if not _SESSION_ID_RE.match(self.session_id):
+            raise SessionFormatError(f"invalid session id {self.session_id!r}")
+        duration = round(self.duration, 3)  # as `to_lines` writes it
+        _check_length(duration)
         last_t: dict[str, float] = {}
         for name, msgs in self.streams.items():
-            if name not in STREAM_NAMES:
-                raise SessionFormatError(f"unknown stream name {name!r}")
             for msg in msgs:
                 t = msg.originating_time
                 _check_time(name, round(t, 3), duration, last_t)
@@ -164,20 +166,6 @@ class SessionRecord:
         Path(path).write_text(
             "\n".join(self.to_lines()) + "\n", encoding="utf-8"
         )
-
-
-def _checked_duration(session_id: str, duration: float) -> float:
-    """The duration `to_lines` writes, once it and the session id are shown
-    to be ones `load` reads back."""
-    if not _SESSION_ID_RE.match(session_id):
-        raise SessionFormatError(f"invalid session id {session_id!r}")
-    duration = round(duration, 3)
-    if not duration > 0:
-        raise SessionFormatError("duration must be > 0")
-    if not math.isfinite(duration):
-        raise SessionFormatError("non-finite value for 'duration'")
-    _check_length(duration)
-    return duration
 
 
 def _check_length(duration: float, line_no: int | None = None) -> None:
@@ -486,22 +474,11 @@ def load(path: str | Path, labeled: bool = False) -> SessionRecord:
 
 def binary_labels(record: SessionRecord, times) -> np.ndarray:
     """1 where the user needs the robot's help (levels 2 and 3), else 0,
-    at each time; span starts are inclusive, ends exclusive."""
-    times = np.asarray(times, dtype=np.float64)
-    outside = ~((times >= 0.0) & (times < record.duration))
-    if outside.any():
-        raise ValueError(
-            f"time {float(times[outside][0])} outside [0, {record.duration})"
-        )
+    at each time in [0, duration); span starts are inclusive, ends
+    exclusive.  The spans tile [0, duration), as the reader checked."""
     spans = sorted(record.labels, key=lambda s: s.start)
-    # index 0 stands for "before every span", which nothing covers
-    idx = np.searchsorted([s.start for s in spans], times, side="right")
-    uncovered = times >= np.array([-np.inf, *(s.end for s in spans)])[idx]
-    if uncovered.any():
-        raise ValueError(
-            f"no label span covers time {float(times[uncovered][0])}"
-        )
-    return np.array([0, *(s.level.binary for s in spans)], dtype=np.int64)[idx]
+    idx = np.searchsorted([s.start for s in spans], times, side="right") - 1
+    return np.array([s.level.binary for s in spans], dtype=np.int64)[idx]
 
 
 @dataclass
@@ -538,14 +515,12 @@ def save_derived(
 ) -> None:
     """Write the derived session of raw session `record`: its stage-1
     (T, 3) frames on `ticks` as the three need streams, with the record's
-    labels.  The bytes, and the error for a value `load` would refuse, are
-    those `SessionRecord.save` gives for a record of those messages; the
-    lines are formatted straight from the arrays, tick by tick with the need
-    streams in canonical order, which is the order `to_lines` sorts them
-    into."""
-    duration = _checked_duration(record.session_id, record.duration)
-    _check_needs(ticks, frames, duration)
-    _validate_rounded_labels(record.labels, duration)
+    labels.  The bytes are those `SessionRecord.save` gives for a record of
+    those messages, which it would accept: the reader accepted `record`
+    whole, and stage 1's ticks strictly increase on whole milliseconds in
+    [0, duration] with every value in [0, 1].  The lines are formatted
+    straight from the arrays, tick by tick with the need streams in
+    canonical order, which is the order `to_lines` sorts them into."""
     lines = record._head_lines()
     for tick, (mutual, confirmatory, language) in zip(ticks, frames.tolist()):
         t = fmt_time(tick)
@@ -557,31 +532,11 @@ def save_derived(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_needs(ticks: list[float], frames: np.ndarray, duration: float) -> None:
-    """Raise what `SessionRecord.validate` raises first of the need streams
-    (ticks, frames) would make: it checks each stream in turn, a message's
-    time before its value.  Every stream has the same times, so only the
-    first can fault on one, and only up to its first faulty value."""
-    ticks, frames = ticks[: len(frames)], frames[: len(ticks)]  # as zip pairs them
-    outside = ~((frames >= 0.0) & (frames <= 1.0))  # NaN too
-    last_t: dict[str, float] = {}
-    for k, name in enumerate(NEED_STREAMS):
-        bad = np.flatnonzero(outside[:, k])[:1].tolist()
-        if k == 0:
-            for t in ticks[: bad[0] + 1 if bad else len(ticks)]:
-                _check_time(name, round(t, 3), duration, last_t)
-        if bad:
-            problem = _payload_problem(name, float(frames[bad[0], k]))
-            raise SessionFormatError(f"{name} at {ticks[bad[0]]}: {problem}")
-
-
 def frame_windows(frames: np.ndarray, window: int) -> np.ndarray:
     """Sliding windows over (T, 3) frames: row i concatenates frames i to
     i + window - 1, oldest first, so it is anchored at frame
     i + window - 1.  No rows until `window` frames exist (no padding).
     The rows are a read-only view of the frames, one frame apart."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, not {window}")
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     shape = (max(len(frames) - window + 1, 0), 3 * window)
     rows = np.ndarray(shape, np.float64, frames, strides=(3 * 8, 8))

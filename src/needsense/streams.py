@@ -118,6 +118,12 @@ class Stream:
             fn(t, payload)
 
 
+def _tick(k: int, cadence_hz: float) -> float:
+    """The time of tick k: k / cadence_hz rounded to the millisecond wire
+    precision, so the ticks never decrease as k grows."""
+    return round(k / cadence_hz, 3)
+
+
 class Pipeline:
     """The engine that fires ticks and holds inputs for every command: an
     input stream per name in `LIVE_INPUTS`, and one tick schedule.
@@ -138,7 +144,7 @@ class Pipeline:
         self._next = math.inf  # the next tick's time; none until add_ticker
 
     def add_ticker(self, cadence_hz: float, fn: Callable[[float], None]) -> None:
-        """Set the tick schedule: tick k calls fn at round(k / cadence_hz, 3)."""
+        """Set the tick schedule: tick k calls fn at `_tick(k, cadence_hz)`."""
         self._cadence, self._on_tick = cadence_hz, fn
         self._k, self._next = 0, 0.0
 
@@ -146,7 +152,7 @@ class Pipeline:
         while self._next < t or (inclusive and self._next == t):
             tick = self._next
             self._k += 1
-            self._next = round(self._k / self._cadence, 3)
+            self._next = _tick(self._k, self._cadence)
             self._on_tick(tick)
 
     def emit(self, name: str, t: float, payload: Any) -> None:
@@ -167,3 +173,15 @@ def tick_times(duration: float, cadence_hz: float) -> list[float]:
     pipe.add_ticker(cadence_hz, ticks.append)
     pipe.finalize(duration)
     return ticks
+
+
+def ticks_before(duration: float, cadence_hz: float) -> int:
+    """How many ticks a `Pipeline` at `cadence_hz` fires before `duration`,
+    the k with `_tick(k, cadence_hz) < duration`, found from the ticks next
+    to the duration without firing the others."""
+    k = math.ceil(max(duration, 0.0) * cadence_hz)
+    while k > 0 and _tick(k - 1, cadence_hz) >= duration:
+        k -= 1
+    while _tick(k, cadence_hz) < duration:
+        k += 1
+    return k

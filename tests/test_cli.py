@@ -409,6 +409,23 @@ class TestSimulateCommand:
         )
         assert not (out / "late.session").exists()
 
+    def test_script_whose_stem_is_no_session_id_names_the_file(
+        self, tmp_path, capsys
+    ):
+        # the session id is the script's stem
+        script = tmp_path / "two words.script"
+        script.write_text(
+            "script_version=1 seed=0\n"
+            "segment duration=1 label=Flow gaze=fix-task\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(script), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {script}: invalid session id 'two words'\n"
+        )
+        assert not list(out.glob("*.session"))
+
     def test_script_whose_frames_are_not_finite_names_the_file(
         self, tmp_path, capsys
     ):
@@ -559,17 +576,19 @@ class TestTrainCommand:
         assert kept < 32 * ticks
 
     def test_a_fault_is_named_before_any_tick_fires(self, tmp_path):
-        # an hour at 1 kHz is 3.6M ticks, and the label on line 2 is bad: the
-        # reader names it before the grid is built, so little is allocated
+        # an hour at 1 kHz is 3.6M ticks, rows of 3 cells at window_w=1 and
+        # so within the bound, and the label on line 2 is bad: the reader
+        # names it before the grid is built, so little is allocated
         (tmp_path / "s00.session").write_text(
             "format_version=1 session_id=s00 duration=3600.000\n"
             "stream=label start=0.000 end=3600.000 level=L9\n",
             encoding="utf-8",
         )
+        cfg = Config(cadence_hz=1000.0, window_w=1)
         tracemalloc.start()
         try:
             with pytest.raises(SessionFormatError, match="line 2: unknown need"):
-                cli._read_sessions(str(tmp_path), Config(cadence_hz=1000.0))
+                cli._read_sessions(str(tmp_path), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,10 +634,22 @@ MATRIX_BOUND_ERROR = re.compile(
 )
 
 
+# spawns the command it is given and prints the child's peak RSS in KiB once
+# it exits: a child spawned straight from the test process would count that
+# process's RSS, as it shares its memory until it execs
+RSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 class TestMatrixBound:
     """`train` and `eval` refuse a training matrix above `MAX_MATRIX_CELLS`
-    as the sessions are read, once those read so far pass it, before
-    anything is built from them."""
+    as the sessions are read, from the header of the first session whose
+    rows take the count past it, before anything is built from them."""
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_legal_keys_past_the_bound_are_exit_3(
@@ -667,6 +698,50 @@ class TestMatrixBound:
         assert MATRIX_BOUND_ERROR.fullmatch(err), err
         assert "z99" not in err and "line 1" not in err
 
+    def test_an_oversized_session_is_refused_from_its_header(self, tmp_path):
+        # an hour at 1 kHz and window_w=7: 3,599,994 rows of 21 cells; no
+        # tick fires, so the child stays near its zero-input size
+        ds0 = tmp_path / "ds0"
+        ds0.mkdir()
+        gaze = "".join(
+            f"stream=gaze_raw t={60 * i}.000 yaw=0.000000 pitch=0.000000 "
+            "conf=0.900000\n"
+            for i in range(60)
+        )
+        (ds0 / "h00.session").write_text(
+            "format_version=1 session_id=h00 duration=3600.000\n"
+            f"stream=label start=0.000 end=3600.000 level=L3\n{gaze}",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_LAUNCHER, "-m", "needsense", "train",
+             str(ds0), "--cadence", "1000", "--window", "7",
+             "--out", str(tmp_path / "m")],
+            capture_output=True, text=True, env=checkout_env(), timeout=120,
+        )
+        assert proc.returncode == 3
+        match = MATRIX_BOUND_ERROR.fullmatch(proc.stderr)
+        assert match, proc.stderr
+        assert match.group(2) == "3,599,994"
+        assert int(proc.stdout) / 1024 < 64  # peak RSS in MB
+        assert not (tmp_path / "m").exists()
+
+    def test_a_fault_after_an_oversized_header_reports_the_bound(
+        self, tmp_path, capsys
+    ):
+        # the rows are counted from the header, before line 2 is read
+        ds0 = tmp_path / "ds0"
+        ds0.mkdir()
+        (ds0 / "h00.session").write_text(
+            "format_version=1 session_id=h00 duration=3600.000\n"
+            "stream=label start=0.000 end=3600.000 level=L9\n",
+            encoding="utf-8",
+        )
+        code = main(["train", str(ds0), "--cadence", "1000", "--window", "7",
+                     "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert MATRIX_BOUND_ERROR.fullmatch(capsys.readouterr().err)
+
     def test_the_bound_is_inclusive(self, workspace, tmp_path, monkeypatch):
         cells = 3 * 20 * sum(
             len(held.labels[19:])
@@ -712,7 +787,9 @@ class TestEvalCommand:
              str(workspace["ds0"]), "--folds", "5"]
         )
         assert code == 3
-        assert "at least" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: need at least 5 sessions for 5-fold CV\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -1422,15 +1499,54 @@ def _shift_leaf_id(lines):
     return lines, i + 1
 
 
+def _drop_last_line(lines):
+    """A forest whose last tree ends early: that tree's line is named."""
+    last_tree = max(i for i, line in enumerate(lines, 1) if line.startswith("tree "))
+    return lines[:-1], last_tree
+
+
+def _header(edit):
+    """Apply `edit` to the header, line 2 of an rf.model."""
+    return _edit_line("n_trees=", edit)
+
+
 # each mutation of a valid rf.model returns the lines and the 1-based line
-# number that the loader must name
+# number that the loader must name; beside it, how its message starts
 MALFORMED_MODELS = {
-    "header_missing_seed": _drop_seed,
-    "feature_out_of_range": _replace_field("node ", "feat", "60"),
-    "leaf_class_two": _replace_field("leaf ", "class", "2"),
-    "node_before_first_tree": _node_before_tree,
-    "node_id_not_preorder": _shift_leaf_id,
-    "nan_threshold": _replace_field("node ", "thr", "nan"),
+    "header_missing_seed": (_drop_seed, "bad model header: missing key 'seed'"),
+    "feature_out_of_range": (_replace_field("node ", "feat", "60"), "feat out of range"),
+    "leaf_class_two": (_replace_field("leaf ", "class", "2"),
+                       "unrecognized model line: leaf "),
+    "node_before_first_tree": (_node_before_tree, "node before the first tree"),
+    "node_id_not_preorder": (_shift_leaf_id, "node id out of preorder"),
+    "nan_threshold": (_replace_field("node ", "thr", "nan"), "thr is not finite"),
+    "not_a_forest": (lambda lines: (["format=other", *lines[1:]], 1),
+                     "not a random forest model file"),
+    "carriage_return": (_header(lambda h: h.replace(" seed=", " \rseed=")),
+                        "bad model header: carriage return inside the line"),
+    "unknown_key": (_header(lambda h: h + " depth=3"),
+                    "bad model header: unknown key 'depth'"),
+    "duplicate_key": (_header(lambda h: h + " seed=7"),
+                      "bad model header: duplicate key 'seed'"),
+    "leading_zero": (_header(lambda h: h.replace(" seed=7", " seed=07")),
+                     "bad model header: seed='07' is not an integer in canonical form"),
+    "bootstrap_two": (_header(lambda h: h.replace("bootstrap=1", "bootstrap=2")),
+                      "bad model header: bootstrap must be 0 or 1"),
+    "no_features": (_header(lambda h: h.replace("n_features=60", "n_features=0")),
+                    "bad model header: n_features must be >= 1"),
+    "no_features_per_split": (
+        _header(lambda h: re.sub(r"features_per_split=\d+", "features_per_split=0", h)),
+        "bad model header: features_per_split must be in [1, n_features]",
+    ),
+    "no_trees": (_header(lambda h: h.replace("n_trees=15", "n_trees=0")),
+                 "bad model header: n_trees must be >= 1"),
+    "no_leaf_size": (_header(lambda h: h.replace("min_samples_leaf=3", "min_samples_leaf=0")),
+                     "bad model header: min_samples_leaf must be >= 1"),
+    "no_depth": (_header(lambda h: h.replace("max_depth=6", "max_depth=0")),
+                 "bad model header: max_depth must be >= 1 or None"),
+    "tree_count": (_header(lambda h: h.replace("n_trees=15", "n_trees=16")),
+                   "n_trees=16 but 15 trees"),
+    "truncated_tree": (_drop_last_line, "truncated tree"),
 }
 
 
@@ -1442,6 +1558,64 @@ MALFORMED_TEXT_MODELS = {
     "alpha_negative": _replace_field("alpha=", "alpha", "-1"),
     "docs_zero": _replace_field("docs ", "c0", "0"),
     "unknown_field": _edit_line("token=", lambda line: line + " c2=3"),
+}
+
+
+# a session file's faults that `train` and `run` name alike: (text, error
+# after the path)
+_HEAD = "format_version=1 session_id=n00 duration=1.000\n"
+_SPAN = "stream=label start=0.000 end=1.000 level=L0\n"
+SESSION_FAULTS = {
+    "empty": ("", "empty session file"),
+    "bad_id": ("format_version=1 session_id=../n00 duration=1.000\n",
+               "line 1: invalid session id '../n00'"),
+    "no_label_span": (_HEAD, "session has no label spans"),
+    "late_start": (
+        _HEAD + "stream=label start=0.500 end=1.000 level=L0\n",
+        "line 2: label coverage starts at 0.5, expected 0.0",
+    ),
+    "empty_span": (
+        _HEAD + "stream=label start=0.000 end=0.000 level=L0\n" + _SPAN,
+        "line 2: label span start 0.0 not before end 0.0",
+    ),
+    "overlap": (
+        _HEAD + "stream=label start=0.000 end=0.600 level=L0\n"
+        "stream=label start=0.500 end=1.000 level=L1\n",
+        "line 3: label overlap at 0.500",
+    ),
+    "gap": (
+        _HEAD + "stream=label start=0.000 end=0.400 level=L0\n"
+        "stream=label start=0.500 end=1.000 level=L1\n",
+        "line 3: label gap at 0.400",
+    ),
+    "short_cover": (
+        _HEAD + "stream=label start=0.000 end=0.900 level=L0\n",
+        "line 2: label coverage ends at 0.9, expected 1.0",
+    ),
+    "text_between_fields": (
+        _HEAD + _SPAN + 'stream=utterance junk t=0.500 text="hi"\n',
+        "line 3: unparseable text 'junk'",
+    ),
+    "text_after_fields": (
+        _HEAD + _SPAN + 'stream=utterance t=0.500 text="hi" junk\n',
+        "line 3: unparseable text 'junk'",
+    ),
+    "duplicate_field": (
+        _HEAD + _SPAN + 'stream=utterance t=0.500 t=0.600 text="hi"\n',
+        "line 3: duplicate field 't'",
+    ),
+    "no_stream": (_HEAD + _SPAN + "t=0.500 v=0.100000\n",
+                  "line 3: missing stream field"),
+    "unknown_stream": (_HEAD + _SPAN + "stream=need_fused t=0.500 v=0.100000\n",
+                       "line 3: unknown stream name 'need_fused'"),
+    "non_finite": (_HEAD + _SPAN + 'stream=utterance t=nan text="hi"\n',
+                   "line 3: non-finite value for 't'"),
+    "conf_outside": (
+        _HEAD + _SPAN + "stream=gaze_raw t=0.100 yaw=0.0 pitch=0.0 conf=1.5\n",
+        "line 3: conf 1.5 outside [0, 1]",
+    ),
+    "unquoted_text": (_HEAD + _SPAN + "stream=utterance t=0.500 text=hi\n",
+                      "line 3: utterance missing quoted text"),
 }
 
 
@@ -1618,6 +1792,51 @@ class TestExitCodes:
         assert err.endswith(" gives a smoothed likelihood of 0\n")
         assert not (models / "nb.model").exists()
 
+    def test_a_window_past_every_session_is_an_empty_matrix(
+        self, workspace, tmp_path, capsys
+    ):
+        # each session of the workspace has fewer than 1,000 ticks at 10 Hz
+        code = main(
+            ["train", "--config", str(workspace["config"]), str(workspace["ds0"]),
+             "--window", "1000", "--out", str(tmp_path / "m")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: stage 2: cannot train on an empty matrix\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spans, utterances, why",
+        [
+            # the only help span ends before the first full window
+            ([(0, 1, "L3"), (1, 10, "Flow")],
+             [(0.5, "please help me"), (5, "all good here")],
+             "stage 2: training matrix must contain both classes"),
+            ([(0, 10, "Flow")], [(5, "all good here")],
+             "stage 1: training corpus has no help-class utterances"),
+        ],
+    )
+    def test_one_class_of_label_fails_its_stage(
+        self, tmp_path, capsys, spans, utterances, why
+    ):
+        ds0 = tmp_path / "ds0"
+        ds0.mkdir()
+        (ds0 / "c00.session").write_text(
+            "format_version=1 session_id=c00 duration=10.000\n"
+            + "".join(
+                f"stream=label start={a}.000 end={b}.000 level={level}\n"
+                for a, b, level in spans
+            )
+            + "".join(
+                f'stream=utterance t={t:.3f} text="{text}"\n'
+                for t, text in utterances
+            ),
+            encoding="utf-8",
+        )
+        code = main(["train", str(ds0), "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {why}\n"
+
     def test_cadence_above_one_khz_is_exit_three(self, workspace, tmp_path, capsys):
         code = main(
             ["train", "--config", str(workspace["config"]), "--cadence", "1500",
@@ -1742,6 +1961,44 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert captured.err == f"error: {manifest}: line {line_no}: {key} {why}\n"
+
+    def test_a_resealed_window_the_forest_was_not_fitted_on_is_exit_four(
+        self, workspace, tmp_path, capsys
+    ):
+        # the forest scores rows of the width it was fitted on, which `run`
+        # checks against the manifest's window before any input is read
+        models = tmp_path / "models"
+        shutil.copytree(workspace["models"], models)
+        manifest = models / "manifest.txt"
+        edit = _resealed(
+            lambda ls: ([ln.replace("window_w=20", "window_w=21") for ln in ls], None)
+        )
+        lines, _ = edit(manifest.read_text(encoding="utf-8").splitlines())
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        session = sorted(workspace["ds0"].glob("*.session"))[0]
+        code = main(["run", str(session), "--models", str(models)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: forest expects 60 features, window_w=21 yields 63\n"
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("text, why", SESSION_FAULTS.values(), ids=SESSION_FAULTS)
+    def test_a_session_fault_is_exit_three(
+        self, workspace, tmp_path, capsys, command, text, why
+    ):
+        ds0 = tmp_path / "ds0"
+        ds0.mkdir()
+        path = ds0 / "n00.session"
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "train": ["train", str(ds0), "--out", str(tmp_path / "m")],
+            "run": ["run", str(path), "--models", str(workspace["models"])],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {path}: {why}\n"
 
     def test_edited_text_model_is_exit_four(self, workspace, tmp_path, capsys):
         import shutil
@@ -1963,9 +2220,8 @@ class TestExitCodes:
         broken = tmp_path / "broken"
         shutil.copytree(workspace["models"], broken)
         rf_path = broken / "rf.model"
-        lines, line_no = MALFORMED_MODELS[case](
-            rf_path.read_text(encoding="utf-8").splitlines()
-        )
+        mutate, why = MALFORMED_MODELS[case]
+        lines, line_no = mutate(rf_path.read_text(encoding="utf-8").splitlines())
         rf_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         session = sorted(workspace["ds0"].glob("*.session"))[0]
         code = main(
@@ -1973,8 +2229,8 @@ class TestExitCodes:
         )
         err = capsys.readouterr().err
         assert code == 3
-        assert "Traceback" not in err
-        assert f"rf.model: line {line_no}: " in err
+        assert err.startswith(f"error: {rf_path}: line {line_no}: {why}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT_MODELS))
     def test_malformed_text_model_is_exit_three(

@@ -128,10 +128,6 @@ class TestAssemble:
             chunk = frames.tolist()[i : i + 20]
             assert row.tolist() == [v for f in chunk for v in f]
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            frame_windows(self.frames(3), 0)
-
 
 class TestWireGaze:
     """The live shell holds the gaze tracker's values, wire-rounded."""

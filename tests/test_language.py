@@ -21,7 +21,6 @@ from needsense.language import (
     extract_features,
     tokenize,
     train_from_utterances,
-    train_nb,
 )
 
 
@@ -151,10 +150,6 @@ class TestTrain:
     def test_large_finite_alpha_trains(self):
         model = train_from_utterances(SMALL, alpha=1e300)
         assert 0.0 < model.predict_text("help me please") < 1.0
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            train_nb([(Counter({"a": 1}), 2)])
 
 
 class TestLikelihoodsAndPosterior:

@@ -19,6 +19,7 @@ from needsense.streams import (
     read_lines,
     text_lines,
     tick_times,
+    ticks_before,
 )
 
 
@@ -261,6 +262,20 @@ class TestTickTimes:
         # Config.validate caps cadence_hz at 1 kHz, the millisecond wire grid
         ticks = tick_times(duration, cadence)
         assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+    @given(
+        cadence=st.floats(min_value=0.0, max_value=1000.0, exclude_min=True)
+        | st.sampled_from([10.0, 30.0, 100.0, 1000.0]),
+        duration=st.floats(min_value=-1.0, max_value=120.0)
+        | st.integers(0, 120_000).map(lambda ms: ms / 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ticks_before_counts_the_ticks_short_of_the_duration(
+        self, cadence, duration
+    ):
+        # `train` counts a session's rows from its header with it
+        ticks = tick_times(duration, cadence)
+        assert ticks_before(duration, cadence) == sum(t < duration for t in ticks)
 
     def test_ticks_collide_above_the_config_cadence_bound(self):
         ticks = tick_times(0.01, 1500.0)
